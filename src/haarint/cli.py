@@ -96,6 +96,13 @@ def _parse_shape(text: str):
         raise ValueError(f"bad shape string {text!r}; expected like 2,1")
 
 
+def _conj_mark(mark: str) -> bool:
+    """'+' is a plain factor, '-' a conjugated one."""
+    if mark not in ("+", "-"):
+        raise ValueError(f"conjugation mark must be + or -, got {mark!r}")
+    return mark == "-"
+
+
 def _parse_factors(text: str):
     """Inline monomial factors: 'i,j,+;i,j,-' with '+' plain, '-' bar."""
     out = []
@@ -103,11 +110,7 @@ def _parse_factors(text: str):
         bits = [b.strip() for b in part.split(",")]
         if len(bits) not in (2, 3):
             raise ValueError(f"bad factor {part!r}; expected i,j or i,j,+/-")
-        conj = False
-        if len(bits) == 3:
-            if bits[2] not in ("+", "-"):
-                raise ValueError(f"conjugation mark must be + or -, got {bits[2]!r}")
-            conj = bits[2] == "-"
+        conj = len(bits) == 3 and _conj_mark(bits[2])
         out.append(moments.Factor(int(bits[0]), int(bits[1]), conj))
     return out
 
@@ -198,7 +201,7 @@ def cmd_su2(args) -> list:
             if len(bits) not in (3, 4):
                 raise ValueError(
                     f"bad factor {part!r}; expected twice_j,twice_mp,twice_m[,+/-]")
-            conj = len(bits) == 4 and bits[3] == "-"
+            conj = len(bits) == 4 and _conj_mark(bits[3])
             factors.append(su2.Su2Factor(int(bits[0]), int(bits[1]),
                                          int(bits[2]), conj))
         spec = su2.Su2MonomialSpec(factors)

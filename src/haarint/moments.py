@@ -4,12 +4,21 @@ compact groups, with their large-N leading terms.
 The integral of a monomial in entries of u and u-bar equals a matrix
 element of the orthogonal projection of |J><J'| onto the span of the
 commutant operators: slot permutations for U(N), pair-partition operators
-for O(N) and Sp(2N).  The projection is found by solving the normal
-equations with the exact Gram matrix of operator traces, so a singular
-Gram (small N) is handled by the rational pseudo-inverse — any solution
-of the normal equations yields the same projection.
+for O(N) and Sp(2N).  The projection is r^T W c for match vectors r, c
+and any W with G W G = G, G the Gram matrix of operator traces.
+
+G(a, b) depends on a and b only through a partition of q, the type of
+the pair: the cycle type of a^-1 b for permutations, the loop lengths of
+a ∪ b for pairings (Collins–Śniady 2006, Collins–Matsumoto 2009).  The
+class functions of the type form a commutative algebra of dimension
+p(q), so W is sought in it: p(q) rational weights w solve G^2 w = G
+there, and any solution gives G W G = G, singular G (small N) included.
+The symplectic Gram is the orthogonal one at dimension -2N up to the
+signs ε_a ε_b (-1)^q.  The dense Gram and its Weingarten matrix stay
+available (gram_matrix, weingarten_data) as the reference route.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -212,9 +221,9 @@ def materialize_brauer(pairing, form: BilinearForm) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Gram matrices
+# type tables: the dimension-free structure of a commutant basis
 
-_loop_cache: dict = {}
+_KIND = {"U": "U", "SU": "U", "O": "O", "SO": "O", "Sp": "Sp"}
 
 
 def _loop_structure(pa, pb, kind: str):
@@ -222,8 +231,7 @@ def _loop_structure(pa, pb, kind: str):
 
     The union of the two pairings is a disjoint set of even cycles; each
     cycle forces all its letters from one free letter, contributing a
-    dimension factor, and the walk accumulates the skew signs.  The
-    dimension-independent structure is what gets cached.
+    dimension factor, and the walk accumulates the skew signs.
     """
     partner = {"a": {}, "b": {}}
     for tag, pairing in (("a", pa), ("b", pb)):
@@ -276,14 +284,107 @@ def _loop_structure(pa, pb, kind: str):
     return sign, loops
 
 
-def _pairing_gram_structure(q: int, kind: str):
-    key = (kind, q)
-    if key not in _loop_cache:
-        ps = all_pairings(2 * q)
-        _loop_cache[key] = [[_loop_structure(pa, pb, kind) for pb in ps]
-                            for pa in ps]
-    return _loop_cache[key]
+def _partners(pairing) -> list:
+    out = [0] * (2 * len(pairing) + 1)
+    for a, b in pairing:
+        out[a], out[b] = b, a
+    return out
 
+
+def _loop_type(pa, pb) -> tuple:
+    """Loop lengths of the union of two pairings (as partner lists), each
+    halved, so they partition q; descending."""
+    seen = [False] * len(pa)
+    lengths = []
+    for start in range(1, len(pa)):
+        if seen[start]:
+            continue
+        steps, cur = 0, start
+        while True:
+            nxt = pa[cur]
+            seen[cur] = seen[nxt] = True
+            cur = pb[nxt]
+            steps += 1
+            if cur == start:
+                break
+        lengths.append(steps)
+    return tuple(sorted(lengths, reverse=True))
+
+
+@dataclass(frozen=True)
+class TypeTable:
+    """Dimension-free structure of one commutant basis.
+
+    ``rows[a][b]`` indexes into ``types`` the partition of q that labels
+    the basis pair (a, b).  ``signs`` holds the ε_a of the symplectic
+    Gram, G(a, b) = ε_a ε_b (-1)^q (-2N)^ℓ(type), and is all +1 otherwise.
+    ``products[l][m][v]`` counts the c with type(a, c) = m and
+    type(c, b) = v for any pair (a, b) of type l: the structure constants
+    of the commutative algebra the class functions of the type span.
+    """
+    basis: CommutantBasis
+    types: tuple
+    rows: tuple  # bytes per basis element
+    signs: tuple
+    products: tuple
+
+
+@functools.lru_cache(maxsize=16)
+def type_table(kind: str, q: int) -> TypeTable:
+    """Type table of the U, O or Sp commutant basis at degree q."""
+    basis = build_commutant_basis(kind, q)
+    elems = basis.elements
+    if kind == "U":
+        inverses = [perms.inverse(p) for p in elems]
+
+        def label(a, b):
+            return perms.cycle_type(perms.compose(inverses[a], elems[b]))
+    else:
+        partners = [_partners(p) for p in elems]
+
+        def label(a, b):
+            return _loop_type(partners[a], partners[b])
+    k = len(elems)
+    index: dict = {}
+    # every type occurs in row 0, so the type order is fixed by that row
+    rows = tuple(bytes(index.setdefault(label(a, b), len(index)) for b in range(k))
+                 for a in range(k))
+    signs = (1,) * k
+    if kind == "Sp":
+        # fixing ε_0 = 1, row 0 of the Gram determines every ε_a
+        first = elems[0]
+        signs = tuple(s * (-1) ** (q + loops) for s, loops in
+                      (_loop_structure(p, first, "symplectic") for p in elems))
+    products = []
+    for t in range(len(index)):
+        b = rows[0].index(t)
+        counts = [[0] * len(index) for _ in index]
+        for c in range(k):
+            counts[rows[0][c]][rows[c][b]] += 1
+        products.append(tuple(tuple(row) for row in counts))
+    return TypeTable(basis, tuple(index), rows, signs, tuple(products))
+
+
+def _gram_per_type(kind: str, q: int, n: int) -> list:
+    """The Gram as a class function: G(a, b) = ε_a ε_b out[rows[a][b]]."""
+    d, sign = (-2 * n, (-1) ** q) if kind == "Sp" else (n, 1)
+    return [sign * d ** len(t) for t in type_table(kind, q).types]
+
+
+def _class_product(products, x, y) -> list:
+    """Product of two class functions, given by their values per type."""
+    out = []
+    for per_type in products:
+        acc = 0
+        for xm, counts in zip(x, per_type):
+            if xm:
+                acc += xm * sum(yv * c for yv, c in zip(y, counts) if c)
+        out.append(acc)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Gram matrices
 
 def gram_matrix(basis: CommutantBasis, n: int, method: str = "loops"):
     """Exact trace pairings G[a][b] = Tr(B_a B_b^T) of the basis operators."""
@@ -293,10 +394,12 @@ def gram_matrix(basis: CommutantBasis, n: int, method: str = "loops"):
         return [[Fraction(n ** perms.cycle_count(
             perms.compose(perms.inverse(pa), pb)))
             for pb in basis.elements] for pa in basis.elements]
-    d = 2 * n if basis.group == "Sp" else n
     if method == "loops":
-        struct = _pairing_gram_structure(basis.q, _form_for(basis.group, n).kind)
-        return [[Fraction(s * d ** loops) for s, loops in row] for row in struct]
+        kind = _KIND[basis.group]
+        table = type_table(kind, basis.q)
+        per_type = _gram_per_type(kind, basis.q, n)
+        return [[Fraction(sa * sb * per_type[t]) for sb, t in zip(table.signs, row)]
+                for sa, row in zip(table.signs, table.rows)]
     if method == "direct":
         form = _form_for(basis.group, n)
         mats = [materialize_brauer(p, form) for p in basis.elements]
@@ -319,6 +422,7 @@ class WeingartenData:
 
 
 def weingarten_data(gram) -> WeingartenData:
+    """Dense Weingarten matrix of a Gram; the reference for class weights."""
     g = [[Fraction(x) for x in row] for row in gram]
     k = len(g)
     if ratlinalg.rank(g) == k:
@@ -332,33 +436,44 @@ def weingarten_data(gram) -> WeingartenData:
 # ---------------------------------------------------------------------------
 # exact integrals
 
-_engine_cache: dict = {}
+@dataclass(frozen=True)
+class ClassWeights:
+    """Weingarten weights as a class function: the k x k matrix is
+    W(a, b) = signs[a] signs[b] weights[rows[a][b]], with G W G = G."""
+    table: TypeTable
+    weights: tuple  # one Fraction per type
+    pseudo: bool  # the Gram is singular, W is a generalized inverse
 
 
-def _engine(group: str, q: int, n: int):
-    key = (group, q, n)
-    if key not in _engine_cache:
-        basis = build_commutant_basis(group, q)
-        wdata = weingarten_data(gram_matrix(basis, n))
-        _engine_cache[key] = (basis, wdata)
-    return _engine_cache[key]
+@functools.lru_cache(maxsize=128)
+def _engine(group: str, q: int, n: int) -> ClassWeights:
+    """Class weights of the U, O or Sp commutant at degree q, dimension n:
+    one solution of G^2 w = G in the algebra of class functions."""
+    table = type_table(group, q)
+    products = table.products
+    g = [Fraction(x) for x in _gram_per_type(group, q, n)]
+    h = _class_product(products, g, g)
+    system = [[sum((hm * counts[v] for hm, counts in zip(h, per_type)), Fraction(0))
+               for v in range(len(g))] for per_type in products]
+    w = ratlinalg.solve(system, g)
+    assert _class_product(products, _class_product(products, g, w), g) == g
+    return ClassWeights(table, tuple(w), pseudo=ratlinalg.rank(system) < len(g))
 
 
-def _bilinear_value(weights, r_vec, c_vec) -> Fraction:
-    total = Fraction(0)
-    for a, ra in enumerate(r_vec):
-        if not ra:
-            continue
-        row = weights[a]
-        acc = Fraction(0)
-        for b, cb in enumerate(c_vec):
-            if cb:
-                acc += cb * row[b]
-        total += ra * acc
-    return total
+def _contract(engine: ClassWeights, r_vec, c_vec) -> Fraction:
+    """r^T W c, summed per type of the basis pair before weighting."""
+    table = engine.table
+    cols = [(b, cb * sb) for b, (cb, sb) in enumerate(zip(c_vec, table.signs)) if cb]
+    bins = [0] * len(engine.weights)
+    for ra, sa, row in zip(r_vec, table.signs, table.rows):
+        if ra:
+            ra *= sa
+            for b, cb in cols:
+                bins[row[b]] += ra * cb
+    return sum((w * m for w, m in zip(engine.weights, bins) if m), Fraction(0))
 
 
-def _unitary_exact(spec: MonomialSpec, n: int) -> Fraction:
+def _unitary_vectors(spec: MonomialSpec):
     plain = [f for f in spec.factors if not f.conj]
     conj = [f for f in spec.factors if f.conj]
     if len(plain) != len(conj):
@@ -366,7 +481,7 @@ def _unitary_exact(spec: MonomialSpec, n: int) -> Fraction:
     q = len(plain)
     if q == 0:
         return Fraction(1)
-    basis, wdata = _engine("U", q, n)
+    elements = type_table("U", q).basis.elements
     i_rows = [f.row for f in plain]
     j_cols = [f.col for f in plain]
     i2_rows = [f.row for f in conj]
@@ -375,28 +490,28 @@ def _unitary_exact(spec: MonomialSpec, n: int) -> Fraction:
     def match(p, left, right):
         return 1 if all(left[p[j]] == right[j] for j in range(q)) else 0
 
-    r_vec = [match(p, i_rows, i2_rows) for p in basis.elements]
-    c_vec = [match(p, j_cols, j2_cols) for p in basis.elements]
-    return _bilinear_value(wdata.weights, r_vec, c_vec)
+    r_vec = [match(p, i_rows, i2_rows) for p in elements]
+    c_vec = [match(p, j_cols, j2_cols) for p in elements]
+    return "U", q, r_vec, c_vec, 1
 
 
-def _orthogonal_exact(spec: MonomialSpec, n: int) -> Fraction:
+def _orthogonal_vectors(spec: MonomialSpec, n: int):
     m = spec.degree
     if m % 2:
         return Fraction(0)
     if m == 0:
         return Fraction(1)
     q = m // 2
-    basis, wdata = _engine("O", q, n)
+    elements = type_table("O", q).basis.elements
     form = _form_for("O", n)
     early, late = spec.factors[:q], spec.factors[q:]
     i_l = [f.row for f in early]
     j_l = [f.col for f in early]
     i2_l = [f.row for f in late]
     j2_l = [f.col for f in late]
-    r_vec = [brauer_entry(p, i_l, i2_l, form) for p in basis.elements]
-    c_vec = [brauer_entry(p, j_l, j2_l, form) for p in basis.elements]
-    return _bilinear_value(wdata.weights, r_vec, c_vec)
+    r_vec = [brauer_entry(p, i_l, i2_l, form) for p in elements]
+    c_vec = [brauer_entry(p, j_l, j2_l, form) for p in elements]
+    return "O", q, r_vec, c_vec, 1
 
 
 def _sp_letter(a: int) -> int:
@@ -412,7 +527,7 @@ def _sp_jsign(a: int) -> int:
     return 1 if a % 2 else -1
 
 
-def _symplectic_exact(spec: MonomialSpec, n: int) -> Fraction:
+def _symplectic_vectors(spec: MonomialSpec, n: int):
     sign = 1
     flat = []
     for f in spec.factors:
@@ -429,7 +544,7 @@ def _symplectic_exact(spec: MonomialSpec, n: int) -> Fraction:
     if m == 0:
         return Fraction(1)
     q = m // 2
-    basis, wdata = _engine("Sp", q, n)
+    elements = type_table("Sp", q).basis.elements
     form = _form_for("Sp", n)
     early, late = flat[:q], flat[q:]
     i_l = [_sp_letter(i) for i, _ in early]
@@ -440,9 +555,28 @@ def _symplectic_exact(spec: MonomialSpec, n: int) -> Fraction:
         sign *= _sp_jsign(i) * _sp_jsign(j)
         i2_l.append(_sp_letter(_sp_partner(i)))
         j2_l.append(_sp_letter(_sp_partner(j)))
-    r_vec = [brauer_entry(p, i_l, i2_l, form) for p in basis.elements]
-    c_vec = [brauer_entry(p, j_l, j2_l, form) for p in basis.elements]
-    return sign * _bilinear_value(wdata.weights, r_vec, c_vec)
+    r_vec = [brauer_entry(p, i_l, i2_l, form) for p in elements]
+    c_vec = [brauer_entry(p, j_l, j2_l, form) for p in elements]
+    return "Sp", q, r_vec, c_vec, sign
+
+
+def _match_vectors(spec: MonomialSpec, n: int):
+    """The value where no weights are needed (a Fraction), otherwise
+    (group, q, r_vec, c_vec, sign): the integral is sign * r^T W c over
+    the U, O or Sp commutant basis at degree q."""
+    if spec.group in ("U", "SU"):
+        return _unitary_vectors(spec)
+    if spec.group in ("O", "SO"):
+        return _orthogonal_vectors(spec, n)
+    return _symplectic_vectors(spec, n)
+
+
+def _weighted_value(spec: MonomialSpec, n: int) -> Fraction:
+    reduced = _match_vectors(spec, n)
+    if isinstance(reduced, Fraction):
+        return reduced
+    group, q, r_vec, c_vec, sign = reduced
+    return sign * _contract(_engine(group, q, n), r_vec, c_vec)
 
 
 def _su_window(spec: MonomialSpec, n: int) -> Fraction | None:
@@ -479,26 +613,23 @@ def exact_integral(spec: MonomialSpec, n: int) -> Fraction:
     if n < 1:
         raise ValueError("need n >= 1")
     spec.validate(n)
-    if spec.group == "U":
-        return _unitary_exact(spec, n)
     if spec.group == "SU":
         short = _su_window(spec, n)
-        return _unitary_exact(spec, n) if short is None else short
-    if spec.group in ("O", "SO"):
-        if spec.group == "SO":
-            if n == 1:
-                return Fraction(1)  # the one-dimensional group is trivial
-            ok = _so_window_ok(spec, n)
-            if ok is None:
-                raise UnsupportedIntegralError(
-                    f"SO({n}) degree-{spec.degree} monomials pick up "
-                    f"determinant (epsilon-tensor) invariants; supported "
-                    f"only when the degree is even and (N odd or degree < N), "
-                    f"or odd with degree < N")
-            if ok is False:
-                return Fraction(0)
-        return _orthogonal_exact(spec, n)
-    return _symplectic_exact(spec, n)
+        if short is not None:
+            return short
+    elif spec.group == "SO":
+        if n == 1:
+            return Fraction(1)  # the one-dimensional group is trivial
+        ok = _so_window_ok(spec, n)
+        if ok is None:
+            raise UnsupportedIntegralError(
+                f"SO({n}) degree-{spec.degree} monomials pick up "
+                f"determinant (epsilon-tensor) invariants; supported "
+                f"only when the degree is even and (N odd or degree < N), "
+                f"or odd with degree < N")
+        if ok is False:
+            return Fraction(0)
+    return _weighted_value(spec, n)
 
 
 # ---------------------------------------------------------------------------

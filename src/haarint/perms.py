@@ -60,11 +60,3 @@ def class_size(ctype: tuple[int, ...]) -> int:
     for length, m in mult.items():
         z *= (length ** m) * math.factorial(m)
     return math.factorial(k) // z
-
-
-def conjugate_by(s: Perm, p: Perm) -> Perm:
-    """s p s^-1."""
-    out = [0] * len(p)
-    for i, image in enumerate(p):
-        out[s[i]] = s[image]
-    return tuple(out)

@@ -411,17 +411,6 @@ class CostGateError(RuntimeError):
     """Raised when a request exceeds the supported exact-computation size."""
 
 
-def pair_tensor(form: BilinearForm, k: int) -> SparseTensor:
-    """k-fold product of the invariant dual pair, slots (2i, 2i+1)."""
-    t = SparseTensor.unit()
-    one = SparseTensor(2)
-    for x, y, s in form.dual_pairs():
-        one.add_term((x, y), s)
-    for _ in range(k):
-        t = t.tensor(one)
-    return t
-
-
 def central_symmetrizer(shape) -> GroupAlgebraElement:
     """Conjugation average of the Young symmetrizer over all slot
     permutations, divided by mu^2.

@@ -137,6 +137,11 @@ def test_su2_inline_factors(capsys):
     assert abs(rec["closed"] - 1 / 3) < 1e-12
 
 
+def test_su2_bad_conjugation_mark(capsys):
+    code, _ = run(capsys, "su2", "--factors", "2,0,0,x;2,0,0,-")
+    assert code == 2
+
+
 def test_su2_bad_nodes(capsys):
     code, _ = run(capsys, "su2", "--factors", "2,0,0,+;2,0,0,-",
                   "--nodes", "4")

@@ -7,7 +7,9 @@ the explicit rotation/reflection measure of the 2x2 orthogonal group,
 and 2x2 special unitary parametrization.
 """
 
+import functools
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -227,6 +229,97 @@ def test_weingarten_rank_deficient_normal_equations():
     assert wd.pseudo
     gwg = ratlinalg.mat_mul(ratlinalg.mat_mul(g, wd.weights), g)
     assert gwg == g
+
+# ---------------------------------------------------------------------------
+# class-function weights against the dense route
+
+def _expand(engine):
+    """The k x k Weingarten matrix the class weights stand for."""
+    t = engine.table
+    return [[sa * sb * engine.weights[x] for sb, x in zip(t.signs, row)]
+            for sa, row in zip(t.signs, t.rows)]
+
+
+CLASS_CASES = ([("U", q, n) for q in range(1, 5) for n in range(1, 7)]
+               + [("O", q, n) for q in range(1, 4) for n in range(1, 6)]
+               + [("Sp", q, n) for q in range(1, 4) for n in range(1, 5)])
+
+
+@pytest.mark.parametrize("group,q,n", CLASS_CASES)
+def test_class_weights_invert_dense_gram(group, q, n):
+    # the pairing Grams come from materialized operators, not the type table
+    g = gram_matrix(build_commutant_basis(group, q), n, method="direct")
+    engine = moments._engine(group, q, n)
+    w = _expand(engine)
+    assert ratlinalg.mat_mul(ratlinalg.mat_mul(g, w), g) == g
+    assert engine.pseudo == weingarten_data(g).pseudo
+
+
+@pytest.mark.parametrize("kind", ["O", "Sp"])
+def test_type_table_matches_loop_walk(kind):
+    # loop counts, and for Sp the factorized signs ε_a ε_b (-1)^(q+ℓ),
+    # agree with the sign-tracking walk on every pair up to the degree cap
+    form_kind = "symplectic" if kind == "Sp" else "orthogonal"
+    for q in range(1, moments.DEGREE_CAP + 1):
+        t = moments.type_table(kind, q)
+        elems = t.basis.elements
+        for a, pa in enumerate(elems):
+            for b, pb in enumerate(elems):
+                sign, loops = moments._loop_structure(pa, pb, form_kind)
+                assert loops == len(t.types[t.rows[a][b]])
+                if kind == "Sp":
+                    assert sign == t.signs[a] * t.signs[b] * (-1) ** (q + loops)
+                else:
+                    assert sign == 1
+
+
+@functools.lru_cache(maxsize=64)
+def _dense_weights(group, q, n):
+    return weingarten_data(gram_matrix(build_commutant_basis(group, q), n)).weights
+
+
+def _dense_value(spec, n):
+    reduced = moments._match_vectors(spec, n)
+    if isinstance(reduced, Fraction):
+        return reduced
+    group, q, r_vec, c_vec, sign = reduced
+    w = _dense_weights(group, q, n)
+    return sign * sum((ra * w[a][b] * cb for a, ra in enumerate(r_vec)
+                       for b, cb in enumerate(c_vec) if ra and cb), Fraction(0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_class_weights_match_dense_route(data):
+    group = data.draw(st.sampled_from(["U", "O", "Sp"]))
+    q = data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(1, 4 if group == "U" else 3))
+    top = 2 * n if group == "Sp" else n
+    idx = st.integers(1, min(top, 3))
+    if group == "U":
+        conj = [False] * q + [True] * q
+    else:
+        conj = [data.draw(st.booleans()) for _ in range(2 * q)]
+    s = MonomialSpec(group, [Factor(data.draw(idx), data.draw(idx), c)
+                             for c in conj])
+    assert exact_integral(s, n) == _dense_value(s, n)
+
+
+def test_engine_caches_are_bounded():
+    for cached in (moments._engine, moments.type_table):
+        assert cached.cache_info().maxsize is not None
+
+
+def test_closed_forms_at_degree_eight():
+    # E O11^8 = 7!!/(N(N+2)(N+4)(N+6)); a Sp column is uniform on the
+    # sphere in 2N complex coordinates, so E|U11|^8 = 1/C(2N+3, 4)
+    eighth = spec("O", *[(1, 1)] * 8)
+    for n in range(2, 6):
+        assert exact_integral(eighth, n) == \
+            Fraction(105, n * (n + 2) * (n + 4) * (n + 6))
+    four = spec("Sp", *[(1, 1)] * 4, *[(1, 1, True)] * 4)
+    for n in range(1, 4):
+        assert exact_integral(four, n) == Fraction(1, math.comb(2 * n + 3, 4))
 
 
 # ---------------------------------------------------------------------------
