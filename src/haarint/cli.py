@@ -148,6 +148,8 @@ def _integral_record(args, spec, n, kind):
     seed = _resolve_seed(args, needed="mc" in want)
     if kind == "irrep":
         record["factors"] = spec.to_dict()["factors"]
+        if "exact" in want:
+            irreps._gate_exact(spec)  # refuse before any basis is built
         if {"exact", "leading"} & want:
             record["dropped_basis_vectors"] = sum(
                 b.dropped for b in irreps._bases_for(spec))

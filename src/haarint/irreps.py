@@ -7,17 +7,19 @@ A basis vector is kept as an exact rational tensor plus its rational
 norm-square; representation entries are <b_i, u^(x)m b_j>/sqrt(n_i n_j).
 Integrating a product of entries expands every bracket into elementary
 tensor monomials, so the integral reduces to the same commutant
-projection the monomial engine solves, with the Weingarten weights
-contracted against per-basis-element match vectors.
+projection the monomial engine solves: one reduce step builds the match
+vectors, and the exact and leading-order values are the same contraction
+with the class Weingarten weights or their leading diagonal 1/D^q.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from . import moments, perms, tableaux
+from . import moments, tableaux
 from .tensors import (
     BilinearForm,
     CostGateError,
@@ -55,6 +57,19 @@ class IrrepBasis:
     def weight(self) -> int:
         return tableaux.weight(self.lam)
 
+    @functools.cached_property
+    def float_vectors(self) -> list:
+        """The basis as unit complex arrays, for sampled entries."""
+        pos = _letter_positions(self)
+        shape = (len(pos),) * self.weight
+        out = []
+        for vec, n2 in zip(self.vectors, self.norms2):
+            arr = np.zeros(shape, dtype=complex)
+            for idx, c in vec.data.items():
+                arr[tuple(pos[x] for x in idx)] = float(c)
+            out.append(arr / np.sqrt(float(n2)))
+        return out
+
 
 def _primitive(t: SparseTensor) -> SparseTensor:
     denom = 1
@@ -85,14 +100,12 @@ def _gram_schmidt(candidates):
     return vectors, norms2, kept, dropped
 
 
-_basis_cache: dict = {}
-
-
 def build_irrep_basis(group: str, lam, n: int) -> IrrepBasis:
-    lam = tableaux.check_shape(lam)
-    key = (group, lam, n)
-    if key in _basis_cache:
-        return _basis_cache[key]
+    return _build_irrep_basis(group, tableaux.check_shape(lam), n)
+
+
+@functools.lru_cache(maxsize=128)
+def _build_irrep_basis(group: str, lam: tuple, n: int) -> IrrepBasis:
     if group == "U":
         if len(lam) > n:
             raise ValueError(f"shape {lam} has more rows than GL({n}) letters")
@@ -113,9 +126,7 @@ def build_irrep_basis(group: str, lam, n: int) -> IrrepBasis:
     candidates = ((t, project(apply_symmetrizer(lam, tableau_tensor(t))))
                   for t in fillings)
     vectors, norms2, kept, dropped = _gram_schmidt(candidates)
-    basis = IrrepBasis(group, lam, n, vectors, norms2, kept, dropped, form)
-    _basis_cache[key] = basis
-    return basis
+    return IrrepBasis(group, lam, n, vectors, norms2, kept, dropped, form)
 
 
 # ---------------------------------------------------------------------------
@@ -150,22 +161,6 @@ def _action_matrix(basis: IrrepBasis, u: np.ndarray) -> np.ndarray:
     return u.astype(complex)
 
 
-def _float_vectors(basis: IrrepBasis):
-    cache = getattr(basis, "_floats", None)
-    if cache is None:
-        pos = _letter_positions(basis)
-        d = len(pos)
-        m = basis.weight
-        cache = []
-        for vec, n2 in zip(basis.vectors, basis.norms2):
-            arr = np.zeros((d,) * m if m else (), dtype=complex)
-            for idx, c in vec.data.items():
-                arr[tuple(pos[x] for x in idx)] = float(c)
-            cache.append(arr / np.sqrt(float(n2)))
-        basis._floats = cache
-    return cache
-
-
 def _apply_modes(u: np.ndarray, arr: np.ndarray, m: int) -> np.ndarray:
     for k in range(m):
         arr = np.moveaxis(np.tensordot(arr, u, axes=([k], [1])), -1, k)
@@ -179,7 +174,7 @@ def rho_matrix(u, basis: IrrepBasis) -> np.ndarray:
     if mat.shape != (d, d):
         raise ValueError(f"sample is {mat.shape}, module needs {(d, d)}")
     act = _action_matrix(basis, mat)
-    vecs = _float_vectors(basis)
+    vecs = basis.float_vectors
     m = basis.weight
     out = np.zeros((basis.rank, basis.rank), dtype=complex)
     for j, bj in enumerate(vecs):
@@ -272,24 +267,11 @@ def _tensor_product(parts) -> SparseTensor:
     return out
 
 
-def _bar_relabel(t: SparseTensor, form: BilinearForm, signed: bool) -> SparseTensor:
-    out = SparseTensor(t.order)
-    for idx, c in t.data.items():
-        new = tuple(form.bar(x) for x in idx)
-        if signed:
-            # entrywise conjugation of a compact symplectic matrix flips
-            # each letter and charges a sign per originally-barred letter
-            for x in new:
-                if x < 0:
-                    c = -c
-        out.add_term(new, c)
-    return out
-
-
 def _twist_late(t: SparseTensor, q: int, form: BilinearForm,
                 signed: bool) -> SparseTensor:
-    """Rewrite the last q slots through the inverse matrix: letters flip
-    and, in the symplectic case, each flipped positive letter costs a sign."""
+    """Rewrite the slots from q on through the inverse matrix: letters flip
+    and, in the symplectic case, each flipped positive letter costs a sign.
+    At q = 0 this is the entrywise conjugate of the whole bracket."""
     out = SparseTensor(t.order)
     for idx, c in t.data.items():
         head, tail = idx[:q], idx[q:]
@@ -302,91 +284,44 @@ def _twist_late(t: SparseTensor, q: int, form: BilinearForm,
     return out
 
 
-@dataclass
-class _Pipeline:
-    group: str
-    n: int
-    q: int
-    row_tensor: SparseTensor
-    col_tensor: SparseTensor
-    norm_product: Fraction  # product of all norm-squares under the root
-    trivial: Fraction | None = None
-
-
-def _build_pipeline(spec: RepMatrixElementSpec) -> _Pipeline:
+def _reduce(spec: RepMatrixElementSpec):
+    """The value where no weights are needed (a Fraction), otherwise
+    (group, q, r_vec, c_vec, norm_product): the integral is
+    r^T W c / sqrt(norm_product) over the commutant basis at degree q."""
     bases = _bases_for(spec)
-    s = Fraction(1)
+    norms = Fraction(1)
     for f, basis in zip(spec.factors, bases):
-        s *= basis.norms2[f.row - 1] * basis.norms2[f.col - 1]
-
+        norms *= basis.norms2[f.row - 1] * basis.norms2[f.col - 1]
     if spec.group == "U":
-        plain = [(f, b) for f, b in zip(spec.factors, bases) if not f.conj]
-        conj = [(f, b) for f, b in zip(spec.factors, bases) if f.conj]
-        qp = sum(b.weight for _, b in plain)
-        qc = sum(b.weight for _, b in conj)
-        if qp != qc:
-            return _Pipeline("U", spec.n, 0, SparseTensor(0), SparseTensor(0),
-                             s, trivial=Fraction(0))
-        if qp == 0:
-            return _Pipeline("U", spec.n, 0, SparseTensor(0), SparseTensor(0),
-                             s, trivial=Fraction(1))
-        row = _tensor_product(
-            [b.vectors[f.row - 1] for f, b in plain]
-            + [b.vectors[f.row - 1] for f, b in conj])
-        col = _tensor_product(
-            [b.vectors[f.col - 1] for f, b in plain]
-            + [b.vectors[f.col - 1] for f, b in conj])
-        return _Pipeline("U", spec.n, qp, row, col, s)
-
-    form = orthogonal_form(spec.n) if spec.group == "O" else symplectic_form(spec.n)
+        q = sum(b.weight for f, b in zip(spec.factors, bases) if not f.conj)
+        if 2 * q != spec.total_weight:
+            return Fraction(0)
+    else:
+        q, odd = divmod(spec.total_weight, 2)
+        if odd:
+            return Fraction(0)
+    if q == 0:
+        return _finish(Fraction(1), norms)
+    elements = moments.type_table(spec.group, q).basis.elements
+    form = bases[0].form
     signed = spec.group == "Sp"
-    rows, cols = [], []
+    brackets = []
     for f, basis in zip(spec.factors, bases):
-        r = basis.vectors[f.row - 1]
-        c = basis.vectors[f.col - 1]
-        if f.conj:
-            r = _bar_relabel(r, form, signed)
-            c = _bar_relabel(c, form, signed)
-        rows.append(r)
-        cols.append(c)
-    m = spec.total_weight
-    if m % 2:
-        return _Pipeline(spec.group, spec.n, 0, SparseTensor(0), SparseTensor(0),
-                         s, trivial=Fraction(0))
-    if m == 0:
-        return _Pipeline(spec.group, spec.n, 0, SparseTensor(0), SparseTensor(0),
-                         s, trivial=Fraction(1))
-    q = m // 2
-    row = _twist_late(_tensor_product(rows), q, form, signed)
-    col = _twist_late(_tensor_product(cols), q, form, signed)
-    return _Pipeline(spec.group, spec.n, q, row, col, s)
-
-
-def _match_vector(pipe: _Pipeline, elements, form):
-    q = pipe.q
-    out_r, out_c = [], []
-    for elem in elements:
-        acc_r = Fraction(0)
-        for idx, c in pipe.row_tensor.data.items():
-            if form is None:
-                if all(idx[elem[s]] == idx[q + s] for s in range(q)):
-                    acc_r += c
-            else:
-                w = moments.brauer_entry(elem, idx[:q], idx[q:], form)
-                if w:
-                    acc_r += c * w
-        out_r.append(acc_r)
-        acc_c = Fraction(0)
-        for idx, c in pipe.col_tensor.data.items():
-            if form is None:
-                if all(idx[elem[s]] == idx[q + s] for s in range(q)):
-                    acc_c += c
-            else:
-                w = moments.brauer_entry(elem, idx[:q], idx[q:], form)
-                if w:
-                    acc_c += c * w
-        out_c.append(acc_c)
-    return out_r, out_c
+        pair = (basis.vectors[f.row - 1], basis.vectors[f.col - 1])
+        if f.conj and form is not None:
+            pair = tuple(_twist_late(t, 0, form, signed) for t in pair)
+        brackets.append((f.conj, pair))
+    if form is None:
+        # plain brackets fill the early slots, conjugated ones the late
+        brackets.sort(key=lambda b: b[0])
+    vectors = []
+    for k in range(2):
+        t = _tensor_product([pair[k] for _, pair in brackets])
+        if form is not None:
+            t = _twist_late(t, q, form, signed)
+        terms = [(idx[:q], idx[q:], c) for idx, c in t.data.items()]
+        vectors.append(moments._match_vector(elements, form, terms))
+    return spec.group, q, vectors[0], vectors[1], norms
 
 
 def _finish(core: Fraction, norm_product: Fraction) -> Fraction:
@@ -424,44 +359,19 @@ def _gate_exact(spec: RepMatrixElementSpec):
 
 def integrate_irrep_exact(spec: RepMatrixElementSpec) -> Fraction:
     _gate_exact(spec)
-    pipe = _build_pipeline(spec)
-    if pipe.trivial is not None:
-        return _finish(pipe.trivial, pipe.norm_product) if pipe.trivial else Fraction(0)
-    group = "U" if pipe.group == "U" else pipe.group
-    basis = moments.build_commutant_basis(group, pipe.q)
-    wdata = moments.weingarten_data(moments.gram_matrix(basis, pipe.n))
-    form = None
-    if pipe.group == "O":
-        form = orthogonal_form(pipe.n)
-    elif pipe.group == "Sp":
-        form = symplectic_form(pipe.n)
-    r_vec, c_vec = _match_vector(pipe, basis.elements, form)
-    core = Fraction(0)
-    for a, ra in enumerate(r_vec):
-        if not ra:
-            continue
-        row = wdata.weights[a]
-        for b, cb in enumerate(c_vec):
-            if cb:
-                core += ra * cb * row[b]
-    return _finish(core, pipe.norm_product)
+    reduced = _reduce(spec)
+    if isinstance(reduced, Fraction):
+        return reduced
+    group, q, r_vec, c_vec, norms = reduced
+    return _finish(moments._contract(moments._engine(group, q, spec.n), r_vec, c_vec),
+                   norms)
 
 
 def asymptotic_irrep(spec: RepMatrixElementSpec) -> Fraction:
     """Leading-order value: the Weingarten weights collapse to the
     diagonal 1/D^q, leaving the permutation or pairing delta sums."""
-    pipe = _build_pipeline(spec)
-    if pipe.trivial is not None:
-        return _finish(pipe.trivial, pipe.norm_product) if pipe.trivial else Fraction(0)
-    group = "U" if pipe.group == "U" else pipe.group
-    basis = moments.build_commutant_basis(group, pipe.q)
-    form = None
-    d = pipe.n
-    if pipe.group == "O":
-        form = orthogonal_form(pipe.n)
-    elif pipe.group == "Sp":
-        form = symplectic_form(pipe.n)
-        d = 2 * pipe.n
-    r_vec, c_vec = _match_vector(pipe, basis.elements, form)
-    core = sum((ra * ca for ra, ca in zip(r_vec, c_vec)), Fraction(0))
-    return _finish(core / Fraction(d) ** pipe.q, pipe.norm_product)
+    reduced = _reduce(spec)
+    if isinstance(reduced, Fraction):
+        return reduced
+    group, q, r_vec, c_vec, norms = reduced
+    return _finish(moments._leading(group, q, spec.n, r_vec, c_vec), norms)

@@ -16,11 +16,17 @@ there, and any solution gives G W G = G, singular G (small N) included.
 The symplectic Gram is the orthogonal one at dimension -2N up to the
 signs ε_a ε_b (-1)^q.  The dense Gram and its Weingarten matrix stay
 available (gram_matrix, weingarten_data) as the reference route.
+
+Exact and leading-order values share one contraction of the match
+vectors: the large-N leading term replaces W by its leading diagonal
+δ/D^q, D = N (2N for Sp).  Irrep matrix elements (irreps) reduce to the
+same match vectors and contract them the same way.
 """
 
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -473,45 +479,53 @@ def _contract(engine: ClassWeights, r_vec, c_vec) -> Fraction:
     return sum((w * m for w, m in zip(engine.weights, bins) if m), Fraction(0))
 
 
-def _unitary_vectors(spec: MonomialSpec):
+def _entry(p, left, right, form) -> int:
+    """Entry of basis element p between letter tuples: the slot
+    permutation test for U (form None), brauer_entry for O and Sp."""
+    if form is None:
+        # left[p[j]] == right[j] for every slot j
+        return 1 if all(map(operator.eq, map(left.__getitem__, p), right)) else 0
+    return brauer_entry(p, left, right, form)
+
+
+def _match_vector(elements, form, terms) -> list:
+    """Per basis element, the sum of c * entry(left, right) over the terms
+    (left letters, right letters, c) of a tensor."""
+    return [sum(c * w for left, right, c in terms if (w := _entry(p, left, right, form)))
+            for p in elements]
+
+
+def _elements(kind: str, q: int) -> list:
+    """The U, O or Sp commutant basis at degree q: the cached type table's
+    up to the degree cap, enumerated afresh above it, where only the
+    leading order, which needs no weights, asks."""
+    if q <= DEGREE_CAP:
+        return type_table(kind, q).basis.elements
+    return perms.all_permutations(q) if kind == "U" else all_pairings(2 * q)
+
+
+def _unitary_letters(spec: MonomialSpec):
     plain = [f for f in spec.factors if not f.conj]
     conj = [f for f in spec.factors if f.conj]
     if len(plain) != len(conj):
         return Fraction(0)
-    q = len(plain)
-    if q == 0:
+    if not plain:
         return Fraction(1)
-    elements = type_table("U", q).basis.elements
-    i_rows = [f.row for f in plain]
-    j_cols = [f.col for f in plain]
-    i2_rows = [f.row for f in conj]
-    j2_cols = [f.col for f in conj]
-
-    def match(p, left, right):
-        return 1 if all(left[p[j]] == right[j] for j in range(q)) else 0
-
-    r_vec = [match(p, i_rows, i2_rows) for p in elements]
-    c_vec = [match(p, j_cols, j2_cols) for p in elements]
-    return "U", q, r_vec, c_vec, 1
+    return ("U", len(plain), ([f.row for f in plain], [f.row for f in conj]),
+            ([f.col for f in plain], [f.col for f in conj]), 1)
 
 
-def _orthogonal_vectors(spec: MonomialSpec, n: int):
-    m = spec.degree
+def _orthogonal_letters(flat, kind: str, sign: int):
+    """The first half of the (row, col) letter pairs against the second."""
+    m = len(flat)
     if m % 2:
         return Fraction(0)
     if m == 0:
         return Fraction(1)
     q = m // 2
-    elements = type_table("O", q).basis.elements
-    form = _form_for("O", n)
-    early, late = spec.factors[:q], spec.factors[q:]
-    i_l = [f.row for f in early]
-    j_l = [f.col for f in early]
-    i2_l = [f.row for f in late]
-    j2_l = [f.col for f in late]
-    r_vec = [brauer_entry(p, i_l, i2_l, form) for p in elements]
-    c_vec = [brauer_entry(p, j_l, j2_l, form) for p in elements]
-    return "O", q, r_vec, c_vec, 1
+    early, late = flat[:q], flat[q:]
+    return (kind, q, ([i for i, _ in early], [i for i, _ in late]),
+            ([j for _, j in early], [j for _, j in late]), sign)
 
 
 def _sp_letter(a: int) -> int:
@@ -527,56 +541,66 @@ def _sp_jsign(a: int) -> int:
     return 1 if a % 2 else -1
 
 
-def _symplectic_vectors(spec: MonomialSpec, n: int):
+def _symplectic_letters(spec: MonomialSpec):
+    q = spec.degree // 2
     sign = 1
-    flat = []
-    for f in spec.factors:
-        if f.conj:
-            # entrywise conjugate of a compact symplectic matrix is the
-            # entry at the partner indices, up to the two J signs
-            sign *= _sp_jsign(f.row) * _sp_jsign(f.col)
-            flat.append((_sp_partner(f.row), _sp_partner(f.col)))
-        else:
-            flat.append((f.row, f.col))
-    m = len(flat)
-    if m % 2:
-        return Fraction(0)
-    if m == 0:
-        return Fraction(1)
-    q = m // 2
-    elements = type_table("Sp", q).basis.elements
-    form = _form_for("Sp", n)
-    early, late = flat[:q], flat[q:]
-    i_l = [_sp_letter(i) for i, _ in early]
-    j_l = [_sp_letter(j) for _, j in early]
-    i2_l, j2_l = [], []
-    for i, j in late:
-        # u_ij = jsign(i) jsign(j) (u^-1)[partner(j), partner(i)]
-        sign *= _sp_jsign(i) * _sp_jsign(j)
-        i2_l.append(_sp_letter(_sp_partner(i)))
-        j2_l.append(_sp_letter(_sp_partner(j)))
-    r_vec = [brauer_entry(p, i_l, i2_l, form) for p in elements]
-    c_vec = [brauer_entry(p, j_l, j2_l, form) for p in elements]
-    return "Sp", q, r_vec, c_vec, sign
+    letters = []
+    for k, f in enumerate(spec.factors):
+        i, j = f.row, f.col
+        # entrywise conjugation of a compact symplectic matrix, and the
+        # inverse in a late slot, u_ij = jsign(i) jsign(j) (u^-1)[j', i'],
+        # each move to the partner indices up to the two J signs
+        for flip in (f.conj, k >= q):
+            if flip:
+                sign *= _sp_jsign(i) * _sp_jsign(j)
+                i, j = _sp_partner(i), _sp_partner(j)
+        letters.append((_sp_letter(i), _sp_letter(j)))
+    return _orthogonal_letters(letters, "Sp", sign)
+
+
+def _reduce(spec: MonomialSpec):
+    """The value where no weights are needed (a Fraction), otherwise
+    (kind, q, rows, cols, sign): rows and cols are (left, right) letter
+    tuples whose match vectors r, c give the integral sign * r^T W c."""
+    if spec.group in ("U", "SU"):
+        return _unitary_letters(spec)
+    if spec.group in ("O", "SO"):
+        return _orthogonal_letters([(f.row, f.col) for f in spec.factors], "O", 1)
+    return _symplectic_letters(spec)
+
+
+def _vectors(kind: str, q: int, n: int, rows, cols) -> tuple:
+    elements = _elements(kind, q)
+    form = None if kind == "U" else _form_for(kind, n)
+    return tuple([_entry(p, left, right, form) for p in elements]
+                 for left, right in (rows, cols))
 
 
 def _match_vectors(spec: MonomialSpec, n: int):
     """The value where no weights are needed (a Fraction), otherwise
     (group, q, r_vec, c_vec, sign): the integral is sign * r^T W c over
     the U, O or Sp commutant basis at degree q."""
-    if spec.group in ("U", "SU"):
-        return _unitary_vectors(spec)
-    if spec.group in ("O", "SO"):
-        return _orthogonal_vectors(spec, n)
-    return _symplectic_vectors(spec, n)
+    reduced = _reduce(spec)
+    if isinstance(reduced, Fraction):
+        return reduced
+    kind, q, rows, cols, sign = reduced
+    return (kind, q, *_vectors(kind, q, n, rows, cols), sign)
 
 
 def _weighted_value(spec: MonomialSpec, n: int) -> Fraction:
-    reduced = _match_vectors(spec, n)
+    reduced = _reduce(spec)
     if isinstance(reduced, Fraction):
         return reduced
-    group, q, r_vec, c_vec, sign = reduced
-    return sign * _contract(_engine(group, q, n), r_vec, c_vec)
+    kind, q, rows, cols, sign = reduced
+    engine = _engine(kind, q, n)  # refuses q above the cap before any matching
+    return sign * _contract(engine, *_vectors(kind, q, n, rows, cols))
+
+
+def _leading(kind: str, q: int, n: int, r_vec, c_vec) -> Fraction:
+    """r^T c / D^q: the order-D^-q part of W is the diagonal δ/D^q, with
+    D = n, or 2n for Sp (Collins–Śniady 2006, Collins–Matsumoto 2009)."""
+    d = 2 * n if kind == "Sp" else n
+    return Fraction(sum(ra * ca for ra, ca in zip(r_vec, c_vec)), d ** q)
 
 
 def _su_window(spec: MonomialSpec, n: int) -> Fraction | None:
@@ -635,108 +659,26 @@ def exact_integral(spec: MonomialSpec, n: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # leading asymptotics
 
-def delta_form(t1, t2) -> int:
-    if len(t1) != len(t2):
-        raise ValueError("length mismatch")
-    return 1 if all(a == b for a, b in zip(t1, t2)) else 0
-
-
-def j_entry(i: int, j: int) -> int:
-    """Interleaved skew form: J[i, i+1] = 1 for odd i, J[i, i-1] = -1."""
-    if i % 2 and j == i + 1:
-        return 1
-    if i % 2 == 0 and j == i - 1:
-        return -1
-    return 0
-
-
-def m_entry(k: int, l: int, i: int, j: int) -> int:
-    """Mixed bilinear form: the J entry when the conjugation tags agree,
-    a plain delta when they differ."""
-    if k == l:
-        return j_entry(i, j)
-    return 1 if i == j else 0
-
-
-def m_form(t1, t2, k1, k2) -> int:
-    if not len(t1) == len(t2) == len(k1) == len(k2):
-        raise ValueError("length mismatch")
-    out = 1
-    for i, j, k, l in zip(t1, t2, k1, k2):
-        w = m_entry(k, l, i, j)
-        if not w:
-            return 0
-        out *= w
-    return out
-
-
 def asymptotic_leading(spec: MonomialSpec, n: int) -> Fraction:
-    """The order-N^(-q) coefficient of the integral: permutation matchings
-    for U/SU, pair-partition delta products for O/SO, pair-partition mixed
-    form products for Sp."""
+    """The order-N^(-q) coefficient of the integral: the exact path's
+    match vectors contracted with the diagonal leading weights."""
     if n < 1:
         raise ValueError("need n >= 1")
     spec.validate(n)
-    if spec.group in ("U", "SU"):
-        if spec.group == "SU":
-            short = _su_window(spec, n)
-            if short is not None:
-                return short
-        plain = [f for f in spec.factors if not f.conj]
-        conj = [f for f in spec.factors if f.conj]
-        if len(plain) != len(conj):
+    if spec.group == "SU":
+        short = _su_window(spec, n)
+        if short is not None:
+            return short
+    elif spec.group == "SO":
+        ok = _so_window_ok(spec, n)
+        if ok is None:
+            raise UnsupportedIntegralError(
+                f"no leading formula for SO({n}) at degree {spec.degree} "
+                f"without epsilon-tensor terms")
+        if ok is False:
             return Fraction(0)
-        q = len(plain)
-        if q == 0:
-            return Fraction(1)
-        count = 0
-        for p in perms.all_permutations(q):
-            if all(plain[k].row == conj[p[k]].row
-                   and plain[k].col == conj[p[k]].col for k in range(q)):
-                count += 1
-        return Fraction(count, n ** q)
-
-    if spec.group in ("O", "SO"):
-        if spec.group == "SO":
-            ok = _so_window_ok(spec, n)
-            if ok is None:
-                raise UnsupportedIntegralError(
-                    f"no leading formula for SO({n}) at degree {spec.degree} "
-                    f"without epsilon-tensor terms")
-            if ok is False:
-                return Fraction(0)
-        m = spec.degree
-        if m % 2:
-            return Fraction(0)
-        if m == 0:
-            return Fraction(1)
-        q = m // 2
-        total = 0
-        rows = [f.row for f in spec.factors]
-        cols = [f.col for f in spec.factors]
-        for pairing in all_pairings(m):
-            total += all(rows[a - 1] == rows[b - 1] and cols[a - 1] == cols[b - 1]
-                         for a, b in pairing)
-        return Fraction(total, n ** q)
-
-    m = spec.degree
-    if m % 2:
-        return Fraction(0)
-    if m == 0:
-        return Fraction(1)
-    q = m // 2
-    rows = [f.row for f in spec.factors]
-    cols = [f.col for f in spec.factors]
-    tags = [2 if f.conj else 1 for f in spec.factors]
-    total = 0
-    for pairing in all_pairings(m):
-        term = 1
-        for a, b in pairing:
-            term *= m_entry(tags[a - 1], tags[b - 1], rows[a - 1], rows[b - 1])
-            if not term:
-                break
-            term *= m_entry(tags[a - 1], tags[b - 1], cols[a - 1], cols[b - 1])
-            if not term:
-                break
-        total += term
-    return Fraction(total, (2 * n) ** q)
+    reduced = _match_vectors(spec, n)
+    if isinstance(reduced, Fraction):
+        return reduced
+    kind, q, r_vec, c_vec, sign = reduced
+    return sign * _leading(kind, q, n, r_vec, c_vec)

@@ -13,10 +13,6 @@ Matrix = list[list[Fraction]]
 Vector = list[Fraction]
 
 
-def _as_fraction_matrix(a) -> Matrix:
-    return [[Fraction(x) for x in row] for row in a]
-
-
 def identity(n: int) -> Matrix:
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
@@ -35,10 +31,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
                     if bt[j]:
                         oi[j] += c * bt[j]
     return out
-
-
-def mat_vec(a: Matrix, v: Vector) -> Vector:
-    return [sum((c * x for c, x in zip(row, v) if c and x), Fraction(0)) for row in a]
 
 
 def transpose(a: Matrix) -> Matrix:

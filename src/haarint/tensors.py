@@ -8,6 +8,7 @@ into traceless and trace parts, and the block projector attached to a
 partition acting on V^(x)k.
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -249,7 +250,6 @@ class BilinearForm:
         else:
             raise ValueError(f"unknown form kind {kind!r}")
         self.dim = len(self.letters)
-        self._letter_pos = {x: i for i, x in enumerate(self.letters)}
 
     def bar(self, x: int) -> int:
         return -x if self.split else x
@@ -270,9 +270,6 @@ class BilinearForm:
 
     def dual_pairs(self):
         return [(x, self.bar(x), self.dsign(x)) for x in self.letters]
-
-    def letter_index(self, x: int) -> int:
-        return self._letter_pos[x]
 
     def cache_key(self):
         return (self.kind, self.n, self.split)
@@ -324,14 +321,11 @@ def expand(t: SparseTensor, i: int, j: int, form: BilinearForm) -> SparseTensor:
     return out
 
 
-_trace_span_cache: dict = {}
-
-
-def _trace_span_basis(order: int, form: BilinearForm):
-    """Orthogonal rational basis of the span of all expanded lower tensors."""
-    key = (order, form.cache_key())
-    if key in _trace_span_cache:
-        return _trace_span_cache[key]
+@functools.lru_cache(maxsize=64)
+def _trace_span_basis(order: int, key: tuple) -> list:
+    """Orthogonal rational basis of the span of all expanded lower tensors
+    for the form with the given cache key."""
+    form = BilinearForm(*key)
     basis = []
     if order >= 2:
         for i, j in itertools.combinations(range(order), 2):
@@ -343,7 +337,6 @@ def _trace_span_basis(order: int, form: BilinearForm):
                         v = v - coef * u
                 if not v.is_zero():
                     basis.append(v)
-    _trace_span_cache[key] = basis
     return basis
 
 
@@ -351,7 +344,7 @@ def traceless_project(t: SparseTensor, form: BilinearForm):
     """Split t = t0 + t1 with every contraction of t0 zero and t1 in the
     span of expanded lower-order tensors; the parts are orthogonal."""
     t1 = SparseTensor(t.order)
-    for u in _trace_span_basis(t.order, form):
+    for u in _trace_span_basis(t.order, form.cache_key()):
         coef = Fraction(u.inner(t), u.norm_squared())
         if coef:
             t1 = t1 + coef * u

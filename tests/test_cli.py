@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from haarint import cli
+from haarint import cli, irreps
 
 
 def run(capsys, *argv):
@@ -96,6 +96,22 @@ def test_integral_cost_gate_exit(capsys):
             ";".join(["1,1,+"] * 5 + ["1,1,-"] * 5)]
     assert cli.main(argv) == 3
     capsys.readouterr()
+
+
+def test_irrep_cost_gate_before_bases(capsys, tmp_path, monkeypatch):
+    # U(20) is over the exact-path dimension cap; the refusal must come
+    # before the module bases (dim^2 work at this N) are built
+    def refuse(*args):
+        raise AssertionError("basis built before the cost gate")
+
+    monkeypatch.setattr(irreps, "build_irrep_basis", refuse)
+    spec = tmp_path / "irrep.json"
+    spec.write_text(json.dumps({
+        "group": "U", "N": 20,
+        "factors": [{"lambda": [2, 1], "i": 1, "j": 1, "conj": False},
+                    {"lambda": [2, 1], "i": 1, "j": 1, "conj": True}]}))
+    code, _ = run(capsys, "integral", "--spec", str(spec), "--mode", "exact")
+    assert code == 3
 
 
 def test_integral_unsupported_exit(capsys):

@@ -8,6 +8,7 @@ from the vector representation, where the matrix elements are plain
 matrix entries and the monomial engine is an independent route.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from haarint import moments, sampling
+from haarint import irreps, moments, sampling
 from haarint.irreps import (
     RepFactor,
     RepMatrixElementSpec,
@@ -240,6 +241,74 @@ def test_vector_rep_orthogonal_split_second_moment():
     for x, y in itertools.product(range(1, 4), repeat=2):
         assert integrate_irrep_exact(
             schur_spec("O", 3, (1,), i=x, j=y)) == Fraction(1, 3)
+
+
+@functools.lru_cache(maxsize=32)
+def _dense_weights(group, q, n):
+    basis = moments.build_commutant_basis(group, q)
+    return moments.weingarten_data(moments.gram_matrix(basis, n)).weights
+
+
+def _dense_value(spec):
+    """The same match vectors contracted with the dense Weingarten matrix
+    of the materialized Gram."""
+    reduced = irreps._reduce(spec)
+    if isinstance(reduced, Fraction):
+        return reduced
+    group, q, r_vec, c_vec, norms = reduced
+    w = _dense_weights(group, q, spec.n)
+    core = sum((ra * w[a][b] * cb for a, ra in enumerate(r_vec)
+                for b, cb in enumerate(c_vec) if ra and cb), Fraction(0))
+    return irreps._finish(core, norms)
+
+
+DENSE_GRID = [("U", n, lam) for n in (2, 3) for lam in [(1,), (2,), (1, 1), (2, 1), (3,)]] \
+    + [("O", n, lam) for n in (2, 3) for lam in [(1,), (2,), (1, 1)]] \
+    + [("O", 3, (2, 1)), ("Sp", 1, (1,)), ("Sp", 1, (2,)), ("Sp", 1, (3,))] \
+    + [("Sp", 2, lam) for lam in [(1,), (2,), (1, 1)]]
+
+
+MIXED_SHAPES = {"U": [((1,), (1,), (2,)), ((1,), (1,), (1, 1)), ((2,), (1,), (2, 1))],
+                "O": [((1,), (1,), (2,)), ((1,), (1,), (1, 1))],
+                "Sp": [((1,), (1,), (2,))]}
+
+
+def _outcome(route, spec):
+    # a norm product that is not a perfect square ends both routes in the
+    # same ValueError
+    try:
+        return route(spec)
+    except ValueError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("group,n,lam", DENSE_GRID)
+def test_exact_matches_dense_route(group, n, lam):
+    rank = build_irrep_basis(group, lam, n).rank
+    entries = range(1, min(rank, 3) + 1)
+    nonzero = 0
+    for i, j, k, l in itertools.product(entries, repeat=4):
+        s = schur_spec(group, n, lam, i, j, k, l)
+        value = integrate_irrep_exact(s)
+        assert value == _dense_value(s)
+        nonzero += value != 0
+    assert nonzero
+    # products of two brackets against a third, conjugated, of weight two
+    for shapes in MIXED_SHAPES[group]:
+        ranks = [build_irrep_basis(group, mu, n).rank for mu in shapes]
+        for ij in itertools.product(range(1, 3), repeat=6):
+            s = rep_spec(group, n, *[(mu, min(ij[2 * k], r), min(ij[2 * k + 1], r), k == 2)
+                                     for k, (mu, r) in enumerate(zip(shapes, ranks))])
+            assert _outcome(integrate_irrep_exact, s) == _outcome(_dense_value, s)
+
+
+def test_repeated_exact_call_hits_the_engine_cache():
+    s = schur_spec("O", 3, (2,))
+    integrate_irrep_exact(s)
+    before = moments._engine.cache_info()
+    integrate_irrep_exact(s)
+    after = moments._engine.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from haarint import moments, ratlinalg, sampling
+from haarint import irreps, moments, ratlinalg, sampling, tensors
 from haarint.moments import (
     CostGateError,
     Factor,
@@ -26,17 +26,14 @@ from haarint.moments import (
     asymptotic_leading,
     brauer_entry,
     build_commutant_basis,
-    delta_form,
     evaluate_monomial,
     exact_integral,
     gram_matrix,
-    j_entry,
-    m_entry,
-    m_form,
     materialize_brauer,
     weingarten_data,
 )
 from haarint.tensors import orthogonal_form, symplectic_form
+from helpers import brute_leading, j_entry, m_entry
 
 
 def spec(group, *ijc):
@@ -306,7 +303,8 @@ def test_class_weights_match_dense_route(data):
 
 
 def test_engine_caches_are_bounded():
-    for cached in (moments._engine, moments.type_table):
+    for cached in (moments._engine, moments.type_table,
+                   irreps._build_irrep_basis, tensors._trace_span_basis):
         assert cached.cache_info().maxsize is not None
 
 
@@ -576,8 +574,6 @@ def test_exact_matches_monte_carlo(group, n, factors):
 # leading asymptotics
 
 def test_delta_and_j_forms():
-    assert delta_form((1, 2), (1, 2)) == 1
-    assert delta_form((1, 2), (1, 3)) == 0
     assert j_entry(1, 2) == 1
     assert j_entry(2, 1) == -1
     assert j_entry(3, 4) == 1
@@ -587,9 +583,27 @@ def test_delta_and_j_forms():
     assert m_entry(1, 1, 1, 2) == 1
     assert m_entry(1, 2, 1, 2) == 0
     assert m_entry(1, 2, 3, 3) == 1
-    assert m_form((1,), (2,), (1,), (1,)) == 1
-    assert m_form((1, 2), (2, 1), (1, 1), (1, 1)) == -1
-    assert m_form((1, 1), (2, 2), (1, 1), (1, 2)) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_leading_matches_enumeration(data):
+    # the match-vector contraction against the permutation and pairing
+    # enumerations it replaced
+    group = data.draw(st.sampled_from(["U", "SU", "O", "SO", "Sp"]))
+    n = data.draw(st.integers(1, 4))
+    top = 2 * n if group == "Sp" else n
+    idx = st.integers(1, min(top, 3))
+    m = data.draw(st.integers(0, 8))
+    s = MonomialSpec(group, [Factor(data.draw(idx), data.draw(idx), data.draw(st.booleans()))
+                             for _ in range(m)])
+    try:
+        want = brute_leading(s, n)
+    except UnsupportedIntegralError:
+        with pytest.raises(UnsupportedIntegralError):
+            asymptotic_leading(s, n)
+        return
+    assert asymptotic_leading(s, n) == want
 
 
 def test_leading_unitary():
@@ -600,6 +614,9 @@ def test_leading_unitary():
     assert asymptotic_leading(s, 5) == Fraction(1, 25)
     assert asymptotic_leading(spec("U", (1, 1), (2, 2, True)), 5) == 0
     assert asymptotic_leading(spec("U", (1, 1)), 5) == 0
+    # above the degree cap the leading order still needs no weights
+    s = spec("U", *[(1, 1)] * 5, *[(1, 1, True)] * 5)
+    assert asymptotic_leading(s, 3) == Fraction(120, 3 ** 5)
 
 
 def test_leading_orthogonal():
@@ -613,6 +630,7 @@ def test_leading_orthogonal():
     s = spec("O", (1, 1), (1, 2), (2, 1), (2, 2))
     assert asymptotic_leading(s, 4) == 0
     assert exact_integral(s, 3) == Fraction(-1, 30)
+    assert asymptotic_leading(spec("O", *[(1, 1)] * 10), 3) == Fraction(945, 3 ** 5)
 
 
 def test_leading_symplectic():
