@@ -136,9 +136,12 @@ def cmd_tableaux(args) -> list:
     return [record]
 
 
-def _load_spec_file(path: str):
+def _load_spec_file(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"spec file {path} must hold a JSON object")
+    return data
 
 
 def _integral_record(args, spec, n, kind):

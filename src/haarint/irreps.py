@@ -226,9 +226,16 @@ class RepMatrixElementSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RepMatrixElementSpec":
-        return cls(d["group"], d["N"],
-                   [RepFactor(tuple(f["lambda"]), f["i"], f["j"],
-                              bool(f.get("conj"))) for f in d["factors"]])
+        factors = []
+        for f in moments._spec_factors(d):
+            lam = f["lambda"]
+            if not isinstance(lam, list):
+                raise ValueError(f"lambda must be a list of integers, got {lam!r}")
+            factors.append(RepFactor(
+                tuple(moments._spec_int(p, "a lambda part") for p in lam),
+                moments._spec_int(f["i"], "i"), moments._spec_int(f["j"], "j"),
+                moments._spec_conj(f)))
+        return cls(d["group"], moments._spec_int(d["N"], "N"), factors)
 
 
 def _bases_for(spec: RepMatrixElementSpec):
@@ -302,7 +309,7 @@ def _reduce(spec: RepMatrixElementSpec):
             return Fraction(0)
     if q == 0:
         return _finish(Fraction(1), norms)
-    elements = moments.type_table(spec.group, q).basis.elements
+    elements = moments.type_table(spec.group, q).elements
     form = bases[0].form
     signed = spec.group == "Sp"
     brackets = []

@@ -14,8 +14,10 @@ class functions of the type form a commutative algebra of dimension
 p(q), so W is sought in it: p(q) rational weights w solve G^2 w = G
 there, and any solution gives G W G = G, singular G (small N) included.
 The symplectic Gram is the orthogonal one at dimension -2N up to the
-signs ε_a ε_b (-1)^q.  The dense Gram and its Weingarten matrix stay
-available (gram_matrix, weingarten_data) as the reference route.
+signs ε_a ε_b (-1)^q, ε_a the crossing parity of the pairing a.  The
+dense Gram and its Weingarten matrix are not built here: they live in
+the test suite (tests/helpers.py) as the reference route that judges
+these weights.
 
 Exact and leading-order values share one contraction of the match
 vectors: the large-N leading term replaces W by its leading diagonal
@@ -24,16 +26,17 @@ same match vectors and contract them the same way.
 """
 
 import functools
-import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import perms, ratlinalg
 from .tensors import BilinearForm, CostGateError, orthogonal_form, symplectic_form
 
 DEGREE_CAP = 4  # operators per side; the commutant span grows as q! / (2q-1)!!
+# basis elements the weight-free leading order may enumerate above DEGREE_CAP
+LEADING_CAP = 10 ** 6
 
 
 class UnsupportedIntegralError(NotImplementedError):
@@ -77,9 +80,32 @@ class MonomialSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> tuple:
-        spec = cls(d["group"], [Factor(f["i"], f["j"], bool(f.get("conj")))
-                                for f in d["factors"]])
-        return spec, d["N"]
+        spec = cls(d["group"], [Factor(_spec_int(f["i"], "i"), _spec_int(f["j"], "j"),
+                                       _spec_conj(f)) for f in _spec_factors(d)])
+        return spec, _spec_int(d["N"], "N")
+
+
+def _spec_int(value, what: str) -> int:
+    """An integer read from a spec file; JSON true/false load as bools and
+    are refused, like floats and strings."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _spec_conj(factor: dict) -> bool:
+    """The optional conjugation flag of a spec factor, false if absent."""
+    conj = factor.get("conj", False)
+    if not isinstance(conj, bool):
+        raise ValueError(f"conj must be true or false, got {conj!r}")
+    return conj
+
+
+def _spec_factors(d: dict) -> list:
+    factors = d["factors"]
+    if not isinstance(factors, list) or not all(isinstance(f, dict) for f in factors):
+        raise ValueError("factors must be a list of objects")
+    return factors
 
 
 def evaluate_monomial(spec: MonomialSpec, matrix) -> complex:
@@ -111,34 +137,6 @@ def all_pairings(m: int):
                 yield ((a, b),) + tail
 
     return list(rec(tuple(range(1, m + 1))))
-
-
-@dataclass
-class CommutantBasis:
-    group: str
-    q: int
-    elements: list  # permutations (tuples) or pairings (tuples of pairs)
-
-    @property
-    def kind(self) -> str:
-        return "permutations" if self.group in ("U", "SU") else "pairings"
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-
-def build_commutant_basis(group: str, q: int) -> CommutantBasis:
-    if q < 1:
-        raise ValueError("need q >= 1")
-    if q > DEGREE_CAP:
-        raise CostGateError(
-            f"commutant span at q={q} has {math.factorial(q)} permutations or "
-            f"{_double_factorial(2 * q - 1)} pairings; capped at q={DEGREE_CAP}")
-    if group in ("U", "SU"):
-        return CommutantBasis(group, q, perms.all_permutations(q))
-    if group in ("O", "SO", "Sp"):
-        return CommutantBasis(group, q, all_pairings(2 * q))
-    raise ValueError(f"unknown group tag {group!r}")
 
 
 def _double_factorial(m: int) -> int:
@@ -193,102 +191,8 @@ def brauer_entry(pairing, row_letters, col_letters, form: BilinearForm) -> int:
     return out
 
 
-def materialize_brauer(pairing, form: BilinearForm) -> dict:
-    """Full sparse matrix {(rows, cols): entry} of the pairing operator;
-    reference for the entry rule and the loop-count Gram."""
-    q = len(pairing)
-    slots = {}
-    out = {}
-    for choice in itertools.product(form.letters, repeat=q):
-        ok = True
-        coeff = 1
-        for (a, b), x in zip(pairing, choice):
-            if a % 2 and b % 2:
-                slots[a], slots[b] = x, form.bar(x)
-                coeff *= form.dsign(x)
-            elif not a % 2 and not b % 2:
-                y = form.bar(x)
-                w = form.pairing(x, y)
-                if not w:
-                    ok = False
-                    break
-                slots[a], slots[b] = x, y
-                coeff *= w
-            else:
-                slots[a], slots[b] = x, x
-                if form.kind == "symplectic" and not a % 2:
-                    coeff = -coeff
-        if not ok:
-            continue
-        rows = tuple(slots[s] for s in range(1, 2 * q + 1, 2))
-        cols = tuple(slots[s] for s in range(2, 2 * q + 1, 2))
-        out[(rows, cols)] = out.get((rows, cols), 0) + coeff
-    return {rc: v for rc, v in out.items() if v}
-
-
 # ---------------------------------------------------------------------------
 # type tables: the dimension-free structure of a commutant basis
-
-_KIND = {"U": "U", "SU": "U", "O": "O", "SO": "O", "Sp": "Sp"}
-
-
-def _loop_structure(pa, pb, kind: str):
-    """(sign, loop count) of the trace pairing of two pairing operators.
-
-    The union of the two pairings is a disjoint set of even cycles; each
-    cycle forces all its letters from one free letter, contributing a
-    dimension factor, and the walk accumulates the skew signs.
-    """
-    partner = {"a": {}, "b": {}}
-    for tag, pairing in (("a", pa), ("b", pb)):
-        for a, b in pairing:
-            partner[tag][a] = b
-            partner[tag][b] = a
-
-    def edge_is_bar(a, b):
-        return a % 2 == b % 2
-
-    def edge_sign(a, b, flip_at_min):
-        # bar edges carry the dual-pair coefficient of the letter at the
-        # lower slot; skew input-output deltas carry -1 (symplectic only)
-        lo, hi = min(a, b), max(a, b)
-        if kind != "symplectic":
-            return 1
-        if edge_is_bar(a, b):
-            return -1 if flip_at_min else 1
-        if lo % 2 == 0:
-            return -1
-        return 1
-
-    seen = set()
-    loops = 0
-    sign = 1
-    dsign_exponent = 0
-    for start in partner["a"]:
-        if start in seen:
-            continue
-        loops += 1
-        cur, flips, tag = start, 0, "a"
-        while True:
-            nxt = partner[tag][cur]
-            bar = edge_is_bar(cur, nxt)
-            flip_next = flips ^ bar
-            flip_at_min = flips if min(cur, nxt) == cur else flip_next
-            if bar and kind == "symplectic":
-                dsign_exponent += 1
-            sign *= edge_sign(cur, nxt, flip_at_min)
-            seen.add(cur)
-            seen.add(nxt)
-            cur, flips = nxt, flip_next
-            tag = "b" if tag == "a" else "a"
-            if cur == start and tag == "a":
-                break
-        # both delta and bar edges come in even numbers per loop, so the
-        # forced letters always close up consistently
-        assert flips == 0
-    assert dsign_exponent % 2 == 0
-    return sign, loops
-
 
 def _partners(pairing) -> list:
     out = [0] * (2 * len(pairing) + 1)
@@ -317,6 +221,12 @@ def _loop_type(pa, pb) -> tuple:
     return tuple(sorted(lengths, reverse=True))
 
 
+def _crossing_sign(pairing) -> int:
+    """(-1)^(number of crossing pairs): the sign of the slot permutation
+    a₁b₁a₂b₂… of the pairing ((a₁, b₁), (a₂, b₂), …)."""
+    return perms.sign([s - 1 for pair in pairing for s in pair])
+
+
 @dataclass(frozen=True)
 class TypeTable:
     """Dimension-free structure of one commutant basis.
@@ -328,7 +238,7 @@ class TypeTable:
     type(c, b) = v for any pair (a, b) of type l: the structure constants
     of the commutative algebra the class functions of the type span.
     """
-    basis: CommutantBasis
+    elements: list  # permutations (tuples) or pairings (tuples of pairs)
     types: tuple
     rows: tuple  # bytes per basis element
     signs: tuple
@@ -337,19 +247,33 @@ class TypeTable:
 
 @functools.lru_cache(maxsize=16)
 def type_table(kind: str, q: int) -> TypeTable:
-    """Type table of the U, O or Sp commutant basis at degree q."""
-    basis = build_commutant_basis(kind, q)
-    elems = basis.elements
+    """Type table of the U, O or Sp commutant basis at degree q.
+
+    The symplectic sign of a pairing is its crossing parity,
+    ε_a = (-1)^cr(a) with cr(a) the number of crossing pairs of a
+    (Collins–Matsumoto 2009); the first pairing ((1, 2), (3, 4), …) has
+    none, so ε = 1 there.
+    """
+    if q < 1:
+        raise ValueError("need q >= 1")
+    if q > DEGREE_CAP:
+        raise CostGateError(
+            f"commutant span at q={q} has {math.factorial(q)} permutations or "
+            f"{_double_factorial(2 * q - 1)} pairings; capped at q={DEGREE_CAP}")
     if kind == "U":
+        elems = perms.all_permutations(q)
         inverses = [perms.inverse(p) for p in elems]
 
         def label(a, b):
             return perms.cycle_type(perms.compose(inverses[a], elems[b]))
-    else:
+    elif kind in ("O", "Sp"):
+        elems = all_pairings(2 * q)
         partners = [_partners(p) for p in elems]
 
         def label(a, b):
             return _loop_type(partners[a], partners[b])
+    else:
+        raise ValueError(f"unknown group tag {kind!r}")
     k = len(elems)
     index: dict = {}
     # every type occurs in row 0, so the type order is fixed by that row
@@ -357,10 +281,7 @@ def type_table(kind: str, q: int) -> TypeTable:
                  for a in range(k))
     signs = (1,) * k
     if kind == "Sp":
-        # fixing ε_0 = 1, row 0 of the Gram determines every ε_a
-        first = elems[0]
-        signs = tuple(s * (-1) ** (q + loops) for s, loops in
-                      (_loop_structure(p, first, "symplectic") for p in elems))
+        signs = tuple(_crossing_sign(p) for p in elems)
     products = []
     for t in range(len(index)):
         b = rows[0].index(t)
@@ -368,7 +289,7 @@ def type_table(kind: str, q: int) -> TypeTable:
         for c in range(k):
             counts[rows[0][c]][rows[c][b]] += 1
         products.append(tuple(tuple(row) for row in counts))
-    return TypeTable(basis, tuple(index), rows, signs, tuple(products))
+    return TypeTable(elems, tuple(index), rows, signs, tuple(products))
 
 
 def _gram_per_type(kind: str, q: int, n: int) -> list:
@@ -387,56 +308,6 @@ def _class_product(products, x, y) -> list:
                 acc += xm * sum(yv * c for yv, c in zip(y, counts) if c)
         out.append(acc)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Gram matrices
-
-def gram_matrix(basis: CommutantBasis, n: int, method: str = "loops"):
-    """Exact trace pairings G[a][b] = Tr(B_a B_b^T) of the basis operators."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if basis.kind == "permutations":
-        return [[Fraction(n ** perms.cycle_count(
-            perms.compose(perms.inverse(pa), pb)))
-            for pb in basis.elements] for pa in basis.elements]
-    if method == "loops":
-        kind = _KIND[basis.group]
-        table = type_table(kind, basis.q)
-        per_type = _gram_per_type(kind, basis.q, n)
-        return [[Fraction(sa * sb * per_type[t]) for sb, t in zip(table.signs, row)]
-                for sa, row in zip(table.signs, table.rows)]
-    if method == "direct":
-        form = _form_for(basis.group, n)
-        mats = [materialize_brauer(p, form) for p in basis.elements]
-        out = []
-        for ma in mats:
-            row = []
-            for mb in mats:
-                small, big = (ma, mb) if len(ma) <= len(mb) else (mb, ma)
-                row.append(Fraction(sum(v * big.get(rc, 0)
-                                        for rc, v in small.items())))
-            out.append(row)
-        return out
-    raise ValueError(f"unknown method {method!r}")
-
-
-@dataclass
-class WeingartenData:
-    weights: list  # rational matrix W with G W G = G
-    pseudo: bool = field(default=False)
-
-
-def weingarten_data(gram) -> WeingartenData:
-    """Dense Weingarten matrix of a Gram; the reference for class weights."""
-    g = [[Fraction(x) for x in row] for row in gram]
-    k = len(g)
-    if ratlinalg.rank(g) == k:
-        return WeingartenData(ratlinalg.invert(g), pseudo=False)
-    w = ratlinalg.pseudo_inverse(g)
-    gwg = ratlinalg.mat_mul(ratlinalg.mat_mul(g, w), g)
-    assert gwg == g
-    return WeingartenData(w, pseudo=True)
 
 
 # ---------------------------------------------------------------------------
@@ -498,9 +369,16 @@ def _match_vector(elements, form, terms) -> list:
 def _elements(kind: str, q: int) -> list:
     """The U, O or Sp commutant basis at degree q: the cached type table's
     up to the degree cap, enumerated afresh above it, where only the
-    leading order, which needs no weights, asks."""
+    leading order, which needs no weights, asks, and refused there when
+    it has more than LEADING_CAP elements."""
     if q <= DEGREE_CAP:
-        return type_table(kind, q).basis.elements
+        return type_table(kind, q).elements
+    count = math.factorial(q) if kind == "U" else _double_factorial(2 * q - 1)
+    if count > LEADING_CAP:
+        noun = "permutations" if kind == "U" else "pairings"
+        raise CostGateError(
+            f"leading order at q={q} enumerates {count} {noun}; "
+            f"capped at {LEADING_CAP}")
     return perms.all_permutations(q) if kind == "U" else all_pairings(2 * q)
 
 
@@ -569,31 +447,23 @@ def _reduce(spec: MonomialSpec):
     return _symplectic_letters(spec)
 
 
-def _vectors(kind: str, q: int, n: int, rows, cols) -> tuple:
+def _match_vectors(spec: MonomialSpec, n: int, exact: bool = False):
+    """The value where no weights are needed (a Fraction), otherwise
+    (kind, q, r_vec, c_vec, sign): the integral is sign * r^T W c over
+    the U, O or Sp commutant basis at degree q.  For an exact value the
+    engine is built first, so q above the degree cap is refused before
+    any matching."""
+    reduced = _reduce(spec)
+    if isinstance(reduced, Fraction):
+        return reduced
+    kind, q, rows, cols, sign = reduced
+    if exact:
+        _engine(kind, q, n)
     elements = _elements(kind, q)
     form = None if kind == "U" else _form_for(kind, n)
-    return tuple([_entry(p, left, right, form) for p in elements]
-                 for left, right in (rows, cols))
-
-
-def _match_vectors(spec: MonomialSpec, n: int):
-    """The value where no weights are needed (a Fraction), otherwise
-    (group, q, r_vec, c_vec, sign): the integral is sign * r^T W c over
-    the U, O or Sp commutant basis at degree q."""
-    reduced = _reduce(spec)
-    if isinstance(reduced, Fraction):
-        return reduced
-    kind, q, rows, cols, sign = reduced
-    return (kind, q, *_vectors(kind, q, n, rows, cols), sign)
-
-
-def _weighted_value(spec: MonomialSpec, n: int) -> Fraction:
-    reduced = _reduce(spec)
-    if isinstance(reduced, Fraction):
-        return reduced
-    kind, q, rows, cols, sign = reduced
-    engine = _engine(kind, q, n)  # refuses q above the cap before any matching
-    return sign * _contract(engine, *_vectors(kind, q, n, rows, cols))
+    r_vec, c_vec = ([_entry(p, left, right, form) for p in elements]
+                    for left, right in (rows, cols))
+    return kind, q, r_vec, c_vec, sign
 
 
 def _leading(kind: str, q: int, n: int, r_vec, c_vec) -> Fraction:
@@ -653,7 +523,11 @@ def exact_integral(spec: MonomialSpec, n: int) -> Fraction:
                 f"or odd with degree < N")
         if ok is False:
             return Fraction(0)
-    return _weighted_value(spec, n)
+    reduced = _match_vectors(spec, n, exact=True)
+    if isinstance(reduced, Fraction):
+        return reduced
+    kind, q, r_vec, c_vec, sign = reduced
+    return sign * _contract(_engine(kind, q, n), r_vec, c_vec)
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,6 @@ import math
 Perm = tuple[int, ...]
 
 
-def identity(k: int) -> Perm:
-    return tuple(range(k))
-
-
 def compose(p: Perm, q: Perm) -> Perm:
     return tuple(p[q[i]] for i in range(len(p)))
 
@@ -46,8 +42,9 @@ def cycle_type(p: Perm) -> tuple[int, ...]:
     return tuple(sorted(lengths, reverse=True))
 
 
-def cycle_count(p: Perm) -> int:
-    return len(cycle_type(p))
+def sign(p: Perm) -> int:
+    """+1 for an even permutation, -1 for an odd one."""
+    return -1 if sum(n - 1 for n in cycle_type(p)) % 2 else 1
 
 
 def class_size(ctype: tuple[int, ...]) -> int:

@@ -2,8 +2,8 @@
 
 Matrices are lists of lists of Fraction; vectors are lists of Fraction.
 Everything here is plain Gaussian elimination, sized for the small dense
-systems the rest of the package produces (commutant Gram matrices,
-trace-subspace projections).
+systems the rest of the package produces (the class-weight systems of the
+Weingarten solve, dense tensor operators).
 """
 
 from fractions import Fraction
@@ -11,10 +11,6 @@ from fractions import Fraction
 
 Matrix = list[list[Fraction]]
 Vector = list[Fraction]
-
-
-def identity(n: int) -> Matrix:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -31,10 +27,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
                     if bt[j]:
                         oi[j] += c * bt[j]
     return out
-
-
-def transpose(a: Matrix) -> Matrix:
-    return [list(col) for col in zip(*a)]
 
 
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
@@ -84,35 +76,3 @@ def solve(a: Matrix, b: Vector) -> Vector:
     for r, c in enumerate(pivots):
         x[c] = red[r][cols]
     return x
-
-
-def invert(a: Matrix) -> Matrix:
-    n = len(a)
-    aug = [a[i][:] + identity(n)[i] for i in range(n)]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in red]
-
-
-def pseudo_inverse(a: Matrix) -> Matrix:
-    """Moore-Penrose inverse of a rational matrix, exact.
-
-    Built from a full-rank factorization a = B C (B: pivot columns, C: the
-    nonzero rows of the rref), giving a+ = C^T (C C^T)^-1 (B^T B)^-1 B^T.
-    Satisfies a a+ a = a even when a is singular.
-    """
-    rows = len(a)
-    if rows == 0:
-        return []
-    red, pivots = rref(a)
-    r = len(pivots)
-    if r == 0:
-        return [[Fraction(0)] * rows for _ in range(len(a[0]))]
-    bmat = [[a[i][c] for c in pivots] for i in range(rows)]
-    cmat = red[:r]
-    bt = transpose(bmat)
-    ct = transpose(cmat)
-    left = mat_mul(ct, invert(mat_mul(cmat, ct)))
-    right = mat_mul(invert(mat_mul(bt, bmat)), bt)
-    return mat_mul(left, right)

@@ -25,6 +25,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .moments import _spec_conj, _spec_factors, _spec_int
+
 __all__ = [
     "Su2Factor",
     "Su2MonomialSpec",
@@ -72,8 +74,8 @@ class Su2MonomialSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Su2MonomialSpec":
-        return cls([Su2Factor(f["twice_j"], f["twice_mp"], f["twice_m"],
-                              bool(f.get("conj"))) for f in d["factors"]])
+        return cls([Su2Factor(*(_spec_int(f[k], k) for k in ("twice_j", "twice_mp", "twice_m")),
+                              _spec_conj(f)) for f in _spec_factors(d)])
 
 
 def _small_d_terms(twice_j: int, twice_mp: int, twice_m: int):

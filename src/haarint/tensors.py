@@ -202,16 +202,12 @@ def young_symmetrizer(shape) -> GroupAlgebraElement:
     col_group = _subgroup_perms(m, cols)
     elem = GroupAlgebraElement(m)
     for q in col_group:
-        sq = _perm_sign(q)
+        sq = perms.sign(q)
         for p in row_group:
             r = perms.compose(q, p)
             elem.terms[r] = elem.terms.get(r, 0) + sq
     elem.terms = {p: c for p, c in elem.terms.items() if c}
     return elem
-
-
-def _perm_sign(p) -> int:
-    return 1 if sum(n - 1 for n in perms.cycle_type(p)) % 2 == 0 else -1
 
 
 def tableau_tensor(t: Tableau) -> SparseTensor:

@@ -2,13 +2,23 @@
 
 Everything here recomputes quantities by definition-level enumeration so the
 package code can be checked against an independent route.
+
+That includes the dense reference route of the Weingarten calculus, which
+the package itself never builds: the k x k Gram of the commutant basis,
+either from the type table's loop counts (``gram_from_loops``) or from the
+materialized pairing operators (``gram_from_operators``), its exact inverse
+or Moore-Penrose inverse (``weingarten_data``), and the sign-tracking loop
+walk (``loop_structure``) that the crossing-parity signs of the symplectic
+type table are checked against.
 """
 
 import itertools
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from haarint import moments, perms, tableaux, tensors
 from haarint.moments import UnsupportedIntegralError, all_pairings
+from haarint.ratlinalg import mat_mul, rank, rref
 from haarint.tableaux import Tableau
 
 
@@ -59,7 +69,6 @@ def module_dimension_oracle(lam, form: tensors.BilinearForm) -> int:
         for i, coeff in v.data.items():
             row[colpos[i]] = Fraction(coeff)
         mat.append(row)
-    from haarint.ratlinalg import rank
     return rank(mat) if cols else 0
 
 
@@ -78,7 +87,6 @@ def gl_module_dimension_oracle(lam, n: int) -> int:
         for i, coeff in v.data.items():
             row[colpos[i]] = Fraction(coeff)
         mat.append(row)
-    from haarint.ratlinalg import rank
     return rank(mat) if cols else 0
 
 
@@ -164,3 +172,199 @@ def brute_leading(spec, n: int) -> Fraction:
                 break
         total += term
     return Fraction(total, (2 * n) ** q)
+
+
+# ---------------------------------------------------------------------------
+# the dense Gram / Weingarten reference route
+
+def identity(n: int) -> list:
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def transpose(a) -> list:
+    return [list(col) for col in zip(*a)]
+
+
+def invert(a) -> list:
+    n = len(a)
+    aug = [a[i][:] + identity(n)[i] for i in range(n)]
+    red, pivots = rref(aug)
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in red]
+
+
+def pseudo_inverse(a) -> list:
+    """Moore-Penrose inverse of a rational matrix, exact.
+
+    Built from a full-rank factorization a = B C (B: pivot columns, C: the
+    nonzero rows of the rref), giving a+ = C^T (C C^T)^-1 (B^T B)^-1 B^T.
+    Satisfies a a+ a = a even when a is singular.
+    """
+    rows = len(a)
+    if rows == 0:
+        return []
+    red, pivots = rref(a)
+    r = len(pivots)
+    if r == 0:
+        return [[Fraction(0)] * rows for _ in range(len(a[0]))]
+    bmat = [[a[i][c] for c in pivots] for i in range(rows)]
+    cmat = red[:r]
+    bt = transpose(bmat)
+    ct = transpose(cmat)
+    left = mat_mul(ct, invert(mat_mul(cmat, ct)))
+    right = mat_mul(invert(mat_mul(bt, bmat)), bt)
+    return mat_mul(left, right)
+
+
+def cycle_count(p) -> int:
+    return len(perms.cycle_type(p))
+
+
+def materialize_brauer(pairing, form: tensors.BilinearForm) -> dict:
+    """Full sparse matrix {(rows, cols): entry} of the pairing operator;
+    reference for the entry rule and the loop-count Gram."""
+    q = len(pairing)
+    slots = {}
+    out = {}
+    for choice in itertools.product(form.letters, repeat=q):
+        ok = True
+        coeff = 1
+        for (a, b), x in zip(pairing, choice):
+            if a % 2 and b % 2:
+                slots[a], slots[b] = x, form.bar(x)
+                coeff *= form.dsign(x)
+            elif not a % 2 and not b % 2:
+                y = form.bar(x)
+                w = form.pairing(x, y)
+                if not w:
+                    ok = False
+                    break
+                slots[a], slots[b] = x, y
+                coeff *= w
+            else:
+                slots[a], slots[b] = x, x
+                if form.kind == "symplectic" and not a % 2:
+                    coeff = -coeff
+        if not ok:
+            continue
+        rows = tuple(slots[s] for s in range(1, 2 * q + 1, 2))
+        cols = tuple(slots[s] for s in range(2, 2 * q + 1, 2))
+        out[(rows, cols)] = out.get((rows, cols), 0) + coeff
+    return {rc: v for rc, v in out.items() if v}
+
+
+def loop_structure(pa, pb, kind: str):
+    """(sign, loop count) of the trace pairing of two pairing operators.
+
+    The union of the two pairings is a disjoint set of even cycles; each
+    cycle forces all its letters from one free letter, contributing a
+    dimension factor, and the walk accumulates the skew signs.
+    """
+    partner = {"a": {}, "b": {}}
+    for tag, pairing in (("a", pa), ("b", pb)):
+        for a, b in pairing:
+            partner[tag][a] = b
+            partner[tag][b] = a
+
+    def edge_is_bar(a, b):
+        return a % 2 == b % 2
+
+    def edge_sign(a, b, flip_at_min):
+        # bar edges carry the dual-pair coefficient of the letter at the
+        # lower slot; skew input-output deltas carry -1 (symplectic only)
+        lo, hi = min(a, b), max(a, b)
+        if kind != "symplectic":
+            return 1
+        if edge_is_bar(a, b):
+            return -1 if flip_at_min else 1
+        if lo % 2 == 0:
+            return -1
+        return 1
+
+    seen = set()
+    loops = 0
+    sign = 1
+    dsign_exponent = 0
+    for start in partner["a"]:
+        if start in seen:
+            continue
+        loops += 1
+        cur, flips, tag = start, 0, "a"
+        while True:
+            nxt = partner[tag][cur]
+            bar = edge_is_bar(cur, nxt)
+            flip_next = flips ^ bar
+            flip_at_min = flips if min(cur, nxt) == cur else flip_next
+            if bar and kind == "symplectic":
+                dsign_exponent += 1
+            sign *= edge_sign(cur, nxt, flip_at_min)
+            seen.add(cur)
+            seen.add(nxt)
+            cur, flips = nxt, flip_next
+            tag = "b" if tag == "a" else "a"
+            if cur == start and tag == "a":
+                break
+        # both delta and bar edges come in even numbers per loop, so the
+        # forced letters always close up consistently
+        assert flips == 0
+    assert dsign_exponent % 2 == 0
+    return sign, loops
+
+
+def _unitary_gram(q: int, n: int) -> list:
+    elements = moments.type_table("U", q).elements
+    return [[Fraction(n ** cycle_count(perms.compose(perms.inverse(pa), pb)))
+             for pb in elements] for pa in elements]
+
+
+def gram_from_loops(kind: str, q: int, n: int) -> list:
+    """Exact trace pairings G[a][b] = Tr(B_a B_b^T) of the U, O or Sp
+    commutant basis at degree q: N^cycles for U, the type table's loop
+    counts and signs for O and Sp."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if kind == "U":
+        return _unitary_gram(q, n)
+    table = moments.type_table(kind, q)
+    per_type = moments._gram_per_type(kind, q, n)
+    return [[Fraction(sa * sb * per_type[t]) for sb, t in zip(table.signs, row)]
+            for sa, row in zip(table.signs, table.rows)]
+
+
+def gram_from_operators(kind: str, q: int, n: int) -> list:
+    """The same Gram, for O and Sp from the materialized pairing operators
+    instead of the type table."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if kind == "U":
+        return _unitary_gram(q, n)
+    form = moments._form_for(kind, n)
+    mats = [materialize_brauer(p, form) for p in moments.type_table(kind, q).elements]
+    out = []
+    for ma in mats:
+        row = []
+        for mb in mats:
+            small, big = (ma, mb) if len(ma) <= len(mb) else (mb, ma)
+            row.append(Fraction(sum(v * big.get(rc, 0)
+                                    for rc, v in small.items())))
+        out.append(row)
+    return out
+
+
+@dataclass
+class WeingartenData:
+    weights: list  # rational matrix W with G W G = G
+    pseudo: bool = field(default=False)
+
+
+def weingarten_data(gram) -> WeingartenData:
+    """Dense Weingarten matrix of a Gram; the reference for class weights."""
+    g = [[Fraction(x) for x in row] for row in gram]
+    k = len(g)
+    if rank(g) == k:
+        return WeingartenData(invert(g), pseudo=False)
+    w = pseudo_inverse(g)
+    gwg = mat_mul(mat_mul(g, w), g)
+    assert gwg == g
+    return WeingartenData(w, pseudo=True)

@@ -114,6 +114,39 @@ def test_irrep_cost_gate_before_bases(capsys, tmp_path, monkeypatch):
     assert code == 3
 
 
+SP2 = {"group": "Sp", "N": 2}
+PLAIN_AND_BAR = [{"i": 1, "j": 1, "conj": False}, {"i": 1, "j": 1, "conj": True}]
+
+
+@pytest.mark.parametrize("command,payload", [
+    ("integral", []),
+    ("integral", {**SP2, "factors": [{"i": 1.5, "j": 1, "conj": False}, PLAIN_AND_BAR[1]]}),
+    ("integral", {**SP2, "factors": [{"i": 1, "j": 1, "conj": "no"}, PLAIN_AND_BAR[1]]}),
+    ("integral", {**SP2, "factors": [{"i": True, "j": 1, "conj": False}, PLAIN_AND_BAR[1]]}),
+    ("integral", {"group": "U", "N": "2", "factors": PLAIN_AND_BAR}),
+    ("integral", {"group": "U", "N": 2, "factors": {"i": 1}}),
+    ("integral", {"group": "U", "N": 2, "factors": [
+        {"lambda": [True], "i": 1, "j": 1, "conj": False},
+        {"lambda": [1], "i": 1, "j": 1, "conj": True}]}),
+    ("integral", {"group": "U", "N": 2, "factors": [
+        {"lambda": "1", "i": 1, "j": 1, "conj": False},
+        {"lambda": [1], "i": 1, "j": 1, "conj": True}]}),
+    ("su2", []),
+    ("su2", {"factors": [{"twice_j": 2, "twice_mp": 0, "twice_m": 0.0}]}),
+], ids=["top-level-list", "float-index", "string-conj", "bool-index", "string-N",
+        "factors-object", "bool-lambda-part", "string-lambda", "su2-top-level-list",
+        "su2-float-index"])
+def test_malformed_spec_file_usage_error(capsys, tmp_path, command, payload):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(payload))
+    code = cli.main([command, "--spec", str(spec), "--mode", "all", "--seed", "1",
+                     "--samples", "10"] if command == "integral" else
+                    [command, "--spec", str(spec)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and err.startswith("error: ")
+
+
 def test_integral_unsupported_exit(capsys):
     code, _ = run(capsys, "integral", "--group", "SO", "--N", "2",
                   "--factors", "1,1,+;1,1,+")

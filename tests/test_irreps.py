@@ -29,7 +29,12 @@ from haarint.irreps import (
 )
 from haarint.tensors import CostGateError, orthogonal_form, symplectic_form
 
-from helpers import gl_module_dimension_oracle, module_dimension_oracle
+from helpers import (
+    gl_module_dimension_oracle,
+    gram_from_loops,
+    module_dimension_oracle,
+    weingarten_data,
+)
 
 
 def schur_spec(group, n, lam, i=1, j=1, k=None, l=None):
@@ -245,8 +250,7 @@ def test_vector_rep_orthogonal_split_second_moment():
 
 @functools.lru_cache(maxsize=32)
 def _dense_weights(group, q, n):
-    basis = moments.build_commutant_basis(group, q)
-    return moments.weingarten_data(moments.gram_matrix(basis, n)).weights
+    return weingarten_data(gram_from_loops(group, q, n)).weights
 
 
 def _dense_value(spec):

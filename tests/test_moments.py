@@ -8,15 +8,19 @@ and 2x2 special unitary parametrization.
 """
 
 import functools
+import importlib
 import itertools
 import math
+import pkgutil
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from haarint import irreps, moments, ratlinalg, sampling, tensors
+import haarint
+from haarint import moments, ratlinalg, sampling
 from haarint.moments import (
     CostGateError,
     Factor,
@@ -25,15 +29,22 @@ from haarint.moments import (
     all_pairings,
     asymptotic_leading,
     brauer_entry,
-    build_commutant_basis,
     evaluate_monomial,
     exact_integral,
-    gram_matrix,
-    materialize_brauer,
-    weingarten_data,
+    type_table,
 )
 from haarint.tensors import orthogonal_form, symplectic_form
-from helpers import brute_leading, j_entry, m_entry
+from helpers import (
+    brute_leading,
+    gram_from_loops,
+    gram_from_operators,
+    j_entry,
+    loop_structure,
+    m_entry,
+    materialize_brauer,
+    transpose,
+    weingarten_data,
+)
 
 
 def spec(group, *ijc):
@@ -59,20 +70,18 @@ def test_pairing_order_lexicographic():
 
 
 def test_basis_sizes_and_order():
-    b = build_commutant_basis("U", 2)
-    assert b.kind == "permutations"
-    assert b.elements == [(0, 1), (1, 0)]
-    assert len(build_commutant_basis("O", 2)) == 3
-    assert len(build_commutant_basis("O", 3)) == 15
-    assert len(build_commutant_basis("Sp", 2)) == 3
-    assert build_commutant_basis("O", 1).elements == [((1, 2),)]
+    assert type_table("U", 2).elements == [(0, 1), (1, 0)]
+    assert len(type_table("O", 2).elements) == 3
+    assert len(type_table("O", 3).elements) == 15
+    assert len(type_table("Sp", 2).elements) == 3
+    assert type_table("O", 1).elements == [((1, 2),)]
 
 
 def test_degree_cap():
     with pytest.raises(CostGateError):
-        build_commutant_basis("U", 5)
+        type_table("U", 5)
     with pytest.raises(CostGateError):
-        build_commutant_basis("O", 5)
+        type_table("O", 5)
 
 
 # ---------------------------------------------------------------------------
@@ -160,44 +169,36 @@ def test_pairing_operators_commute_with_tensor_action(group, n):
 # Gram matrices and weights
 
 def test_gram_unitary_frozen():
-    b1 = build_commutant_basis("U", 1)
-    assert gram_matrix(b1, 5) == [[5]]
-    b2 = build_commutant_basis("U", 2)
+    assert gram_from_loops("U", 1, 5) == [[5]]
     for n in (1, 2, 3, 7):
-        assert gram_matrix(b2, n) == [[n * n, n], [n, n * n]]
+        assert gram_from_loops("U", 2, n) == [[n * n, n], [n, n * n]]
 
 
 def test_gram_orthogonal_frozen():
-    b1 = build_commutant_basis("O", 1)
-    assert gram_matrix(b1, 4) == [[4]]
-    b2 = build_commutant_basis("O", 2)
+    assert gram_from_loops("O", 1, 4) == [[4]]
     for n in (2, 3, 5):
-        assert gram_matrix(b2, n) == [
+        assert gram_from_loops("O", 2, n) == [
             [n * n, n, n], [n, n * n, n], [n, n, n * n]]
 
 
 def test_gram_symplectic_frozen():
     # skew signs flip the entries that hook an output pair to an input pair
-    b2 = build_commutant_basis("Sp", 2)
     for n in (1, 2, 3):
         d = 2 * n
-        assert gram_matrix(b2, n) == [
+        assert gram_from_loops("Sp", 2, n) == [
             [d * d, d, -d], [d, d * d, d], [-d, d, d * d]]
 
 
 @pytest.mark.parametrize("group", ["O", "Sp"])
 @pytest.mark.parametrize("q", [1, 2, 3])
 def test_gram_loops_match_direct(group, q):
-    basis = build_commutant_basis(group, q)
     for n in (1, 2, 3):
-        assert gram_matrix(basis, n, method="loops") == \
-            gram_matrix(basis, n, method="direct")
+        assert gram_from_loops(group, q, n) == gram_from_operators(group, q, n)
 
 
 def test_weingarten_unitary_frozen():
-    b2 = build_commutant_basis("U", 2)
     for n in (2, 3, 5):
-        w = weingarten_data(gram_matrix(b2, n))
+        w = weingarten_data(gram_from_loops("U", 2, n))
         assert not w.pseudo
         den = n * n * (n * n - 1)
         assert w.weights == [
@@ -206,8 +207,7 @@ def test_weingarten_unitary_frozen():
 
 
 def test_weingarten_singular_cases_flagged():
-    b2 = build_commutant_basis("U", 2)
-    w = weingarten_data(gram_matrix(b2, 1))
+    w = weingarten_data(gram_from_loops("U", 2, 1))
     assert w.pseudo
     g = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]]
     wd = weingarten_data(g)
@@ -221,7 +221,7 @@ def test_weingarten_rank_deficient_normal_equations():
     # the projection, which G W G = G certifies
     a = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)],
          [Fraction(0), Fraction(1)]]
-    g = ratlinalg.mat_mul(a, ratlinalg.transpose(a))
+    g = ratlinalg.mat_mul(a, transpose(a))
     wd = weingarten_data(g)
     assert wd.pseudo
     gwg = ratlinalg.mat_mul(ratlinalg.mat_mul(g, wd.weights), g)
@@ -245,7 +245,7 @@ CLASS_CASES = ([("U", q, n) for q in range(1, 5) for n in range(1, 7)]
 @pytest.mark.parametrize("group,q,n", CLASS_CASES)
 def test_class_weights_invert_dense_gram(group, q, n):
     # the pairing Grams come from materialized operators, not the type table
-    g = gram_matrix(build_commutant_basis(group, q), n, method="direct")
+    g = gram_from_operators(group, q, n)
     engine = moments._engine(group, q, n)
     w = _expand(engine)
     assert ratlinalg.mat_mul(ratlinalg.mat_mul(g, w), g) == g
@@ -258,11 +258,11 @@ def test_type_table_matches_loop_walk(kind):
     # agree with the sign-tracking walk on every pair up to the degree cap
     form_kind = "symplectic" if kind == "Sp" else "orthogonal"
     for q in range(1, moments.DEGREE_CAP + 1):
-        t = moments.type_table(kind, q)
-        elems = t.basis.elements
+        t = type_table(kind, q)
+        elems = t.elements
         for a, pa in enumerate(elems):
             for b, pb in enumerate(elems):
-                sign, loops = moments._loop_structure(pa, pb, form_kind)
+                sign, loops = loop_structure(pa, pb, form_kind)
                 assert loops == len(t.types[t.rows[a][b]])
                 if kind == "Sp":
                     assert sign == t.signs[a] * t.signs[b] * (-1) ** (q + loops)
@@ -270,9 +270,23 @@ def test_type_table_matches_loop_walk(kind):
                     assert sign == 1
 
 
+@pytest.mark.parametrize("q", [5, 6])
+def test_crossing_parity_matches_loop_walk(q):
+    # above the degree cap: the sign rule of the type table against the
+    # walk on the first-pairing column (no crossings there, so ε = 1) and
+    # against a direct count of the crossing pairs
+    pairings = all_pairings(2 * q)
+    first = pairings[0]
+    for p in pairings:
+        eps = moments._crossing_sign(p)
+        sign, loops = loop_structure(p, first, "symplectic")
+        assert eps == sign * (-1) ** (q + loops)
+        assert eps == (-1) ** sum(a < c < b < d for a, b in p for c, d in p)
+
+
 @functools.lru_cache(maxsize=64)
 def _dense_weights(group, q, n):
-    return weingarten_data(gram_matrix(build_commutant_basis(group, q), n)).weights
+    return weingarten_data(gram_from_loops(group, q, n)).weights
 
 
 def _dense_value(spec, n):
@@ -302,10 +316,27 @@ def test_class_weights_match_dense_route(data):
     assert exact_integral(s, n) == _dense_value(s, n)
 
 
+def _package_lru_caches() -> dict:
+    """Every functools.lru_cache defined in a haarint module, at module
+    level or in a class body, by qualified name."""
+    found = {}
+    for info in pkgutil.iter_modules(haarint.__path__):
+        module = importlib.import_module(f"haarint.{info.name}")
+        members = list(vars(module).values())
+        members += [m for cls in members if isinstance(cls, type) for m in vars(cls).values()]
+        for m in members:
+            if hasattr(m, "cache_parameters") and m.__module__.startswith("haarint."):
+                found[f"{m.__module__}.{m.__qualname__}"] = m
+    return found
+
+
 def test_engine_caches_are_bounded():
-    for cached in (moments._engine, moments.type_table,
-                   irreps._build_irrep_basis, tensors._trace_span_basis):
-        assert cached.cache_info().maxsize is not None
+    caches = _package_lru_caches()
+    assert {"haarint.moments._engine", "haarint.moments.type_table",
+            "haarint.irreps._build_irrep_basis",
+            "haarint.tensors._trace_span_basis"} <= set(caches)
+    for name, cached in caches.items():
+        assert cached.cache_parameters()["maxsize"] is not None, name
 
 
 def test_closed_forms_at_degree_eight():
@@ -411,7 +442,7 @@ def test_symplectic_unconjugated_pairs():
 def test_symplectic_pseudo_inverse_route():
     # at 2n = 2 the three pairing operators are dependent and the Gram is
     # singular; the projection must still give the special unitary value 1/3
-    g = gram_matrix(build_commutant_basis("Sp", 2), 1)
+    g = gram_from_loops("Sp", 2, 1)
     assert weingarten_data(g).pseudo
     four = spec("Sp", (1, 1), (1, 1), (1, 1, True), (1, 1, True))
     assert exact_integral(four, 1) == Fraction(1, 3)
@@ -631,6 +662,23 @@ def test_leading_orthogonal():
     assert asymptotic_leading(s, 4) == 0
     assert exact_integral(s, 3) == Fraction(-1, 30)
     assert asymptotic_leading(spec("O", *[(1, 1)] * 10), 3) == Fraction(945, 3 ** 5)
+
+
+def test_leading_gate_above_the_degree_cap():
+    # (2q-1)!! = 2027025 pairings at q = 8 and 10! permutations at q = 10
+    # are over LEADING_CAP: refused from the closed-form count, before any
+    # enumeration; the exact path keeps its degree-cap refusal
+    o16 = spec("O", *[(1, 1)] * 16)
+    start = time.perf_counter()
+    with pytest.raises(CostGateError, match="2027025 pairings"):
+        asymptotic_leading(o16, 11)
+    with pytest.raises(CostGateError, match="2027025 pairings"):
+        asymptotic_leading(spec("Sp", *[(1, 1)] * 8, *[(1, 1, True)] * 8), 3)
+    with pytest.raises(CostGateError, match="3628800 permutations"):
+        asymptotic_leading(spec("U", *[(1, 1)] * 10, *[(1, 1, True)] * 10), 3)
+    assert time.perf_counter() - start < 0.5
+    with pytest.raises(CostGateError, match="capped at q=4"):
+        exact_integral(o16, 11)
 
 
 def test_leading_symplectic():
