@@ -188,12 +188,12 @@ def cmd_integral(args) -> list:
             spec = irreps.RepMatrixElementSpec.from_dict(data)
             return _integral_record(args, spec, spec.n, "irrep")
         spec, n = moments.MonomialSpec.from_dict(data)
-        return _integral_record(args, spec, n, "monomial")
-    if args.group is None or args.N is None or args.factors is None:
+    elif args.group is None or args.N is None or args.factors is None:
         raise ValueError("inline mode needs --group, --N, and --factors")
-    spec = moments.MonomialSpec(args.group, _parse_factors(args.factors))
-    spec.validate(args.N)
-    return _integral_record(args, spec, args.N, "monomial")
+    else:
+        spec, n = moments.MonomialSpec(args.group, _parse_factors(args.factors)), args.N
+    spec.validate(n)  # every mode: the sampler would wrap a negative index
+    return _integral_record(args, spec, n, "monomial")
 
 
 def cmd_su2(args) -> list:

@@ -5,11 +5,12 @@ of their entries.
 
 A basis vector is kept as an exact rational tensor plus its rational
 norm-square; representation entries are <b_i, u^(x)m b_j>/sqrt(n_i n_j).
-Integrating a product of entries expands every bracket into elementary
-tensor monomials, so the integral reduces to the same commutant
-projection the monomial engine solves: one reduce step builds the match
-vectors, and the exact and leading-order values are the same contraction
-with the class Weingarten weights or their leading diagonal 1/D^q.
+A product of entries is a product of brackets of basis vectors, and a
+matrix-entry monomial is the case of degree-one brackets, so both go
+through the one reduce of the monomial engine (moments): it builds the
+match vectors, and the exact and leading-order values are the same
+contraction with the class Weingarten weights or their leading diagonal
+1/D^q.
 """
 
 import functools
@@ -267,30 +268,6 @@ def integrate_irrep_mc(spec: RepMatrixElementSpec, samples: int, seed: int):
 # ---------------------------------------------------------------------------
 # exact and leading-order integrals
 
-def _tensor_product(parts) -> SparseTensor:
-    out = SparseTensor.unit()
-    for p in parts:
-        out = out.tensor(p)
-    return out
-
-
-def _twist_late(t: SparseTensor, q: int, form: BilinearForm,
-                signed: bool) -> SparseTensor:
-    """Rewrite the slots from q on through the inverse matrix: letters flip
-    and, in the symplectic case, each flipped positive letter costs a sign.
-    At q = 0 this is the entrywise conjugate of the whole bracket."""
-    out = SparseTensor(t.order)
-    for idx, c in t.data.items():
-        head, tail = idx[:q], idx[q:]
-        new_tail = tuple(form.bar(x) for x in tail)
-        if signed:
-            for x in new_tail:
-                if x < 0:
-                    c = -c
-        out.add_term(head + new_tail, c)
-    return out
-
-
 def _reduce(spec: RepMatrixElementSpec):
     """The value where no weights are needed (a Fraction), otherwise
     (group, q, r_vec, c_vec, norm_product): the integral is
@@ -299,36 +276,18 @@ def _reduce(spec: RepMatrixElementSpec):
     norms = Fraction(1)
     for f, basis in zip(spec.factors, bases):
         norms *= basis.norms2[f.row - 1] * basis.norms2[f.col - 1]
-    if spec.group == "U":
-        q = sum(b.weight for f, b in zip(spec.factors, bases) if not f.conj)
-        if 2 * q != spec.total_weight:
-            return Fraction(0)
-    else:
-        q, odd = divmod(spec.total_weight, 2)
-        if odd:
-            return Fraction(0)
+    plain = sum(b.weight for f, b in zip(spec.factors, bases) if not f.conj)
+    q = moments._half_degree(spec.group, plain, spec.total_weight)
+    if q is None:
+        return Fraction(0)
     if q == 0:
         return _finish(Fraction(1), norms)
-    elements = moments.type_table(spec.group, q).elements
-    form = bases[0].form
-    signed = spec.group == "Sp"
-    brackets = []
-    for f, basis in zip(spec.factors, bases):
-        pair = (basis.vectors[f.row - 1], basis.vectors[f.col - 1])
-        if f.conj and form is not None:
-            pair = tuple(_twist_late(t, 0, form, signed) for t in pair)
-        brackets.append((f.conj, pair))
-    if form is None:
-        # plain brackets fill the early slots, conjugated ones the late
-        brackets.sort(key=lambda b: b[0])
-    vectors = []
-    for k in range(2):
-        t = _tensor_product([pair[k] for _, pair in brackets])
-        if form is not None:
-            t = _twist_late(t, q, form, signed)
-        terms = [(idx[:q], idx[q:], c) for idx, c in t.data.items()]
-        vectors.append(moments._match_vector(elements, form, terms))
-    return spec.group, q, vectors[0], vectors[1], norms
+    brackets = [(f.conj, basis.vectors[f.row - 1].data.items(),
+                 basis.vectors[f.col - 1].data.items())
+                for f, basis in zip(spec.factors, bases)]
+    r_vec, c_vec = moments._reduce_brackets(
+        brackets, q, bases[0].form, moments.type_table(spec.group, q).elements)
+    return spec.group, q, r_vec, c_vec, norms
 
 
 def _finish(core: Fraction, norm_product: Fraction) -> Fraction:

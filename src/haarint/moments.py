@@ -19,10 +19,12 @@ dense Gram and its Weingarten matrix are not built here: they live in
 the test suite (tests/helpers.py) as the reference route that judges
 these weights.
 
-Exact and leading-order values share one contraction of the match
-vectors: the large-N leading term replaces W by its leading diagonal
-δ/D^q, D = N (2N for Sp).  Irrep matrix elements (irreps) reduce to the
-same match vectors and contract them the same way.
+A monomial is a product of degree-one brackets: u_ij is <e_i|u|e_j>,
+e_a the a-th letter of the alphabet (the split one for Sp).  One reduce
+turns a product of brackets, of these or of irrep basis vectors (irreps),
+into the match vectors r, c, and exact and leading-order values are one
+contraction of them: the large-N leading term replaces W by its leading
+diagonal δ/D^q, D = N (2N for Sp).
 """
 
 import functools
@@ -147,8 +149,12 @@ def _double_factorial(m: int) -> int:
     return out
 
 
-def _form_for(group: str, n: int) -> BilinearForm:
-    if group == "Sp":
+def _form_for(kind: str, n: int) -> BilinearForm | None:
+    """The form whose alphabet indexes a monomial: none for U, the
+    standard basis for O, the split alphabet for Sp."""
+    if kind == "U":
+        return None
+    if kind == "Sp":
         return symplectic_form(n)
     return orthogonal_form(n, split=False)
 
@@ -362,6 +368,9 @@ def _entry(p, left, right, form) -> int:
 def _match_vector(elements, form, terms) -> list:
     """Per basis element, the sum of c * entry(left, right) over the terms
     (left letters, right letters, c) of a tensor."""
+    if len(terms) == 1:  # as for every monomial: no sum to build
+        (left, right, c), = terms
+        return [c * _entry(p, left, right, form) for p in elements]
     return [sum(c * w for left, right, c in terms if (w := _entry(p, left, right, form)))
             for p in elements]
 
@@ -382,88 +391,71 @@ def _elements(kind: str, q: int) -> list:
     return perms.all_permutations(q) if kind == "U" else all_pairings(2 * q)
 
 
-def _unitary_letters(spec: MonomialSpec):
-    plain = [f for f in spec.factors if not f.conj]
-    conj = [f for f in spec.factors if f.conj]
-    if len(plain) != len(conj):
-        return Fraction(0)
-    if not plain:
-        return Fraction(1)
-    return ("U", len(plain), ([f.row for f in plain], [f.row for f in conj]),
-            ([f.col for f in plain], [f.col for f in conj]), 1)
+def _half_degree(kind: str, plain: int, total: int) -> int | None:
+    """q, the operators per side, for brackets of total degree `total`,
+    `plain` of it unconjugated; None where the integral vanishes: U needs
+    as many plain as conjugated slots, O and Sp an even total."""
+    if kind == "U":
+        return plain if 2 * plain == total else None
+    return None if total % 2 else total // 2
 
 
-def _orthogonal_letters(flat, kind: str, sign: int):
-    """The first half of the (row, col) letter pairs against the second."""
-    m = len(flat)
-    if m % 2:
-        return Fraction(0)
-    if m == 0:
-        return Fraction(1)
-    q = m // 2
-    early, late = flat[:q], flat[q:]
-    return (kind, q, ([i for i, _ in early], [i for i, _ in late]),
-            ([j for _, j in early], [j for _, j in late]), sign)
+def _twist(terms, q: int, form: BilinearForm) -> list:
+    """Rewrite the slots from q on through the inverse matrix: each letter
+    x there becomes bar(x) at the cost of its dual sign (-1 for positive
+    symplectic letters).  At q = 0 this is the entrywise conjugate of a
+    whole bracket."""
+    out = []
+    for letters, c in terms:
+        tail = letters[q:]
+        for x in tail:
+            c *= form.dsign(x)
+        out.append((letters[:q] + tuple(map(form.bar, tail)), c))
+    return out
 
 
-def _sp_letter(a: int) -> int:
-    return -((a + 1) // 2) if a % 2 else a // 2
+def _reduce_brackets(brackets, q: int, form: BilinearForm | None, elements):
+    """Match vectors (r_vec, c_vec) of a product of brackets <row|u|col>:
+    its integral is r^T W c over the commutant basis `elements` at degree
+    q.  A bracket is (conj, row terms, col terms), a term (letters, coeff)
+    of a rational tensor; conj marks the entrywise conjugate.  For U (form
+    None) plain brackets fill the early slots and conjugated ones the late;
+    for O and Sp a conjugated bracket is twisted whole, and the product's
+    slots from q on are then twisted to the inverse matrix."""
+    if form is None:
+        brackets = sorted(brackets, key=lambda b: b[0])
+    else:
+        brackets = [(conj, _twist(rows, 0, form), _twist(cols, 0, form)) if conj
+                    else (conj, rows, cols) for conj, rows, cols in brackets]
+    vectors = []
+    for side in (1, 2):
+        terms = [((), 1)]
+        for bracket in brackets:
+            terms = [(x + y, cx * cy) for x, cx in terms for y, cy in bracket[side]]
+        if form is not None:
+            terms = _twist(terms, q, form)
+        vectors.append(_match_vector(elements, form,
+                                     [(x[:q], x[q:], c) for x, c in terms]))
+    return vectors
 
 
-def _sp_partner(a: int) -> int:
-    return a + 1 if a % 2 else a - 1
-
-
-def _sp_jsign(a: int) -> int:
-    """J entry against the interleaved partner: +1 at odd rows, -1 at even."""
-    return 1 if a % 2 else -1
-
-
-def _symplectic_letters(spec: MonomialSpec):
-    q = spec.degree // 2
-    sign = 1
-    letters = []
-    for k, f in enumerate(spec.factors):
-        i, j = f.row, f.col
-        # entrywise conjugation of a compact symplectic matrix, and the
-        # inverse in a late slot, u_ij = jsign(i) jsign(j) (u^-1)[j', i'],
-        # each move to the partner indices up to the two J signs
-        for flip in (f.conj, k >= q):
-            if flip:
-                sign *= _sp_jsign(i) * _sp_jsign(j)
-                i, j = _sp_partner(i), _sp_partner(j)
-        letters.append((_sp_letter(i), _sp_letter(j)))
-    return _orthogonal_letters(letters, "Sp", sign)
-
-
-def _reduce(spec: MonomialSpec):
+def _match_vectors(spec: MonomialSpec, n: int, elements):
     """The value where no weights are needed (a Fraction), otherwise
-    (kind, q, rows, cols, sign): rows and cols are (left, right) letter
-    tuples whose match vectors r, c give the integral sign * r^T W c."""
-    if spec.group in ("U", "SU"):
-        return _unitary_letters(spec)
-    if spec.group in ("O", "SO"):
-        return _orthogonal_letters([(f.row, f.col) for f in spec.factors], "O", 1)
-    return _symplectic_letters(spec)
-
-
-def _match_vectors(spec: MonomialSpec, n: int, exact: bool = False):
-    """The value where no weights are needed (a Fraction), otherwise
-    (kind, q, r_vec, c_vec, sign): the integral is sign * r^T W c over
-    the U, O or Sp commutant basis at degree q.  For an exact value the
-    engine is built first, so q above the degree cap is refused before
-    any matching."""
-    reduced = _reduce(spec)
-    if isinstance(reduced, Fraction):
-        return reduced
-    kind, q, rows, cols, sign = reduced
-    if exact:
-        _engine(kind, q, n)
-    elements = _elements(kind, q)
-    form = None if kind == "U" else _form_for(kind, n)
-    r_vec, c_vec = ([_entry(p, left, right, form) for p in elements]
-                    for left, right in (rows, cols))
-    return kind, q, r_vec, c_vec, sign
+    (kind, q, r_vec, c_vec): the integral is r^T W c over the U, O or Sp
+    commutant basis elements(kind, q).  Each factor u_ij is the degree-one
+    bracket <e_i|u|e_j>, with e_a the a-th letter of the form's alphabet
+    (a itself for U)."""
+    kind = {"SU": "U", "SO": "O"}.get(spec.group, spec.group)
+    q = _half_degree(kind, sum(not f.conj for f in spec.factors), spec.degree)
+    if q is None:
+        return Fraction(0)
+    if q == 0:
+        return Fraction(1)
+    form = _form_for(kind, n)
+    letters = range(1, n + 1) if form is None else form.letters
+    brackets = [(f.conj, [((letters[f.row - 1],), 1)], [((letters[f.col - 1],), 1)])
+                for f in spec.factors]
+    return (kind, q, *_reduce_brackets(brackets, q, form, elements(kind, q)))
 
 
 def _leading(kind: str, q: int, n: int, r_vec, c_vec) -> Fraction:
@@ -523,11 +515,13 @@ def exact_integral(spec: MonomialSpec, n: int) -> Fraction:
                 f"or odd with degree < N")
         if ok is False:
             return Fraction(0)
-    reduced = _match_vectors(spec, n, exact=True)
+    # the engine comes first, so a degree above the cap is refused before
+    # any matching
+    reduced = _match_vectors(spec, n, lambda kind, q: _engine(kind, q, n).table.elements)
     if isinstance(reduced, Fraction):
         return reduced
-    kind, q, r_vec, c_vec, sign = reduced
-    return sign * _contract(_engine(kind, q, n), r_vec, c_vec)
+    kind, q, r_vec, c_vec = reduced
+    return _contract(_engine(kind, q, n), r_vec, c_vec)
 
 
 # ---------------------------------------------------------------------------
@@ -551,8 +545,8 @@ def asymptotic_leading(spec: MonomialSpec, n: int) -> Fraction:
                 f"without epsilon-tensor terms")
         if ok is False:
             return Fraction(0)
-    reduced = _match_vectors(spec, n)
+    reduced = _match_vectors(spec, n, _elements)
     if isinstance(reduced, Fraction):
         return reduced
-    kind, q, r_vec, c_vec, sign = reduced
-    return sign * _leading(kind, q, n, r_vec, c_vec)
+    kind, q, r_vec, c_vec = reduced
+    return _leading(kind, q, n, r_vec, c_vec)

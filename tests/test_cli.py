@@ -7,6 +7,7 @@ JSON record (or list), so the tests parse and compare structurally.
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from haarint import cli, irreps
 
@@ -145,6 +146,48 @@ def test_malformed_spec_file_usage_error(capsys, tmp_path, command, payload):
     err = capsys.readouterr().err
     assert code == 2
     assert "Traceback" not in err and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("payload", [
+    {"group": "U", "N": 2, "factors": [{"i": 3, "j": 1}, {"i": 3, "j": 1, "conj": True}]},
+    {"group": "U", "N": 2, "factors": [{"i": 0, "j": 1}, {"i": 1, "j": 1, "conj": True}]},
+    {"group": "Sp", "N": 1, "factors": [{"i": -1, "j": 1}, {"i": 1, "j": 1}]},
+], ids=["past-the-end", "zero", "negative"])
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+def test_spec_file_indices_checked_in_every_mode(capsys, tmp_path, payload, mode):
+    # the sampled path indexes the matrix directly: a negative index would
+    # wrap to another entry, one past the end would raise IndexError
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(payload))
+    code = cli.main(["integral", "--spec", str(spec), "--mode", mode, "--seed", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: index out of range 1..2") and "Traceback" not in err
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_monomial_integral_surface_fuzz(capsys, tmp_path, data):
+    group = data.draw(st.sampled_from(["U", "SU", "O", "SO", "Sp"]))
+    n = data.draw(st.integers(1, 3))
+    index = st.integers(-1, 2 * n + 2)
+    factors = data.draw(st.lists(st.tuples(index, index, st.booleans()), max_size=4))
+    mode = data.draw(st.sampled_from(["exact", "leading", "mc", "all"]))
+    argv = ["integral", "--mode", mode, "--seed", "1",
+            "--samples", str(data.draw(st.integers(2, 20)))]
+    if data.draw(st.booleans()):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"group": group, "N": n, "factors": [
+            {"i": i, "j": j, "conj": c} for i, j, c in factors]}))
+        argv += ["--spec", str(spec)]
+    else:
+        text = ";".join(f"{i},{j},{'-' if c else '+'}" for i, j, c in factors)
+        argv += ["--group", group, "--N", str(n), f"--factors={text}"]
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err
 
 
 def test_integral_unsupported_exit(capsys):

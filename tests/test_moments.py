@@ -290,13 +290,13 @@ def _dense_weights(group, q, n):
 
 
 def _dense_value(spec, n):
-    reduced = moments._match_vectors(spec, n)
+    reduced = moments._match_vectors(spec, n, moments._elements)
     if isinstance(reduced, Fraction):
         return reduced
-    group, q, r_vec, c_vec, sign = reduced
+    group, q, r_vec, c_vec = reduced
     w = _dense_weights(group, q, n)
-    return sign * sum((ra * w[a][b] * cb for a, ra in enumerate(r_vec)
-                       for b, cb in enumerate(c_vec) if ra and cb), Fraction(0))
+    return sum((ra * w[a][b] * cb for a, ra in enumerate(r_vec)
+                for b, cb in enumerate(c_vec) if ra and cb), Fraction(0))
 
 
 @settings(max_examples=60, deadline=None)
@@ -375,6 +375,9 @@ def test_unitary_fourth_moments():
         s = spec("U", (1, 1), (2, 2), (1, 1, True), (2, 2, True))
         assert exact_integral(s, n) == Fraction(1, n * n - 1)
         s = spec("U", (1, 1), (2, 2), (1, 2, True), (2, 1, True))
+        assert exact_integral(s, n) == Fraction(-1, n * (n * n - 1))
+        # the same product, a conjugated factor first
+        s = spec("U", (1, 2, True), (1, 1), (2, 2), (2, 1, True))
         assert exact_integral(s, n) == Fraction(-1, n * (n * n - 1))
 
 
