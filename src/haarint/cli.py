@@ -247,6 +247,8 @@ def cmd_entropy(args) -> list:
 
 
 def cmd_sample(args) -> list:
+    if args.count < 0:
+        raise ValueError(f"--count must be at least 0, got {args.count}")
     seed = _resolve_seed(args, needed=True)
     matrices = []
     for i in range(args.count):

@@ -8,9 +8,9 @@ norm-square; representation entries are <b_i, u^(x)m b_j>/sqrt(n_i n_j).
 A product of entries is a product of brackets of basis vectors, and a
 matrix-entry monomial is the case of degree-one brackets, so both go
 through the one reduce of the monomial engine (moments): it builds the
-match vectors, and the exact and leading-order values are the same
-contraction with the class Weingarten weights or their leading diagonal
-1/D^q.
+match vectors, and its one value step (moments._value) gives the exact
+and leading-order values, the contraction with the class Weingarten
+weights or with their leading diagonal 1/D^q, before the norms divide.
 """
 
 import functools
@@ -323,21 +323,21 @@ def _gate_exact(spec: RepMatrixElementSpec):
             f"use the Monte Carlo or leading-order paths")
 
 
-def integrate_irrep_exact(spec: RepMatrixElementSpec) -> Fraction:
-    _gate_exact(spec)
+def _integral(spec: RepMatrixElementSpec, exact: bool) -> Fraction:
+    if exact:
+        _gate_exact(spec)
     reduced = _reduce(spec)
     if isinstance(reduced, Fraction):
         return reduced
-    group, q, r_vec, c_vec, norms = reduced
-    return _finish(moments._contract(moments._engine(group, q, spec.n), r_vec, c_vec),
-                   norms)
+    *vectors, norms = reduced
+    return _finish(moments._value(vectors, spec.n, exact), norms)
+
+
+def integrate_irrep_exact(spec: RepMatrixElementSpec) -> Fraction:
+    return _integral(spec, exact=True)
 
 
 def asymptotic_irrep(spec: RepMatrixElementSpec) -> Fraction:
     """Leading-order value: the Weingarten weights collapse to the
     diagonal 1/D^q, leaving the permutation or pairing delta sums."""
-    reduced = _reduce(spec)
-    if isinstance(reduced, Fraction):
-        return reduced
-    group, q, r_vec, c_vec, norms = reduced
-    return _finish(moments._leading(group, q, spec.n, r_vec, c_vec), norms)
+    return _integral(spec, exact=False)

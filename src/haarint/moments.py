@@ -22,9 +22,10 @@ these weights.
 A monomial is a product of degree-one brackets: u_ij is <e_i|u|e_j>,
 e_a the a-th letter of the alphabet (the split one for Sp).  One reduce
 turns a product of brackets, of these or of irrep basis vectors (irreps),
-into the match vectors r, c, and exact and leading-order values are one
-contraction of them: the large-N leading term replaces W by its leading
-diagonal δ/D^q, D = N (2N for Sp).
+into the match vectors r, c, and one value step contracts them with W
+(exact) or with its leading diagonal δ/D^q, D = N (2N for Sp).  One SU/SO
+window serves both: the trivial SU(1) and SO(1) give 1, other cases defer
+to U or O, vanish, or are refused where determinant invariants enter.
 """
 
 import functools
@@ -317,7 +318,7 @@ def _class_product(products, x, y) -> list:
 
 
 # ---------------------------------------------------------------------------
-# exact integrals
+# exact and leading-order integrals
 
 @dataclass(frozen=True)
 class ClassWeights:
@@ -458,95 +459,69 @@ def _match_vectors(spec: MonomialSpec, n: int, elements):
     return (kind, q, *_reduce_brackets(brackets, q, form, elements(kind, q)))
 
 
-def _leading(kind: str, q: int, n: int, r_vec, c_vec) -> Fraction:
-    """r^T c / D^q: the order-D^-q part of W is the diagonal δ/D^q, with
-    D = n, or 2n for Sp (Collins–Śniady 2006, Collins–Matsumoto 2009)."""
+def _value(reduced, n: int, exact: bool) -> Fraction:
+    """The integral from a reduce: a Fraction passes through; match
+    vectors (kind, q, r_vec, c_vec) are contracted with the class weights
+    (exact) or with the order-D^-q part of W, the diagonal δ/D^q, D = n, or
+    2n for Sp (Collins–Śniady 2006, Collins–Matsumoto 2009): r^T c / D^q."""
+    if isinstance(reduced, Fraction):
+        return reduced
+    kind, q, r_vec, c_vec = reduced
+    if exact:
+        return _contract(_engine(kind, q, n), r_vec, c_vec)
     d = 2 * n if kind == "Sp" else n
     return Fraction(sum(ra * ca for ra, ca in zip(r_vec, c_vec)), d ** q)
 
 
-def _su_window(spec: MonomialSpec, n: int) -> Fraction | None:
-    """Exact SU value where the U machinery settles it; None means defer
-    to the unitary path; raises where determinant invariants enter."""
+def _window(spec: MonomialSpec, n: int) -> Fraction | None:
+    """The SU or SO value where the U or O machinery settles it, in both
+    modes; None defers to U or O (and passes U, O and Sp through); raises
+    where determinant invariants enter."""
+    if spec.group not in ("SU", "SO"):
+        return None
     if n == 1:
         return Fraction(1)  # the one-dimensional group is trivial
-    plain = sum(not f.conj for f in spec.factors)
-    conj = len(spec.factors) - plain
-    if plain == conj:
+    m = spec.degree
+    if spec.group == "SU":
+        plain = sum(not f.conj for f in spec.factors)
+        conj = m - plain
+        if plain == conj:
+            return None
+        if (plain - conj) % n:
+            return Fraction(0)
+        raise UnsupportedIntegralError(
+            f"SU({n}) monomial with {plain} plain and {conj} conjugate factors "
+            f"picks up determinant invariants; only the balanced and "
+            f"center-killed cases are supported")
+    if m % 2 == 0 and (n % 2 or m < n):
         return None
-    if (plain - conj) % n:
+    if m % 2 and m < n:
         return Fraction(0)
     raise UnsupportedIntegralError(
-        f"SU({n}) monomial with {plain} plain and {conj} conjugate factors "
-        f"picks up determinant invariants; only the balanced and "
-        f"center-killed cases are supported")
+        f"SO({n}) degree-{m} monomials pick up determinant (epsilon-tensor) "
+        f"invariants; supported only when the degree is even and (N odd or "
+        f"degree < N), or odd with degree < N")
 
 
-def _so_window_ok(spec: MonomialSpec, n: int) -> bool | None:
-    """True: equals the O value.  False: exactly zero.  None: unsupported."""
-    m = spec.degree
-    if m % 2 == 0:
-        if n % 2 or m < n:
-            return True
-        return None
-    if m < n:
-        return False
-    return None
+def _integral(spec: MonomialSpec, n: int, exact: bool) -> Fraction:
+    if n < 1:
+        raise ValueError("need n >= 1")
+    spec.validate(n)
+    short = _window(spec, n)
+    if short is not None:
+        return short
+    # the exact engine comes first, so a degree above the cap is refused
+    # before any matching; the leading order enumerates under LEADING_CAP
+    elements = (lambda kind, q: _engine(kind, q, n).table.elements) if exact else _elements
+    return _value(_match_vectors(spec, n, elements), n, exact)
 
 
 def exact_integral(spec: MonomialSpec, n: int) -> Fraction:
     """Exact Haar integral of the monomial; Fraction."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    spec.validate(n)
-    if spec.group == "SU":
-        short = _su_window(spec, n)
-        if short is not None:
-            return short
-    elif spec.group == "SO":
-        if n == 1:
-            return Fraction(1)  # the one-dimensional group is trivial
-        ok = _so_window_ok(spec, n)
-        if ok is None:
-            raise UnsupportedIntegralError(
-                f"SO({n}) degree-{spec.degree} monomials pick up "
-                f"determinant (epsilon-tensor) invariants; supported "
-                f"only when the degree is even and (N odd or degree < N), "
-                f"or odd with degree < N")
-        if ok is False:
-            return Fraction(0)
-    # the engine comes first, so a degree above the cap is refused before
-    # any matching
-    reduced = _match_vectors(spec, n, lambda kind, q: _engine(kind, q, n).table.elements)
-    if isinstance(reduced, Fraction):
-        return reduced
-    kind, q, r_vec, c_vec = reduced
-    return _contract(_engine(kind, q, n), r_vec, c_vec)
+    return _integral(spec, n, exact=True)
 
-
-# ---------------------------------------------------------------------------
-# leading asymptotics
 
 def asymptotic_leading(spec: MonomialSpec, n: int) -> Fraction:
     """The order-N^(-q) coefficient of the integral: the exact path's
     match vectors contracted with the diagonal leading weights."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    spec.validate(n)
-    if spec.group == "SU":
-        short = _su_window(spec, n)
-        if short is not None:
-            return short
-    elif spec.group == "SO":
-        ok = _so_window_ok(spec, n)
-        if ok is None:
-            raise UnsupportedIntegralError(
-                f"no leading formula for SO({n}) at degree {spec.degree} "
-                f"without epsilon-tensor terms")
-        if ok is False:
-            return Fraction(0)
-    reduced = _match_vectors(spec, n, _elements)
-    if isinstance(reduced, Fraction):
-        return reduced
-    kind, q, r_vec, c_vec = reduced
-    return _leading(kind, q, n, r_vec, c_vec)
+    return _integral(spec, n, exact=False)

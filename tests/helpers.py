@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from haarint import moments, perms, tableaux, tensors
-from haarint.moments import UnsupportedIntegralError, all_pairings
+from haarint.moments import all_pairings
 from haarint.ratlinalg import mat_mul, rank, rref
 from haarint.tableaux import Tableau
 
@@ -110,12 +110,11 @@ def m_entry(k: int, l: int, i: int, j: int) -> int:
 def brute_leading(spec, n: int) -> Fraction:
     """The order-N^(-q) coefficient by enumeration: permutation matchings
     for U/SU, pair-partition delta products for O/SO, pair-partition mixed
-    form products for Sp."""
+    form products for Sp; SU and SO go through the window both modes share."""
+    short = moments._window(spec, n)
+    if short is not None:
+        return short
     if spec.group in ("U", "SU"):
-        if spec.group == "SU":
-            short = moments._su_window(spec, n)
-            if short is not None:
-                return short
         plain = [f for f in spec.factors if not f.conj]
         conj = [f for f in spec.factors if f.conj]
         if len(plain) != len(conj):
@@ -131,12 +130,6 @@ def brute_leading(spec, n: int) -> Fraction:
         return Fraction(count, n ** q)
 
     if spec.group in ("O", "SO"):
-        if spec.group == "SO":
-            ok = moments._so_window_ok(spec, n)
-            if ok is None:
-                raise UnsupportedIntegralError(f"SO({n}) degree {spec.degree}")
-            if ok is False:
-                return Fraction(0)
         m = spec.degree
         if m % 2:
             return Fraction(0)

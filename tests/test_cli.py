@@ -75,6 +75,14 @@ def test_integral_modes_all(capsys, tmp_path):
     assert est["seed"] == 9 and est["n"] == 2000
 
 
+def test_integral_trivial_special_orthogonal_all_modes(capsys):
+    # SO(1) is the trivial group: both modes answer 1, at odd degree too
+    rec = run_json(capsys, "integral", "--group", "SO", "--N", "1",
+                   "--factors", "1,1", "--mode", "all", "--seed", "1",
+                   "--samples", "10")
+    assert rec["exact"] == "1" and rec["leading"] == "1"
+
+
 def test_integral_irrep_spec_file(capsys, tmp_path):
     spec = tmp_path / "irrep.json"
     spec.write_text(json.dumps({
@@ -165,8 +173,21 @@ def test_spec_file_indices_checked_in_every_mode(capsys, tmp_path, payload, mode
     assert err.startswith("error: index out of range 1..2") and "Traceback" not in err
 
 
-@settings(max_examples=200, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def assert_clean_exit(capsys, argv):
+    """A defined exit code: success, usage error or cost gate, never an
+    internal assertion (4) and never a traceback."""
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err
+
+
+def fuzz(examples: int):
+    return settings(max_examples=examples, deadline=None,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@fuzz(200)
 @given(st.data())
 def test_monomial_integral_surface_fuzz(capsys, tmp_path, data):
     group = data.draw(st.sampled_from(["U", "SU", "O", "SO", "Sp"]))
@@ -184,10 +205,29 @@ def test_monomial_integral_surface_fuzz(capsys, tmp_path, data):
     else:
         text = ";".join(f"{i},{j},{'-' if c else '+'}" for i, j, c in factors)
         argv += ["--group", group, "--N", str(n), f"--factors={text}"]
-    code = cli.main(argv)
-    err = capsys.readouterr().err
-    assert code in (0, 2, 3), err
-    assert "Traceback" not in err
+    assert_clean_exit(capsys, argv)
+
+
+# shapes of weight <= 3, thrice as likely as the malformed ones
+SHAPES = [[], [1], [2], [1, 1], [3], [2, 1], [1, 1, 1]] * 3 + [[0], [1, 2], [-1], [2, 0], [1.0]]
+
+
+@fuzz(60)
+@given(st.data())
+def test_irrep_integral_surface_fuzz(capsys, tmp_path, data):
+    # weighted towards specs that reach a value: small indices, N 2..3
+    index = st.sampled_from([-1, 0, 4] + [1, 2, 3] * 3)
+    factors = data.draw(st.lists(st.fixed_dictionaries({
+        "lambda": st.sampled_from(SHAPES), "i": index, "j": index,
+        "conj": st.booleans()}), min_size=1, max_size=3))
+    spec = tmp_path / "irrep.json"
+    spec.write_text(json.dumps({
+        "group": data.draw(st.sampled_from(["U", "O", "Sp"] * 3 + ["SU"])),
+        "N": data.draw(st.sampled_from([0, 1] + [2, 3] * 3)), "factors": factors}))
+    assert_clean_exit(capsys, [
+        "integral", "--spec", str(spec), "--seed", "1",
+        "--mode", data.draw(st.sampled_from(["exact", "leading", "mc", "all"])),
+        "--samples", str(data.draw(st.integers(2, 5)))])
 
 
 def test_integral_unsupported_exit(capsys):
@@ -271,6 +311,14 @@ def test_sample_special_unitary(capsys):
         assert abs(m["det_re"] - 1) < 1e-10 and abs(m["det_im"]) < 1e-10
 
 
+def test_sample_negative_count_usage(capsys):
+    code = cli.main(["sample", "--group", "U", "--N", "2", "--count", "-1",
+                     "--seed", "1"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "--count" in err
+
+
 def test_sample_reproducible_across_threads(capsys):
     a = run_json(capsys, "sample", "--group", "O", "--N", "3",
                  "--count", "2", "--seed", "4", "--threads", "1")
@@ -286,6 +334,48 @@ def test_mc_reproducible_across_threads(capsys):
     a = run_json(capsys, *argv, "--threads", "1")
     b = run_json(capsys, *argv, "--threads", "4")
     assert a["mc"] == b["mc"]
+
+
+@fuzz(40)
+@given(st.data())
+def test_sample_surface_fuzz(capsys, data):
+    assert_clean_exit(capsys, [
+        "sample", "--group", data.draw(st.sampled_from(["U", "SU", "O", "SO", "Sp"])),
+        "--N", str(data.draw(st.integers(-1, 4))),
+        "--count", str(data.draw(st.integers(-2, 3))), "--seed", "1"])
+
+
+# ---------------------------------------------------------------------------
+# surface fuzz of the other commands: small arguments, malformed text
+
+TEXT = st.sampled_from(["", ",", "x", "1,", "-1", "0", "1,2", "2,1", "3", "1,1,1", "2,2"])
+
+
+@fuzz(40)
+@given(st.data())
+def test_tableaux_surface_fuzz(capsys, data):
+    assert_clean_exit(capsys, [
+        "tableaux", "--shape", data.draw(TEXT), "--N", str(data.draw(st.integers(-1, 4))),
+        "--group", data.draw(st.sampled_from(["GL", "O", "Sp"]))])
+
+
+@fuzz(40)
+@given(st.data())
+def test_su2_surface_fuzz(capsys, data):
+    factor = st.tuples(st.integers(-1, 3), st.integers(-4, 4), st.integers(-4, 4),
+                       st.sampled_from(["", ",+", ",-", ",x", ",1"]))
+    factors = data.draw(st.lists(factor, min_size=1, max_size=3))
+    assert_clean_exit(capsys, [
+        "su2", "--factors=" + ";".join(f"{j},{a},{b}{mark}" for j, a, b, mark in factors),
+        "--nodes", str(data.draw(st.integers(-1, 24)))])
+
+
+@fuzz(20)
+@given(st.data())
+def test_entropy_surface_fuzz(capsys, data):
+    assert_clean_exit(capsys, [
+        "entropy", "--m=" + data.draw(TEXT), "--n=" + data.draw(TEXT), "--seed", "1",
+        "--samples", str(data.draw(st.sampled_from([-1, 2, 100, 150])))])
 
 
 # ---------------------------------------------------------------------------

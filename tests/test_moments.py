@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import haarint
 from haarint import moments, ratlinalg, sampling
@@ -714,6 +714,30 @@ def test_leading_so_window():
     assert asymptotic_leading(spec("SO", (1, 1), (1, 1), (1, 1)), 7) == 0
     with pytest.raises(UnsupportedIntegralError):
         asymptotic_leading(spec("SO", (1, 1), (2, 2)), 2)
+    # SO(1) is the trivial group, as in the exact mode: 1 at every degree,
+    # not the O(1) pairing count (3 at degree 4, 15 at degree 6)
+    for m in (1, 3, 4, 6):
+        assert asymptotic_leading(spec("SO", *[(1, 1)] * m), 1) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(group=st.sampled_from(["U", "SU", "O", "SO", "Sp"]), n=st.integers(1, 5),
+       factors=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9), st.booleans()),
+                        max_size=8))
+@example(group="SO", n=1, factors=[(0, 0, False)])
+def test_exact_and_leading_refuse_alike(group, n, factors):
+    # one window answers for both modes, so neither refuses an integral
+    # that the other one answers, and both refuse with the same message
+    top = 2 * n if group == "Sp" else n
+    s = MonomialSpec(group, [(i % top + 1, j % top + 1, c) for i, j, c in factors])
+    outcomes = []
+    for fn in (exact_integral, asymptotic_leading):
+        try:
+            fn(s, n)
+            outcomes.append(None)
+        except UnsupportedIntegralError as e:
+            outcomes.append(str(e))
+    assert outcomes[0] == outcomes[1]
 
 
 # ---------------------------------------------------------------------------
