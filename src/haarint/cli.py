@@ -2,9 +2,10 @@
 
 Output is machine-readable JSON by default (CSV flattens the same
 records for table diffs).  Exact fields print as p/q strings so golden
-files stay lossless; every stochastic record embeds the seed, sample
-count, and worker cap that produced it.  Exit codes: 0 success, 2 usage
-error, 3 cost-gate refusal, 4 internal assertion failure.
+files stay lossless; every stochastic record embeds the seed and sample
+count that produced it, and echoes --threads, which changes no result.
+Exit codes: 0 success, 2 usage error, 3 cost-gate refusal, 4 internal
+assertion failure.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ SEED_ENV = "HAARINT_SEED"
 EXIT_USAGE = 2
 EXIT_COST = 3
 EXIT_ASSERT = 4
+
+# matrix entries one `sample` run may print (each as two JSON floats)
+SAMPLE_CAP = 10 ** 6
 
 
 def _frac(x: Fraction) -> str:
@@ -171,11 +175,8 @@ def _integral_record(args, spec, n, kind):
         if "leading" in want:
             record["leading"] = _frac(moments.asymptotic_leading(spec, n))
         if "mc" in want:
-            def draw(stream):
-                u = sampling.sample_group(spec.group, n, stream)
-                return moments.evaluate_monomial(spec, u.matrix)
-            est = sampling.mc_expectation(draw, samples=args.samples,
-                                          seed=seed)
+            est = moments.integrate_monomial_mc(spec, n, samples=args.samples,
+                                                seed=seed)
             record["mc"] = est.to_json_dict()
     record["samples"] = args.samples if "mc" in want else None
     return [_common(record, args, seed)]
@@ -233,6 +234,8 @@ def cmd_entropy(args) -> list:
              if m <= n]
     if not pairs:
         raise ValueError("no (m, n) pairs with m <= n in the requested grid")
+    sampling.check_cost("Monte Carlo entropy grid", args.samples,
+                        sum(1 + m * n for m, n in pairs), sampling.MC_CAP)
     for i, (m, n) in enumerate(pairs):
         est = entropy.mc_average_entropy(m, n, samples=args.samples,
                                          seed=seed + i)
@@ -250,6 +253,8 @@ def cmd_sample(args) -> list:
     if args.count < 0:
         raise ValueError(f"--count must be at least 0, got {args.count}")
     seed = _resolve_seed(args, needed=True)
+    d = sampling.dimension(args.group, args.N)
+    sampling.check_cost("sample", args.count, d * d, SAMPLE_CAP)
     matrices = []
     for i in range(args.count):
         s = sampling.sample_group(args.group, args.N,
@@ -277,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None)
     common.add_argument("--samples", type=int, default=10000)
     common.add_argument("--threads", type=int, default=1,
-                        help="worker cap; never changes results")
+                        help="echoed in each record; never changes results")
 
     parser = argparse.ArgumentParser(
         prog="haarint",

@@ -16,7 +16,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .sampling import McEstimate, RngStream, mc_expectation, sample_unitary
+from .sampling import (
+    MC_CAP, McEstimate, RngStream, check_cost, mc_expectation, sample_unitary,
+)
 
 __all__ = [
     "partial_trace",
@@ -154,32 +156,35 @@ def page_entropy_exact(m: int, n: int) -> float:
     return float(page_entropy_fraction(m, n))
 
 
-def random_pure_state(dim: int, stream: RngStream,
-                      method: str = "unitary") -> np.ndarray:
-    """Haar-random unit vector: first column of a Haar unitary, or a
-    normalized complex Gaussian vector (same law; kept distinct so the
-    equivalence stays testable)."""
+def random_pure_state(dim: int, stream: RngStream, method: str = "gaussian",
+                      size=None) -> np.ndarray:
+    """Haar-random unit vector, or a stack (size, dim) of them drawn from the
+    one stream: a normalized complex Gaussian vector, or the first column
+    of a Haar unitary (same law; kept so the equivalence stays testable)."""
     if method == "unitary":
-        return sample_unitary(dim, stream).matrix[:, 0]
+        return sample_unitary(dim, stream, size).matrix[..., :, 0]
     if method == "gaussian":
         g = stream.generator()
-        z = g.standard_normal(dim) + 1j * g.standard_normal(dim)
-        return z / np.linalg.norm(z)
+        shape = (dim,) if size is None else (size, dim)
+        z = g.standard_normal(shape) + 1j * g.standard_normal(shape)
+        return z / np.linalg.norm(z, axis=-1, keepdims=True)
     raise ValueError("method must be 'unitary' or 'gaussian'")
 
 
 def mc_average_entropy(m: int, n: int, samples: int, seed: int,
-                       method: str = "unitary") -> McEstimate:
-    """Monte Carlo mean of the m-side entropy over random pure states."""
+                       method: str = "gaussian") -> McEstimate:
+    """Monte Carlo mean of the m-side entropy over random pure states: each
+    block is one stack of states and one batched singular-value call;
+    refused past MC_CAP sampled numbers."""
     if samples < 100:
         raise ValueError("need at least 100 samples")
+    check_cost("Monte Carlo entropy", samples, 1 + m * n, MC_CAP)
 
-    def draw(stream):
-        v = random_pure_state(m * n, stream, method=method)
-        mat = v.reshape(m, n)
-        sq = np.linalg.svd(mat, compute_uv=False) ** 2
-        sq = sq[sq > _EIG_CLIP]
-        sq = sq / sq.sum()
-        return float(-(sq * np.log(sq)).sum())
+    def draw(stream, size):
+        v = random_pure_state(m * n, stream, method=method, size=size)
+        sq = np.linalg.svd(v.reshape(size, m, n), compute_uv=False) ** 2
+        sq = np.where(sq > _EIG_CLIP, sq, 0.0)
+        sq /= sq.sum(axis=-1, keepdims=True)
+        return -(sq * np.log(np.where(sq > 0, sq, 1.0))).sum(axis=-1)
 
     return mc_expectation(draw, samples=samples, seed=seed)

@@ -5,6 +5,9 @@ of their entries.
 
 A basis vector is kept as an exact rational tensor plus its rational
 norm-square; representation entries are <b_i, u^(x)m b_j>/sqrt(n_i n_j).
+Sampled entries come from one kernel (rho_matrix) that takes a matrix or
+a stack of them and builds only the columns asked for; Monte Carlo asks
+it once per module and block of draws.
 A product of entries is a product of brackets of basis vectors, and a
 matrix-entry monomial is the case of degree-one brackets, so both go
 through the one reduce of the monomial engine (moments): it builds the
@@ -20,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import moments, tableaux
+from . import moments, sampling, tableaux
 from .tensors import (
     BilinearForm,
     CostGateError,
@@ -59,16 +62,18 @@ class IrrepBasis:
         return tableaux.weight(self.lam)
 
     @functools.cached_property
-    def float_vectors(self) -> list:
-        """The basis as unit complex arrays, for sampled entries."""
+    def float_vectors(self) -> np.ndarray:
+        """The basis as unit complex rows (rank, d^m), each a flattened
+        tensor, for sampled entries."""
         pos = _letter_positions(self)
-        shape = (len(pos),) * self.weight
-        out = []
-        for vec, n2 in zip(self.vectors, self.norms2):
-            arr = np.zeros(shape, dtype=complex)
+        out = np.zeros((self.rank, len(pos) ** self.weight), dtype=complex)
+        for row, vec, n2 in zip(out, self.vectors, self.norms2):
             for idx, c in vec.data.items():
-                arr[tuple(pos[x] for x in idx)] = float(c)
-            out.append(arr / np.sqrt(float(n2)))
+                flat = 0
+                for x in idx:
+                    flat = flat * len(pos) + pos[x]
+                row[flat] = float(c)
+            row /= np.sqrt(float(n2))
         return out
 
 
@@ -162,27 +167,39 @@ def _action_matrix(basis: IrrepBasis, u: np.ndarray) -> np.ndarray:
     return u.astype(complex)
 
 
-def _apply_modes(u: np.ndarray, arr: np.ndarray, m: int) -> np.ndarray:
-    for k in range(m):
-        arr = np.moveaxis(np.tensordot(arr, u, axes=([k], [1])), -1, k)
-    return arr
+def _apply_modes(act: np.ndarray, vecs: np.ndarray, m: int) -> np.ndarray:
+    """act^(x)m applied to each row of vecs (k, d^m), for each matrix of
+    the stack act (size, d, d): (size, k, d^m).  Each pass acts on the
+    last tensor mode and rotates it to the front, so after m passes every
+    mode is acted on once and the modes are back in order."""
+    size, d = act.shape[0], act.shape[-1]
+    k = vecs.shape[0]
+    w = np.broadcast_to(vecs, (size,) + vecs.shape)
+    act_t = act.swapaxes(-1, -2)
+    for _ in range(m):
+        w = (w.reshape(size, -1, d) @ act_t).reshape(size, k, -1, d)
+        w = w.swapaxes(-1, -2).reshape(size, k, -1)
+    return w
 
 
-def rho_matrix(u, basis: IrrepBasis) -> np.ndarray:
-    """Representation matrix in the orthonormalized tableau basis."""
+def rho_matrix(u, basis: IrrepBasis, cols=None) -> np.ndarray:
+    """Representation matrix of u in the orthonormalized tableau basis, or
+    of each matrix of a stack u (size, d, d); with cols, a list of 1-based
+    column numbers, only those columns, in that order.
+
+    Column j is u^(x)m applied to b_j along the m tensor modes, then
+    contracted with every conj(b_i); no other column is computed.
+    """
     mat = np.asarray(u.matrix if hasattr(u, "matrix") else u)
     d = len(basis.form.letters) if basis.form is not None else basis.n
-    if mat.shape != (d, d):
+    if mat.ndim not in (2, 3) or mat.shape[-2:] != (d, d):
         raise ValueError(f"sample is {mat.shape}, module needs {(d, d)}")
-    act = _action_matrix(basis, mat)
+    act = _action_matrix(basis, mat.reshape(-1, d, d))
     vecs = basis.float_vectors
-    m = basis.weight
-    out = np.zeros((basis.rank, basis.rank), dtype=complex)
-    for j, bj in enumerate(vecs):
-        w = _apply_modes(act, bj, m)
-        for i, bi in enumerate(vecs):
-            out[i, j] = np.sum(np.conj(bi) * w)
-    return out
+    cols = range(1, basis.rank + 1) if cols is None else cols
+    w = _apply_modes(act, vecs[[j - 1 for j in cols]], basis.weight)
+    out = (w @ vecs.conj().T).swapaxes(-1, -2)
+    return out.reshape(mat.shape[:-2] + out.shape[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -251,18 +268,30 @@ def _bases_for(spec: RepMatrixElementSpec):
 
 
 def integrate_irrep_mc(spec: RepMatrixElementSpec, samples: int, seed: int):
-    from .sampling import mc_expectation, sample_group
-    bases = _bases_for(spec)
+    """Monte Carlo estimate over stacked Haar draws: one rho_matrix call per
+    module and block, for the columns its factors read; refused past
+    sampling.MC_CAP before any basis is built."""
+    d = sampling.dimension(spec.group, spec.n)
+    sampling.check_cost(
+        "Monte Carlo", samples,
+        1 + d * d + sum(d ** tableaux.weight(f.lam) for f in spec.factors),
+        sampling.MC_CAP)
+    modules = {}  # lam -> (basis, {column: its place among the sampled ones})
+    for f, basis in zip(spec.factors, _bases_for(spec)):
+        _, cols = modules.setdefault(f.lam, (basis, {}))
+        cols.setdefault(f.col, len(cols))
 
-    def draw(stream):
-        u = sample_group(spec.group, spec.n, stream)
-        val = 1.0 + 0.0j
-        for f, basis in zip(spec.factors, bases):
-            entry = rho_matrix(u, basis)[f.row - 1, f.col - 1]
-            val *= entry.conjugate() if f.conj else entry
+    def draw(stream, size):
+        u = sampling.sample_group(spec.group, spec.n, stream, size)
+        rho = {lam: rho_matrix(u, basis, list(cols))
+               for lam, (basis, cols) in modules.items()}
+        val = np.ones(size, dtype=complex)
+        for f in spec.factors:
+            entry = rho[f.lam][:, f.row - 1, modules[f.lam][1][f.col]]
+            val *= entry.conj() if f.conj else entry
         return val
 
-    return mc_expectation(draw, samples=samples, seed=seed)
+    return sampling.mc_expectation(draw, samples=samples, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,9 @@ into the match vectors r, c, and one value step contracts them with W
 (exact) or with its leading diagonal δ/D^q, D = N (2N for Sp).  One SU/SO
 window serves both: the trivial SU(1) and SO(1) give 1, other cases defer
 to U or O, vanish, or are refused where determinant invariants enter.
+
+The Monte Carlo cross-check (integrate_monomial_mc) evaluates the monomial
+on stacks of Haar draws, one stack per block of sampling.mc_expectation.
 """
 
 import functools
@@ -34,7 +37,9 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import perms, ratlinalg
+import numpy as np
+
+from . import perms, ratlinalg, sampling
 from .tensors import BilinearForm, CostGateError, orthogonal_form, symplectic_form
 
 DEGREE_CAP = 4  # operators per side; the commutant span grows as q! / (2q-1)!!
@@ -111,13 +116,27 @@ def _spec_factors(d: dict) -> list:
     return factors
 
 
-def evaluate_monomial(spec: MonomialSpec, matrix) -> complex:
-    """Value of the monomial on one sampled matrix (1-based indices)."""
+def evaluate_monomial(spec: MonomialSpec, matrix) -> complex | np.ndarray:
+    """Value of the monomial on one sampled matrix, or the values on each
+    matrix of a stack (size, d, d) (1-based indices)."""
+    matrix = np.asarray(matrix)
     out = 1.0 + 0.0j
     for f in spec.factors:
-        v = matrix[f.row - 1][f.col - 1]
-        out *= v.conjugate() if f.conj else v
+        v = matrix[..., f.row - 1, f.col - 1]
+        out = out * (v.conj() if f.conj else v)
     return out
+
+
+def integrate_monomial_mc(spec: MonomialSpec, n: int, samples: int, seed: int):
+    """Monte Carlo estimate of the monomial's integral over stacked Haar
+    draws (sampling.mc_expectation), refused past sampling.MC_CAP."""
+    spec.validate(n)  # a negative index would wrap instead of failing
+    d = sampling.dimension(spec.group, n)
+    sampling.check_cost("Monte Carlo", samples, 1 + d * d, sampling.MC_CAP)
+    return sampling.mc_expectation(
+        lambda stream, size: evaluate_monomial(
+            spec, sampling.sample_group(spec.group, n, stream, size).matrix),
+        samples=samples, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,34 @@
 """Haar-distributed random matrices and Monte Carlo estimation.
 
 Every sampler consumes an RngStream — a counter-based substream fully
-determined by (seed, stream index) — so estimates are reproducible
-bit-for-bit no matter how the per-sample work is scheduled.
+determined by (seed, stream index) — and draws either one matrix or a
+stack (size, d, d) of them from that one stream: one Gaussian array,
+one stacked QR, then the phase, sign or determinant fixes applied to
+the whole stack.
+
+A Monte Carlo estimate is drawn in blocks of BLOCK samples: block b is
+one stack from RngStream(seed, b), the last block holding what is left.
+The values land in one array in sample order and are reduced with
+numpy's pairwise mean, so an estimate depends only on (seed, samples).
+Blocks replaced an earlier one-stream-per-sample loop, so a given seed
+now gives other, equally valid estimates than that loop did.  Nothing
+runs in parallel; the CLI's --threads is echoed in each record and never
+changes a result.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .tensors import CostGateError
+
+# samples per stacked draw: enough to amortize the per-call overhead, few
+# enough that a block's temporaries do not raise the peak memory
+BLOCK = 64
+# sampled numbers (each sample's matrix entries and its value) that one
+# Monte Carlo estimate may hold: at most 10^7 values, 160 MB
+MC_CAP = 2 * 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -26,7 +46,7 @@ class RngStream:
 
 @dataclass
 class GroupSample:
-    matrix: np.ndarray
+    matrix: np.ndarray  # one d x d matrix, or a stack (size, d, d)
     group: str
 
     def __getitem__(self, ij):
@@ -34,7 +54,7 @@ class GroupSample:
 
     @property
     def n(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
 
 @dataclass
@@ -49,41 +69,68 @@ class McEstimate:
                 "stderr": self.stderr, "n": self.n, "seed": self.seed}
 
 
-def sample_unitary(n: int, stream: RngStream) -> GroupSample:
-    """Haar sample from U(n): complex Gaussian, QR, then divide out the
-    phases of R's diagonal (plain QR alone is not Haar)."""
+def dimension(group: str, n: int) -> int:
+    """Side of the sampled matrices: n, or 2n for the symplectic Sp(2n)."""
+    return 2 * n if group == "Sp" else n
+
+
+def check_cost(what: str, count: int, per_item: int, cap: int):
+    """Refuse, before anything is drawn, count items of per_item sampled
+    numbers each when their product exceeds cap."""
+    work = count * per_item
+    if work > cap:
+        raise CostGateError(
+            f"{what}: {count} x {per_item} = {work} sampled numbers; "
+            f"capped at {cap}")
+
+
+def _shape(n: int, size) -> tuple:
+    return (n, n) if size is None else (size, n, n)
+
+
+def _complex_gaussian(g: np.random.Generator, shape: tuple) -> np.ndarray:
+    return g.standard_normal(shape) + 1j * g.standard_normal(shape)
+
+
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(-1, -2)
+
+
+def sample_unitary(n: int, stream: RngStream, size=None) -> GroupSample:
+    """Haar sample from U(n), or a stack of size of them: complex Gaussian,
+    QR, then divide out the phases of R's diagonal (plain QR alone is not
+    Haar)."""
     if n < 1:
         raise ValueError("need n >= 1")
-    g = stream.generator()
-    a = (g.standard_normal((n, n)) + 1j * g.standard_normal((n, n)))
+    a = _complex_gaussian(stream.generator(), _shape(n, size))
     a /= math.sqrt(2)
     q, r = np.linalg.qr(a)
-    d = np.diagonal(r)
-    q = q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    q = q * (d / np.abs(d))[..., None, :]
     return GroupSample(q, "U")
 
 
-def sample_special_unitary(n: int, stream: RngStream) -> GroupSample:
-    u = sample_unitary(n, stream).matrix
-    u = u * np.exp(-1j * np.angle(np.linalg.det(u)) / n)
+def sample_special_unitary(n: int, stream: RngStream, size=None) -> GroupSample:
+    u = sample_unitary(n, stream, size).matrix
+    u = u * np.exp(-1j * np.angle(np.linalg.det(u)) / n)[..., None, None]
     return GroupSample(u, "SU")
 
 
-def sample_orthogonal(n: int, stream: RngStream) -> GroupSample:
-    """Haar sample from O(n): real Gaussian, QR, sign-fixed diagonal."""
+def sample_orthogonal(n: int, stream: RngStream, size=None) -> GroupSample:
+    """Haar sample from O(n), or a stack: real Gaussian, QR, sign-fixed
+    diagonal."""
     if n < 1:
         raise ValueError("need n >= 1")
-    g = stream.generator()
-    q, r = np.linalg.qr(g.standard_normal((n, n)))
-    q = q * np.sign(np.diagonal(r))
+    q, r = np.linalg.qr(stream.generator().standard_normal(_shape(n, size)))
+    q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
     return GroupSample(q, "O")
 
 
-def sample_special_orthogonal(n: int, stream: RngStream) -> GroupSample:
-    o = sample_orthogonal(n, stream).matrix
-    if np.linalg.det(o) < 0:
-        o = o.copy()
-        o[:, -1] = -o[:, -1]
+def sample_special_orthogonal(n: int, stream: RngStream, size=None) -> GroupSample:
+    """O(n) samples with the last column negated where the determinant is
+    -1."""
+    o = sample_orthogonal(n, stream, size).matrix
+    o[..., :, -1] *= np.sign(np.linalg.det(o))[..., None]
     return GroupSample(o, "SO")
 
 
@@ -99,36 +146,37 @@ def symplectic_j(two_n: int) -> np.ndarray:
     return j
 
 
-def sample_compact_symplectic(n: int, stream: RngStream) -> GroupSample:
-    """Haar sample from Sp(2n) ∩ U(2n), returned as a 2n x 2n complex
-    matrix preserving symplectic_j(2n).
+def sample_compact_symplectic(n: int, stream: RngStream, size=None) -> GroupSample:
+    """Haar sample from Sp(2n) ∩ U(2n), or a stack, as 2n x 2n complex
+    matrices preserving symplectic_j(2n) (Mezzadri, Notices AMS 2007).
 
     A quaternionic Gaussian matrix (2x2 blocks [[a, b], [-conj(b),
     conj(a)]]) is orthonormalized by block Gram-Schmidt.  All updates are
     right-multiplications by 2x2 quaternion blocks, so the block structure
     — equivalent to preservation of J — survives; quaternion norms are
     real positive, so no phase fix is needed.  Two passes for stability.
+    Each step is one batched 2x2-block product over the whole stack.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     g = stream.generator()
-    a = g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))
-    b = g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))
-    u = np.zeros((2 * n, 2 * n), dtype=complex)
-    u[0::2, 0::2] = a
-    u[0::2, 1::2] = b
-    u[1::2, 0::2] = -b.conj()
-    u[1::2, 1::2] = a.conj()
+    a = _complex_gaussian(g, _shape(n, size))
+    b = _complex_gaussian(g, _shape(n, size))
+    u = np.zeros(a.shape[:-2] + (2 * n, 2 * n), dtype=complex)
+    u[..., 0::2, 0::2] = a
+    u[..., 0::2, 1::2] = b
+    u[..., 1::2, 0::2] = -b.conj()
+    u[..., 1::2, 1::2] = a.conj()
 
     for j in range(n):
         cj = slice(2 * j, 2 * j + 2)
         for _ in range(2):
             for i in range(j):
                 ci = slice(2 * i, 2 * i + 2)
-                coef = u[:, ci].conj().T @ u[:, cj]
-                u[:, cj] -= u[:, ci] @ coef
-        norm = math.sqrt((u[:, cj].conj().T @ u[:, cj])[0, 0].real)
-        u[:, cj] /= norm
+                coef = _adjoint(u[..., :, ci]) @ u[..., :, cj]
+                u[..., :, cj] -= u[..., :, ci] @ coef
+        norm = np.sqrt((_adjoint(u[..., :, cj]) @ u[..., :, cj])[..., 0, 0].real)
+        u[..., :, cj] /= norm[..., None, None]
     return GroupSample(u, "Sp")
 
 
@@ -141,27 +189,32 @@ _SAMPLERS = {
 }
 
 
-def sample_group(group: str, n: int, stream: RngStream) -> GroupSample:
-    """Dispatch by group tag; n is the symplectic half-dimension for Sp."""
+def sample_group(group: str, n: int, stream: RngStream, size=None) -> GroupSample:
+    """Dispatch by group tag; n is the symplectic half-dimension for Sp.
+    With size, one stack (size, d, d) drawn from the one stream."""
     try:
         sampler = _SAMPLERS[group]
     except KeyError:
         raise ValueError(f"unknown group tag {group!r}") from None
-    return sampler(n, stream)
+    return sampler(n, stream, size)
 
 
 def mc_expectation(draw, samples: int, seed: int) -> McEstimate:
-    """Mean and standard error of draw(RngStream(seed, i)) over i < samples.
+    """Mean and standard error of samples values of draw(stream, size).
 
-    Values land in an array indexed by the sample counter and are reduced
-    with numpy's pairwise mean, so the estimate does not depend on
-    evaluation order or worker count.
+    draw returns the values of a stack of size samples drawn from stream.
+    Block b covers samples b*BLOCK up to (b+1)*BLOCK and is drawn from
+    RngStream(seed, b); the last block is shorter when BLOCK does not
+    divide samples.  The values land in one array in sample order and are
+    reduced with numpy's pairwise mean, so the estimate depends only on
+    (seed, samples).
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")
     vals = np.empty(samples, dtype=complex)
-    for i in range(samples):
-        vals[i] = draw(RngStream(seed, i))
+    for start in range(0, samples, BLOCK):
+        size = min(BLOCK, samples - start)
+        vals[start:start + size] = draw(RngStream(seed, start // BLOCK), size)
     mean = vals.mean()
     var = float((np.abs(vals - mean) ** 2).sum()) / (samples - 1)
     return McEstimate(complex(mean), math.sqrt(var / samples), samples, seed)

@@ -10,13 +10,20 @@ materialized pairing operators (``gram_from_operators``), its exact inverse
 or Moore-Penrose inverse (``weingarten_data``), and the sign-tracking loop
 walk (``loop_structure``) that the crossing-parity signs of the symplectic
 type table are checked against.
+
+It also keeps the per-draw representation matrix (``rho_matrix_loop``):
+dense basis tensors, the sample applied one tensor mode at a time, one
+sum per entry.  The stacked sampled entries of the package are checked
+against it draw by draw.
 """
 
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from haarint import moments, perms, tableaux, tensors
+import numpy as np
+
+from haarint import irreps, moments, perms, tableaux, tensors
 from haarint.moments import all_pairings
 from haarint.ratlinalg import mat_mul, rank, rref
 from haarint.tableaux import Tableau
@@ -361,3 +368,30 @@ def weingarten_data(gram) -> WeingartenData:
     gwg = mat_mul(mat_mul(g, w), g)
     assert gwg == g
     return WeingartenData(w, pseudo=True)
+
+
+def rho_matrix_loop(u, basis) -> np.ndarray:
+    """Representation matrix of one sample, entry by entry: each exact
+    basis tensor made dense and unit, u applied along one mode at a time,
+    then summed against every conj(b_i)."""
+    letters = basis.form.letters if basis.form is not None else range(1, basis.n + 1)
+    pos = {x: k for k, x in enumerate(letters)}
+    act = np.asarray(u, dtype=complex)
+    if basis.group == "O":
+        s = irreps._split_transition(basis.n)
+        act = s.conj().T @ act @ s
+    m = basis.weight
+    dense = []
+    for vec, n2 in zip(basis.vectors, basis.norms2):
+        arr = np.zeros((len(pos),) * m, dtype=complex)
+        for idx, c in vec.data.items():
+            arr[tuple(pos[x] for x in idx)] = float(c)
+        dense.append(arr / np.sqrt(float(n2)))
+    out = np.zeros((basis.rank, basis.rank), dtype=complex)
+    for j, bj in enumerate(dense):
+        w = bj
+        for k in range(m):
+            w = np.moveaxis(np.tensordot(w, act, axes=([k], [1])), -1, k)
+        for i, bi in enumerate(dense):
+            out[i, j] = np.sum(np.conj(bi) * w)
+    return out

@@ -32,15 +32,8 @@ def mono(group, *ijc):
     return MonomialSpec(group, [Factor(*t) for t in ijc])
 
 
-def mc_value(spec, n, samples, seed):
-    def draw(stream):
-        u = sampling.sample_group(spec.group, n, stream)
-        return moments.evaluate_monomial(spec, u.matrix)
-    return sampling.mc_expectation(draw, samples=samples, seed=seed)
-
-
 def assert_mc_agrees(spec, n, exact, samples, seed):
-    est = mc_value(spec, n, samples, seed)
+    est = moments.integrate_monomial_mc(spec, n, samples, seed)
     assert abs(est.mean - complex(float(exact))) < 4 * est.stderr + 1e-9, (
         spec, n, exact, est)
 
@@ -428,8 +421,8 @@ def test_criterion_08_marginal_entropies_agree():
 
 def test_criterion_09_bit_reproducibility(capsys):
     spec = mono("U", (1, 1, False), (1, 1, True))
-    a = mc_value(spec, 2, samples=1000, seed=900)
-    b = mc_value(spec, 2, samples=1000, seed=900)
+    a = moments.integrate_monomial_mc(spec, 2, samples=1000, seed=900)
+    b = moments.integrate_monomial_mc(spec, 2, samples=1000, seed=900)
     assert a.mean == b.mean and a.stderr == b.stderr
 
     argv = ["integral", "--group", "U", "--N", "2", "--factors",

@@ -5,11 +5,17 @@ JSON record (or list), so the tests parse and compare structurally.
 """
 
 import json
+import pathlib
+import time
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from haarint import cli, irreps
+from haarint.sampling import BLOCK
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -105,6 +111,42 @@ def test_integral_cost_gate_exit(capsys):
             ";".join(["1,1,+"] * 5 + ["1,1,-"] * 5)]
     assert cli.main(argv) == 3
     capsys.readouterr()
+
+
+SCHUR_U2 = {"group": "U", "N": 2,
+            "factors": [{"lambda": [1], "i": 1, "j": 1, "conj": False},
+                        {"lambda": [1], "i": 1, "j": 1, "conj": True}]}
+
+
+@pytest.mark.parametrize("argv,estimate", [
+    (["integral", "--group", "U", "--N", "2", "--factors", "1,1,+;1,1,-",
+      "--mode", "mc", "--samples", "1000000000"], "1000000000 x 5 = 5000000000"),
+    (["integral", "--spec", "{spec}", "--mode", "mc", "--samples", "1000000000"],
+     "1000000000 x 9 = 9000000000"),
+    (["entropy", "--m", "1,2", "--n", "3", "--samples", "10000000"],
+     "10000000 x 11 = 110000000"),
+    (["sample", "--group", "U", "--N", "2", "--count", "1000000000"],
+     "1000000000 x 4 = 4000000000"),
+    (["sample", "--group", "Sp", "--N", "100000"], "1 x 40000000000 = 40000000000"),
+])
+def test_monte_carlo_sizes_refused_before_drawing(capsys, tmp_path, monkeypatch,
+                                                  argv, estimate):
+    # sample counts and matrix sizes are refused from one work estimate
+    # before any draw, allocation or module basis build
+    def refuse(*args):
+        raise AssertionError("basis built before the cost gate")
+
+    monkeypatch.setattr(irreps, "build_irrep_basis", refuse)
+    spec = tmp_path / "irrep.json"
+    spec.write_text(json.dumps(SCHUR_U2))
+    argv = [str(spec) if a == "{spec}" else a for a in argv] + ["--seed", "1"]
+    start = time.perf_counter()
+    code = cli.main(argv)
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert code == 3 and out == "", err
+    assert err.startswith("cost gate: ") and f"{estimate} sampled numbers" in err
+    assert elapsed < 0.5
 
 
 def test_irrep_cost_gate_before_bases(capsys, tmp_path, monkeypatch):
@@ -334,6 +376,45 @@ def test_mc_reproducible_across_threads(capsys):
     a = run_json(capsys, *argv, "--threads", "1")
     b = run_json(capsys, *argv, "--threads", "4")
     assert a["mc"] == b["mc"]
+
+
+@pytest.mark.parametrize("samples", [2, BLOCK - 1, BLOCK, BLOCK + 1, 600])
+def test_mc_block_boundaries_across_threads(capsys, tmp_path, samples):
+    # Monte Carlo records depend on (seed, samples) alone: the same with
+    # any --threads, and on a repeat, at and around a block boundary
+    spec = tmp_path / "irrep.json"
+    spec.write_text(json.dumps(SCHUR_U2))
+    for argv in (["integral", "--group", "Sp", "--N", "2", "--factors",
+                  "1,2,+;3,1,-;1,2,-;3,1,+", "--mode", "mc"],
+                 ["integral", "--spec", str(spec), "--mode", "mc"],
+                 ["entropy", "--m", "2", "--n", "2,3"]):
+        if argv[0] == "entropy" and samples < 100:
+            continue
+        argv += ["--samples", str(samples), "--seed", "3"]
+        records = []
+        for threads in ("1", "8", "1"):
+            out = run_json(capsys, *argv, "--threads", threads)
+            for rec in out if isinstance(out, list) else [out]:
+                assert rec.pop("threads") == int(threads)
+                assert rec["mc"]["n"] == samples
+            records.append(out)
+        assert records[0] == records[1] == records[2]
+
+
+def test_sample_matches_per_draw_samplers(capsys):
+    # data/samples.json holds `haarint sample` output written when every
+    # sampler drew one matrix per call; `sample` still draws matrix i alone
+    # from RngStream(seed, i), so it gives the same matrices
+    frozen = json.loads((DATA / "samples.json").read_text())["records"]
+    for group, want in frozen.items():
+        rec = run_json(capsys, "sample", "--group", group, "--N", str(want["N"]),
+                       "--count", "2", "--seed", "11")
+        for got, old in zip(rec["matrices"], want["matrices"], strict=True):
+            assert got["index"] == old["index"]
+            for key in ("det_re", "det_im"):
+                assert abs(got[key] - old[key]) < 1e-12
+            for key in ("matrix_re", "matrix_im"):
+                assert np.abs(np.array(got[key]) - np.array(old[key])).max() < 1e-12
 
 
 @fuzz(40)

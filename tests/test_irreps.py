@@ -33,6 +33,7 @@ from helpers import (
     gl_module_dimension_oracle,
     gram_from_loops,
     module_dimension_oracle,
+    rho_matrix_loop,
     weingarten_data,
 )
 
@@ -369,6 +370,56 @@ def test_exact_matches_monte_carlo(group, n, factors, seed):
     exact = complex(float(integrate_irrep_exact(s)))
     est = integrate_irrep_mc(s, samples=8000, seed=seed)
     assert abs(est.mean - exact) < 4 * est.stderr + 1e-9
+
+
+# every module this file builds, as (group, lam, n)
+ALL_MODULES = sorted(
+    {(g, lam, n) for g, lam, n, _ in RANK_TABLE} | set(RHO_CASES)
+    | {(g, lam, n) for g, n, lam, _ in SCHUR_DIMS}
+    | {(g, shape, n) for g, n, lam, mu in CROSS_CASES for shape in (lam, mu)}
+    | {(g, lam, n) for g, n, lam in DENSE_GRID}
+    | {(g, f[0], n) for g, n, factors, _ in MC_CASES for f in factors})
+
+
+@pytest.mark.parametrize("group,lam,n", ALL_MODULES)
+def test_stacked_entries_match_rho_matrix(group, lam, n):
+    # the sampled columns of a stack equal, draw by draw, the full matrix
+    # of that draw alone and the per-entry loop reference
+    basis = build_irrep_basis(group, lam, n)
+    stack = sampling.sample_group(group, n, sampling.RngStream(77), size=3).matrix
+    cols = [basis.rank, 1]  # out of order, and repeated when the rank is 1
+    picked = rho_matrix(stack, basis, cols)
+    assert picked.shape == (3, basis.rank, 2)
+    for s, u in enumerate(stack):
+        full = rho_matrix(u, basis)
+        assert np.abs(full - rho_matrix_loop(u, basis)).max() < 1e-12
+        for c, j in enumerate(cols):
+            assert np.abs(picked[s, :, c] - full[:, j - 1]).max() < 1e-12
+    assert np.abs(rho_matrix(stack, basis) - np.stack(
+        [rho_matrix(u, basis) for u in stack])).max() < 1e-12
+
+
+@pytest.mark.parametrize("group,n,factors", [
+    ("U", 2, [((2,), 1, 3, False), ((1,), 2, 1, True), ((2,), 2, 3, True),
+              ((2,), 1, 3, False)]),
+    ("O", 3, [((2,), 4, 2, False), ((1,), 3, 1, True), ((2,), 4, 2, True)]),
+    ("Sp", 1, [((2,), 1, 2, False), ((1,), 2, 2, False), ((1,), 1, 2, True)]),
+])
+def test_mc_is_the_blockwise_reference(group, n, factors):
+    # integrate_irrep_mc averages, in sample order, the products of the
+    # per-draw entries of block b's stack from RngStream(seed, b)
+    s = rep_spec(group, n, *factors)
+    est = integrate_irrep_mc(s, samples=sampling.BLOCK + 3, seed=6)
+    vals = []
+    for b, size in ((0, sampling.BLOCK), (1, 3)):
+        for u in sampling.sample_group(group, n, sampling.RngStream(6, b), size).matrix:
+            val = 1
+            for f in s.factors:
+                e = rho_matrix_loop(u, build_irrep_basis(group, f.lam, n))[f.row - 1, f.col - 1]
+                val *= e.conjugate() if f.conj else e
+            vals.append(val)
+    assert est.n == len(vals)
+    assert abs(est.mean - np.mean(vals)) < 1e-12
 
 
 def test_mc_reproducible():

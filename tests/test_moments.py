@@ -596,10 +596,7 @@ MC_SPECS = [
 def test_exact_matches_monte_carlo(group, n, factors):
     s = spec(group, *factors)
     target = float(exact_integral(s, n))
-    est = sampling.mc_expectation(
-        lambda stream: evaluate_monomial(
-            s, sampling.sample_group(group, n, stream).matrix),
-        samples=2000, seed=2024)
+    est = moments.integrate_monomial_mc(s, n, samples=2000, seed=2024)
     assert abs(est.mean.real - target) <= 4 * est.stderr + 1e-9
     assert abs(est.mean.imag) <= 4 * est.stderr + 1e-9
 
@@ -757,3 +754,19 @@ def test_evaluate_monomial_conjugates():
     m = np.array([[1 + 2j, 0.5j], [-0.25, 3 - 1j]])
     s = spec("U", (1, 1), (2, 2, True))
     assert evaluate_monomial(s, m) == (1 + 2j) * np.conj(3 - 1j)
+    # a stack gives one value per matrix, the same as one matrix at a time
+    stack = np.stack([m, m.T, 2 * m])
+    assert list(evaluate_monomial(s, stack)) == [evaluate_monomial(s, u) for u in stack]
+
+
+@pytest.mark.parametrize("group,n", [("U", 2), ("SO", 3), ("Sp", 2)])
+def test_monte_carlo_is_the_blockwise_reference(group, n):
+    # integrate_monomial_mc averages, in sample order, the monomial on each
+    # matrix of block b's stack from RngStream(seed, b)
+    s = spec(group, (1, 2), (2, 1, True), (2, 2))
+    est = moments.integrate_monomial_mc(s, n, samples=sampling.BLOCK + 3, seed=8)
+    vals = [evaluate_monomial(s, u)
+            for b, size in ((0, sampling.BLOCK), (1, 3))
+            for u in sampling.sample_group(group, n, sampling.RngStream(8, b), size).matrix]
+    assert est.n == len(vals)
+    assert abs(est.mean - np.mean(vals)) < 1e-12

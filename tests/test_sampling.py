@@ -5,7 +5,7 @@ import pytest
 
 from haarint import sampling
 from haarint.sampling import (
-    McEstimate, RngStream, mc_expectation, sample_compact_symplectic,
+    BLOCK, McEstimate, RngStream, mc_expectation, sample_compact_symplectic,
     sample_group, sample_orthogonal, sample_special_orthogonal,
     sample_special_unitary, sample_unitary, symplectic_j,
 )
@@ -50,6 +50,56 @@ def test_symplectic_residuals(n):
         assert np.abs(u.T @ jmat @ u - jmat).max() < 1e-10
 
 
+@pytest.mark.parametrize("group", ["U", "SU", "O", "SO", "Sp"])
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_stack_residuals(group, n):
+    # one stack from one stream: every matrix is in the group, and no two
+    # matrices of the stack repeat
+    stack = sample_group(group, n, RngStream(12, 3), size=BLOCK).matrix
+    d = sampling.dimension(group, n)
+    assert stack.shape == (BLOCK, d, d)
+    eye = np.eye(d)
+    assert np.abs(stack.conj().swapaxes(-1, -2) @ stack - eye).max() < 1e-12
+    det = np.linalg.det(stack)
+    assert np.abs(np.abs(det) - 1).max() < 1e-10
+    if group in ("SU", "SO"):
+        assert np.abs(det - 1).max() < 1e-10
+    if group in ("O", "SO"):
+        assert np.isrealobj(stack)
+    if group == "Sp":
+        jmat = symplectic_j(d)
+        assert np.abs(stack.swapaxes(-1, -2) @ jmat @ stack - jmat).max() < 1e-10
+        assert np.abs(det - 1).max() < 1e-10
+    if d > 1 or group == "U":  # O(1) is {1, -1}, SU(1) and SO(1) are {1}
+        assert len({u.tobytes() for u in stack}) == BLOCK
+
+
+@pytest.mark.parametrize("group", ["U", "SU", "O", "SO", "Sp"])
+def test_stack_of_one_is_the_single_draw(group):
+    # the same Gaussians and the same fixes, whether or not the draw is stacked
+    for i in range(10):
+        one = sample_group(group, 3, RngStream(13, i)).matrix
+        stacked = sample_group(group, 3, RngStream(13, i), size=1).matrix
+        assert one.shape == stacked.shape[1:]
+        assert np.abs(stacked[0] - one).max() < 1e-12
+
+
+def test_mc_blocks_in_sample_order():
+    calls = []
+
+    def draw(stream, size):
+        calls.append((stream, size))
+        return np.arange(size) + 1000.0 * stream.stream
+
+    samples = 2 * BLOCK + 5
+    est = mc_expectation(draw, samples, 4)
+    assert calls == [(RngStream(4, 0), BLOCK), (RngStream(4, 1), BLOCK),
+                     (RngStream(4, 2), 5)]
+    vals = np.concatenate([np.arange(size) + 1000.0 * st.stream for st, size in calls])
+    assert est.mean == vals.mean()
+    assert est.stderr == pytest.approx(math.sqrt(vals.var(ddof=1) / samples), rel=1e-12)
+
+
 def test_symplectic_j_convention():
     j = symplectic_j(4)
     assert j[0, 1] == 1 and j[1, 0] == -1
@@ -87,17 +137,17 @@ def test_sample_group_dispatch():
 
 
 def test_mc_constant():
-    est = mc_expectation(lambda st: 1.0, 10, 0)
+    est = mc_expectation(lambda st, size: 1.0, 10, 0)
     assert est.mean == 1.0 and est.stderr == 0.0 and est.n == 10
 
 
 def test_mc_requires_two_samples():
     with pytest.raises(ValueError):
-        mc_expectation(lambda st: 1.0, 1, 0)
+        mc_expectation(lambda st, size: 1.0, 1, 0)
 
 
 def test_mc_deterministic_and_serializable():
-    f = lambda st: abs(sample_unitary(2, st).matrix[0, 0]) ** 2
+    f = lambda st, size: abs(sample_unitary(2, st, size).matrix[:, 0, 0]) ** 2
     a = mc_expectation(f, 500, 123)
     b = mc_expectation(f, 500, 123)
     assert a.mean == b.mean and a.stderr == b.stderr
@@ -108,37 +158,43 @@ def test_mc_deterministic_and_serializable():
 
 def test_mean_entry_moments_unitary():
     # E U11 = 0 by phase symmetry; E |U11|^2 = 1/N
-    est = mc_expectation(lambda st: sample_unitary(3, st).matrix[0, 0], 4000, 21)
+    est = mc_expectation(
+        lambda st, size: sample_unitary(3, st, size).matrix[:, 0, 0], 4000, 21)
     assert abs(est.mean) < 4 * est.stderr
     est = mc_expectation(
-        lambda st: abs(sample_unitary(3, st).matrix[0, 0]) ** 2, 4000, 22)
+        lambda st, size: abs(sample_unitary(3, st, size).matrix[:, 0, 0]) ** 2,
+        4000, 22)
     assert abs(est.mean - 1 / 3) < 4 * est.stderr
     est = mc_expectation(
-        lambda st: abs(sample_unitary(2, st).matrix[0, 0]) ** 2, 4000, 23)
+        lambda st, size: abs(sample_unitary(2, st, size).matrix[:, 0, 0]) ** 2,
+        4000, 23)
     assert abs(est.mean - 1 / 2) < 4 * est.stderr
 
 
 def test_mean_entry_moments_orthogonal():
-    est = mc_expectation(lambda st: sample_orthogonal(4, st).matrix[0, 0], 4000, 24)
+    est = mc_expectation(
+        lambda st, size: sample_orthogonal(4, st, size).matrix[:, 0, 0], 4000, 24)
     assert abs(est.mean) < 4 * est.stderr
     est = mc_expectation(
-        lambda st: sample_orthogonal(4, st).matrix[0, 0] ** 2, 4000, 25)
+        lambda st, size: sample_orthogonal(4, st, size).matrix[:, 0, 0] ** 2,
+        4000, 25)
     assert abs(est.mean - 1 / 4) < 4 * est.stderr
 
 
 def test_mean_entry_moments_symplectic():
     # E |U11|^2 = 1/(2N) for Sp(2N) with 2N = 4
     est = mc_expectation(
-        lambda st: abs(sample_compact_symplectic(2, st).matrix[0, 0]) ** 2,
+        lambda st, size: abs(
+            sample_compact_symplectic(2, st, size).matrix[:, 0, 0]) ** 2,
         4000, 26)
     assert abs(est.mean - 1 / 4) < 4 * est.stderr
 
 
 def test_fourth_moment_unitary():
     # E U11 U22 conj(U11) conj(U22) = 1/(N^2 - 1) at N = 3
-    def f(st):
-        u = sample_unitary(3, st).matrix
-        return u[0, 0] * u[1, 1] * np.conj(u[0, 0]) * np.conj(u[1, 1])
+    def f(st, size):
+        u = sample_unitary(3, st, size).matrix
+        return u[:, 0, 0] * u[:, 1, 1] * np.conj(u[:, 0, 0]) * np.conj(u[:, 1, 1])
 
     est = mc_expectation(f, 20000, 27)
     assert abs(est.mean - 1 / 8) < 4 * est.stderr
