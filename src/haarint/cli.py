@@ -37,6 +37,23 @@ def _frac(x: Fraction) -> str:
     return str(x)
 
 
+def _decimal_digits(k: int) -> int:
+    """Decimal digits of |k|, without converting it to a string."""
+    k = abs(k)
+    d = max(1, int(k.bit_length() * 0.30102999566398120))  # floor(log10 2^b)
+    return d + 1 if k >= 10 ** d else d
+
+
+def _check_digits(what: str, x: Fraction):
+    """Refuse a value whose numerator or denominator has more decimal
+    digits than str() may print (sys.get_int_max_str_digits, 0: no limit)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 3.10.7+
+    digits = max(_decimal_digits(x.numerator), _decimal_digits(x.denominator))
+    if limit and digits > limit:
+        raise CostGateError(
+            f"{what}: {digits} decimal digits; str() prints at most {limit}")
+
+
 def _flatten(value, prefix, out):
     if isinstance(value, dict):
         for k, v in value.items():
@@ -157,6 +174,8 @@ def _integral_record(args, spec, n, kind):
         record["factors"] = spec.to_dict()["factors"]
         if "exact" in want:
             irreps._gate_exact(spec)  # refuse before any basis is built
+        if want - {"exact"}:
+            irreps._gate_build(spec)
         if {"exact", "leading"} & want:
             record["dropped_basis_vectors"] = sum(
                 b.dropped for b in irreps._bases_for(spec))
@@ -236,13 +255,17 @@ def cmd_entropy(args) -> list:
         raise ValueError("no (m, n) pairs with m <= n in the requested grid")
     sampling.check_cost("Monte Carlo entropy grid", args.samples,
                         sum(1 + m * n for m, n in pairs), sampling.MC_CAP)
-    for i, (m, n) in enumerate(pairs):
+    exact = []  # every exact value is computed and checked before any draw
+    for m, n in pairs:
+        x = entropy.page_entropy_fraction(m, n)
+        _check_digits(f"exact Page value for (m, n) = ({m}, {n})", x)
+        exact.append(x)
+    for i, ((m, n), x) in enumerate(zip(pairs, exact)):
         est = entropy.mc_average_entropy(m, n, samples=args.samples,
                                          seed=seed + i)
         records.append(_common({
             "command": "entropy", "m": m, "n": n,
-            "exact": _frac(entropy.page_entropy_fraction(m, n)),
-            "exact_float": entropy.page_entropy_exact(m, n),
+            "exact": _frac(x), "exact_float": float(x),
             "approx": entropy.page_entropy_approx(m, n),
             "mc": est.to_json_dict(), "samples": args.samples,
         }, args, seed))

@@ -19,6 +19,7 @@ import numpy as np
 from .sampling import (
     MC_CAP, McEstimate, RngStream, check_cost, mc_expectation, sample_unitary,
 )
+from .tensors import CostGateError
 
 __all__ = [
     "partial_trace",
@@ -35,6 +36,11 @@ __all__ = [
 ]
 
 _EIG_CLIP = 1e-12  # float noise below this is treated as an exact zero
+
+# harmonic terms (m-1)n one exact Page value may sum (about 0.7 s at the
+# cap); past it mn > 2*10^4, and those values already have over 8000
+# digits, more than str() prints by default
+HARMONIC_CAP = 2 * 10 ** 4
 
 
 def validate_density(rho: np.ndarray) -> np.ndarray:
@@ -140,13 +146,18 @@ def page_entropy_approx(m: int, n: int) -> float:
 
 def page_entropy_fraction(m: int, n: int) -> Fraction:
     """Exact rational value behind page_entropy_exact: the harmonic
-    tail sum_{k=n+1}^{mn} 1/k minus (m-1)/(2n)."""
+    tail sum_{k=n+1}^{mn} 1/k minus (m-1)/(2n); refused past HARMONIC_CAP
+    terms before the sum starts."""
     if m < 1 or n < 1:
         raise ValueError("need m, n >= 1")
     if m > n:
         raise ValueError(
             "formula applies to the smaller marginal first: swap to "
             f"(m, n) = ({n}, {m})")
+    if (m - 1) * n > HARMONIC_CAP:
+        raise CostGateError(
+            f"exact Page value for (m, n) = ({m}, {n}): {(m - 1) * n} "
+            f"harmonic terms; capped at {HARMONIC_CAP}")
     tail = sum(Fraction(1, k) for k in range(n + 1, m * n + 1))
     return tail - Fraction(m - 1, 2 * n)
 

@@ -5,6 +5,10 @@ of their entries.
 
 A basis vector is kept as an exact rational tensor plus its rational
 norm-square; representation entries are <b_i, u^(x)m b_j>/sqrt(n_i n_j).
+The exact Gram–Schmidt over the fillings is graded by torus weight: a
+filling's symmetrized, traceless-projected tensor keeps the weight of
+its entries, and tensors of different weights have disjoint supports, so
+each is orthogonalized against the kept vectors of its own weight only.
 Sampled entries come from one kernel (rho_matrix) that takes a matrix or
 a stack of them and builds only the columns asked for; Monte Carlo asks
 it once per module and block of draws.
@@ -28,11 +32,12 @@ from .tensors import (
     BilinearForm,
     CostGateError,
     SparseTensor,
-    apply_symmetrizer,
+    _weight,
     orthogonal_form,
     symplectic_form,
     tableau_tensor,
     traceless_project,
+    young_symmetrizer,
 )
 
 # the traceless machinery and the pairing count are the cost drivers, so
@@ -40,6 +45,10 @@ from .tensors import (
 # orthogonal/symplectic ones
 EXACT_WEIGHT_CAP = {"U": 8, "O": 6, "Sp": 6}
 EXACT_DIM_CAP = {"U": 10, "O": 4, "Sp": 4}
+# work units (see _build_work) the module bases of one leading-order or
+# Monte Carlo request may cost: U(42) lambda=(2,1), just under it, builds
+# in about 3 s on a 2-core host, O(12) lambda=(2,1) in 0.4 s
+BUILD_CAP = 10 ** 5
 
 
 @dataclass
@@ -88,10 +97,16 @@ def _primitive(t: SparseTensor) -> SparseTensor:
 
 
 def _gram_schmidt(candidates):
+    """Orthogonalize (label, weight, tensor) candidates in order, each
+    against the kept vectors of its own torus weight only: tensors of
+    different weights have disjoint supports, so the skipped inner
+    products are exactly zero."""
     vectors, norms2, kept, dropped = [], [], [], 0
-    for label, v in candidates:
+    by_weight = {}
+    for label, wt, v in candidates:
+        same = by_weight.setdefault(wt, [])
         u = v
-        for w, n2 in zip(vectors, norms2):
+        for w, n2 in same:
             c = w.inner(u)
             if c:
                 u = u - (c / n2) * w
@@ -100,6 +115,7 @@ def _gram_schmidt(candidates):
         if n2 == 0:
             dropped += 1
             continue
+        same.append((u, n2))
         vectors.append(u)
         norms2.append(n2)
         kept.append(label)
@@ -129,8 +145,11 @@ def _build_irrep_basis(group: str, lam: tuple, n: int) -> IrrepBasis:
     def project(t):
         return t if form is None else traceless_project(t, form)[0]
 
-    candidates = ((t, project(apply_symmetrizer(lam, tableau_tensor(t))))
-                  for t in fillings)
+    # a filling's symmetrized and traceless-projected tensor keeps the
+    # weight of its entries
+    sym = young_symmetrizer(lam)
+    candidates = ((t, _weight(t.row_major()),
+                   project(sym.apply(tableau_tensor(t)))) for t in fillings)
     vectors, norms2, kept, dropped = _gram_schmidt(candidates)
     return IrrepBasis(group, lam, n, vectors, norms2, kept, dropped, form)
 
@@ -270,12 +289,13 @@ def _bases_for(spec: RepMatrixElementSpec):
 def integrate_irrep_mc(spec: RepMatrixElementSpec, samples: int, seed: int):
     """Monte Carlo estimate over stacked Haar draws: one rho_matrix call per
     module and block, for the columns its factors read; refused past
-    sampling.MC_CAP before any basis is built."""
+    sampling.MC_CAP or BUILD_CAP before any basis is built."""
     d = sampling.dimension(spec.group, spec.n)
     sampling.check_cost(
         "Monte Carlo", samples,
         1 + d * d + sum(d ** tableaux.weight(f.lam) for f in spec.factors),
         sampling.MC_CAP)
+    _gate_build(spec)
     modules = {}  # lam -> (basis, {column: its place among the sampled ones})
     for f, basis in zip(spec.factors, _bases_for(spec)):
         _, cols = modules.setdefault(f.lam, (basis, {}))
@@ -352,9 +372,39 @@ def _gate_exact(spec: RepMatrixElementSpec):
             f"use the Monte Carlo or leading-order paths")
 
 
+def _build_work(group: str, lam: tuple, n: int) -> int:
+    """Work units of one module basis build: the fillings, bounded by
+    gl_dimension(lam, dim V), times the term bound prod lam_i! prod lam'_j!
+    of the Young symmetrizer applied to each; for O/Sp also times
+    C(m,2) dim V, the trace-span entries one lower index expands into."""
+    m = tableaux.weight(lam)
+    if m > 64:  # checked first: the terms below take O(lam_1) steps
+        raise CostGateError(
+            f"module basis builds: a weight-{m} shape has a row or a column "
+            f"of at least 9 boxes, so over 9! symmetrizer terms per filling; "
+            f"capped at {BUILD_CAP} work units")
+    d = sampling.dimension(group, n)
+    terms = math.prod(math.factorial(k) for k in lam + tableaux.conjugate(lam))
+    work = tableaux.gl_dimension(lam, d) * terms
+    return work if group == "U" else work * math.comb(m, 2) * d
+
+
+def _gate_build(spec: RepMatrixElementSpec):
+    """Refuse, before any enumeration or build, module bases whose summed
+    work estimate exceeds BUILD_CAP."""
+    work = sum(_build_work(spec.group, lam, spec.n)
+               for lam in {f.lam for f in spec.factors})
+    if work > BUILD_CAP:
+        raise CostGateError(
+            f"module basis builds: work estimate {work} exceeds the cap "
+            f"{BUILD_CAP} for {spec.group}({spec.n})")
+
+
 def _integral(spec: RepMatrixElementSpec, exact: bool) -> Fraction:
     if exact:
         _gate_exact(spec)
+    else:
+        _gate_build(spec)
     reduced = _reduce(spec)
     if isinstance(reduced, Fraction):
         return reduced

@@ -249,17 +249,18 @@ def row_repetition_factor(t: Tableau, n: int) -> int:
 
 
 def gl_dimension(shape, n: int) -> int:
-    """Dimension of the GL(n) module: prod over i<j of the shifted-part ratios."""
+    """Dimension of the GL(n) module: the hook-content product over the
+    cells, prod (n + c - r) / hook(r, c), in O(weight) steps for any n."""
     shape = check_shape(shape)
     if len(shape) > n:
         return 0
-    lam = list(shape) + [0] * (n - len(shape))
+    conj = conjugate(shape)
     num = 1
     den = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            num *= lam[i] - lam[j] + j - i
-            den *= j - i
+    for r, row_len in enumerate(shape):
+        for c in range(row_len):
+            num *= n + c - r
+            den *= (row_len - c) + (conj[c] - r) - 1
     d, rem = divmod(num, den)
     assert rem == 0
     return d

@@ -6,6 +6,11 @@ symmetrizers, the invariant bilinear pairings of the orthogonal and
 symplectic groups, index contraction and expansion, the split of a tensor
 into traceless and trace parts, and the block projector attached to a
 partition acting on V^(x)k.
+
+The trace part comes from an exact Gram–Schmidt basis of the expansion
+span, graded by torus weight (_weight): an expansion by a split form
+keeps the weight, and tensors of different weights have disjoint
+supports, so the inner products the grading skips are exactly zero.
 """
 
 import functools
@@ -317,33 +322,69 @@ def expand(t: SparseTensor, i: int, j: int, form: BilinearForm) -> SparseTensor:
     return out
 
 
+def _weight(idx) -> tuple:
+    """Torus weight of an index tuple: the net count of each letter pair
+    (+i counts 1, -i counts -1, the letter 0 nothing) as sorted
+    (i, count) pairs, zero counts dropped.  On the U alphabet, positive
+    letters only, it is the content.  A slot permutation keeps it, and so
+    does an expansion by a split form, which inserts x beside -x."""
+    net = {}
+    for x in idx:
+        if x:
+            net[abs(x)] = net.get(abs(x), 0) + (1 if x > 0 else -1)
+    return tuple(sorted((a, c) for a, c in net.items() if c))
+
+
+def _span_weight(idx, form: BilinearForm) -> tuple:
+    # the standard orthogonal form inserts x beside x, which changes the
+    # content, so its trace span is left ungraded
+    return _weight(idx) if form.split else ()
+
+
 @functools.lru_cache(maxsize=64)
 def _trace_span_basis(order: int, key: tuple) -> list:
     """Orthogonal rational basis of the span of all expanded lower tensors
-    for the form with the given cache key."""
+    for the form with the given cache key, as (weight, vector, norm²) in
+    build order.
+
+    An expansion has the weight of the lower tensor, and tensors of
+    different weights have disjoint supports, so their inner product is
+    exactly zero: each generator is orthogonalized against the span
+    vectors of its own weight only, which gives the same vectors as the
+    ungraded Gram–Schmidt."""
     form = BilinearForm(*key)
-    basis = []
+    basis, by_weight = [], {}
     if order >= 2:
         for i, j in itertools.combinations(range(order), 2):
             for lower in itertools.product(form.letters, repeat=order - 2):
+                w = _span_weight(lower, form)
+                same = by_weight.setdefault(w, [])
                 v = expand(SparseTensor.elementary(lower), i, j, form)
-                for u in basis:
-                    coef = Fraction(u.inner(v), u.norm_squared())
+                for u, n2 in same:
+                    coef = Fraction(u.inner(v), n2)
                     if coef:
                         v = v - coef * u
                 if not v.is_zero():
-                    basis.append(v)
+                    n2 = v.norm_squared()
+                    same.append((v, n2))
+                    basis.append((w, v, n2))
     return basis
 
 
 def traceless_project(t: SparseTensor, form: BilinearForm):
     """Split t = t0 + t1 with every contraction of t0 zero and t1 in the
-    span of expanded lower-order tensors; the parts are orthogonal."""
+    span of expanded lower-order tensors; the parts are orthogonal.
+
+    Only the span vectors of a weight that occurs in t can meet its
+    support; they are taken in basis order, so a tensor of mixed weight
+    gets the same parts as from the whole basis."""
+    weights = {_span_weight(idx, form) for idx in t.data}
     t1 = SparseTensor(t.order)
-    for u in _trace_span_basis(t.order, form.cache_key()):
-        coef = Fraction(u.inner(t), u.norm_squared())
-        if coef:
-            t1 = t1 + coef * u
+    for w, u, n2 in _trace_span_basis(t.order, form.cache_key()):
+        if w in weights:
+            coef = Fraction(u.inner(t), n2)
+            if coef:
+                t1 = t1 + coef * u
     return t - t1, t1
 
 

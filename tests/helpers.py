@@ -15,8 +15,16 @@ It also keeps the per-draw representation matrix (``rho_matrix_loop``):
 dense basis tensors, the sample applied one tensor mode at a time, one
 sum per entry.  The stacked sampled entries of the package are checked
 against it draw by draw.
+
+And it keeps the ungraded exact Gram–Schmidt of the module bases
+(``trace_span_basis_ungraded``, ``traceless_project_ungraded``,
+``gram_schmidt_ungraded``, ``build_irrep_basis_ungraded``): every vector
+is orthogonalized against every earlier one, whatever its torus weight,
+and the Young symmetrizer is rebuilt for each filling.  The weight-graded
+bases of the package must equal these byte for byte.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -53,6 +61,20 @@ def brute_row_stabilizer(t: Tableau) -> int:
 
 def brute_gl_dimension(shape, n: int) -> int:
     return len(tableaux.enumerate_gl_tableaux(shape, n))
+
+
+def weyl_gl_dimension(shape, n: int) -> int:
+    """Weyl's product over i < j of the shifted-part ratios, O(n^2) steps."""
+    if len(shape) > n:
+        return 0
+    lam = list(shape) + [0] * (n - len(shape))
+    num = den = 1
+    for i in range(n):
+        for j in range(i + 1, n):
+            num *= lam[i] - lam[j] + j - i
+            den *= j - i
+    assert num % den == 0
+    return num // den
 
 
 def module_dimension_oracle(lam, form: tensors.BilinearForm) -> int:
@@ -395,3 +417,72 @@ def rho_matrix_loop(u, basis) -> np.ndarray:
         for i, bi in enumerate(dense):
             out[i, j] = np.sum(np.conj(bi) * w)
     return out
+
+
+@functools.lru_cache(maxsize=64)
+def trace_span_basis_ungraded(order: int, key: tuple) -> list:
+    """Orthogonal rational basis of the span of all expanded lower tensors,
+    each generator orthogonalized against the whole basis so far."""
+    form = tensors.BilinearForm(*key)
+    basis = []
+    if order >= 2:
+        for i, j in itertools.combinations(range(order), 2):
+            for lower in itertools.product(form.letters, repeat=order - 2):
+                v = tensors.expand(tensors.SparseTensor.elementary(lower), i, j, form)
+                for u in basis:
+                    coef = Fraction(u.inner(v), u.norm_squared())
+                    if coef:
+                        v = v - coef * u
+                if not v.is_zero():
+                    basis.append(v)
+    return basis
+
+
+def traceless_project_ungraded(t, form):
+    """(t0, t1): t1 is the projection of t onto every trace-span vector."""
+    t1 = tensors.SparseTensor(t.order)
+    for u in trace_span_basis_ungraded(t.order, form.cache_key()):
+        coef = Fraction(u.inner(t), u.norm_squared())
+        if coef:
+            t1 = t1 + coef * u
+    return t - t1, t1
+
+
+def gram_schmidt_ungraded(candidates):
+    """Orthogonalize (label, tensor) candidates against every kept vector."""
+    vectors, norms2, kept, dropped = [], [], [], 0
+    for label, v in candidates:
+        u = v
+        for w, n2 in zip(vectors, norms2):
+            c = w.inner(u)
+            if c:
+                u = u - (c / n2) * w
+        u = irreps._primitive(u)
+        n2 = u.norm_squared()
+        if n2 == 0:
+            dropped += 1
+            continue
+        vectors.append(u)
+        norms2.append(n2)
+        kept.append(label)
+    return vectors, norms2, kept, dropped
+
+
+def build_irrep_basis_ungraded(group: str, lam, n: int) -> irreps.IrrepBasis:
+    """The module basis from the ungraded loops above, one symmetrizer per
+    filling."""
+    lam = tableaux.check_shape(lam)
+    if group == "U":
+        fillings, form = tableaux.enumerate_gl_tableaux(lam, n), None
+    elif group == "O":
+        fillings, form = tableaux.enumerate_o_tableaux(lam, n), tensors.orthogonal_form(n)
+    else:
+        fillings, form = tableaux.enumerate_sp_tableaux(lam, n), tensors.symplectic_form(n)
+
+    def project(t):
+        return t if form is None else traceless_project_ungraded(t, form)[0]
+
+    candidates = ((t, project(tensors.apply_symmetrizer(lam, tensors.tableau_tensor(t))))
+                  for t in fillings)
+    vectors, norms2, kept, dropped = gram_schmidt_ungraded(candidates)
+    return irreps.IrrepBasis(group, lam, n, vectors, norms2, kept, dropped, form)

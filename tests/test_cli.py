@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from haarint import cli, irreps
+from haarint import cli, entropy, irreps
 from haarint.sampling import BLOCK
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -163,6 +163,27 @@ def test_irrep_cost_gate_before_bases(capsys, tmp_path, monkeypatch):
                     {"lambda": [2, 1], "i": 1, "j": 1, "conj": True}]}))
     code, _ = run(capsys, "integral", "--spec", str(spec), "--mode", "exact")
     assert code == 3
+
+
+@pytest.mark.parametrize("mode", ["leading", "mc"])
+def test_irrep_build_gate_before_bases(capsys, tmp_path, monkeypatch, mode):
+    # leading-order and Monte Carlo requests are refused from one work
+    # estimate of the module bases, before any is built
+    def refuse(*args):
+        raise AssertionError("basis built before the cost gate")
+
+    monkeypatch.setattr(irreps, "build_irrep_basis", refuse)
+    spec = tmp_path / "irrep.json"
+    spec.write_text(json.dumps({
+        "group": "O", "N": 4,
+        "factors": [{"lambda": [3, 2], "i": 1, "j": 1, "conj": False},
+                    {"lambda": [3, 2], "i": 1, "j": 1, "conj": True}]}))
+    code = cli.main(["integral", "--spec", str(spec), "--mode", mode,
+                     "--samples", "100", "--seed", "1"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err == ("cost gate: module basis builds: work estimate 115200 "
+                   "exceeds the cap 100000 for O(4)\n")
 
 
 SP2 = {"group": "Sp", "N": 2}
@@ -334,6 +355,41 @@ def test_entropy_grid(capsys):
     for r in recs:
         assert abs(r["mc"]["mean_re"] - r["exact_float"]) \
             < 4 * r["mc"]["stderr"] + 1e-9
+
+
+def test_entropy_exact_digit_boundary(capsys, monkeypatch):
+    # n = 4937 is the last n for m = 2 whose exact value str() prints
+    rec = run_json(capsys, "entropy", "--m", "2", "--n", "4937",
+                   "--samples", "100", "--seed", "1")
+    num, den = rec["exact"].split("/")
+    assert len(num) == len(den) == 4299
+    assert rec["exact_float"] == entropy.page_entropy_exact(2, 4937)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew before the digit check")
+
+    monkeypatch.setattr(entropy, "mc_average_entropy", refuse)
+    code = cli.main(["entropy", "--m", "2", "--n", "2,4938", "--samples", "100",
+                     "--seed", "1"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err == ("cost gate: exact Page value for (m, n) = (2, 4938): 4303 "
+                   "decimal digits; str() prints at most 4300\n")
+
+
+def test_entropy_exact_value_once_per_row(capsys, monkeypatch):
+    calls = []
+
+    def counted(m, n):
+        calls.append((m, n))
+        return page_fraction(m, n)
+
+    page_fraction = entropy.page_entropy_fraction
+    monkeypatch.setattr(entropy, "page_entropy_fraction", counted)
+    recs = run_json(capsys, "entropy", "--m", "2", "--n", "2,3",
+                    "--samples", "400", "--seed", "7")
+    assert calls == [(2, 2), (2, 3)]
+    assert [r["exact_float"] for r in recs] == [1 / 3, 9 / 20]
 
 
 def test_entropy_empty_grid_usage(capsys):

@@ -12,11 +12,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from haarint import entropy
 from haarint.entropy import (
     bloch_vector,
     mc_average_entropy,
     page_entropy_approx,
     page_entropy_exact,
+    page_entropy_fraction,
     partial_trace,
     purify,
     random_pure_state,
@@ -25,6 +27,7 @@ from haarint.entropy import (
     von_neumann_entropy,
 )
 from haarint.sampling import BLOCK, RngStream, sample_unitary
+from haarint.tensors import CostGateError
 
 BELL = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
 
@@ -267,3 +270,13 @@ def test_entropy_invariants_random(m, n, seed):
     sb = von_neumann_entropy(partial_trace(rho, (m, n), "B"))
     assert abs(sa - sb) < 1e-9
     assert -1e-12 <= sa <= math.log(min(m, n)) + 1e-12
+
+
+def test_page_fraction_harmonic_cap():
+    # (m-1)n harmonic terms are refused past the cap before the sum starts
+    with pytest.raises(CostGateError, match="20001 harmonic terms"):
+        page_entropy_fraction(2, entropy.HARMONIC_CAP + 1)
+    with pytest.raises(CostGateError, match="capped at 20000"):
+        page_entropy_fraction(10 ** 9, 10 ** 9)
+    x = page_entropy_fraction(3, entropy.HARMONIC_CAP // 2)  # at the cap
+    assert abs(float(x) - page_entropy_approx(3, entropy.HARMONIC_CAP // 2)) < 1e-4

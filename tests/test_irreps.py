@@ -10,6 +10,8 @@ matrix entries and the monomial engine is an independent route.
 
 import functools
 import itertools
+import os
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -30,12 +32,17 @@ from haarint.irreps import (
 from haarint.tensors import CostGateError, orthogonal_form, symplectic_form
 
 from helpers import (
+    build_irrep_basis_ungraded,
     gl_module_dimension_oracle,
     gram_from_loops,
     module_dimension_oracle,
     rho_matrix_loop,
     weingarten_data,
 )
+
+sys.path.append(os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                             os.pardir, "bench"))
+import workloads  # noqa: E402  (the benchmark's request lists)
 
 
 def schur_spec(group, n, lam, i=1, j=1, k=None, l=None):
@@ -109,6 +116,34 @@ def test_basis_vectors_orthogonal(group, lam, n, rank):
         assert basis.vectors[i].norm_squared() == basis.norms2[i] > 0
         for j in range(i + 1, rank):
             assert basis.vectors[i].inner(basis.vectors[j]) == 0
+
+
+# every module the benchmark workloads build, and a weight-4/5 grid whose
+# ungraded builds stay short
+BENCH_MODULES = sorted(
+    {(g, tuple(lam), n) for g, lam, n, _ in workloads.COLD_IRREPS}
+    | {(g, tuple(lam), n) for g, lam, n in workloads.WARM_IRREPS + workloads.MC_IRREPS})
+WEIGHT_45_GRID = [
+    ("U", (2, 2), 3), ("U", (3, 1), 3), ("U", (2, 1, 1), 3), ("U", (5,), 2),
+    ("U", (3, 2), 3), ("U", (4, 1), 3), ("U", (2, 2, 1), 3),
+    ("O", (4,), 2), ("O", (5,), 2), ("O", (4,), 3), ("O", (3, 1), 3),
+    ("O", (2, 2), 4), ("O", (3, 1), 4), ("O", (4,), 4), ("O", (2, 1, 1), 4),
+    ("Sp", (4,), 1), ("Sp", (5,), 1), ("Sp", (2, 2), 2), ("Sp", (3, 1), 2),
+    ("Sp", (4,), 2),
+]
+
+
+def _fields(basis):
+    return (repr([list(v.data.items()) for v in basis.vectors]),
+            repr(basis.norms2), [t.rows for t in basis.tableaux], basis.dropped)
+
+
+@pytest.mark.parametrize("group,lam,n", BENCH_MODULES + WEIGHT_45_GRID)
+def test_graded_basis_is_the_ungraded_one(group, lam, n):
+    # the weight-graded Gram–Schmidt gives, byte for byte, the basis of the
+    # ungraded loops: vectors in dict item order, norms, fillings, drops
+    assert _fields(build_irrep_basis(group, lam, n)) == _fields(
+        build_irrep_basis_ungraded(group, lam, n))
 
 
 def test_inadmissible_shapes_raise():
@@ -459,6 +494,36 @@ def test_cost_gates():
     with pytest.raises(CostGateError):  # O/Sp weight cap sits below U's
         integrate_irrep_exact(RepMatrixElementSpec("O", 3, tuple(
             RepFactor((2,), 1, 1, c) for c in (False, False, True, True))))
+
+
+def test_build_cap_admits_every_module_in_use():
+    # every module this file, the weight-4/5 grid and the benchmark build,
+    # and U(20) lambda=(2,1), the large-N leading case
+    for group, lam, n in (ALL_MODULES + BENCH_MODULES + WEIGHT_45_GRID
+                          + [("U", (2, 1), 20)]):
+        assert irreps._build_work(group, lam, n) <= irreps.BUILD_CAP
+    assert asymptotic_irrep(schur_spec("U", 20, (2, 1))) == Fraction(3, 8000)
+
+
+def test_build_gate_refuses_before_any_build(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("basis built before the build gate")
+
+    monkeypatch.setattr(irreps, "build_irrep_basis", refuse)
+    big = schur_spec("U", 43, (2, 1))  # 26488 fillings x 4 symmetrizer terms
+    with pytest.raises(CostGateError, match="work estimate 105952 exceeds"):
+        asymptotic_irrep(big)
+    with pytest.raises(CostGateError, match="work estimate 105952 exceeds"):
+        integrate_irrep_mc(big, samples=100, seed=1)
+    # O/Sp: times C(m,2) dim V for the trace span
+    with pytest.raises(CostGateError, match="work estimate 115200 exceeds"):
+        asymptotic_irrep(schur_spec("O", 4, (3, 2)))
+    with pytest.raises(CostGateError):  # no O(N^2) step at huge N
+        asymptotic_irrep(schur_spec("U", 10 ** 9, (1,)))
+    with pytest.raises(CostGateError, match="a weight-65 shape"):  # 65! terms
+        asymptotic_irrep(schur_spec("U", 1, (65,)))
+    with pytest.raises(CostGateError, match="a weight-1000000000 shape"):
+        asymptotic_irrep(schur_spec("U", 1, (10 ** 9,)))
 
 
 # ---------------------------------------------------------------------------

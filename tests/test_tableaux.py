@@ -8,7 +8,9 @@ import hypothesis.strategies as st
 from haarint import tableaux
 from haarint.tableaux import Tableau
 
-from helpers import brute_standard_count, brute_row_stabilizer, brute_gl_dimension
+from helpers import (
+    brute_gl_dimension, brute_row_stabilizer, brute_standard_count, weyl_gl_dimension,
+)
 
 
 @st.composite
@@ -163,3 +165,16 @@ def test_gl_dimension_weyl_values():
     assert tableaux.gl_dimension((3,), 2) == 4
     assert tableaux.gl_dimension((1, 1, 1), 3) == 1
     assert tableaux.gl_dimension((2, 1), 1) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(partition_strategy(max_weight=8), st.integers(min_value=1, max_value=40))
+def test_gl_dimension_is_the_weyl_product(shape, n):
+    # the hook-content product equals Weyl's formula, and stays cheap at
+    # any n
+    assert tableaux.gl_dimension(shape, n) == weyl_gl_dimension(shape, n)
+
+
+def test_gl_dimension_huge_n():
+    n = 10 ** 12
+    assert tableaux.gl_dimension((2, 1), n) == n * (n * n - 1) // 3

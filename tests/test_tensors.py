@@ -11,7 +11,9 @@ from haarint.tensors import (
     isotypic_projector, orthogonal_form, symplectic_form, traceless_project,
 )
 
-from helpers import module_dimension_oracle, gl_module_dimension_oracle
+from helpers import (
+    gl_module_dimension_oracle, module_dimension_oracle, traceless_project_ungraded,
+)
 
 
 def e(*idx):
@@ -163,6 +165,51 @@ def test_traceless_split_properties(spec, order, data):
         for j in range(i + 1, order):
             assert contract(t0, i, j, form).is_zero()
     assert t0.inner(t1) == 0
+
+
+def test_weight_is_net_count_with_zeros_dropped():
+    assert tensors._weight((1, -1, 0, 2, 2, -3)) == ((2, 2), (3, -1))
+    assert tensors._weight((1, -1)) == tensors._weight(()) == ()
+    assert tensors._weight((3, 1, 3)) == ((1, 1), (3, 2))  # the U content
+
+
+# split O(1..5), odd N with the letter 0; Sp(1..3); the ungraded standard form
+GRADED_FORMS = ([orthogonal_form(n) for n in range(1, 6)]
+                + [symplectic_form(n) for n in range(1, 4)]
+                + [orthogonal_form(n, split=False) for n in (2, 3)])
+
+
+def _cancelling_index(data, form, order):
+    """An index tuple holding a letter beside its partner, so that letter
+    pair counts to net zero."""
+    rest = [data.draw(st.sampled_from(form.letters)) for _ in range(order - 2)]
+    x = data.draw(st.sampled_from(form.letters))
+    i, j = sorted(data.draw(st.lists(st.integers(0, order - 1), min_size=2,
+                                     max_size=2, unique=True)))
+    rest.insert(i, x)
+    rest.insert(j, form.bar(x))
+    return tuple(rest)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(GRADED_FORMS), st.integers(min_value=2, max_value=4),
+       st.data())
+def test_traceless_project_matches_ungraded(form, order, data):
+    # a tensor of mixed weight gets, byte for byte, the parts the ungraded
+    # projection onto the whole trace span gives
+    if form.dim ** order > 300:  # keeps the ungraded reference span short
+        order = 3
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    plain = st.tuples(*[st.sampled_from(form.letters)] * order)
+    t = SparseTensor(order)
+    for _ in range(data.draw(st.integers(1, 5))):
+        t.add_term(data.draw(plain), data.draw(coeff))
+    for _ in range(data.draw(st.integers(0, 2))):
+        t.add_term(_cancelling_index(data, form, order), data.draw(coeff))
+    got = traceless_project(t, form)
+    want = traceless_project_ungraded(t, form)
+    for part, ref in zip(got, want):
+        assert repr(list(part.data.items())) == repr(list(ref.data.items()))
 
 
 def test_central_symmetrizer_values():
