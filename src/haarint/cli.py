@@ -29,8 +29,19 @@ EXIT_USAGE = 2
 EXIT_COST = 3
 EXIT_ASSERT = 4
 
-# matrix entries one `sample` run may print (each as two JSON floats)
+# array entries one request may build or print: the matrix entries of a
+# `sample` run (each as two JSON floats), the tableau entries a `tableaux`
+# listing enumerates, and the nodes^2 companion-matrix entries of the `su2`
+# quadrature
 SAMPLE_CAP = 10 ** 6
+
+
+def _check_size(what: str, count: int, per_item: int, unit: str):
+    """Refuse, before the work, count x per_item entries past SAMPLE_CAP."""
+    if count * per_item > SAMPLE_CAP:
+        raise CostGateError(
+            f"{what}: {count} x {per_item} = {count * per_item} {unit}; "
+            f"capped at {SAMPLE_CAP}")
 
 
 def _frac(x: Fraction) -> str:
@@ -140,7 +151,11 @@ def _parse_factors(text: str):
 # subcommands
 
 def cmd_tableaux(args) -> list:
-    shape = _parse_shape(args.shape)
+    shape = tableaux.check_group_shape(args.group, _parse_shape(args.shape), args.N)
+    # O and Sp filter the semistandard fillings of their N (Sp: 2N) letters
+    letters = 2 * args.N if args.group == "Sp" else args.N
+    _check_size("tableaux", tableaux.gl_dimension(shape, letters),
+                tableaux.weight(shape), "tableau entries")
     if args.group == "GL":
         listing = tableaux.enumerate_gl_tableaux(shape, args.N)
     elif args.group == "O":
@@ -232,6 +247,7 @@ def cmd_su2(args) -> list:
         spec = su2.Su2MonomialSpec(factors)
     else:
         raise ValueError("need --spec or --factors")
+    _check_size("su2 quadrature", args.nodes, args.nodes, "companion-matrix entries")
     closed = su2.su2_integral_closed(spec)
     quad = su2.su2_integral_quadrature(spec, nodes=args.nodes)
     record = _common({
@@ -275,9 +291,11 @@ def cmd_entropy(args) -> list:
 def cmd_sample(args) -> list:
     if args.count < 0:
         raise ValueError(f"--count must be at least 0, got {args.count}")
+    if args.N < 1:
+        raise ValueError(f"--N must be at least 1, got {args.N}")
     seed = _resolve_seed(args, needed=True)
     d = sampling.dimension(args.group, args.N)
-    sampling.check_cost("sample", args.count, d * d, SAMPLE_CAP)
+    _check_size("sample", args.count, d * d, "sampled numbers")
     matrices = []
     for i in range(args.count):
         s = sampling.sample_group(args.group, args.N,

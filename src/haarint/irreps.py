@@ -5,10 +5,8 @@ of their entries.
 
 A basis vector is kept as an exact rational tensor plus its rational
 norm-square; representation entries are <b_i, u^(x)m b_j>/sqrt(n_i n_j).
-The exact Gram–Schmidt over the fillings is graded by torus weight: a
-filling's symmetrized, traceless-projected tensor keeps the weight of
-its entries, and tensors of different weights have disjoint supports, so
-each is orthogonalized against the kept vectors of its own weight only.
+The fillings' symmetrized, traceless-projected tensors go through the
+one weight-graded exact Gram–Schmidt of tensors (gram_schmidt).
 Sampled entries come from one kernel (rho_matrix) that takes a matrix or
 a stack of them and builds only the columns asked for; Monte Carlo asks
 it once per module and block of draws.
@@ -31,8 +29,7 @@ from . import moments, sampling, tableaux
 from .tensors import (
     BilinearForm,
     CostGateError,
-    SparseTensor,
-    _weight,
+    gram_schmidt,
     orthogonal_form,
     symplectic_form,
     tableau_tensor,
@@ -86,42 +83,6 @@ class IrrepBasis:
         return out
 
 
-def _primitive(t: SparseTensor) -> SparseTensor:
-    denom = 1
-    for v in t.data.values():
-        denom = denom * v.denominator // math.gcd(denom, v.denominator)
-    num = 0
-    for v in t.data.values():
-        num = math.gcd(num, abs(v.numerator * (denom // v.denominator)))
-    return Fraction(denom, num) * t if num else t
-
-
-def _gram_schmidt(candidates):
-    """Orthogonalize (label, weight, tensor) candidates in order, each
-    against the kept vectors of its own torus weight only: tensors of
-    different weights have disjoint supports, so the skipped inner
-    products are exactly zero."""
-    vectors, norms2, kept, dropped = [], [], [], 0
-    by_weight = {}
-    for label, wt, v in candidates:
-        same = by_weight.setdefault(wt, [])
-        u = v
-        for w, n2 in same:
-            c = w.inner(u)
-            if c:
-                u = u - (c / n2) * w
-        u = _primitive(u)
-        n2 = u.norm_squared()
-        if n2 == 0:
-            dropped += 1
-            continue
-        same.append((u, n2))
-        vectors.append(u)
-        norms2.append(n2)
-        kept.append(label)
-    return vectors, norms2, kept, dropped
-
-
 def build_irrep_basis(group: str, lam, n: int) -> IrrepBasis:
     return _build_irrep_basis(group, tableaux.check_shape(lam), n)
 
@@ -145,13 +106,11 @@ def _build_irrep_basis(group: str, lam: tuple, n: int) -> IrrepBasis:
     def project(t):
         return t if form is None else traceless_project(t, form)[0]
 
-    # a filling's symmetrized and traceless-projected tensor keeps the
-    # weight of its entries
     sym = young_symmetrizer(lam)
-    candidates = ((t, _weight(t.row_major()),
-                   project(sym.apply(tableau_tensor(t)))) for t in fillings)
-    vectors, norms2, kept, dropped = _gram_schmidt(candidates)
-    return IrrepBasis(group, lam, n, vectors, norms2, kept, dropped, form)
+    kept, dropped = gram_schmidt(
+        ((t, project(sym.apply(tableau_tensor(t)))) for t in fillings), form)
+    return IrrepBasis(group, lam, n, [v for _, _, v, _ in kept],
+                      [n2 for *_, n2 in kept], [t for t, *_ in kept], dropped, form)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ integers converted to floats only at the very end.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -147,7 +146,9 @@ def su2_integral_closed(spec: Su2MonomialSpec) -> float:
 
     Zero unless the signed row indices and the signed column indices
     both sum to zero; otherwise the middle-angle integral of the
-    expanded product, exact up to one final square root.
+    expanded product, exact up to one final square root.  The product is
+    multiplied out one factor at a time with its terms bucketed by their
+    half-angle exponents, so its size stays polynomial in the factor count.
     """
     factors = spec.factors
     if not factors:
@@ -158,24 +159,18 @@ def su2_integral_closed(spec: Su2MonomialSpec) -> float:
     if sum(sign(f) * f.twice_m for f in factors):
         return 0.0
     prefactor = 1.0
-    expansions = []
+    poly = {(0, 0): Fraction(1)}  # the product so far, by (ec, es)
     for f in factors:
         root, terms = _small_d_terms(f.twice_j, f.twice_mp, f.twice_m)
         prefactor *= math.sqrt(root)
-        expansions.append(terms)
-    total = Fraction(0)
-    buckets: dict = {}
-    for combo in itertools.product(*expansions):
-        coeff = Fraction(1)
-        ec = es = 0
-        for c, e1, e2 in combo:
-            coeff *= c
-            ec += e1
-            es += e2
-        buckets[ec, es] = buckets.get((ec, es), Fraction(0)) + coeff
-    for (ec, es), coeff in buckets.items():
-        if coeff:
-            total += coeff * _half_angle_moment(ec, es)
+        product: dict = {}
+        for (ec, es), coeff in poly.items():
+            for c, e1, e2 in terms:
+                key = (ec + e1, es + e2)
+                product[key] = product.get(key, 0) + coeff * c
+        poly = product
+    total = sum((coeff * _half_angle_moment(ec, es)
+                 for (ec, es), coeff in poly.items() if coeff), Fraction(0))
     return prefactor * float(total)
 
 

@@ -115,6 +115,17 @@ def _semistandard_fillings(shape: Shape, alphabet: list[int]):
     yield from fill(0)
 
 
+def check_group_shape(group: str, shape, n: int) -> Shape:
+    """The checked shape, if it labels a module of the group at n: O(n)
+    needs at most n boxes in the first two columns, Sp(2n) at most n rows."""
+    shape = check_shape(shape)
+    if group == "O" and sum(conjugate(shape)[:2]) > n:
+        raise ValueError("first two column lengths must sum to at most n")
+    if group == "Sp" and len(shape) > n:
+        raise ValueError("shape must have at most n rows")
+    return shape
+
+
 def enumerate_gl_tableaux(shape, n: int) -> list[Tableau]:
     """Semistandard tableaux with entries 1..n; empty when the shape is too tall."""
     shape = check_shape(shape)
@@ -147,15 +158,8 @@ def _o_standard(t: Tableau, n: int, pos: dict[int, int]) -> bool:
 
 
 def enumerate_o_tableaux(shape, n: int) -> list[Tableau]:
-    """Orthogonal standard tableaux for O(n).
-
-    Requires the first two column lengths to sum to at most n; other shapes
-    do not label O(n) modules and are rejected.
-    """
-    shape = check_shape(shape)
-    tl = conjugate(shape)
-    if (tl[0] if tl else 0) + (tl[1] if len(tl) > 1 else 0) > n:
-        raise ValueError("first two column lengths must sum to at most n")
+    """Orthogonal standard tableaux for O(n) (shapes: check_group_shape)."""
+    shape = check_group_shape("O", shape, n)
     alphabet = o_alphabet(n)
     pos = {letter: k for k, letter in enumerate(alphabet)}
     return [t for t in _semistandard_fillings(shape, alphabet)
@@ -164,9 +168,7 @@ def enumerate_o_tableaux(shape, n: int) -> list[Tableau]:
 
 def enumerate_sp_tableaux(shape, n: int) -> list[Tableau]:
     """Symplectic standard tableaux for Sp(2n): row i entries are >= ibar."""
-    shape = check_shape(shape)
-    if len(shape) > n:
-        raise ValueError("shape must have at most n rows")
+    shape = check_group_shape("Sp", shape, n)
     alphabet = sp_alphabet(n)
     pos = {letter: k for k, letter in enumerate(alphabet)}
     out = []

@@ -7,10 +7,11 @@ symplectic groups, index contraction and expansion, the split of a tensor
 into traceless and trace parts, and the block projector attached to a
 partition acting on V^(x)k.
 
-The trace part comes from an exact Gram–Schmidt basis of the expansion
-span, graded by torus weight (_weight): an expansion by a split form
-keeps the weight, and tensors of different weights have disjoint
-supports, so the inner products the grading skips are exactly zero.
+One exact Gram–Schmidt (gram_schmidt), graded by torus weight (_weight),
+builds the expansion span basis behind the trace part and the module
+bases of irreps: symmetrizing, projecting and a split expansion keep a
+tensor's weight, and tensors of different weights have disjoint supports,
+so the inner products the grading skips are exactly zero.
 """
 
 import functools
@@ -335,40 +336,52 @@ def _weight(idx) -> tuple:
     return tuple(sorted((a, c) for a, c in net.items() if c))
 
 
-def _span_weight(idx, form: BilinearForm) -> tuple:
-    # the standard orthogonal form inserts x beside x, which changes the
+def _span_weight(idx, form: BilinearForm | None) -> tuple:
+    # form None is the U alphabet, whose weight is the content; the
+    # standard orthogonal form inserts x beside x, which changes the
     # content, so its trace span is left ungraded
-    return _weight(idx) if form.split else ()
+    return _weight(idx) if form is None or form.split else ()
+
+
+def _primitive(t: SparseTensor) -> SparseTensor:
+    """t scaled to coprime integer coefficients, in the same item order."""
+    denom = math.lcm(*(v.denominator for v in t.data.values()))
+    num = math.gcd(*(v.numerator * (denom // v.denominator) for v in t.data.values()))
+    return Fraction(denom, num) * t if num else t
+
+
+def gram_schmidt(candidates, form: BilinearForm | None):
+    """Orthogonalize (label, tensor) candidates in order, each of one weight,
+    read from its first index, against the kept vectors of that weight only,
+    and scale each survivor to primitive form.  Returns the kept
+    (label, weight, vector, norm²) and the count of dropped candidates."""
+    kept, by_weight, dropped = [], {}, 0
+    for label, v in candidates:
+        w = _span_weight(next(iter(v.data), ()), form)
+        same = by_weight.setdefault(w, [])
+        for u, n2 in same:
+            coef = Fraction(u.inner(v), n2)
+            if coef:  # v - coef * u would scale u twice, once to negate
+                v = v + (-coef) * u
+        if v.is_zero():
+            dropped += 1
+            continue
+        v = _primitive(v)
+        n2 = v.norm_squared()
+        same.append((v, n2))
+        kept.append((label, w, v, n2))
+    return kept, dropped
 
 
 @functools.lru_cache(maxsize=64)
 def _trace_span_basis(order: int, key: tuple) -> list:
-    """Orthogonal rational basis of the span of all expanded lower tensors
-    for the form with the given cache key, as (weight, vector, norm²) in
-    build order.
-
-    An expansion has the weight of the lower tensor, and tensors of
-    different weights have disjoint supports, so their inner product is
-    exactly zero: each generator is orthogonalized against the span
-    vectors of its own weight only, which gives the same vectors as the
-    ungraded Gram–Schmidt."""
+    """The kept (label, weight, vector, norm²) of gram_schmidt over every
+    expanded lower tensor of the form with the given cache key."""
     form = BilinearForm(*key)
-    basis, by_weight = [], {}
-    if order >= 2:
-        for i, j in itertools.combinations(range(order), 2):
-            for lower in itertools.product(form.letters, repeat=order - 2):
-                w = _span_weight(lower, form)
-                same = by_weight.setdefault(w, [])
-                v = expand(SparseTensor.elementary(lower), i, j, form)
-                for u, n2 in same:
-                    coef = Fraction(u.inner(v), n2)
-                    if coef:
-                        v = v - coef * u
-                if not v.is_zero():
-                    n2 = v.norm_squared()
-                    same.append((v, n2))
-                    basis.append((w, v, n2))
-    return basis
+    generators = (((i, j, lower), expand(SparseTensor.elementary(lower), i, j, form))
+                  for i, j in itertools.combinations(range(order), 2)
+                  for lower in itertools.product(form.letters, repeat=order - 2))
+    return gram_schmidt(generators, form)[0]
 
 
 def traceless_project(t: SparseTensor, form: BilinearForm):
@@ -380,7 +393,7 @@ def traceless_project(t: SparseTensor, form: BilinearForm):
     gets the same parts as from the whole basis."""
     weights = {_span_weight(idx, form) for idx in t.data}
     t1 = SparseTensor(t.order)
-    for w, u, n2 in _trace_span_basis(t.order, form.cache_key()):
+    for _, w, u, n2 in _trace_span_basis(t.order, form.cache_key()):
         if w in weights:
             coef = Fraction(u.inner(t), n2)
             if coef:

@@ -22,16 +22,23 @@ And it keeps the ungraded exact Gram–Schmidt of the module bases
 is orthogonalized against every earlier one, whatever its torus weight,
 and the Young symmetrizer is rebuilt for each filling.  The weight-graded
 bases of the package must equal these byte for byte.
+
+Last, it keeps the SU(2) closed form by full term enumeration
+(``su2_integral_closed_enumerated``): one product per choice of a term
+from each factor's half-angle expansion, exponential in the factor
+count.  The factor-at-a-time product of the package must print the same
+float.
 """
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from haarint import irreps, moments, perms, tableaux, tensors
+from haarint import irreps, moments, perms, su2, tableaux, tensors
 from haarint.moments import all_pairings
 from haarint.ratlinalg import mat_mul, rank, rref
 from haarint.tableaux import Tableau
@@ -457,7 +464,7 @@ def gram_schmidt_ungraded(candidates):
             c = w.inner(u)
             if c:
                 u = u - (c / n2) * w
-        u = irreps._primitive(u)
+        u = tensors._primitive(u)
         n2 = u.norm_squared()
         if n2 == 0:
             dropped += 1
@@ -486,3 +493,36 @@ def build_irrep_basis_ungraded(group: str, lam, n: int) -> irreps.IrrepBasis:
                   for t in fillings)
     vectors, norms2, kept, dropped = gram_schmidt_ungraded(candidates)
     return irreps.IrrepBasis(group, lam, n, vectors, norms2, kept, dropped, form)
+
+
+def su2_integral_closed_enumerated(spec) -> float:
+    """The closed-form SU(2) average summed over every combination of one
+    half-angle term per factor."""
+    factors = spec.factors
+    if not factors:
+        return 1.0
+    sign = lambda f: -1 if f.conj else 1
+    if sum(sign(f) * f.twice_mp for f in factors):
+        return 0.0
+    if sum(sign(f) * f.twice_m for f in factors):
+        return 0.0
+    prefactor = 1.0
+    expansions = []
+    for f in factors:
+        root, terms = su2._small_d_terms(f.twice_j, f.twice_mp, f.twice_m)
+        prefactor *= math.sqrt(root)
+        expansions.append(terms)
+    total = Fraction(0)
+    buckets: dict = {}
+    for combo in itertools.product(*expansions):
+        coeff = Fraction(1)
+        ec = es = 0
+        for c, e1, e2 in combo:
+            coeff *= c
+            ec += e1
+            es += e2
+        buckets[ec, es] = buckets.get((ec, es), Fraction(0)) + coeff
+    for (ec, es), coeff in buckets.items():
+        if coeff:
+            total += coeff * su2._half_angle_moment(ec, es)
+    return prefactor * float(total)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from haarint import cli, entropy, irreps
+from haarint import cli, entropy, irreps, tableaux
 from haarint.sampling import BLOCK
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -128,15 +128,25 @@ SCHUR_U2 = {"group": "U", "N": 2,
     (["sample", "--group", "U", "--N", "2", "--count", "1000000000"],
      "1000000000 x 4 = 4000000000"),
     (["sample", "--group", "Sp", "--N", "100000"], "1 x 40000000000 = 40000000000"),
+    (["su2", "--factors", "2,0,0,+;2,0,0,-", "--nodes", "1001"], "1001 x 1001 = 1002001"),
+    (["su2", "--factors", "2,0,0,+;2,0,0,-", "--nodes", "1000000000"],
+     "1000000000 x 1000000000 = 1000000000000000000"),
+    (["tableaux", "--shape", "9", "--N", "30"], "163011640 x 9 = 1467104760"),
+    (["tableaux", "--shape", "3,3", "--N", "40", "--group", "Sp"], "1888984800 x 6 = 11333908800"),
 ])
 def test_monte_carlo_sizes_refused_before_drawing(capsys, tmp_path, monkeypatch,
                                                   argv, estimate):
-    # sample counts and matrix sizes are refused from one work estimate
-    # before any draw, allocation or module basis build
+    # sample counts, matrix sizes, quadrature nodes and tableau listings are
+    # refused from one work estimate before any draw, allocation,
+    # enumeration or module basis build
     def refuse(*args):
-        raise AssertionError("basis built before the cost gate")
+        raise AssertionError("work done before the cost gate")
 
     monkeypatch.setattr(irreps, "build_irrep_basis", refuse)
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+    monkeypatch.setattr(tableaux, "_semistandard_fillings", refuse)
+    unit = {"su2": "companion-matrix entries",
+            "tableaux": "tableau entries"}.get(argv[0], "sampled numbers")
     spec = tmp_path / "irrep.json"
     spec.write_text(json.dumps(SCHUR_U2))
     argv = [str(spec) if a == "{spec}" else a for a in argv] + ["--seed", "1"]
@@ -145,7 +155,7 @@ def test_monte_carlo_sizes_refused_before_drawing(capsys, tmp_path, monkeypatch,
     elapsed = time.perf_counter() - start
     out, err = capsys.readouterr()
     assert code == 3 and out == "", err
-    assert err.startswith("cost gate: ") and f"{estimate} sampled numbers" in err
+    assert err.startswith("cost gate: ") and f"{estimate} {unit}" in err
     assert elapsed < 0.5
 
 
@@ -415,6 +425,13 @@ def test_sample_negative_count_usage(capsys):
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "--count" in err
+    # N < 1 is a usage error too, even when nothing would be drawn
+    for group, n in (("U", "-1"), ("Sp", "0"), ("O", "0")):
+        code = cli.main(["sample", "--group", group, "--N", n, "--count", "0",
+                         "--seed", "1"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"error: --N must be at least 1, got {n}\n"
 
 
 def test_sample_reproducible_across_threads(capsys):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import su2_integral_closed_enumerated
 from haarint.su2 import (
     Su2Factor,
     Su2MonomialSpec,
@@ -226,3 +227,28 @@ def test_closed_quadrature_property(shape, rnd):
     spec = Su2MonomialSpec(factors)
     assert abs(su2_integral_closed(spec)
                - su2_integral_quadrature(spec, 24)) < 1e-9
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), st.booleans()), min_size=1, max_size=5),
+       st.booleans(), st.randoms())
+@settings(max_examples=60, deadline=None)
+def test_closed_matches_enumeration_oracle(shape, balance, rnd):
+    # the factor-at-a-time product prints, byte for byte, the float of the
+    # full term enumeration; with balance, a sixth factor zeroes both phase
+    # sums so the middle-angle integral is reached
+    factors = [Su2Factor(tj, rnd.randrange(-tj, tj + 1, 2), rnd.randrange(-tj, tj + 1, 2),
+                         conj) for tj, conj in shape]
+    if balance:
+        sign = lambda f: -1 if f.conj else 1
+        a = -sum(sign(f) * f.twice_mp for f in factors)
+        b = -sum(sign(f) * f.twice_m for f in factors)
+        factors.append(Su2Factor(max(abs(a), abs(b)), a, b, False))
+    spec = Su2MonomialSpec(factors)
+    assert repr(su2_integral_closed(spec)) == repr(su2_integral_closed_enumerated(spec))
+
+
+def test_closed_eight_factor_product():
+    # the full term enumeration (11^8 combinations, tens of seconds) gives
+    # this float
+    spec = Su2MonomialSpec([Su2Factor(10, 0, 0, c) for c in [False] * 4 + [True] * 4])
+    assert repr(su2_integral_closed(spec)) == "0.007923853892058805"

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,11 +9,13 @@ from haarint import perms, tableaux, tensors
 from haarint.tableaux import Tableau
 from haarint.tensors import (
     BilinearForm, CostGateError, SparseTensor, contract, expand,
-    isotypic_projector, orthogonal_form, symplectic_form, traceless_project,
+    gram_schmidt, isotypic_projector, orthogonal_form, symplectic_form,
+    traceless_project,
 )
 
 from helpers import (
-    gl_module_dimension_oracle, module_dimension_oracle, traceless_project_ungraded,
+    gl_module_dimension_oracle, module_dimension_oracle, trace_span_basis_ungraded,
+    traceless_project_ungraded,
 )
 
 
@@ -171,6 +174,42 @@ def test_weight_is_net_count_with_zeros_dropped():
     assert tensors._weight((1, -1, 0, 2, 2, -3)) == ((2, 2), (3, -1))
     assert tensors._weight((1, -1)) == tensors._weight(()) == ()
     assert tensors._weight((3, 1, 3)) == ((1, 1), (3, 2))  # the U content
+
+
+def test_gram_schmidt_drops_and_grades():
+    # U content grading (form None): (1,2) and (2,1) share a weight, (1,1)
+    # has its own; zero and dependent candidates are dropped and counted
+    half = Fraction(1, 2)
+    candidates = [("a", e(1, 2) + e(2, 1)), ("zero", SparseTensor(2)),
+                  ("b", half * e(1, 2)), ("c", 3 * e(1, 1)),
+                  ("dep", Fraction(2, 3) * e(1, 2) - 4 * e(2, 1)), ("d", e(2, 1))]
+    kept, dropped = gram_schmidt(candidates, None)
+    assert dropped == 3
+    assert [label for label, *_ in kept] == ["a", "b", "c"]
+    assert [w for _, w, _, _ in kept] == [((1, 1), (2, 1))] * 2 + [((1, 2),)]
+    for i, (_, _, u, n2) in enumerate(kept):
+        assert n2 == u.norm_squared() > 0
+        coeffs = [Fraction(c) for c in u.data.values()]
+        # primitive: coprime integer coefficients
+        assert all(c.denominator == 1 for c in coeffs)
+        assert math.gcd(*(c.numerator for c in coeffs)) == 1
+        for _, _, v, _ in kept[i + 1:]:
+            assert u.inner(v) == 0
+    assert kept[1][2] == e(1, 2) - e(2, 1)
+    assert kept[2][2] == e(1, 1)
+
+
+@pytest.mark.parametrize("order,key", [
+    (2, ("orthogonal", 3, True)), (3, ("orthogonal", 2, True)),
+    (3, ("orthogonal", 3, True)), (3, ("symplectic", 2, True)),
+    (4, ("symplectic", 1, True)), (3, ("orthogonal", 3, False)),
+])
+def test_trace_span_basis_spans_the_ungraded_one(order, key):
+    graded = tensors._trace_span_basis(order, key)
+    assert len(graded) == len(trace_span_basis_ungraded(order, key))
+    for i, (_, w, u, _) in enumerate(graded):
+        assert all(tensors._span_weight(idx, BilinearForm(*key)) == w for idx in u.data)
+        assert all(u.inner(v) == 0 for _, _, v, _ in graded[i + 1:])
 
 
 # split O(1..5), odd N with the letter 0; Sp(1..3); the ungraded standard form
