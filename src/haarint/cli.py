@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -34,14 +35,6 @@ EXIT_ASSERT = 4
 # listing enumerates, and the nodes^2 companion-matrix entries of the `su2`
 # quadrature
 SAMPLE_CAP = 10 ** 6
-
-
-def _check_size(what: str, count: int, per_item: int, unit: str):
-    """Refuse, before the work, count x per_item entries past SAMPLE_CAP."""
-    if count * per_item > SAMPLE_CAP:
-        raise CostGateError(
-            f"{what}: {count} x {per_item} = {count * per_item} {unit}; "
-            f"capped at {SAMPLE_CAP}")
 
 
 def _frac(x: Fraction) -> str:
@@ -154,8 +147,9 @@ def cmd_tableaux(args) -> list:
     shape = tableaux.check_group_shape(args.group, _parse_shape(args.shape), args.N)
     # O and Sp filter the semistandard fillings of their N (Sp: 2N) letters
     letters = 2 * args.N if args.group == "Sp" else args.N
-    _check_size("tableaux", tableaux.gl_dimension(shape, letters),
-                tableaux.weight(shape), "tableau entries")
+    sampling.check_cost("tableaux", tableaux.gl_dimension(shape, letters),
+                        tableaux.weight(shape), SAMPLE_CAP, "tableau entries")
+    sampling.check_cost("tableaux", 1, letters, SAMPLE_CAP, "alphabet letters")
     if args.group == "GL":
         listing = tableaux.enumerate_gl_tableaux(shape, args.N)
     elif args.group == "O":
@@ -187,31 +181,23 @@ def _integral_record(args, spec, n, kind):
     seed = _resolve_seed(args, needed="mc" in want)
     if kind == "irrep":
         record["factors"] = spec.to_dict()["factors"]
-        if "exact" in want:
-            irreps._gate_exact(spec)  # refuse before any basis is built
-        if want - {"exact"}:
-            irreps._gate_build(spec)
+        exact, leading, mc = (irreps.integrate_irrep_exact, irreps.asymptotic_irrep,
+                              irreps.integrate_irrep_mc)
         if {"exact", "leading"} & want:
-            record["dropped_basis_vectors"] = sum(
-                b.dropped for b in irreps._bases_for(spec))
-        if "exact" in want:
-            record["exact"] = _frac(irreps.integrate_irrep_exact(spec))
-        if "leading" in want:
-            record["leading"] = _frac(irreps.asymptotic_irrep(spec))
-        if "mc" in want:
-            est = irreps.integrate_irrep_mc(spec, samples=args.samples,
-                                            seed=seed)
-            record["mc"] = est.to_json_dict()
+            record["dropped_basis_vectors"] = None  # filled once the bases are built
     else:
         record["factors"] = spec.to_dict(n)["factors"]
-        if "exact" in want:
-            record["exact"] = _frac(moments.exact_integral(spec, n))
-        if "leading" in want:
-            record["leading"] = _frac(moments.asymptotic_leading(spec, n))
-        if "mc" in want:
-            est = moments.integrate_monomial_mc(spec, n, samples=args.samples,
-                                                seed=seed)
-            record["mc"] = est.to_json_dict()
+        exact, leading, mc = (functools.partial(route, n=n) for route in (
+            moments.exact_integral, moments.asymptotic_leading,
+            moments.integrate_monomial_mc))
+    if "exact" in want:
+        record["exact"] = _frac(exact(spec))
+    if "leading" in want:
+        record["leading"] = _frac(leading(spec))
+    if "dropped_basis_vectors" in record:
+        record["dropped_basis_vectors"] = sum(b.dropped for b in irreps._bases_for(spec))
+    if "mc" in want:
+        record["mc"] = mc(spec, samples=args.samples, seed=seed).to_json_dict()
     record["samples"] = args.samples if "mc" in want else None
     return [_common(record, args, seed)]
 
@@ -247,7 +233,8 @@ def cmd_su2(args) -> list:
         spec = su2.Su2MonomialSpec(factors)
     else:
         raise ValueError("need --spec or --factors")
-    _check_size("su2 quadrature", args.nodes, args.nodes, "companion-matrix entries")
+    sampling.check_cost("su2 quadrature", args.nodes, args.nodes, SAMPLE_CAP,
+                        "companion-matrix entries")
     closed = su2.su2_integral_closed(spec)
     quad = su2.su2_integral_quadrature(spec, nodes=args.nodes)
     record = _common({
@@ -295,7 +282,7 @@ def cmd_sample(args) -> list:
         raise ValueError(f"--N must be at least 1, got {args.N}")
     seed = _resolve_seed(args, needed=True)
     d = sampling.dimension(args.group, args.N)
-    _check_size("sample", args.count, d * d, "sampled numbers")
+    sampling.check_cost("sample", args.count, d * d, SAMPLE_CAP)
     matrices = []
     for i in range(args.count):
         s = sampling.sample_group(args.group, args.N,

@@ -10,12 +10,12 @@ one weight-graded exact Gram–Schmidt of tensors (gram_schmidt).
 Sampled entries come from one kernel (rho_matrix) that takes a matrix or
 a stack of them and builds only the columns asked for; Monte Carlo asks
 it once per module and block of draws.
-A product of entries is a product of brackets of basis vectors, and a
-matrix-entry monomial is the case of degree-one brackets, so both go
-through the one reduce of the monomial engine (moments): it builds the
-match vectors, and its one value step (moments._value) gives the exact
-and leading-order values, the contraction with the class Weingarten
-weights or with their leading diagonal 1/D^q, before the norms divide.
+A product of entries is a product of brackets of basis vectors, as a
+matrix-entry monomial is of degree-one ones, so the monomial engine
+integrates both (moments._bracket_integral), exact or leading-order,
+before the norms divide.  Every mode passes one build gate (BUILD_CAP)
+before any basis is built, and the engine's match-work gate before any
+match vector.
 """
 
 import functools
@@ -37,14 +37,9 @@ from .tensors import (
     young_symmetrizer,
 )
 
-# the traceless machinery and the pairing count are the cost drivers, so
-# the plain GL path may go further in weight and dimension than the
-# orthogonal/symplectic ones
-EXACT_WEIGHT_CAP = {"U": 8, "O": 6, "Sp": 6}
-EXACT_DIM_CAP = {"U": 10, "O": 4, "Sp": 4}
-# work units (see _build_work) the module bases of one leading-order or
-# Monte Carlo request may cost: U(42) lambda=(2,1), just under it, builds
-# in about 3 s on a 2-core host, O(12) lambda=(2,1) in 0.4 s
+# work units (see _build_work) the module bases of one request, in every
+# mode, may cost: U(42) lambda=(2,1), just under it, builds in about 3 s
+# on a 2-core host, O(12) lambda=(2,1) in 0.4 s
 BUILD_CAP = 10 ** 5
 
 
@@ -249,12 +244,12 @@ def integrate_irrep_mc(spec: RepMatrixElementSpec, samples: int, seed: int):
     """Monte Carlo estimate over stacked Haar draws: one rho_matrix call per
     module and block, for the columns its factors read; refused past
     sampling.MC_CAP or BUILD_CAP before any basis is built."""
+    _gate_build(spec)
     d = sampling.dimension(spec.group, spec.n)
     sampling.check_cost(
         "Monte Carlo", samples,
         1 + d * d + sum(d ** tableaux.weight(f.lam) for f in spec.factors),
         sampling.MC_CAP)
-    _gate_build(spec)
     modules = {}  # lam -> (basis, {column: its place among the sampled ones})
     for f, basis in zip(spec.factors, _bases_for(spec)):
         _, cols = modules.setdefault(f.lam, (basis, {}))
@@ -276,26 +271,19 @@ def integrate_irrep_mc(spec: RepMatrixElementSpec, samples: int, seed: int):
 # ---------------------------------------------------------------------------
 # exact and leading-order integrals
 
-def _reduce(spec: RepMatrixElementSpec):
-    """The value where no weights are needed (a Fraction), otherwise
-    (group, q, r_vec, c_vec, norm_product): the integral is
-    r^T W c / sqrt(norm_product) over the commutant basis at degree q."""
+def _brackets(spec: RepMatrixElementSpec) -> tuple:
+    """(form, brackets, norm product): each factor is the bracket
+    <b_i|u|b_j> of its basis vectors' terms, and the integral is that of
+    the brackets (moments._bracket_integral) over sqrt(norm product)."""
     bases = _bases_for(spec)
     norms = Fraction(1)
     for f, basis in zip(spec.factors, bases):
         norms *= basis.norms2[f.row - 1] * basis.norms2[f.col - 1]
-    plain = sum(b.weight for f, b in zip(spec.factors, bases) if not f.conj)
-    q = moments._half_degree(spec.group, plain, spec.total_weight)
-    if q is None:
-        return Fraction(0)
-    if q == 0:
-        return _finish(Fraction(1), norms)
     brackets = [(f.conj, basis.vectors[f.row - 1].data.items(),
                  basis.vectors[f.col - 1].data.items())
                 for f, basis in zip(spec.factors, bases)]
-    r_vec, c_vec = moments._reduce_brackets(
-        brackets, q, bases[0].form, moments.type_table(spec.group, q).elements)
-    return spec.group, q, r_vec, c_vec, norms
+    # with no factor the integral is 1 before any letter is read
+    return (bases[0].form if bases else None), brackets, norms
 
 
 def _finish(core: Fraction, norm_product: Fraction) -> Fraction:
@@ -315,20 +303,6 @@ def _exact_sqrt(x: Fraction) -> Fraction | None:
     if rn * rn == x.numerator and rd * rd == x.denominator:
         return Fraction(rn, rd)
     return None
-
-
-def _gate_exact(spec: RepMatrixElementSpec):
-    m = spec.total_weight
-    wcap = EXACT_WEIGHT_CAP[spec.group]
-    if m > wcap:
-        raise CostGateError(
-            f"total weight {m} exceeds the exact-path cap {wcap} for "
-            f"{spec.group}; use the Monte Carlo or leading-order paths")
-    cap = EXACT_DIM_CAP[spec.group]
-    if spec.n > cap:
-        raise CostGateError(
-            f"N={spec.n} exceeds the exact-path cap {cap} for {spec.group}; "
-            f"use the Monte Carlo or leading-order paths")
 
 
 def _build_work(group: str, lam: tuple, n: int) -> int:
@@ -360,15 +334,10 @@ def _gate_build(spec: RepMatrixElementSpec):
 
 
 def _integral(spec: RepMatrixElementSpec, exact: bool) -> Fraction:
-    if exact:
-        _gate_exact(spec)
-    else:
-        _gate_build(spec)
-    reduced = _reduce(spec)
-    if isinstance(reduced, Fraction):
-        return reduced
-    *vectors, norms = reduced
-    return _finish(moments._value(vectors, spec.n, exact), norms)
+    _gate_build(spec)
+    form, brackets, norms = _brackets(spec)
+    return _finish(moments._bracket_integral(spec.group, spec.n, form, brackets, exact),
+                   norms)
 
 
 def integrate_irrep_exact(spec: RepMatrixElementSpec) -> Fraction:

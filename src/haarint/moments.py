@@ -19,13 +19,14 @@ dense Gram and its Weingarten matrix are not built here: they live in
 the test suite (tests/helpers.py) as the reference route that judges
 these weights.
 
-A monomial is a product of degree-one brackets: u_ij is <e_i|u|e_j>,
-e_a the a-th letter of the alphabet (the split one for Sp).  One reduce
-turns a product of brackets, of these or of irrep basis vectors (irreps),
-into the match vectors r, c, and one value step contracts them with W
-(exact) or with its leading diagonal δ/D^q, D = N (2N for Sp).  One SU/SO
-window serves both: the trivial SU(1) and SO(1) give 1, other cases defer
-to U or O, vanish, or are refused where determinant invariants enter.
+Monomials and irrep matrix elements (irreps) only build brackets, u_ij
+being the degree-one <e_i|u|e_j>, e_a the a-th letter of the alphabet
+(the split one for Sp).  _bracket_integral owns the rest in both modes:
+the degree rule, the trivial 0 and 1, the commutant basis, one match-work
+gate, the reduce to r, c and the contraction with W (exact) or with its
+leading diagonal δ/D^q, D = N (2N for Sp).  One SU/SO window serves both
+modes: SU(1) and SO(1) give 1, other cases defer to U or O, vanish, or
+are refused where determinant invariants enter.
 
 The Monte Carlo cross-check (integrate_monomial_mc) evaluates the monomial
 on stacks of Haar draws, one stack per block of sampling.mc_expectation.
@@ -395,12 +396,12 @@ def _match_vector(elements, form, terms) -> list:
             for p in elements]
 
 
-def _elements(kind: str, q: int) -> list:
-    """The U, O or Sp commutant basis at degree q: the cached type table's
-    up to the degree cap, enumerated afresh above it, where only the
-    leading order, which needs no weights, asks, and refused there when
-    it has more than LEADING_CAP elements."""
-    if q <= DEGREE_CAP:
+def _elements(kind: str, q: int, exact: bool) -> list:
+    """The U, O or Sp commutant basis at degree q: the cached type table's,
+    whose cap refuses exact values past DEGREE_CAP; the leading order,
+    which needs no weights, enumerates it afresh there, refused past
+    LEADING_CAP elements."""
+    if exact or q <= DEGREE_CAP:
         return type_table(kind, q).elements
     count = math.factorial(q) if kind == "U" else _double_factorial(2 * q - 1)
     if count > LEADING_CAP:
@@ -411,10 +412,16 @@ def _elements(kind: str, q: int) -> list:
     return perms.all_permutations(q) if kind == "U" else all_pairings(2 * q)
 
 
-def _half_degree(kind: str, plain: int, total: int) -> int | None:
-    """q, the operators per side, for brackets of total degree `total`,
-    `plain` of it unconjugated; None where the integral vanishes: U needs
-    as many plain as conjugated slots, O and Sp an even total."""
+def _half_degree(kind: str, brackets) -> int | None:
+    """q, the operators per side, of a product of brackets, read from each
+    bracket's degree (the letters of any of its terms); None where the
+    integral vanishes: U needs as many plain as conjugated slots, O and Sp
+    an even total."""
+    plain = total = 0
+    for conj, rows, _ in brackets:
+        degree = len(next(iter(rows))[0])
+        total += degree
+        plain += 0 if conj else degree
     if kind == "U":
         return plain if 2 * plain == total else None
     return None if total % 2 else total // 2
@@ -434,14 +441,26 @@ def _twist(terms, q: int, form: BilinearForm) -> list:
     return out
 
 
-def _reduce_brackets(brackets, q: int, form: BilinearForm | None, elements):
-    """Match vectors (r_vec, c_vec) of a product of brackets <row|u|col>:
-    its integral is r^T W c over the commutant basis `elements` at degree
-    q.  A bracket is (conj, row terms, col terms), a term (letters, coeff)
-    of a rational tensor; conj marks the entrywise conjugate.  For U (form
-    None) plain brackets fill the early slots and conjugated ones the late;
-    for O and Sp a conjugated bracket is twisted whole, and the product's
-    slots from q on are then twisted to the inverse matrix."""
+def _reduce(kind: str, form: BilinearForm | None, brackets, exact: bool):
+    """The value where no weights are needed (a Fraction), otherwise the
+    match vectors (kind, q, r_vec, c_vec) of a product of brackets
+    <row|u|col>: its integral is r^T W c over _elements(kind, q, exact).
+    A bracket is (conj, row terms, col terms), a term (letters, coeff) of
+    a rational tensor on the alphabet of form (None for U); conj marks the
+    entrywise conjugate.  Before any match vector, the match-work gate
+    refuses basis elements x the larger side's term count past LEADING_CAP
+    (one term for a monomial).  For U plain brackets fill the early slots
+    and conjugated ones the late; for O and Sp a conjugated bracket is
+    twisted whole, then the product's slots from q on to the inverse."""
+    q = _half_degree(kind, brackets)
+    if q is None:
+        return Fraction(0)
+    if q == 0:
+        return Fraction(1)
+    elements = _elements(kind, q, exact)
+    expanded = max(math.prod(len(b[side]) for b in brackets) for side in (1, 2))
+    sampling.check_cost(f"match vectors at q={q}", len(elements), expanded,
+                        LEADING_CAP, "bracket-term matches")
     if form is None:
         brackets = sorted(brackets, key=lambda b: b[0])
     else:
@@ -456,33 +475,16 @@ def _reduce_brackets(brackets, q: int, form: BilinearForm | None, elements):
             terms = _twist(terms, q, form)
         vectors.append(_match_vector(elements, form,
                                      [(x[:q], x[q:], c) for x, c in terms]))
-    return vectors
+    return (kind, q, *vectors)
 
 
-def _match_vectors(spec: MonomialSpec, n: int, elements):
-    """The value where no weights are needed (a Fraction), otherwise
-    (kind, q, r_vec, c_vec): the integral is r^T W c over the U, O or Sp
-    commutant basis elements(kind, q).  Each factor u_ij is the degree-one
-    bracket <e_i|u|e_j>, with e_a the a-th letter of the form's alphabet
-    (a itself for U)."""
-    kind = {"SU": "U", "SO": "O"}.get(spec.group, spec.group)
-    q = _half_degree(kind, sum(not f.conj for f in spec.factors), spec.degree)
-    if q is None:
-        return Fraction(0)
-    if q == 0:
-        return Fraction(1)
-    form = _form_for(kind, n)
-    letters = range(1, n + 1) if form is None else form.letters
-    brackets = [(f.conj, [((letters[f.row - 1],), 1)], [((letters[f.col - 1],), 1)])
-                for f in spec.factors]
-    return (kind, q, *_reduce_brackets(brackets, q, form, elements(kind, q)))
-
-
-def _value(reduced, n: int, exact: bool) -> Fraction:
-    """The integral from a reduce: a Fraction passes through; match
-    vectors (kind, q, r_vec, c_vec) are contracted with the class weights
-    (exact) or with the order-D^-q part of W, the diagonal δ/D^q, D = n, or
-    2n for Sp (Collins–Śniady 2006, Collins–Matsumoto 2009): r^T c / D^q."""
+def _bracket_integral(kind: str, n: int, form: BilinearForm | None, brackets,
+                      exact: bool) -> Fraction:
+    """The integral over U(n), O(n) or Sp(2n) of a product of brackets
+    (_reduce): the match vectors contracted with the class weights (exact)
+    or with the order-D^-q part of W, the diagonal δ/D^q, D = n, or 2n for
+    Sp (Collins–Śniady 2006, Collins–Matsumoto 2009): r^T c / D^q."""
+    reduced = _reduce(kind, form, brackets, exact)
     if isinstance(reduced, Fraction):
         return reduced
     kind, q, r_vec, c_vec = reduced
@@ -490,6 +492,17 @@ def _value(reduced, n: int, exact: bool) -> Fraction:
         return _contract(_engine(kind, q, n), r_vec, c_vec)
     d = 2 * n if kind == "Sp" else n
     return Fraction(sum(ra * ca for ra, ca in zip(r_vec, c_vec)), d ** q)
+
+
+def _brackets(spec: MonomialSpec, n: int) -> tuple:
+    """(kind, form, brackets) of a monomial: each factor u_ij is the
+    degree-one bracket <e_i|u|e_j>, e_a the a-th letter of the form's
+    alphabet, read without building it: a for U and O, the a-th of
+    -1, 1, -2, 2, … (tableaux.sp_alphabet) for Sp; SU and SO read U and O."""
+    kind = {"SU": "U", "SO": "O"}.get(spec.group, spec.group)
+    e = (lambda a: ((-1) ** a * ((a + 1) // 2),)) if kind == "Sp" else (lambda a: (a,))
+    return kind, _form_for(kind, n), [(f.conj, [(e(f.row), 1)], [(e(f.col), 1)])
+                                      for f in spec.factors]
 
 
 def _window(spec: MonomialSpec, n: int) -> Fraction | None:
@@ -529,10 +542,8 @@ def _integral(spec: MonomialSpec, n: int, exact: bool) -> Fraction:
     short = _window(spec, n)
     if short is not None:
         return short
-    # the exact engine comes first, so a degree above the cap is refused
-    # before any matching; the leading order enumerates under LEADING_CAP
-    elements = (lambda kind, q: _engine(kind, q, n).table.elements) if exact else _elements
-    return _value(_match_vectors(spec, n, elements), n, exact)
+    kind, form, brackets = _brackets(spec, n)
+    return _bracket_integral(kind, n, form, brackets, exact)
 
 
 def exact_integral(spec: MonomialSpec, n: int) -> Fraction:

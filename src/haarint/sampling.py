@@ -74,14 +74,14 @@ def dimension(group: str, n: int) -> int:
     return 2 * n if group == "Sp" else n
 
 
-def check_cost(what: str, count: int, per_item: int, cap: int):
-    """Refuse, before anything is drawn, count items of per_item sampled
-    numbers each when their product exceeds cap."""
+def check_cost(what: str, count: int, per_item: int, cap: int,
+               unit: str = "sampled numbers"):
+    """Refuse, before the work starts, count items of per_item units each
+    when their product exceeds cap."""
     work = count * per_item
     if work > cap:
         raise CostGateError(
-            f"{what}: {count} x {per_item} = {work} sampled numbers; "
-            f"capped at {cap}")
+            f"{what}: {count} x {per_item} = {work} {unit}; capped at {cap}")
 
 
 def _shape(n: int, size) -> tuple:

@@ -19,12 +19,14 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .moments import _spec_conj, _spec_factors, _spec_int
+from .tensors import CostGateError
 
 __all__ = [
     "Su2Factor",
@@ -77,20 +79,20 @@ class Su2MonomialSpec:
                               _spec_conj(f)) for f in _spec_factors(d)])
 
 
-def _small_d_terms(twice_j: int, twice_mp: int, twice_m: int):
-    """Expansion of the middle-angle profile as Sum coeff * C^ec * S^es
-    with C = cos(beta/2), S = sin(beta/2).
+def _small_d_root(twice_j: int, twice_mp: int, twice_m: int) -> int:
+    """The positive integer under the square root that the profile's
+    expansion (_small_d_terms) shares: (j+m)! (j-m)! (j+m')! (j-m')!.
+    All four factorial arguments are integers by the parity constraint."""
+    return math.prod(math.factorial((twice_j + s * t) // 2)
+                     for t in (twice_m, twice_mp) for s in (1, -1))
 
-    Returns (root, terms): the shared positive integer under the square
-    root and a list of (Fraction coefficient, ec, es).  All four
-    factorial arguments are integers by the parity constraint.
-    """
+
+def _small_d_terms(twice_j: int, twice_mp: int, twice_m: int):
+    """Expansion of the middle-angle profile, over sqrt(_small_d_root), as
+    Sum coeff * C^ec * S^es with C = cos(beta/2), S = sin(beta/2): a list
+    of (Fraction coefficient, ec, es)."""
     jm = (twice_j + twice_m) // 2
-    jmm = (twice_j - twice_m) // 2
-    jp = (twice_j + twice_mp) // 2
     jpm = (twice_j - twice_mp) // 2
-    root = (math.factorial(jm) * math.factorial(jmm)
-            * math.factorial(jp) * math.factorial(jpm))
     shift = (twice_m - twice_mp) // 2  # m - m'
     terms = []
     for k in range(max(0, shift), min(jm, jpm) + 1):
@@ -99,17 +101,36 @@ def _small_d_terms(twice_j: int, twice_mp: int, twice_m: int):
         sign = -1 if (k - shift) % 2 else 1
         terms.append((Fraction(sign, denom),
                       twice_j - 2 * k + shift, 2 * k - shift))
-    return root, terms
+    return terms
+
+
+def _scales(factors) -> list:
+    """sqrt(_small_d_root) of each factor, before any expansion; refused
+    where a root, or the product of the square roots, passes the float
+    range: the square root would overflow, the closed form print NaN."""
+    top, product, scales = sys.float_info.max, 1.0, []
+    for f in factors:
+        # past twice_j = 2 max_exp a factorial argument k is over max_exp,
+        # and k! >= 2^(k-1) is past the range before it is computed
+        root = (_small_d_root(f.twice_j, f.twice_mp, f.twice_m)
+                if f.twice_j <= 2 * sys.float_info.max_exp else math.inf)
+        if root > top or product * math.sqrt(root) > top:
+            raise CostGateError(
+                f"su2: the spin-{f.twice_j}/2 factor takes the square-root "
+                f"prefactors past the float range ({top})")
+        scales.append(math.sqrt(root))
+        product *= scales[-1]
+    return scales
 
 
 def wigner_small_d(twice_j: int, twice_mp: int, twice_m: int,
                    beta: float) -> float:
     """Rotation profile d^j_{m'm}(beta) of the spin-j representation."""
     _check_triple(twice_j, twice_mp, twice_m)
-    root, terms = _small_d_terms(twice_j, twice_mp, twice_m)
     c, s = math.cos(beta / 2), math.sin(beta / 2)
-    return math.sqrt(root) * sum(
-        float(coeff) * c ** ec * s ** es for coeff, ec, es in terms)
+    return math.sqrt(_small_d_root(twice_j, twice_mp, twice_m)) * sum(
+        float(coeff) * c ** ec * s ** es
+        for coeff, ec, es in _small_d_terms(twice_j, twice_mp, twice_m))
 
 
 def wigner_D(twice_j: int, twice_mp: int, twice_m: int, angles) -> complex:
@@ -158,11 +179,10 @@ def su2_integral_closed(spec: Su2MonomialSpec) -> float:
         return 0.0
     if sum(sign(f) * f.twice_m for f in factors):
         return 0.0
-    prefactor = 1.0
+    prefactor = math.prod(_scales(factors))
     poly = {(0, 0): Fraction(1)}  # the product so far, by (ec, es)
     for f in factors:
-        root, terms = _small_d_terms(f.twice_j, f.twice_mp, f.twice_m)
-        prefactor *= math.sqrt(root)
+        terms = _small_d_terms(f.twice_j, f.twice_mp, f.twice_m)
         product: dict = {}
         for (ec, es), coeff in poly.items():
             for c, e1, e2 in terms:
@@ -202,11 +222,11 @@ def su2_integral_quadrature(spec: Su2MonomialSpec, nodes: int = 32) -> float:
     alpha_sum = np.dot(wa, np.exp(-0.5j * ka * xa))
     gamma_sum = np.dot(wa, np.exp(-0.5j * kg * xa))
     profile = np.ones_like(xb)
-    for f in factors:  # conjugation leaves the real profile alone
-        root, terms = _small_d_terms(f.twice_j, f.twice_mp, f.twice_m)
+    # conjugation leaves the real profile alone
+    for f, scale in zip(factors, _scales(factors)):
         c, s = np.cos(xb / 2), np.sin(xb / 2)
-        d = math.sqrt(root) * sum(
-            float(coeff) * c ** ec * s ** es for coeff, ec, es in terms)
+        d = scale * sum(float(coeff) * c ** ec * s ** es for coeff, ec, es
+                        in _small_d_terms(f.twice_j, f.twice_mp, f.twice_m))
         profile = profile * d
     beta_sum = np.dot(wb, profile * np.sin(xb))
     value = alpha_sum * beta_sum * gamma_sum / (32 * math.pi ** 2)

@@ -241,17 +241,22 @@ class BilinearForm:
     """
 
     def __init__(self, kind: str, n: int, split: bool = True):
+        if kind not in ("orthogonal", "symplectic"):
+            raise ValueError(f"unknown form kind {kind!r}")
+        if n < 1:
+            raise ValueError("need n >= 1")
         self.kind = kind
         self.n = n
-        if kind == "orthogonal":
-            self.letters = tableaux.o_alphabet(n) if split else tableaux.gl_alphabet(n)
-            self.split = split
-        elif kind == "symplectic":
-            self.letters = tableaux.sp_alphabet(n)
-            self.split = True
-        else:
-            raise ValueError(f"unknown form kind {kind!r}")
-        self.dim = len(self.letters)
+        self.split = split or kind == "symplectic"
+        self.dim = 2 * n if kind == "symplectic" else n
+
+    @functools.cached_property
+    def letters(self) -> list:
+        """The alphabet (tableaux), built on first use: a monomial reads its
+        letters by position (moments._brackets) and never builds it."""
+        if self.kind == "symplectic":
+            return tableaux.sp_alphabet(self.n)
+        return tableaux.o_alphabet(self.n) if self.split else tableaux.gl_alphabet(self.n)
 
     def bar(self, x: int) -> int:
         return -x if self.split else x

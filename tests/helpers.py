@@ -509,9 +509,8 @@ def su2_integral_closed_enumerated(spec) -> float:
     prefactor = 1.0
     expansions = []
     for f in factors:
-        root, terms = su2._small_d_terms(f.twice_j, f.twice_mp, f.twice_m)
-        prefactor *= math.sqrt(root)
-        expansions.append(terms)
+        prefactor *= math.sqrt(su2._small_d_root(f.twice_j, f.twice_mp, f.twice_m))
+        expansions.append(su2._small_d_terms(f.twice_j, f.twice_mp, f.twice_m))
     total = Fraction(0)
     buckets: dict = {}
     for combo in itertools.product(*expansions):

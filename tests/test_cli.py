@@ -6,6 +6,7 @@ JSON record (or list), so the tests parse and compare structurally.
 
 import json
 import pathlib
+import sys
 import time
 
 import numpy as np
@@ -43,6 +44,20 @@ def test_tableaux_listing(capsys):
 def test_tableaux_empty_is_success(capsys):
     rec = run_json(capsys, "tableaux", "--shape", "1,1,1", "--N", "2")
     assert rec["count"] == 0 and rec["tableaux"] == []
+
+
+def test_tableaux_alphabet_gated(capsys):
+    # the empty shape has no entries, but the enumeration builds the whole
+    # alphabet: N = 10^6 + 1 letters are refused before it is built
+    start = time.perf_counter()
+    code = cli.main(["tableaux", "--shape", "", "--N", "1000001"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err == ("cost gate: tableaux: 1 x 1000001 = 1000001 alphabet "
+                   "letters; capped at 1000000\n")
+    assert time.perf_counter() - start < 0.5
+    rec = run_json(capsys, "tableaux", "--shape", "", "--N", "3", "--group", "Sp")
+    assert rec["count"] == 1 and rec["tableaux"] == [[]]
 
 
 def test_tableaux_bad_shape_usage_error(capsys):
@@ -160,19 +175,23 @@ def test_monte_carlo_sizes_refused_before_drawing(capsys, tmp_path, monkeypatch,
 
 
 def test_irrep_cost_gate_before_bases(capsys, tmp_path, monkeypatch):
-    # U(20) is over the exact-path dimension cap; the refusal must come
-    # before the module bases (dim^2 work at this N) are built
+    # U(43) lambda=(2,1) is over the build gate, which exact requests pass
+    # too; the refusal must come before the module bases (dim^2 work at
+    # this N) are built
     def refuse(*args):
         raise AssertionError("basis built before the cost gate")
 
     monkeypatch.setattr(irreps, "build_irrep_basis", refuse)
     spec = tmp_path / "irrep.json"
     spec.write_text(json.dumps({
-        "group": "U", "N": 20,
+        "group": "U", "N": 43,
         "factors": [{"lambda": [2, 1], "i": 1, "j": 1, "conj": False},
                     {"lambda": [2, 1], "i": 1, "j": 1, "conj": True}]}))
-    code, _ = run(capsys, "integral", "--spec", str(spec), "--mode", "exact")
-    assert code == 3
+    code = cli.main(["integral", "--spec", str(spec), "--mode", "exact"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err == ("cost gate: module basis builds: work estimate 105952 "
+                   "exceeds the cap 100000 for U(43)\n")
 
 
 @pytest.mark.parametrize("mode", ["leading", "mc"])
@@ -351,6 +370,28 @@ def test_su2_bad_nodes(capsys):
     code, _ = run(capsys, "su2", "--factors", "2,0,0,+;2,0,0,-",
                   "--nodes", "4")
     assert code == 2
+
+
+@pytest.mark.parametrize("factors,spin", [
+    # (75!)^4 under one square root: math.sqrt overflowed with a traceback
+    ("150,0,0,+;150,0,0,-", 150),
+    # each root fits, the third square root takes the product past the
+    # float range: the closed form printed NaN
+    ("100,0,0,+;100,0,0,+;100,0,0,-;100,0,0,-", 100),
+    # a spin whose factorials alone would take minutes to compute
+    ("2000000000,0,0,+;2000000000,0,0,-", 2000000000),
+])
+def test_su2_past_the_float_range_refused(capsys, factors, spin):
+    start = time.perf_counter()
+    code = cli.main(["su2", "--factors", factors])
+    assert time.perf_counter() - start < 0.5
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err == (f"cost gate: su2: the spin-{spin}/2 factor takes the square-root "
+                   f"prefactors past the float range ({sys.float_info.max})\n")
+    # two of the spin-50 factors still fit: |D^50_00|^2 averages to 1/101
+    rec = run_json(capsys, "su2", "--factors", "100,0,0,+;100,0,0,-")
+    assert abs(rec["closed"] - 1 / 101) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import functools
 import itertools
 import os
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -292,10 +293,11 @@ def _dense_weights(group, q, n):
 def _dense_value(spec):
     """The same match vectors contracted with the dense Weingarten matrix
     of the materialized Gram."""
-    reduced = irreps._reduce(spec)
+    form, brackets, norms = irreps._brackets(spec)
+    reduced = moments._reduce(spec.group, form, brackets, exact=True)
     if isinstance(reduced, Fraction):
-        return reduced
-    group, q, r_vec, c_vec, norms = reduced
+        return irreps._finish(reduced, norms)
+    group, q, r_vec, c_vec = reduced
     w = _dense_weights(group, q, spec.n)
     core = sum((ra * w[a][b] * cb for a, ra in enumerate(r_vec)
                 for b, cb in enumerate(c_vec) if ra and cb), Fraction(0))
@@ -481,19 +483,75 @@ def test_empty_shape_factor_is_neutral():
     assert integrate_irrep_exact(padded) == integrate_irrep_exact(base)
 
 
-def test_cost_gates():
+def test_cost_gates(monkeypatch):
     heavy = RepMatrixElementSpec("U", 2, tuple(
         RepFactor((2,), 1, 1, c) for c in (False,) * 3 + (True,) * 3))
     assert heavy.total_weight == 12
-    with pytest.raises(CostGateError):
+    with pytest.raises(CostGateError, match="capped at q=4"):
         integrate_irrep_exact(heavy)
-    with pytest.raises(CostGateError):
-        integrate_irrep_exact(schur_spec("O", 5, (1,)))
-    with pytest.raises(CostGateError):
-        integrate_irrep_exact(schur_spec("U", 11, (1,)))
-    with pytest.raises(CostGateError):  # O/Sp weight cap sits below U's
-        integrate_irrep_exact(RepMatrixElementSpec("O", 3, tuple(
-            RepFactor((2,), 1, 1, c) for c in (False, False, True, True))))
+
+    def refuse(*args):
+        raise AssertionError("basis built before the build gate")
+
+    # exact requests pass the build gate of every mode, before any build
+    monkeypatch.setattr(irreps, "build_irrep_basis", refuse)
+    with pytest.raises(CostGateError, match="work estimate 105952 exceeds"):
+        integrate_irrep_exact(schur_spec("U", 43, (2, 1)))
+    with pytest.raises(CostGateError, match="work estimate 115200 exceeds"):
+        integrate_irrep_exact(schur_spec("O", 4, (3, 2)))
+    # Sp(2) rho^(3,2)_11 rho^(1)_11: a 9 s order-5 trace-span build before
+    sp = rep_spec("Sp", 2, ((3, 2), 1, 1, False), ((1,), 1, 1, False))
+    with pytest.raises(CostGateError) as refused:
+        integrate_irrep_exact(sp)
+    assert str(refused.value) == ("module basis builds: work estimate 115200 "
+                                  "exceeds the cap 100000 for Sp(2)")
+
+
+@pytest.mark.parametrize("group,n,lam", [("U", 12, (2, 1)), ("O", 6, (2,)),
+                                         ("O", 7, (2, 1)), ("Sp", 5, (1, 1))])
+def test_exact_above_the_old_fixed_caps(group, n, lam):
+    # N past the former exact-path caps (U 10, O/Sp 4): the build gate
+    # admits these modules, and Schur orthogonality gives 1/dim
+    rank = build_irrep_basis(group, lam, n).rank
+    for ij in [(1, 1), (1, rank), (rank, 2)]:
+        for kl in [ij, (2, 1)]:
+            want = workloads.oracles.schur_exact(group, lam, n, ij, kl)
+            assert integrate_irrep_exact(schur_spec(group, n, lam, *ij, *kl)) == want
+
+
+@pytest.mark.parametrize("group,n,lam", [("U", 3, (5,)), ("U", 2, (3, 2)),
+                                         ("Sp", 1, (5,))])
+def test_leading_above_the_degree_cap(group, n, lam):
+    # q = 5 is past DEGREE_CAP: the leading order enumerates the basis, as
+    # for monomials, and gives q!/(f^lambda D^q); the exact value is refused
+    rank = build_irrep_basis(group, lam, n).rank
+    for ij, kl in [((1, 1), (1, 1)), ((1, rank), (1, rank)), ((rank, 1), (rank, 1)),
+                   ((1, 1), (rank, rank))]:
+        want = workloads.oracles.schur_leading(group, lam, n, ij, kl)
+        assert asymptotic_irrep(schur_spec(group, n, lam, *ij, *kl)) == want
+    with pytest.raises(CostGateError, match="capped at q=4"):
+        integrate_irrep_exact(schur_spec(group, n, lam))
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_match_gate_refuses_before_any_match_vector(monkeypatch, exact):
+    # O(16) lambda=(2): four factors at the entry of largest support are
+    # 105 pairings x 16^4 row terms; the leading mode ran for 18.6 s before
+    basis = build_irrep_basis("O", (2,), 16)
+    k = 1 + max(range(basis.rank), key=lambda i: len(basis.vectors[i].data))
+    assert len(basis.vectors[k - 1].data) == 16
+
+    def refuse(*args):
+        raise AssertionError("match vector built before the match gate")
+
+    monkeypatch.setattr(moments, "_match_vector", refuse)
+    s = rep_spec("O", 16, *[((2,), k, k, c) for c in (False, False, True, True)])
+    start = time.perf_counter()
+    with pytest.raises(CostGateError) as refused:
+        (integrate_irrep_exact if exact else asymptotic_irrep)(s)
+    assert time.perf_counter() - start < 0.5
+    assert str(refused.value) == ("match vectors at q=4: 105 x 65536 = 6881280 "
+                                  "bracket-term matches; capped at 1000000")
 
 
 def test_build_cap_admits_every_module_in_use():

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import haarint
-from haarint import moments, ratlinalg, sampling
+from haarint import moments, ratlinalg, sampling, tableaux
 from haarint.moments import (
     CostGateError,
     Factor,
@@ -290,7 +290,7 @@ def _dense_weights(group, q, n):
 
 
 def _dense_value(spec, n):
-    reduced = moments._match_vectors(spec, n, moments._elements)
+    reduced = moments._reduce(*moments._brackets(spec, n), exact=True)
     if isinstance(reduced, Fraction):
         return reduced
     group, q, r_vec, c_vec = reduced
@@ -502,6 +502,21 @@ def test_unitarity_sum_rule():
         total = sum(exact_integral(spec("Sp", (1, j), (1, j, True)), n)
                     for j in range(1, 2 * n + 1))
         assert total == 1
+
+
+def test_monomial_letters_need_no_alphabet():
+    # a monomial reads its letters by position, so no alphabet of N letters
+    # is built: 10^9 letters would take tens of GB
+    for n in range(1, 5):
+        _, form, brackets = moments._brackets(
+            spec("Sp", *[(a, a) for a in range(1, 2 * n + 1)]), n)
+        assert [b[1][0][0][0] for b in brackets] == tableaux.sp_alphabet(n) == form.letters
+    start = time.perf_counter()
+    big = 10 ** 9
+    assert exact_integral(spec("O", (1, 1), (1, 1)), big) == Fraction(1, big)
+    assert exact_integral(spec("O", (1, 1)), big) == 0
+    assert asymptotic_leading(spec("Sp", (1, 1), (1, 1, True)), big) == Fraction(1, 2 * big)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_index_validation():
