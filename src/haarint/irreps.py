@@ -3,10 +3,16 @@ groups: exact bases inside tensor powers, sampled representation
 matrices, and exact / leading-order / Monte Carlo integrals of products
 of their entries.
 
-A basis vector is kept as an exact rational tensor plus its rational
-norm-square; representation entries are <b_i, u^(x)m b_j>/sqrt(n_i n_j).
-The fillings' symmetrized, traceless-projected tensors go through the
-one weight-graded exact Gram–Schmidt of tensors (gram_schmidt).
+A basis vector is kept as an exact tensor of coprime integers, stored as
+Fraction, plus its norm-square; representation entries are
+<b_i, u^(x)m b_j>/sqrt(n_i n_j).  The build is integer-only: each
+filling's symmetrized tensor, for O/Sp a positive multiple of its
+traceless part (tensors._trace_part), goes through the one weight-graded,
+fraction-free Gram–Schmidt of tensors (gram_schmidt), and the kept
+vectors turn Fraction only when they fill IrrepBasis.  The brackets hand
+the integers back to moments, so match vectors are int too; Fraction
+enters with the class weights, the leading division and the norms
+(_finish).
 Sampled entries come from one kernel (rho_matrix) that takes a matrix or
 a stack of them and builds only the columns asked for; Monte Carlo asks
 it once per module and block of draws.
@@ -29,17 +35,18 @@ from . import moments, sampling, tableaux
 from .tensors import (
     BilinearForm,
     CostGateError,
+    SparseTensor,
+    _trace_part,
     gram_schmidt,
     orthogonal_form,
     symplectic_form,
     tableau_tensor,
-    traceless_project,
     young_symmetrizer,
 )
 
 # work units (see _build_work) the module bases of one request, in every
-# mode, may cost: U(42) lambda=(2,1), just under it, builds in about 3 s
-# on a 2-core host, O(12) lambda=(2,1) in 0.4 s
+# mode, may cost: U(42) lambda=(2,1), just under it, builds cold in about
+# 1.3 s on a 2-core host, O(12) lambda=(2,1) in 0.06 s
 BUILD_CAP = 10 ** 5
 
 
@@ -99,13 +106,23 @@ def _build_irrep_basis(group: str, lam: tuple, n: int) -> IrrepBasis:
         raise ValueError(f"no irrep basis for group tag {group!r}")
 
     def project(t):
-        return t if form is None else traceless_project(t, form)[0]
+        # a positive integer multiple of the traceless part, D t0 = D t - D t1
+        if form is None:
+            return t
+        d, t1 = _trace_part(t, form)
+        return d * t - t1
+
+    def rational(v):
+        out = SparseTensor(v.order)
+        out.data = {idx: Fraction(c) for idx, c in v.data.items()}
+        return out
 
     sym = young_symmetrizer(lam)
     kept, dropped = gram_schmidt(
         ((t, project(sym.apply(tableau_tensor(t)))) for t in fillings), form)
-    return IrrepBasis(group, lam, n, [v for _, _, v, _ in kept],
-                      [n2 for *_, n2 in kept], [t for t, *_ in kept], dropped, form)
+    return IrrepBasis(group, lam, n, [rational(v) for _, _, v, _ in kept],
+                      [Fraction(n2) for *_, n2 in kept], [t for t, *_ in kept],
+                      dropped, form)
 
 
 # ---------------------------------------------------------------------------
@@ -276,17 +293,21 @@ def _brackets(spec: RepMatrixElementSpec) -> tuple:
     <b_i|u|b_j> of its basis vectors' terms, and the integral is that of
     the brackets (moments._bracket_integral) over sqrt(norm product)."""
     bases = _bases_for(spec)
-    norms = Fraction(1)
+    norms = 1
     for f, basis in zip(spec.factors, bases):
-        norms *= basis.norms2[f.row - 1] * basis.norms2[f.col - 1]
-    brackets = [(f.conj, basis.vectors[f.row - 1].data.items(),
-                 basis.vectors[f.col - 1].data.items())
+        norms *= basis.norms2[f.row - 1].numerator * basis.norms2[f.col - 1].numerator
+
+    def terms(v):
+        # a basis vector is primitive: its Fractions are integers
+        return [(idx, c.numerator) for idx, c in v.data.items()]
+
+    brackets = [(f.conj, terms(basis.vectors[f.row - 1]), terms(basis.vectors[f.col - 1]))
                 for f, basis in zip(spec.factors, bases)]
     # with no factor the integral is 1 before any letter is read
     return (bases[0].form if bases else None), brackets, norms
 
 
-def _finish(core: Fraction, norm_product: Fraction) -> Fraction:
+def _finish(core: Fraction, norm_product: int) -> Fraction:
     if core == 0:
         return Fraction(0)
     root = _exact_sqrt(norm_product)
@@ -297,12 +318,9 @@ def _finish(core: Fraction, norm_product: Fraction) -> Fraction:
     return core / root
 
 
-def _exact_sqrt(x: Fraction) -> Fraction | None:
-    rn = math.isqrt(x.numerator)
-    rd = math.isqrt(x.denominator)
-    if rn * rn == x.numerator and rd * rd == x.denominator:
-        return Fraction(rn, rd)
-    return None
+def _exact_sqrt(x: int) -> int | None:
+    r = math.isqrt(x)
+    return r if r * r == x else None
 
 
 def _build_work(group: str, lam: tuple, n: int) -> int:

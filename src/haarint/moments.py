@@ -446,12 +446,13 @@ def _reduce(kind: str, form: BilinearForm | None, brackets, exact: bool):
     match vectors (kind, q, r_vec, c_vec) of a product of brackets
     <row|u|col>: its integral is r^T W c over _elements(kind, q, exact).
     A bracket is (conj, row terms, col terms), a term (letters, coeff) of
-    a rational tensor on the alphabet of form (None for U); conj marks the
-    entrywise conjugate.  Before any match vector, the match-work gate
-    refuses basis elements x the larger side's term count past LEADING_CAP
-    (one term for a monomial).  For U plain brackets fill the early slots
-    and conjugated ones the late; for O and Sp a conjugated bracket is
-    twisted whole, then the product's slots from q on to the inverse."""
+    a tensor on the alphabet of form (None for U), whose int coefficients
+    give int match vectors; conj marks the entrywise conjugate.  Before
+    any match vector, the match-work gate refuses basis elements x the
+    larger side's term count past LEADING_CAP (one term for a monomial).
+    For U plain brackets fill the early slots and conjugated ones the
+    late; for O and Sp a conjugated bracket is twisted whole, then the
+    product's slots from q on to the inverse."""
     q = _half_degree(kind, brackets)
     if q is None:
         return Fraction(0)

@@ -204,50 +204,10 @@ def count_standard_tableaux(shape) -> int:
     return t
 
 
-def count_distinct_entry_fillings(shape, n: int) -> int:
-    """Standard fillings using each of 1..n exactly once.
-
-    Identical to count_standard_tableaux when n equals the weight; zero
-    otherwise, since m cells cannot hold n distinct forced entries.
-    """
-    shape = check_shape(shape)
-    return count_standard_tableaux(shape) if n == weight(shape) else 0
-
-
 def young_constant_mu(shape) -> Fraction:
     """The scalar mu with c*c = mu*c for the row-column symmetrizer; m!/t."""
     shape = check_shape(shape)
     return Fraction(math.factorial(weight(shape)), count_standard_tableaux(shape))
-
-
-def gelfand_counts(t: Tableau, n: int) -> dict[tuple[int, int], int]:
-    """Triangular counts m[(mu, nu)] = entries <= nu in row mu, 1<=mu<=nu<=n.
-
-    Defined for tableaux over the alphabet 1..n; rows beyond the shape
-    count zero.
-    """
-    if any(x < 1 or x > n for x in t.row_major()):
-        raise ValueError("entries must lie in 1..n")
-    counts = {}
-    for nu in range(1, n + 1):
-        for mu in range(1, nu + 1):
-            row = t.rows[mu - 1] if mu <= len(t.rows) else []
-            counts[(mu, nu)] = sum(1 for x in row if x <= nu)
-    return counts
-
-
-def row_repetition_factor(t: Tableau, n: int) -> int:
-    """Product of factorials of entry multiplicities per row.
-
-    Computed from successive differences of the Gelfand counts; equals the
-    number of row-preserving permutations fixing the filling.
-    """
-    counts = gelfand_counts(t, n)
-    f = 1
-    for (mu, nu), c in counts.items():
-        prev = counts.get((mu, nu - 1), 0)
-        f *= math.factorial(c - prev)
-    return f
 
 
 def gl_dimension(shape, n: int) -> int:

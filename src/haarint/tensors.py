@@ -1,17 +1,21 @@
-"""Exact tensor algebra on V^(x)k with rational coefficients.
+"""Exact tensor algebra on V^(x)k with integer or rational coefficients.
 
 Tensors are sparse maps from index tuples (alphabet letters, see tableaux)
-to rational numbers.  The module provides slot permutations, row-column
-symmetrizers, the invariant bilinear pairings of the orthogonal and
-symplectic groups, index contraction and expansion, the split of a tensor
-into traceless and trace parts, and the block projector attached to a
-partition acting on V^(x)k.
+to int or Fraction coefficients.  The module provides slot permutations,
+row-column symmetrizers, the invariant bilinear pairings of the orthogonal
+and symplectic groups, index contraction and expansion, and the split of a
+tensor into traceless and trace parts.
 
 One exact Gram–Schmidt (gram_schmidt), graded by torus weight (_weight),
 builds the expansion span basis behind the trace part and the module
 bases of irreps: symmetrizing, projecting and a split expansion keep a
 tensor's weight, and tensors of different weights have disjoint supports,
-so the inner products the grading skips are exactly zero.
+so the inner products the grading skips are exactly zero.  It is
+fraction-free: every vector it holds is a positive integer multiple of the
+rational one, and every vector it keeps is primitive, so the span basis
+holds int.  The trace part comes from one integer kernel (_trace_part),
+D t1 with D the lcm of the span norms met; traceless_project divides by D
+for its rational parts, while the irrep build keeps D t0 = D t - D t1.
 """
 
 import functools
@@ -225,12 +229,6 @@ def apply_symmetrizer(shape, t: SparseTensor) -> SparseTensor:
     return young_symmetrizer(shape).apply(t)
 
 
-def normalization_squared(shape, t: Tableau):
-    """Squared length of the symmetrized tableau tensor."""
-    v = apply_symmetrizer(shape, tableau_tensor(t))
-    return v.inner(v)
-
-
 class BilinearForm:
     """Invariant pairing on V, with the dual-basis data used for expansion.
 
@@ -348,30 +346,50 @@ def _span_weight(idx, form: BilinearForm | None) -> tuple:
     return _weight(idx) if form is None or form.split else ()
 
 
-def _primitive(t: SparseTensor) -> SparseTensor:
-    """t scaled to coprime integer coefficients, in the same item order."""
-    denom = math.lcm(*(v.denominator for v in t.data.values()))
-    num = math.gcd(*(v.numerator * (denom // v.denominator) for v in t.data.values()))
-    return Fraction(denom, num) * t if num else t
+def _integer_multiple(t: SparseTensor) -> SparseTensor:
+    """t itself if its coefficients are int, else a new tensor of t times
+    the lcm of its denominators, in the same item order."""
+    if all(type(c) is int for c in t.data.values()):
+        return t
+    denom = math.lcm(*(c.denominator for c in t.data.values()))
+    out = SparseTensor(t.order)
+    out.data = {idx: c.numerator * (denom // c.denominator) for idx, c in t.data.items()}
+    return out
 
 
 def gram_schmidt(candidates, form: BilinearForm | None):
     """Orthogonalize (label, tensor) candidates in order, each of one weight,
     read from its first index, against the kept vectors of that weight only,
-    and scale each survivor to primitive form.  Returns the kept
-    (label, weight, vector, norm²) and the count of dropped candidates."""
+    and scale each survivor to primitive form, coprime integers.  Returns
+    the kept (label, weight, vector, norm²), int throughout, and the count
+    of dropped candidates.  Candidates are left as they are; a kept vector
+    may be its candidate tensor itself.
+
+    Fraction-free (Bareiss 1968): a candidate is held as a positive integer
+    multiple of its rational residue, v <- (n2/g) v - (<u,v>/g) u with
+    g = gcd(<u,v>, n2), so it drops the same zero entries, keeps the same
+    item order and has the same primitive form as v <- v - <u,v>/n2 u."""
     kept, by_weight, dropped = [], {}, 0
     for label, v in candidates:
         w = _span_weight(next(iter(v.data), ()), form)
         same = by_weight.setdefault(w, [])
+        v = _integer_multiple(v)
         for u, n2 in same:
-            coef = Fraction(u.inner(v), n2)
-            if coef:  # v - coef * u would scale u twice, once to negate
-                v = v + (-coef) * u
+            ip = u.inner(v)
+            if ip:  # scaled into a new tensor: the candidate stays as it was
+                g = math.gcd(ip, n2)
+                v = (n2 // g) * v
+                ip //= g
+                for idx, c in u.data.items():
+                    v.add_term(idx, -ip * c)
         if v.is_zero():
             dropped += 1
             continue
-        v = _primitive(v)
+        content = math.gcd(*v.data.values())
+        if content != 1:
+            out = SparseTensor(v.order)
+            out.data = {idx: c // content for idx, c in v.data.items()}
+            v = out
         n2 = v.norm_squared()
         same.append((v, n2))
         kept.append((label, w, v, n2))
@@ -389,129 +407,47 @@ def _trace_span_basis(order: int, key: tuple) -> list:
     return gram_schmidt(generators, form)[0]
 
 
-def traceless_project(t: SparseTensor, form: BilinearForm):
-    """Split t = t0 + t1 with every contraction of t0 zero and t1 in the
-    span of expanded lower-order tensors; the parts are orthogonal.
+@functools.lru_cache(maxsize=64)
+def _span_index(order: int, key: tuple) -> tuple:
+    """_trace_span_basis indexed for projection: the weight of each index
+    in its vectors' supports, and per weight the (position, vector, norm²)
+    in basis order."""
+    weight_of, by_weight = {}, {}
+    for pos, (_, w, u, n2) in enumerate(_trace_span_basis(order, key)):
+        weight_of.update(dict.fromkeys(u.data, w))
+        by_weight.setdefault(w, []).append((pos, u, n2))
+    return weight_of, by_weight
+
+
+def _trace_part(t: SparseTensor, form: BilinearForm):
+    """(D, D t1): t1 the trace part of traceless_project, D the lcm of the
+    norms of the span vectors t meets, so D t1 is integral when t is.
 
     Only the span vectors of a weight that occurs in t can meet its
     support; they are taken in basis order, so a tensor of mixed weight
     gets the same parts as from the whole basis."""
-    weights = {_span_weight(idx, form) for idx in t.data}
+    weight_of, by_weight = _span_index(t.order, form.cache_key())
+    weights = {weight_of[idx] for idx in t.data if idx in weight_of}
+    span = by_weight[weights.pop()] if len(weights) == 1 else sorted(
+        x for w in weights for x in by_weight[w])
+    hits = [(ip, u, n2) for _, u, n2 in span if (ip := u.inner(t))]
+    d = math.lcm(*(n2 for *_, n2 in hits))
     t1 = SparseTensor(t.order)
-    for _, w, u, n2 in _trace_span_basis(t.order, form.cache_key()):
-        if w in weights:
-            coef = Fraction(u.inner(t), n2)
-            if coef:
-                t1 = t1 + coef * u
+    for ip, u, n2 in hits:
+        s = ip * (d // n2)
+        for idx, c in u.data.items():
+            t1.add_term(idx, s * c)
+    return d, t1
+
+
+def traceless_project(t: SparseTensor, form: BilinearForm):
+    """Split t = t0 + t1 with every contraction of t0 zero and t1 in the
+    span of expanded lower-order tensors; the parts are orthogonal and
+    rational: t1 is _trace_part's D t1 over D."""
+    d, t1 = _trace_part(t, form)
+    t1 = Fraction(1, d) * t1
     return t - t1, t1
-
-
-class TensorOperator:
-    """Dense rational operator on V^(x)k, rows and columns indexed by
-    letter tuples in lexicographic alphabet order."""
-
-    def __init__(self, form: BilinearForm, k: int, mat=None):
-        self.form = form
-        self.k = k
-        self.index = list(itertools.product(form.letters, repeat=k))
-        self.pos = {idx: i for i, idx in enumerate(self.index)}
-        n = len(self.index)
-        self.mat = mat if mat is not None else [
-            [Fraction(0)] * n for _ in range(n)]
-
-    @property
-    def dim(self) -> int:
-        return len(self.index)
-
-    def matmul(self, other: "TensorOperator") -> "TensorOperator":
-        if self.k != other.k or self.form.cache_key() != other.form.cache_key():
-            raise ValueError("operator shape mismatch")
-        from .ratlinalg import mat_mul
-        return TensorOperator(self.form, self.k, mat_mul(self.mat, other.mat))
-
-    def rank(self) -> int:
-        from .ratlinalg import rank
-        return rank(self.mat)
-
-    def apply(self, t: SparseTensor) -> SparseTensor:
-        out = SparseTensor(self.k)
-        for idx, c in t.data.items():
-            col = self.pos[idx]
-            for r, row in enumerate(self.mat):
-                if row[col]:
-                    out.add_term(self.index[r], row[col] * c)
-        return out
-
-    def scaled(self, s) -> "TensorOperator":
-        return TensorOperator(self.form, self.k,
-                              [[s * x for x in row] for row in self.mat])
-
-    def sub(self, other: "TensorOperator") -> "TensorOperator":
-        return TensorOperator(self.form, self.k,
-                              [[a - b for a, b in zip(ra, rb)]
-                               for ra, rb in zip(self.mat, other.mat)])
-
-    def is_zero(self) -> bool:
-        return all(not x for row in self.mat for x in row)
 
 
 class CostGateError(RuntimeError):
     """Raised when a request exceeds the supported exact-computation size."""
-
-
-def central_symmetrizer(shape) -> GroupAlgebraElement:
-    """Conjugation average of the Young symmetrizer over all slot
-    permutations, divided by mu^2.
-
-    The average is central, so it acts as a scalar on every irreducible
-    slot-permutation module; the scalar is mu^2 on the module attached to
-    the shape and 0 elsewhere, which makes the result the central
-    idempotent selecting that module.  Only class totals of the
-    symmetrizer coefficients are needed.
-    """
-    shape = tableaux.check_shape(shape)
-    m = tableaux.weight(shape)
-    c = young_symmetrizer(shape)
-    mu = tableaux.young_constant_mu(shape)
-
-    coeff_by_type = {}
-    for p, cp in c.terms.items():
-        ct = perms.cycle_type(p)
-        coeff_by_type[ct] = coeff_by_type.get(ct, 0) + cp
-
-    fact = math.factorial(m)
-    out = GroupAlgebraElement(m)
-    for g in perms.all_permutations(m):
-        ct = perms.cycle_type(g)
-        total = coeff_by_type.get(ct)
-        if total:
-            out.terms[g] = Fraction(total * fact, perms.class_size(ct)) / (mu * mu)
-    return out
-
-
-def isotypic_projector(lam, k: int, form: BilinearForm) -> TensorOperator:
-    """Projector onto the block of V^(x)k labeled by the weight-k partition lam.
-
-    The block is the lam-isotypic part of the contraction-free subspace:
-    project away every expanded lower-order tensor, then apply the central
-    idempotent of the slot-permutation algebra.  The two projections
-    commute (the expansion span is permutation-stable), so the composite
-    is idempotent; exact rational entries.
-    """
-    lam = tableaux.check_shape(lam)
-    if tableaux.weight(lam) != k:
-        raise ValueError("partition weight must equal the tensor order")
-    if k > 3:
-        raise CostGateError(
-            f"order-{k} projector needs an exact orthogonal basis of the "
-            f"expansion span inside a {len(form.letters) ** k}-dimensional "
-            f"space plus {math.factorial(k)} symmetrizer terms; supported "
-            f"up to order 3")
-    z = central_symmetrizer(lam)
-    op = TensorOperator(form, k)
-    for col, idx in enumerate(op.index):
-        t0, _ = traceless_project(SparseTensor.elementary(idx), form)
-        v = z.apply(t0)
-        for out_idx, cval in v.data.items():
-            op.mat[op.pos[out_idx]][col] += cval
-    return op

@@ -20,8 +20,16 @@ And it keeps the ungraded exact Gram–Schmidt of the module bases
 (``trace_span_basis_ungraded``, ``traceless_project_ungraded``,
 ``gram_schmidt_ungraded``, ``build_irrep_basis_ungraded``): every vector
 is orthogonalized against every earlier one, whatever its torus weight,
-and the Young symmetrizer is rebuilt for each filling.  The weight-graded
-bases of the package must equal these byte for byte.
+in rational arithmetic, and scaled to primitive form (``primitive``); the
+Young symmetrizer is rebuilt for each filling.  The weight-graded,
+fraction-free bases of the package must equal these byte for byte.
+
+It holds the paper's duality objects by definition, which the package no
+longer needs: the dense block projectors of V^(x)k (``TensorOperator``,
+``central_symmetrizer``, ``isotypic_projector``) that acceptance criterion
+6 checks, the symmetrized tableau norm (``normalization_squared``), and
+the tableau counts ``count_distinct_entry_fillings`` and
+``row_repetition_factor`` (from ``gelfand_counts``).
 
 Last, it keeps the SU(2) closed form by full term enumeration
 (``su2_integral_closed_enumerated``): one product per choice of a term
@@ -455,6 +463,13 @@ def traceless_project_ungraded(t, form):
     return t - t1, t1
 
 
+def primitive(t):
+    """t scaled to coprime integer coefficients, in the same item order."""
+    denom = math.lcm(*(v.denominator for v in t.data.values()))
+    num = math.gcd(*(v.numerator * (denom // v.denominator) for v in t.data.values()))
+    return Fraction(denom, num) * t if num else t
+
+
 def gram_schmidt_ungraded(candidates):
     """Orthogonalize (label, tensor) candidates against every kept vector."""
     vectors, norms2, kept, dropped = [], [], [], 0
@@ -464,7 +479,7 @@ def gram_schmidt_ungraded(candidates):
             c = w.inner(u)
             if c:
                 u = u - (c / n2) * w
-        u = tensors._primitive(u)
+        u = primitive(u)
         n2 = u.norm_squared()
         if n2 == 0:
             dropped += 1
@@ -493,6 +508,143 @@ def build_irrep_basis_ungraded(group: str, lam, n: int) -> irreps.IrrepBasis:
                   for t in fillings)
     vectors, norms2, kept, dropped = gram_schmidt_ungraded(candidates)
     return irreps.IrrepBasis(group, lam, n, vectors, norms2, kept, dropped, form)
+
+
+# ---------------------------------------------------------------------------
+# the paper's block projectors and tableau counts, by definition
+
+def normalization_squared(shape, t: Tableau):
+    """Squared length of the symmetrized tableau tensor."""
+    v = tensors.apply_symmetrizer(shape, tensors.tableau_tensor(t))
+    return v.inner(v)
+
+
+class TensorOperator:
+    """Dense rational operator on V^(x)k, rows and columns indexed by
+    letter tuples in lexicographic alphabet order."""
+
+    def __init__(self, form: tensors.BilinearForm, k: int, mat=None):
+        self.form = form
+        self.k = k
+        self.index = list(itertools.product(form.letters, repeat=k))
+        self.pos = {idx: i for i, idx in enumerate(self.index)}
+        n = len(self.index)
+        self.mat = mat if mat is not None else [
+            [Fraction(0)] * n for _ in range(n)]
+
+    def matmul(self, other: "TensorOperator") -> "TensorOperator":
+        if self.k != other.k or self.form.cache_key() != other.form.cache_key():
+            raise ValueError("operator shape mismatch")
+        return TensorOperator(self.form, self.k, mat_mul(self.mat, other.mat))
+
+    def rank(self) -> int:
+        return rank(self.mat)
+
+    def sub(self, other: "TensorOperator") -> "TensorOperator":
+        return TensorOperator(self.form, self.k,
+                              [[a - b for a, b in zip(ra, rb)]
+                               for ra, rb in zip(self.mat, other.mat)])
+
+    def is_zero(self) -> bool:
+        return all(not x for row in self.mat for x in row)
+
+
+def central_symmetrizer(shape) -> tensors.GroupAlgebraElement:
+    """Conjugation average of the Young symmetrizer over all slot
+    permutations, divided by mu^2.
+
+    The average is central, so it acts as a scalar on every irreducible
+    slot-permutation module; the scalar is mu^2 on the module attached to
+    the shape and 0 elsewhere, which makes the result the central
+    idempotent selecting that module.  Only class totals of the
+    symmetrizer coefficients are needed.
+    """
+    shape = tableaux.check_shape(shape)
+    m = tableaux.weight(shape)
+    c = tensors.young_symmetrizer(shape)
+    mu = tableaux.young_constant_mu(shape)
+
+    coeff_by_type = {}
+    for p, cp in c.terms.items():
+        ct = perms.cycle_type(p)
+        coeff_by_type[ct] = coeff_by_type.get(ct, 0) + cp
+
+    fact = math.factorial(m)
+    out = tensors.GroupAlgebraElement(m)
+    for g in perms.all_permutations(m):
+        ct = perms.cycle_type(g)
+        total = coeff_by_type.get(ct)
+        if total:
+            out.terms[g] = Fraction(total * fact, perms.class_size(ct)) / (mu * mu)
+    return out
+
+
+def isotypic_projector(lam, k: int, form: tensors.BilinearForm) -> TensorOperator:
+    """Projector onto the block of V^(x)k labeled by the weight-k partition lam.
+
+    The block is the lam-isotypic part of the contraction-free subspace:
+    project away every expanded lower-order tensor, then apply the central
+    idempotent of the slot-permutation algebra.  The two projections
+    commute (the expansion span is permutation-stable), so the composite
+    is idempotent; exact rational entries.
+    """
+    lam = tableaux.check_shape(lam)
+    if tableaux.weight(lam) != k:
+        raise ValueError("partition weight must equal the tensor order")
+    if k > 3:
+        raise tensors.CostGateError(
+            f"order-{k} projector needs an exact orthogonal basis of the "
+            f"expansion span inside a {len(form.letters) ** k}-dimensional "
+            f"space plus {math.factorial(k)} symmetrizer terms; supported "
+            f"up to order 3")
+    z = central_symmetrizer(lam)
+    op = TensorOperator(form, k)
+    for col, idx in enumerate(op.index):
+        t0, _ = tensors.traceless_project(tensors.SparseTensor.elementary(idx), form)
+        v = z.apply(t0)
+        for out_idx, cval in v.data.items():
+            op.mat[op.pos[out_idx]][col] += cval
+    return op
+
+
+def count_distinct_entry_fillings(shape, n: int) -> int:
+    """Standard fillings using each of 1..n exactly once.
+
+    Identical to count_standard_tableaux when n equals the weight; zero
+    otherwise, since m cells cannot hold n distinct forced entries.
+    """
+    shape = tableaux.check_shape(shape)
+    return tableaux.count_standard_tableaux(shape) if n == tableaux.weight(shape) else 0
+
+
+def gelfand_counts(t: Tableau, n: int) -> dict[tuple[int, int], int]:
+    """Triangular counts m[(mu, nu)] = entries <= nu in row mu, 1<=mu<=nu<=n.
+
+    Defined for tableaux over the alphabet 1..n; rows beyond the shape
+    count zero.
+    """
+    if any(x < 1 or x > n for x in t.row_major()):
+        raise ValueError("entries must lie in 1..n")
+    counts = {}
+    for nu in range(1, n + 1):
+        for mu in range(1, nu + 1):
+            row = t.rows[mu - 1] if mu <= len(t.rows) else []
+            counts[(mu, nu)] = sum(1 for x in row if x <= nu)
+    return counts
+
+
+def row_repetition_factor(t: Tableau, n: int) -> int:
+    """Product of factorials of entry multiplicities per row.
+
+    Computed from successive differences of the Gelfand counts; equals the
+    number of row-preserving permutations fixing the filling.
+    """
+    counts = gelfand_counts(t, n)
+    f = 1
+    for (mu, nu), c in counts.items():
+        prev = counts.get((mu, nu - 1), 0)
+        f *= math.factorial(c - prev)
+    return f
 
 
 def su2_integral_closed_enumerated(spec) -> float:

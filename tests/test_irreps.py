@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from haarint import irreps, moments, sampling
+from haarint import irreps, moments, sampling, tensors
 from haarint.irreps import (
     RepFactor,
     RepMatrixElementSpec,
@@ -145,6 +145,51 @@ def test_graded_basis_is_the_ungraded_one(group, lam, n):
     # ungraded loops: vectors in dict item order, norms, fillings, drops
     assert _fields(build_irrep_basis(group, lam, n)) == _fields(
         build_irrep_basis_ungraded(group, lam, n))
+
+
+INT_GUARD_MODULES = [("U", (2, 1), 3), ("O", (2, 1), 3), ("O", (2,), 2),
+                     ("Sp", (2, 1), 2), ("Sp", (3,), 1)]
+
+
+@pytest.mark.parametrize("group,lam,n", INT_GUARD_MODULES)
+def test_build_keeps_int_coefficients(group, lam, n, monkeypatch):
+    # the build does no Fraction arithmetic: the trace span, the projected
+    # candidates and the kept vectors hold int; IrrepBasis alone holds
+    # Fraction, for its repr
+    seen = []
+
+    def recording(candidates, form):
+        candidates = list(candidates)
+        kept, dropped = tensors.gram_schmidt(candidates, form)
+        seen.append((candidates, kept))
+        return kept, dropped
+
+    monkeypatch.setattr(irreps, "gram_schmidt", recording)
+    basis = irreps._build_irrep_basis.__wrapped__(group, lam, n)  # past the cache
+    (candidates, kept), = seen
+    assert all(type(c) is int for _, t in candidates for c in t.data.values())
+    assert all(type(c) is int for _, _, v, n2 in kept for c in [*v.data.values(), n2])
+    if basis.form is not None:
+        span = tensors._trace_span_basis(basis.weight, basis.form.cache_key())
+        assert all(type(c) is int for _, _, u, n2 in span for c in [*u.data.values(), n2])
+    assert all(type(c) is Fraction for v in basis.vectors for c in v.data.values())
+    assert all(type(n2) is Fraction for n2 in basis.norms2)
+
+
+@pytest.mark.parametrize("spec", [
+    schur_spec("U", 3, (2, 1), 2, 5), schur_spec("O", 3, (2, 1), 1, 4),
+    rep_spec("O", 2, ((2,), 2, 2, False), ((1,), 1, 1, False), ((1,), 1, 1, False)),
+    schur_spec("Sp", 2, (2, 1), 3, 7), schur_spec("Sp", 1, (3,), 2, 3),
+])
+def test_match_vectors_are_int(spec):
+    form, brackets, norms = irreps._brackets(spec)
+    assert type(norms) is int
+    assert all(type(c) is int for _, rows, cols in brackets for _, c in [*rows, *cols])
+    reduced = moments._reduce(spec.group, form, brackets, exact=True)
+    assert not isinstance(reduced, Fraction)  # the vectors are built
+    _, _, r_vec, c_vec = reduced
+    assert any(r_vec) and any(c_vec)
+    assert all(type(x) is int for x in r_vec + c_vec)
 
 
 def test_inadmissible_shapes_raise():

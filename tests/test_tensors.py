@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -9,13 +10,13 @@ from haarint import perms, tableaux, tensors
 from haarint.tableaux import Tableau
 from haarint.tensors import (
     BilinearForm, CostGateError, SparseTensor, contract, expand,
-    gram_schmidt, isotypic_projector, orthogonal_form, symplectic_form,
-    traceless_project,
+    gram_schmidt, orthogonal_form, symplectic_form, traceless_project,
 )
 
 from helpers import (
-    gl_module_dimension_oracle, module_dimension_oracle, trace_span_basis_ungraded,
-    traceless_project_ungraded,
+    TensorOperator, central_symmetrizer, gl_module_dimension_oracle,
+    gram_schmidt_ungraded, isotypic_projector, module_dimension_oracle,
+    normalization_squared, trace_span_basis_ungraded, traceless_project_ungraded,
 )
 
 
@@ -63,10 +64,10 @@ def test_symmetrizer_values():
 
 
 def test_normalization_squared_known():
-    assert tensors.normalization_squared((2,), Tableau([[1, 2]])) == 2
-    assert tensors.normalization_squared((2,), Tableau([[1, 1]])) == 4
-    assert tensors.normalization_squared((1, 1), Tableau([[1], [2]])) == 2
-    assert tensors.normalization_squared((2, 1), Tableau([[1, 1], [2]])) == 8
+    assert normalization_squared((2,), Tableau([[1, 2]])) == 2
+    assert normalization_squared((2,), Tableau([[1, 1]])) == 4
+    assert normalization_squared((1, 1), Tableau([[1], [2]])) == 2
+    assert normalization_squared((2, 1), Tableau([[1, 1], [2]])) == 8
 
 
 def test_norm_against_young_constant_boundary():
@@ -199,6 +200,59 @@ def test_gram_schmidt_drops_and_grades():
     assert kept[2][2] == e(1, 1)
 
 
+@st.composite
+def gram_schmidt_candidates(draw, one_weight):
+    """(label, tensor) candidates on the U alphabet 1..3, each of one
+    content, with int and Fraction coefficients, zero candidates and
+    combinations of earlier candidates of the same content."""
+    order = draw(st.integers(1, 3))
+    tuples = list(itertools.product((1, 2, 3), repeat=order))
+    classes = {}
+    for idx in tuples:
+        classes.setdefault(tensors._weight(idx), []).append(idx)
+    contents = sorted(classes)
+    coeff = st.one_of(st.integers(-3, 3),
+                      st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    fixed = draw(st.sampled_from(contents))
+    out, by_content = [], {}
+    for k in range(draw(st.integers(1, 10))):
+        content = fixed if one_weight else draw(st.sampled_from(contents))
+        earlier = by_content.get(content, [])
+        kind = draw(st.sampled_from(["new", "new", "zero", "combination"]))
+        t = SparseTensor(order)
+        if kind == "zero":
+            pass
+        elif kind == "combination" and earlier:
+            for u in draw(st.lists(st.sampled_from(earlier), min_size=1, max_size=3)):
+                t = t + draw(coeff) * u
+        else:
+            for idx in draw(st.lists(st.sampled_from(classes[content]), min_size=1,
+                                     max_size=4)):
+                t.add_term(idx, draw(coeff))
+        if not t.is_zero():
+            by_content.setdefault(content, []).append(t)
+        out.append((k, t))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.booleans().flatmap(gram_schmidt_candidates))
+def test_fraction_free_gram_schmidt_is_the_rational_one(candidates):
+    # the fraction-free loop keeps, drops, weighs and scales as the ungraded
+    # rational one: same labels, weights, values and dict item order, and
+    # it leaves its candidates as they were
+    before = [list(t.data.items()) for _, t in candidates]
+    kept, dropped = gram_schmidt(candidates, None)
+    vectors, norms2, labels, dropped_ref = gram_schmidt_ungraded(candidates)
+    assert [list(t.data.items()) for _, t in candidates] == before
+    assert [label for label, *_ in kept] == labels and dropped == dropped_ref
+    for (_, w, v, n2), ref, ref_n2 in zip(kept, vectors, norms2):
+        assert list(v.data.items()) == list(ref.data.items())
+        assert n2 == ref_n2
+        assert all(tensors._weight(idx) == w for idx in ref.data)
+        assert all(type(c) is int for c in [*v.data.values(), n2])
+
+
 @pytest.mark.parametrize("order,key", [
     (2, ("orthogonal", 3, True)), (3, ("orthogonal", 2, True)),
     (3, ("orthogonal", 3, True)), (3, ("symplectic", 2, True)),
@@ -252,11 +306,11 @@ def test_traceless_project_matches_ungraded(form, order, data):
 
 
 def test_central_symmetrizer_values():
-    z = tensors.central_symmetrizer((2,))
+    z = central_symmetrizer((2,))
     assert z.terms == {(0, 1): Fraction(1, 2), (1, 0): Fraction(1, 2)}
-    z = tensors.central_symmetrizer((1, 1))
+    z = central_symmetrizer((1, 1))
     assert z.terms == {(0, 1): Fraction(1, 2), (1, 0): Fraction(-1, 2)}
-    z = tensors.central_symmetrizer((2, 1))
+    z = central_symmetrizer((2, 1))
     assert z.terms == {(0, 1, 2): Fraction(2, 3),
                        (1, 2, 0): Fraction(-1, 3),
                        (2, 0, 1): Fraction(-1, 3)}
@@ -264,13 +318,13 @@ def test_central_symmetrizer_values():
 
 @pytest.mark.parametrize("shape", [(2,), (1, 1), (2, 1), (3,), (1, 1, 1)])
 def test_central_symmetrizer_idempotent(shape):
-    z = tensors.central_symmetrizer(shape)
+    z = central_symmetrizer(shape)
     assert (z * z - z).terms == {}
 
 
 def test_central_symmetrizers_orthogonal_and_complete():
     shapes = [(3,), (2, 1), (1, 1, 1)]
-    zs = [tensors.central_symmetrizer(s) for s in shapes]
+    zs = [central_symmetrizer(s) for s in shapes]
     for i in range(3):
         for j in range(i + 1, 3):
             assert (zs[i] * zs[j]).terms == {}
@@ -286,7 +340,7 @@ def test_central_symmetrizers_orthogonal_and_complete():
                                   symplectic_form(1), symplectic_form(2)])
 def test_projector_order_one_is_identity(form):
     p = isotypic_projector((1,), 1, form)
-    ident = tensors.TensorOperator(
+    ident = TensorOperator(
         form, 1, [[Fraction(int(i == j)) for j in range(form.dim)]
                   for i in range(form.dim)])
     assert p.sub(ident).is_zero()
