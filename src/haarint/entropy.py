@@ -16,9 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .sampling import (
-    MC_CAP, McEstimate, RngStream, check_cost, mc_expectation, sample_unitary,
-)
+from .sampling import MC_CAP, McEstimate, RngStream, check_cost, mc_expectation
 from .tensors import CostGateError
 
 __all__ = [
@@ -167,23 +165,17 @@ def page_entropy_exact(m: int, n: int) -> float:
     return float(page_entropy_fraction(m, n))
 
 
-def random_pure_state(dim: int, stream: RngStream, method: str = "gaussian",
-                      size=None) -> np.ndarray:
+def random_pure_state(dim: int, stream: RngStream, size=None) -> np.ndarray:
     """Haar-random unit vector, or a stack (size, dim) of them drawn from the
-    one stream: a normalized complex Gaussian vector, or the first column
-    of a Haar unitary (same law; kept so the equivalence stays testable)."""
-    if method == "unitary":
-        return sample_unitary(dim, stream, size).matrix[..., :, 0]
-    if method == "gaussian":
-        g = stream.generator()
-        shape = (dim,) if size is None else (size, dim)
-        z = g.standard_normal(shape) + 1j * g.standard_normal(shape)
-        return z / np.linalg.norm(z, axis=-1, keepdims=True)
-    raise ValueError("method must be 'unitary' or 'gaussian'")
+    one stream: a normalized complex Gaussian vector, whose law is that of
+    the first column of a Haar unitary."""
+    g = stream.generator()
+    shape = (dim,) if size is None else (size, dim)
+    z = g.standard_normal(shape) + 1j * g.standard_normal(shape)
+    return z / np.linalg.norm(z, axis=-1, keepdims=True)
 
 
-def mc_average_entropy(m: int, n: int, samples: int, seed: int,
-                       method: str = "gaussian") -> McEstimate:
+def mc_average_entropy(m: int, n: int, samples: int, seed: int) -> McEstimate:
     """Monte Carlo mean of the m-side entropy over random pure states: each
     block is one stack of states and one batched singular-value call;
     refused past MC_CAP sampled numbers."""
@@ -192,7 +184,7 @@ def mc_average_entropy(m: int, n: int, samples: int, seed: int,
     check_cost("Monte Carlo entropy", samples, 1 + m * n, MC_CAP)
 
     def draw(stream, size):
-        v = random_pure_state(m * n, stream, method=method, size=size)
+        v = random_pure_state(m * n, stream, size=size)
         sq = np.linalg.svd(v.reshape(size, m, n), compute_uv=False) ** 2
         sq = np.where(sq > _EIG_CLIP, sq, 0.0)
         sq /= sq.sum(axis=-1, keepdims=True)

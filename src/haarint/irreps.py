@@ -39,8 +39,8 @@ from .tensors import (
     _trace_part,
     gram_schmidt,
     orthogonal_form,
+    permute,
     symplectic_form,
-    tableau_tensor,
     young_symmetrizer,
 )
 
@@ -119,7 +119,8 @@ def _build_irrep_basis(group: str, lam: tuple, n: int) -> IrrepBasis:
 
     sym = young_symmetrizer(lam)
     kept, dropped = gram_schmidt(
-        ((t, project(sym.apply(tableau_tensor(t)))) for t in fillings), form)
+        ((t, project(permute(sym, SparseTensor.elementary(t.row_major()))))
+         for t in fillings), form)
     return IrrepBasis(group, lam, n, [rational(v) for _, _, v, _ in kept],
                       [Fraction(n2) for *_, n2 in kept], [t for t, *_ in kept],
                       dropped, form)

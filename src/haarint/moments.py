@@ -359,9 +359,9 @@ def _engine(group: str, q: int, n: int) -> ClassWeights:
     h = _class_product(products, g, g)
     system = [[sum((hm * counts[v] for hm, counts in zip(h, per_type)), Fraction(0))
                for v in range(len(g))] for per_type in products]
-    w = ratlinalg.solve(system, g)
+    w, rank = ratlinalg.solve(system, g)
     assert _class_product(products, _class_product(products, g, w), g) == g
-    return ClassWeights(table, tuple(w), pseudo=ratlinalg.rank(system) < len(g))
+    return ClassWeights(table, tuple(w), pseudo=rank < len(g))
 
 
 def _contract(engine: ClassWeights, r_vec, c_vec) -> Fraction:

@@ -5,7 +5,6 @@ permutations act on tensor slots.
 """
 
 import itertools
-import math
 
 Perm = tuple[int, ...]
 
@@ -46,14 +45,3 @@ def sign(p: Perm) -> int:
     """+1 for an even permutation, -1 for an odd one."""
     return -1 if sum(n - 1 for n in cycle_type(p)) % 2 else 1
 
-
-def class_size(ctype: tuple[int, ...]) -> int:
-    """Number of permutations with the given cycle type."""
-    k = sum(ctype)
-    z = 1
-    mult = {}
-    for length in ctype:
-        mult[length] = mult.get(length, 0) + 1
-    for length, m in mult.items():
-        z *= (length ** m) * math.factorial(m)
-    return math.factorial(k) // z

@@ -2,8 +2,8 @@
 
 Matrices are lists of lists of Fraction; vectors are lists of Fraction.
 Everything here is plain Gaussian elimination, sized for the small dense
-systems the rest of the package produces (the class-weight systems of the
-Weingarten solve, dense tensor operators).
+systems the rest of the package produces: the class-weight systems of the
+Weingarten solve (moments._engine).
 """
 
 from fractions import Fraction
@@ -11,22 +11,6 @@ from fractions import Fraction
 
 Matrix = list[list[Fraction]]
 Vector = list[Fraction]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
-    out = [[Fraction(0)] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            c = ai[t]
-            if c:
-                bt = b[t]
-                for j in range(m):
-                    if bt[j]:
-                        oi[j] += c * bt[j]
-    return out
 
 
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
@@ -54,14 +38,9 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     return m, pivots
 
 
-def rank(a: Matrix) -> int:
-    if not a:
-        return 0
-    return len(rref(a)[1])
-
-
-def solve(a: Matrix, b: Vector) -> Vector:
-    """One solution of a x = b; raises ValueError if the system is inconsistent.
+def solve(a: Matrix, b: Vector) -> tuple[Vector, int]:
+    """One solution of a x = b and the rank of a, from one elimination;
+    raises ValueError if the system is inconsistent.
 
     For singular systems the free variables are set to zero, so the answer
     is a particular solution, not the unique one.
@@ -75,4 +54,4 @@ def solve(a: Matrix, b: Vector) -> Vector:
     x = [Fraction(0)] * cols
     for r, c in enumerate(pivots):
         x[c] = red[r][cols]
-    return x
+    return x, len(pivots)

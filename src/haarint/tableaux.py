@@ -7,7 +7,6 @@ the row-major entry list under that order.
 """
 
 import math
-from fractions import Fraction
 
 
 Shape = tuple[int, ...]
@@ -202,12 +201,6 @@ def count_standard_tableaux(shape) -> int:
     t, rem = divmod(num, den)
     assert rem == 0
     return t
-
-
-def young_constant_mu(shape) -> Fraction:
-    """The scalar mu with c*c = mu*c for the row-column symmetrizer; m!/t."""
-    shape = check_shape(shape)
-    return Fraction(math.factorial(weight(shape)), count_standard_tableaux(shape))
 
 
 def gl_dimension(shape, n: int) -> int:

@@ -1,10 +1,12 @@
 """Exact tensor algebra on V^(x)k with integer or rational coefficients.
 
 Tensors are sparse maps from index tuples (alphabet letters, see tableaux)
-to int or Fraction coefficients.  The module provides slot permutations,
-row-column symmetrizers, the invariant bilinear pairings of the orthogonal
-and symplectic groups, index contraction and expansion, and the split of a
-tensor into traceless and trace parts.
+to int or Fraction coefficients.  The module provides one slot-permutation
+kernel (permute), which applies a single permutation or a whole row-column
+symmetrizer (young_symmetrizer, a plain {permutation: sign} dict), the
+invariant bilinear pairings of the orthogonal and symplectic groups, index
+contraction and expansion, and the split of a tensor into traceless and
+trace parts.
 
 One exact Gram–Schmidt (gram_schmidt), graded by torus weight (_weight),
 builds the expansion span basis behind the trace part and the module
@@ -24,7 +26,6 @@ import math
 from fractions import Fraction
 
 from . import perms, tableaux
-from .tableaux import Tableau
 
 
 class SparseTensor:
@@ -115,71 +116,20 @@ class SparseTensor:
         return f"SparseTensor({self.order}: {body or '0'})"
 
 
-def apply_permutation(p, t: SparseTensor) -> SparseTensor:
-    """Move the factor in slot i to slot p[i]."""
-    if len(p) != t.order:
-        raise ValueError("permutation length must match tensor order")
+def permute(terms, t: SparseTensor) -> SparseTensor:
+    """Sum of c P_p t over the (p, c) items of terms, permutation outer and
+    support inner, where P_p moves the factor in slot i to slot p[i]; one
+    permutation is {p: 1}, a whole symmetrizer its young_symmetrizer."""
     out = SparseTensor(t.order)
-    for idx, c in t.data.items():
-        new = [0] * t.order
-        for i, x in enumerate(idx):
-            new[p[i]] = x
-        out.add_term(tuple(new), c)
+    for p, c in terms.items():
+        if len(p) != t.order:
+            raise ValueError("permutation length must match tensor order")
+        for idx, tc in t.data.items():
+            new = [0] * t.order
+            for i, x in enumerate(idx):
+                new[p[i]] = x
+            out.add_term(tuple(new), c * tc)
     return out
-
-
-class GroupAlgebraElement:
-    """Formal rational combination of slot permutations."""
-
-    def __init__(self, k: int, terms=None):
-        self.k = k
-        self.terms = {}
-        if terms:
-            for p, c in terms.items():
-                if c:
-                    self.terms[tuple(p)] = self.terms.get(tuple(p), 0) + c
-
-    def __mul__(self, other):
-        if isinstance(other, GroupAlgebraElement):
-            out = GroupAlgebraElement(self.k)
-            for p, cp in self.terms.items():
-                for q, cq in other.terms.items():
-                    r = perms.compose(p, q)
-                    cur = out.terms.get(r, 0) + cp * cq
-                    if cur:
-                        out.terms[r] = cur
-                    else:
-                        out.terms.pop(r, None)
-            return out
-        return self.scale(other)
-
-    def scale(self, scalar):
-        return GroupAlgebraElement(
-            self.k, {p: scalar * c for p, c in self.terms.items()})
-
-    def __sub__(self, other):
-        out = GroupAlgebraElement(self.k, dict(self.terms))
-        for p, c in other.terms.items():
-            cur = out.terms.get(p, 0) - c
-            if cur:
-                out.terms[p] = cur
-            else:
-                out.terms.pop(p, None)
-        return out
-
-    def apply(self, t: SparseTensor) -> SparseTensor:
-        out = SparseTensor(t.order)
-        for p, c in self.terms.items():
-            for idx, tc in t.data.items():
-                new = [0] * t.order
-                for i, x in enumerate(idx):
-                    new[p[i]] = x
-                out.add_term(tuple(new), c * tc)
-        return out
-
-
-def _row_major_cells(shape):
-    return [(r, c) for r, row_len in enumerate(shape) for c in range(row_len)]
 
 
 def _subgroup_perms(k: int, blocks: list[list[int]]):
@@ -194,39 +144,26 @@ def _subgroup_perms(k: int, blocks: list[list[int]]):
     return out
 
 
-def young_symmetrizer(shape) -> GroupAlgebraElement:
-    """Column antisymmetrization after row symmetrization, cells row-major.
-
-    Satisfies c*c = mu*c with mu from tableaux.young_constant_mu.
-    """
+def young_symmetrizer(shape) -> dict:
+    """Column antisymmetrization after row symmetrization, cells numbered
+    row-major: {q p: sign(q)} over column permutations q (outer) and row
+    permutations p (inner).  The two groups meet only in the identity, so
+    no two terms share a permutation.  As an element of the group algebra
+    it satisfies c c = mu c with mu = m!/f^lambda, f^lambda the number of
+    standard tableaux of the shape (tableaux.count_standard_tableaux)."""
     shape = tableaux.check_shape(shape)
     m = tableaux.weight(shape)
-    cells = _row_major_cells(shape)
-    label = {cell: s for s, cell in enumerate(cells)}
-    rows = [[label[(r, c)] for c in range(row_len)]
-            for r, row_len in enumerate(shape)]
-    tl = tableaux.conjugate(shape)
-    cols = [[label[(r, c)] for r in range(col_len)]
-            for c, col_len in enumerate(tl)]
+    label = itertools.count()
+    rows = [[next(label) for _ in range(row_len)] for row_len in shape]
+    cols = [[rows[r][c] for r in range(col_len)]
+            for c, col_len in enumerate(tableaux.conjugate(shape))]
     row_group = _subgroup_perms(m, rows)
-    col_group = _subgroup_perms(m, cols)
-    elem = GroupAlgebraElement(m)
-    for q in col_group:
+    out = {}
+    for q in _subgroup_perms(m, cols):
         sq = perms.sign(q)
         for p in row_group:
-            r = perms.compose(q, p)
-            elem.terms[r] = elem.terms.get(r, 0) + sq
-    elem.terms = {p: c for p, c in elem.terms.items() if c}
-    return elem
-
-
-def tableau_tensor(t: Tableau) -> SparseTensor:
-    """Elementary tensor whose slot s holds the row-major entry s of t."""
-    return SparseTensor.elementary(t.row_major())
-
-
-def apply_symmetrizer(shape, t: SparseTensor) -> SparseTensor:
-    return young_symmetrizer(shape).apply(t)
+            out[perms.compose(q, p)] = sq
+    return out
 
 
 class BilinearForm:

@@ -25,11 +25,17 @@ Young symmetrizer is rebuilt for each filling.  The weight-graded,
 fraction-free bases of the package must equal these byte for byte.
 
 It holds the paper's duality objects by definition, which the package no
-longer needs: the dense block projectors of V^(x)k (``TensorOperator``,
-``central_symmetrizer``, ``isotypic_projector``) that acceptance criterion
-6 checks, the symmetrized tableau norm (``normalization_squared``), and
-the tableau counts ``count_distinct_entry_fillings`` and
-``row_repetition_factor`` (from ``gelfand_counts``).
+longer needs: the product of the slot-permutation group algebra on
+{permutation: coefficient} dicts (``algebra_product``) and the
+symmetrizer summed term by term from single placements
+(``symmetrize_by_definition``), the dense block projectors of V^(x)k
+(``TensorOperator``, ``central_symmetrizer``, ``isotypic_projector``)
+that acceptance criterion 6 checks, the symmetrizer constant
+(``young_constant_mu``), the class sizes (``class_size``), the
+symmetrized tableau norm (``normalization_squared``), and the tableau
+counts ``count_distinct_entry_fillings`` and ``row_repetition_factor``
+(from ``gelfand_counts``).  The dense route keeps its matrix product and
+rank (``mat_mul``, ``rank``) here too.
 
 Last, it keeps the SU(2) closed form by full term enumeration
 (``su2_integral_closed_enumerated``): one product per choice of a term
@@ -48,7 +54,7 @@ import numpy as np
 
 from haarint import irreps, moments, perms, su2, tableaux, tensors
 from haarint.moments import all_pairings
-from haarint.ratlinalg import mat_mul, rank, rref
+from haarint.ratlinalg import rref
 from haarint.tableaux import Tableau
 
 
@@ -104,7 +110,7 @@ def module_dimension_oracle(lam, form: tensors.BilinearForm) -> int:
     images = []
     for idx in itertools.product(form.letters, repeat=m):
         t0, _ = tensors.traceless_project(tensors.SparseTensor.elementary(idx), form)
-        images.append(c.apply(t0))
+        images.append(tensors.permute(c, t0))
     cols = sorted({i for v in images for i in v.data})
     colpos = {i: k for k, i in enumerate(cols)}
     mat = []
@@ -122,7 +128,7 @@ def gl_module_dimension_oracle(lam, n: int) -> int:
     c = tensors.young_symmetrizer(lam)
     images = []
     for idx in itertools.product(range(1, n + 1), repeat=m):
-        images.append(c.apply(tensors.SparseTensor.elementary(idx)))
+        images.append(tensors.permute(c, tensors.SparseTensor.elementary(idx)))
     cols = sorted({i for v in images for i in v.data})
     colpos = {i: k for k, i in enumerate(cols)}
     mat = []
@@ -220,6 +226,26 @@ def identity(n: int) -> list:
 
 def transpose(a) -> list:
     return [list(col) for col in zip(*a)]
+
+
+def mat_mul(a, b) -> list:
+    n, k, m = len(a), len(b), len(b[0]) if b else 0
+    out = [[Fraction(0)] * m for _ in range(n)]
+    for i in range(n):
+        ai = a[i]
+        oi = out[i]
+        for t in range(k):
+            c = ai[t]
+            if c:
+                bt = b[t]
+                for j in range(m):
+                    if bt[j]:
+                        oi[j] += c * bt[j]
+    return out
+
+
+def rank(a) -> int:
+    return len(rref(a)[1])
 
 
 def invert(a) -> list:
@@ -504,18 +530,92 @@ def build_irrep_basis_ungraded(group: str, lam, n: int) -> irreps.IrrepBasis:
     def project(t):
         return t if form is None else traceless_project_ungraded(t, form)[0]
 
-    candidates = ((t, project(tensors.apply_symmetrizer(lam, tensors.tableau_tensor(t))))
-                  for t in fillings)
+    candidates = ((t, project(symmetrized(lam, t))) for t in fillings)
     vectors, norms2, kept, dropped = gram_schmidt_ungraded(candidates)
     return irreps.IrrepBasis(group, lam, n, vectors, norms2, kept, dropped, form)
 
 
 # ---------------------------------------------------------------------------
-# the paper's block projectors and tableau counts, by definition
+# the paper's group algebra, block projectors and tableau counts, by definition
+
+def algebra_product(x: dict, y: dict) -> dict:
+    """Product of two {slot permutation: coefficient} elements of the group
+    algebra, sum of cx cy (p q) with (p q)(i) = p(q(i)); zero terms dropped."""
+    out = {}
+    for p, cp in x.items():
+        for q, cq in y.items():
+            r = perms.compose(p, q)
+            out[r] = out.get(r, 0) + cp * cq
+    return {r: c for r, c in out.items() if c}
+
+
+def class_size(ctype: tuple[int, ...]) -> int:
+    """Number of permutations with the given cycle type."""
+    k = sum(ctype)
+    z = 1
+    mult = {}
+    for length in ctype:
+        mult[length] = mult.get(length, 0) + 1
+    for length, m in mult.items():
+        z *= (length ** m) * math.factorial(m)
+    return math.factorial(k) // z
+
+
+def young_constant_mu(shape) -> Fraction:
+    """The scalar mu with c*c = mu*c for the row-column symmetrizer; m!/t."""
+    shape = tableaux.check_shape(shape)
+    return Fraction(math.factorial(tableaux.weight(shape)),
+                    tableaux.count_standard_tableaux(shape))
+
+
+def symmetrize_by_definition(shape, idx) -> tensors.SparseTensor:
+    """Sum over column permutations q (outer) and row permutations p (inner)
+    of sign(q) P_q (P_p e_idx), cells numbered row-major, each P a placement
+    of one index tuple that moves the entry in slot i to slot p[i]."""
+    m = len(idx)
+    cell = {}
+    for r, row_len in enumerate(shape):
+        for c in range(row_len):
+            cell[r, c] = len(cell)
+    rows = [[cell[r, c] for c in range(row_len)] for r, row_len in enumerate(shape)]
+    cols = [[cell[r, c] for r in range(len(shape)) if (r, c) in cell]
+            for c in range(shape[0] if shape else 0)]
+
+    def group(lines):
+        for images in itertools.product(*(itertools.permutations(line) for line in lines)):
+            p = list(range(m))
+            for line, image in zip(lines, images):
+                for src, dst in zip(line, image):
+                    p[src] = dst
+            yield tuple(p)
+
+    def place(p, index):
+        out = [None] * m
+        for i, x in enumerate(index):
+            out[p[i]] = x
+        return tuple(out)
+
+    def sign(p):
+        inversions = sum(p[i] > p[j] for i, j in itertools.combinations(range(m), 2))
+        return -1 if inversions % 2 else 1
+
+    out = tensors.SparseTensor(m)
+    for q in group(cols):
+        for p in group(rows):
+            out.add_term(place(q, place(p, tuple(idx))), sign(q))
+    return out
+
+
+def symmetrized(shape, t: Tableau) -> tensors.SparseTensor:
+    """The Young symmetrizer of shape applied to the tableau tensor of t,
+    whose slot s holds the row-major entry s of t."""
+    return tensors.permute(tensors.young_symmetrizer(shape),
+                           tensors.SparseTensor.elementary(t.row_major()))
+
 
 def normalization_squared(shape, t: Tableau):
     """Squared length of the symmetrized tableau tensor."""
-    v = tensors.apply_symmetrizer(shape, tensors.tableau_tensor(t))
+    v = symmetrized(shape, t)
     return v.inner(v)
 
 
@@ -549,7 +649,7 @@ class TensorOperator:
         return all(not x for row in self.mat for x in row)
 
 
-def central_symmetrizer(shape) -> tensors.GroupAlgebraElement:
+def central_symmetrizer(shape) -> dict:
     """Conjugation average of the Young symmetrizer over all slot
     permutations, divided by mu^2.
 
@@ -562,20 +662,20 @@ def central_symmetrizer(shape) -> tensors.GroupAlgebraElement:
     shape = tableaux.check_shape(shape)
     m = tableaux.weight(shape)
     c = tensors.young_symmetrizer(shape)
-    mu = tableaux.young_constant_mu(shape)
+    mu = young_constant_mu(shape)
 
     coeff_by_type = {}
-    for p, cp in c.terms.items():
+    for p, cp in c.items():
         ct = perms.cycle_type(p)
         coeff_by_type[ct] = coeff_by_type.get(ct, 0) + cp
 
     fact = math.factorial(m)
-    out = tensors.GroupAlgebraElement(m)
+    out = {}
     for g in perms.all_permutations(m):
         ct = perms.cycle_type(g)
         total = coeff_by_type.get(ct)
         if total:
-            out.terms[g] = Fraction(total * fact, perms.class_size(ct)) / (mu * mu)
+            out[g] = Fraction(total * fact, class_size(ct)) / (mu * mu)
     return out
 
 
@@ -601,7 +701,7 @@ def isotypic_projector(lam, k: int, form: tensors.BilinearForm) -> TensorOperato
     op = TensorOperator(form, k)
     for col, idx in enumerate(op.index):
         t0, _ = tensors.traceless_project(tensors.SparseTensor.elementary(idx), form)
-        v = z.apply(t0)
+        v = tensors.permute(z, t0)
         for out_idx, cval in v.data.items():
             op.mat[op.pos[out_idx]][col] += cval
     return op

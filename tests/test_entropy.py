@@ -26,7 +26,7 @@ from haarint.entropy import (
     validate_density,
     von_neumann_entropy,
 )
-from haarint.sampling import BLOCK, RngStream, sample_unitary
+from haarint.sampling import BLOCK, RngStream, mc_expectation, sample_unitary
 from haarint.tensors import CostGateError
 
 BELL = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
@@ -224,21 +224,24 @@ def test_mc_average_entropy_agrees():
 
 def test_mc_gaussian_model_equivalent():
     # normalized Gaussian vectors follow the same law as unitary columns
-    a = mc_average_entropy(2, 2, samples=4000, seed=21, method="unitary")
-    b = mc_average_entropy(2, 2, samples=4000, seed=22, method="gaussian")
+    def draw(stream, size):
+        return [von_neumann_entropy(partial_trace(pure_density(v), (2, 2), "A"))
+                for v in sample_unitary(4, stream, size).matrix[..., :, 0]]
+
+    a = mc_expectation(draw, samples=4000, seed=21)
+    b = mc_average_entropy(2, 2, samples=4000, seed=22)
     assert abs(a.mean.real - b.mean.real) \
         < 4 * math.hypot(a.stderr, b.stderr) + 1e-9
 
 
-@pytest.mark.parametrize("method", ["gaussian", "unitary"])
-def test_mc_is_the_blockwise_reference(method):
+def test_mc_is_the_blockwise_reference():
     # each block is one stack of states from RngStream(seed, b); the batched
     # singular values give, state by state, the marginal's entropy
     samples = BLOCK + 40
-    est = mc_average_entropy(2, 3, samples=samples, seed=9, method=method)
+    est = mc_average_entropy(2, 3, samples=samples, seed=9)
     vals = [von_neumann_entropy(partial_trace(pure_density(v), (2, 3), "A"))
             for b, size in ((0, BLOCK), (1, 40))
-            for v in random_pure_state(6, RngStream(9, b), method=method, size=size)]
+            for v in random_pure_state(6, RngStream(9, b), size=size)]
     assert est.n == len(vals) == samples
     assert abs(est.mean - np.mean(vals)) < 1e-12
 
@@ -247,8 +250,6 @@ def test_stacked_pure_states():
     states = random_pure_state(6, RngStream(4), size=5)
     assert states.shape == (5, 6)
     assert np.abs(np.linalg.norm(states, axis=1) - 1).max() < 1e-12
-    columns = random_pure_state(6, RngStream(4), method="unitary", size=5)
-    assert np.array_equal(columns, sample_unitary(6, RngStream(4), 5).matrix[:, :, 0])
 
 
 def test_mc_trivial_marginal():

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import haarint
-from haarint import moments, ratlinalg, sampling, tableaux
+from haarint import moments, sampling, tableaux
 from haarint.moments import (
     CostGateError,
     Factor,
@@ -41,6 +41,7 @@ from helpers import (
     j_entry,
     loop_structure,
     m_entry,
+    mat_mul,
     materialize_brauer,
     transpose,
     weingarten_data,
@@ -212,7 +213,7 @@ def test_weingarten_singular_cases_flagged():
     g = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]]
     wd = weingarten_data(g)
     assert wd.pseudo
-    gwg = ratlinalg.mat_mul(ratlinalg.mat_mul(g, wd.weights), g)
+    gwg = mat_mul(mat_mul(g, wd.weights), g)
     assert gwg == g
 
 
@@ -221,10 +222,10 @@ def test_weingarten_rank_deficient_normal_equations():
     # the projection, which G W G = G certifies
     a = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)],
          [Fraction(0), Fraction(1)]]
-    g = ratlinalg.mat_mul(a, transpose(a))
+    g = mat_mul(a, transpose(a))
     wd = weingarten_data(g)
     assert wd.pseudo
-    gwg = ratlinalg.mat_mul(ratlinalg.mat_mul(g, wd.weights), g)
+    gwg = mat_mul(mat_mul(g, wd.weights), g)
     assert gwg == g
 
 # ---------------------------------------------------------------------------
@@ -248,7 +249,7 @@ def test_class_weights_invert_dense_gram(group, q, n):
     g = gram_from_operators(group, q, n)
     engine = moments._engine(group, q, n)
     w = _expand(engine)
-    assert ratlinalg.mat_mul(ratlinalg.mat_mul(g, w), g) == g
+    assert mat_mul(mat_mul(g, w), g) == g
     assert engine.pseudo == weingarten_data(g).pseudo
 
 

@@ -7,8 +7,13 @@ import haarint
 
 SOURCES = sorted(Path(haarint.__file__).parent.glob("*.py"))
 
+# public functions and classes kept for library users although nothing in
+# the package reads them; a name re-exported in haarint.__all__ needs no entry
+LIBRARY_API = {"bloch_vector", "contract", "count_standard_tableaux",
+               "purify", "symplectic_j", "traceless_project"}
 
-def _definitions(node) -> list:
+
+def _private_definitions(node) -> list:
     """Names a module-level statement defines that must have a reader: a
     private (_name) function or class, or a constant (NAME = ...)."""
     if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -20,11 +25,16 @@ def _definitions(node) -> list:
             if isinstance(t, ast.Name) and not t.id.startswith("__")]
 
 
-def test_every_private_helper_has_a_caller():
-    # a module-level _name function or class, and a module-level constant,
-    # must be referenced somewhere in the package outside its own
-    # definition; one with no caller or reader is dead code
-    trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+def _public_definitions(node) -> list:
+    """A public module-level function or class."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+        return [node.name]
+    return []
+
+
+def _unread(trees: dict, definitions) -> list:
+    """module:name for each name that definitions finds in a module body
+    with no reference anywhere in trees outside its own definition."""
     refs = []  # (module, line, name)
     for module, tree in trees.items():
         for node in ast.walk(tree):
@@ -35,9 +45,54 @@ def test_every_private_helper_has_a_caller():
     unused = []
     for module, tree in trees.items():
         for node in tree.body:
-            for name in _definitions(node):
+            for name in definitions(node):
                 if not any(ref == name and not (
                         where == module and node.lineno <= line <= node.end_lineno)
                         for where, line, ref in refs):
                     unused.append(f"{module}:{name}")
-    assert not unused
+    return unused
+
+
+def _unlisted_public(trees: dict) -> list:
+    return [found for found in _unread(trees, _public_definitions)
+            if found.split(":")[1] not in LIBRARY_API | set(haarint.__all__)]
+
+
+def _package_trees() -> dict:
+    return {path.name: ast.parse(path.read_text()) for path in SOURCES}
+
+
+def test_every_private_helper_has_a_caller():
+    # a module-level _name function or class, and a module-level constant,
+    # must be referenced somewhere in the package outside its own
+    # definition; one with no caller or reader is dead code
+    assert not _unread(_package_trees(), _private_definitions)
+
+
+def test_every_public_name_has_a_reader_or_is_library_api():
+    # a public function or class that nothing in the package reads is
+    # either published (haarint.__all__, LIBRARY_API) or test-only code,
+    # which belongs in tests/helpers.py
+    trees = _package_trees()
+    assert not _unlisted_public(trees)
+    defined = {name for tree in trees.values() for node in tree.body
+               for name in _public_definitions(node)}
+    assert LIBRARY_API <= defined
+
+
+def _append(tree, source: str):
+    extra = ast.parse(source)
+    ast.increment_lineno(extra, tree.body[-1].end_lineno)
+    tree.body += extra.body
+
+
+def test_public_check_flags_test_only_code():
+    # the check above on a package that still carries a test-only slot
+    # permutation and matrix product
+    trees = _package_trees()
+    _append(trees["tensors.py"], "def apply_permutation(p, t):\n"
+                                 "    return permute({p: 1}, t)\n")
+    _append(trees["ratlinalg.py"], "def mat_mul(a, b):\n"
+                                   "    return [[sum(x * y for x, y in zip(r, c))"
+                                   " for c in zip(*b)] for r in a]\n")
+    assert _unlisted_public(trees) == ["ratlinalg.py:mat_mul", "tensors.py:apply_permutation"]

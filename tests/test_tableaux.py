@@ -11,7 +11,7 @@ from haarint.tableaux import Tableau
 from helpers import (
     brute_gl_dimension, brute_row_stabilizer, brute_standard_count,
     count_distinct_entry_fillings, gelfand_counts, row_repetition_factor,
-    weyl_gl_dimension,
+    weyl_gl_dimension, young_constant_mu,
 )
 
 
@@ -127,10 +127,10 @@ def test_distinct_entry_count_exposed():
 
 
 def test_young_constant():
-    assert tableaux.young_constant_mu((2, 1)) == 3
-    assert tableaux.young_constant_mu((2,)) == 2
-    assert tableaux.young_constant_mu((1, 1)) == 2
-    assert tableaux.young_constant_mu((2, 2)) == 12
+    assert young_constant_mu((2, 1)) == 3
+    assert young_constant_mu((2,)) == 2
+    assert young_constant_mu((1, 1)) == 2
+    assert young_constant_mu((2, 2)) == 12
 
 
 def test_gelfand_counts():

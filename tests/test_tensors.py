@@ -10,13 +10,15 @@ from haarint import perms, tableaux, tensors
 from haarint.tableaux import Tableau
 from haarint.tensors import (
     BilinearForm, CostGateError, SparseTensor, contract, expand,
-    gram_schmidt, orthogonal_form, symplectic_form, traceless_project,
+    gram_schmidt, orthogonal_form, permute, symplectic_form, traceless_project,
 )
 
 from helpers import (
-    TensorOperator, central_symmetrizer, gl_module_dimension_oracle,
-    gram_schmidt_ungraded, isotypic_projector, module_dimension_oracle,
-    normalization_squared, trace_span_basis_ungraded, traceless_project_ungraded,
+    TensorOperator, algebra_product, central_symmetrizer,
+    gl_module_dimension_oracle, gram_schmidt_ungraded, isotypic_projector,
+    module_dimension_oracle, normalization_squared, symmetrize_by_definition,
+    symmetrized, trace_span_basis_ungraded, traceless_project_ungraded,
+    young_constant_mu,
 )
 
 
@@ -35,32 +37,68 @@ def test_sparse_arithmetic():
 
 def test_apply_permutation_moves_slots():
     # p sends slot 0 to slot 1: a cyclic shift of (1,2,3)
-    t = tensors.apply_permutation((1, 2, 0), e(1, 2, 3))
+    t = permute({(1, 2, 0): 1}, e(1, 2, 3))
     assert t == e(3, 1, 2)
+    with pytest.raises(ValueError, match="length"):
+        permute({(1, 0): 1}, e(1, 2, 3))
 
 
 def test_group_algebra_composition():
-    a = tensors.GroupAlgebraElement(3, {(1, 2, 0): 1})
-    b = tensors.GroupAlgebraElement(3, {(1, 2, 0): 1})
-    c = a * b
-    assert c.terms == {(2, 0, 1): 1}
+    a = {(1, 2, 0): 1}
+    c = algebra_product(a, a)
+    assert c == {(2, 0, 1): 1}
     t = e(1, 2, 3)
-    assert c.apply(t) == tensors.apply_permutation((2, 0, 1), t)
+    assert permute(c, t) == permute(a, permute(a, t))
+
+
+_PERMUTATION_PAIRS = st.integers(1, 5).flatmap(lambda k: st.tuples(
+    st.permutations(range(k)), st.permutations(range(k)),
+    st.dictionaries(st.lists(st.integers(-2, 2), min_size=k, max_size=k).map(tuple),
+                    st.integers(-3, 3), max_size=4)))
+
+
+@given(_PERMUTATION_PAIRS)
+@settings(max_examples=100, deadline=None)
+def test_permute_composes(case):
+    # P_p P_q = P_(p q) with (p q)(i) = p(q(i)), the composition of perms
+    p, q, data = case
+    p, q, t = tuple(p), tuple(q), SparseTensor(len(p), data)
+    assert permute({p: 1}, permute({q: 1}, t)) == permute({perms.compose(p, q): 1}, t)
+
+
+_SHAPES_TO_FIVE = [
+    (1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1), (4,), (3, 1), (2, 2),
+    (2, 1, 1), (1, 1, 1, 1), (5,), (4, 1), (3, 2), (3, 1, 1), (2, 2, 1),
+    (2, 1, 1, 1), (1, 1, 1, 1, 1)]
+
+
+@given(st.sampled_from(_SHAPES_TO_FIVE).flatmap(lambda shape: st.tuples(
+    st.just(shape), st.lists(st.integers(-2, 2), min_size=sum(shape),
+                             max_size=sum(shape)))))
+@settings(max_examples=100, deadline=None)
+def test_symmetrizer_kernel_is_the_definition(case):
+    # letters drawn from five values repeat, so terms merge and cancel
+    shape, idx = case
+    got = permute(tensors.young_symmetrizer(shape), e(*idx))
+    assert list(got.data.items()) == list(symmetrize_by_definition(shape, idx).data.items())
 
 
 @pytest.mark.parametrize("shape", [(1,), (2,), (1, 1), (2, 1), (3,),
                                    (2, 2), (3, 1), (2, 1, 1), (1, 1, 1, 1)])
 def test_symmetrizer_is_quasi_idempotent(shape):
     c = tensors.young_symmetrizer(shape)
-    mu = tableaux.young_constant_mu(shape)
-    assert (c * c - c.scale(mu)).terms == {}
+    mu = young_constant_mu(shape)
+    assert algebra_product(c, c) == {p: mu * w for p, w in c.items()}
 
 
 def test_symmetrizer_values():
     c = tensors.young_symmetrizer((1, 1))
-    assert c.terms == {(0, 1): 1, (1, 0): -1}
+    assert c == {(0, 1): 1, (1, 0): -1}
     c = tensors.young_symmetrizer((2,))
-    assert c.terms == {(0, 1): 1, (1, 0): 1}
+    assert c == {(0, 1): 1, (1, 0): 1}
+    # column permutation outer, row permutation inner
+    assert list(tensors.young_symmetrizer((2, 1)).items()) == [
+        ((0, 1, 2), 1), ((1, 0, 2), 1), ((2, 1, 0), -1), ((1, 2, 0), -1)]
 
 
 def test_normalization_squared_known():
@@ -77,13 +115,13 @@ def test_norm_against_young_constant_boundary():
     for shape, t in [((2,), Tableau([[1, 2]])), ((2,), Tableau([[1, 1]])),
                      ((3,), Tableau([[1, 2, 3]])), ((1, 1), Tableau([[1], [2]])),
                      ((1, 1, 1), Tableau([[1], [2], [3]]))]:
-        v = tensors.apply_symmetrizer(shape, tensors.tableau_tensor(t))
-        mu = tableaux.young_constant_mu(shape)
-        assert v.inner(v) == mu * v.inner(tensors.tableau_tensor(t))
+        v = symmetrized(shape, t)
+        mu = young_constant_mu(shape)
+        assert v.inner(v) == mu * v.inner(e(*t.row_major()))
     t = Tableau([[1, 2], [3]])
-    v = tensors.apply_symmetrizer((2, 1), tensors.tableau_tensor(t))
+    v = symmetrized((2, 1), t)
     assert v.inner(v) == 4
-    assert tableaux.young_constant_mu((2, 1)) * v.inner(tensors.tableau_tensor(t)) == 3
+    assert young_constant_mu((2, 1)) * v.inner(e(*t.row_major())) == 3
 
 
 @pytest.mark.parametrize("shape,t", [
@@ -95,11 +133,10 @@ def test_norm_against_young_constant_boundary():
 def test_symmetrizer_adjoint(shape, t):
     # the adjoint of sum sgn(q) q.p is sum sgn(q) p^-1.q^-1
     c = tensors.young_symmetrizer(shape)
-    c_adj = tensors.GroupAlgebraElement(
-        c.k, {perms.inverse(p): w for p, w in c.terms.items()})
-    v = tensors.tableau_tensor(t)
-    u = tensors.apply_permutation(tuple(range(1, c.k)) + (0,), v)
-    assert c.apply(v).inner(u) == v.inner(c_adj.apply(u))
+    c_adj = {perms.inverse(p): w for p, w in c.items()}
+    v = e(*t.row_major())
+    u = permute({tuple(range(1, v.order)) + (0,): 1}, v)
+    assert permute(c, v).inner(u) == v.inner(permute(c_adj, u))
 
 
 def test_pairing_tables():
@@ -307,19 +344,19 @@ def test_traceless_project_matches_ungraded(form, order, data):
 
 def test_central_symmetrizer_values():
     z = central_symmetrizer((2,))
-    assert z.terms == {(0, 1): Fraction(1, 2), (1, 0): Fraction(1, 2)}
+    assert z == {(0, 1): Fraction(1, 2), (1, 0): Fraction(1, 2)}
     z = central_symmetrizer((1, 1))
-    assert z.terms == {(0, 1): Fraction(1, 2), (1, 0): Fraction(-1, 2)}
+    assert z == {(0, 1): Fraction(1, 2), (1, 0): Fraction(-1, 2)}
     z = central_symmetrizer((2, 1))
-    assert z.terms == {(0, 1, 2): Fraction(2, 3),
-                       (1, 2, 0): Fraction(-1, 3),
-                       (2, 0, 1): Fraction(-1, 3)}
+    assert z == {(0, 1, 2): Fraction(2, 3),
+                 (1, 2, 0): Fraction(-1, 3),
+                 (2, 0, 1): Fraction(-1, 3)}
 
 
 @pytest.mark.parametrize("shape", [(2,), (1, 1), (2, 1), (3,), (1, 1, 1)])
 def test_central_symmetrizer_idempotent(shape):
     z = central_symmetrizer(shape)
-    assert (z * z - z).terms == {}
+    assert algebra_product(z, z) == z
 
 
 def test_central_symmetrizers_orthogonal_and_complete():
@@ -327,13 +364,12 @@ def test_central_symmetrizers_orthogonal_and_complete():
     zs = [central_symmetrizer(s) for s in shapes]
     for i in range(3):
         for j in range(i + 1, 3):
-            assert (zs[i] * zs[j]).terms == {}
-    total = zs[0]
-    for z in zs[1:]:
-        total = tensors.GroupAlgebraElement(
-            3, {p: total.terms.get(p, 0) + z.terms.get(p, 0)
-                for p in set(total.terms) | set(z.terms)})
-    assert total.terms == {(0, 1, 2): 1}
+            assert algebra_product(zs[i], zs[j]) == {}
+    total = {}
+    for z in zs:
+        for p, w in z.items():
+            total[p] = total.get(p, 0) + w
+    assert {p: w for p, w in total.items() if w} == {(0, 1, 2): 1}
 
 
 @pytest.mark.parametrize("form", [orthogonal_form(2), orthogonal_form(3),
