@@ -106,11 +106,16 @@ def _build_irrep_basis(group: str, lam: tuple, n: int) -> IrrepBasis:
         raise ValueError(f"no irrep basis for group tag {group!r}")
 
     def project(t):
-        # a positive integer multiple of the traceless part, D t0 = D t - D t1
+        # a positive integer multiple of the traceless part, D t0 = D t - D t1,
+        # in one pass over t and one over D t1
         if form is None:
             return t
         d, t1 = _trace_part(t, form)
-        return d * t - t1
+        out = SparseTensor(t.order)
+        out.data = {idx: d * c for idx, c in t.data.items()}
+        for idx, c in t1.data.items():
+            out.add_term(idx, -c)
+        return out
 
     def rational(v):
         out = SparseTensor(v.order)

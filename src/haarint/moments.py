@@ -13,6 +13,10 @@ a ∪ b for pairings (Collins–Śniady 2006, Collins–Matsumoto 2009).  The
 class functions of the type form a commutative algebra of dimension
 p(q), so W is sought in it: p(q) rational weights w solve G^2 w = G
 there, and any solution gives G W G = G, singular G (small N) included.
+The Gram per type, G^2 and the system are int; ratlinalg.solve
+eliminates fraction-free and hands back the weights as Fraction, and
+the check on every build, G (D w) G = D G with D their common
+denominator, runs in int too.
 The symplectic Gram is the orthogonal one at dimension -2N up to the
 signs ε_a ε_b (-1)^q, ε_a the crossing parity of the pairing a.  The
 dense Gram and its Weingarten matrix are not built here: they live in
@@ -24,7 +28,11 @@ being the degree-one <e_i|u|e_j>, e_a the a-th letter of the alphabet
 (the split one for Sp).  _bracket_integral owns the rest in both modes:
 the degree rule, the trivial 0 and 1, the commutant basis, one match-work
 gate, the reduce to r, c and the contraction with W (exact) or with its
-leading diagonal δ/D^q, D = N (2N for Sp).  One SU/SO window serves both
+leading diagonal δ/D^q, D = N (2N for Sp).  A U entry is the slot
+permutation test; an O/Sp entry is a product of the factors of the
+pairing's slot pairs, which each term of a bracket product builds once
+(_pair_factors) and every pairing looks up, after a mask test that
+skips the pairings with a zero factor.  One SU/SO window serves both
 modes: SU(1) and SO(1) give 1, other cases defer to U or O, vanish, or
 are refused where determinant invariants enter.
 
@@ -33,6 +41,7 @@ on stacks of Haar draws, one stack per block of sampling.mc_expectation.
 """
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -181,44 +190,6 @@ def _form_for(kind: str, n: int) -> BilinearForm | None:
 
 
 # ---------------------------------------------------------------------------
-# pair-partition operators on V^(x)q
-
-def brauer_entry(pairing, row_letters, col_letters, form: BilinearForm) -> int:
-    """Matrix entry of the pairing operator between letter tuples.
-
-    Internal slot s (1-based, s <= 2q) is odd for the s-th output factor
-    and even for inputs; the entry is the product of one factor per pair:
-    two outputs pair through the dual expansion, two inputs through the
-    form, and an output-input pair is a plain delta (with the skew sign
-    when the input slot comes first).
-    """
-    def letter(s):
-        return row_letters[(s - 1) // 2] if s % 2 else col_letters[s // 2 - 1]
-
-    out = 1
-    for a, b in pairing:
-        x, y = letter(a), letter(b)
-        if a % 2 and b % 2:
-            if y != form.bar(x):
-                return 0
-            out *= form.dsign(x)
-        elif not a % 2 and not b % 2:
-            w = form.pairing(x, y)
-            if not w:
-                return 0
-            out *= w
-        elif a % 2:
-            if x != y:
-                return 0
-        else:
-            if x != y:
-                return 0
-            if form.kind == "symplectic":
-                out = -out
-    return out
-
-
-# ---------------------------------------------------------------------------
 # type tables: the dimension-free structure of a commutant basis
 
 def _partners(pairing) -> list:
@@ -264,12 +235,28 @@ class TypeTable:
     ``products[l][m][v]`` counts the c with type(a, c) = m and
     type(c, b) = v for any pair (a, b) of type l: the structure constants
     of the commutative algebra the class functions of the type span.
+    ``masks`` holds each pairing's slot pairs as bits (_pairing_masks),
+    and is empty for U.
     """
     elements: list  # permutations (tuples) or pairings (tuples of pairs)
     types: tuple
     rows: tuple  # bytes per basis element
     signs: tuple
     products: tuple
+    masks: tuple
+
+
+@functools.lru_cache(maxsize=16)
+def _slot_pair_bits(q: int) -> dict:
+    """A bit for every slot pair (a, b), 1 <= a < b <= 2q."""
+    pairs = itertools.combinations(range(1, 2 * q + 1), 2)
+    return {pair: 1 << k for k, pair in enumerate(pairs)}
+
+
+def _pairing_masks(pairings) -> tuple:
+    """Per pairing, the bits (_slot_pair_bits) of its slot pairs."""
+    bit = _slot_pair_bits(len(pairings[0])).__getitem__
+    return tuple(sum(map(bit, p)) for p in pairings)
 
 
 @functools.lru_cache(maxsize=16)
@@ -316,7 +303,8 @@ def type_table(kind: str, q: int) -> TypeTable:
         for c in range(k):
             counts[rows[0][c]][rows[c][b]] += 1
         products.append(tuple(tuple(row) for row in counts))
-    return TypeTable(elems, tuple(index), rows, signs, tuple(products))
+    masks = _pairing_masks(elems) if kind != "U" else ()
+    return TypeTable(elems, tuple(index), rows, signs, tuple(products), masks)
 
 
 def _gram_per_type(kind: str, q: int, n: int) -> list:
@@ -352,15 +340,18 @@ class ClassWeights:
 @functools.lru_cache(maxsize=128)
 def _engine(group: str, q: int, n: int) -> ClassWeights:
     """Class weights of the U, O or Sp commutant at degree q, dimension n:
-    one solution of G^2 w = G in the algebra of class functions."""
+    one solution of G^2 w = G in the algebra of class functions.  The
+    Gram, G^2 and the system are int, and so is the check G (D w) G = D G,
+    D the lcm of the weights' denominators; Fraction enters with w."""
     table = type_table(group, q)
     products = table.products
-    g = [Fraction(x) for x in _gram_per_type(group, q, n)]
+    g = _gram_per_type(group, q, n)
     h = _class_product(products, g, g)
-    system = [[sum((hm * counts[v] for hm, counts in zip(h, per_type)), Fraction(0))
+    system = [[sum(hm * counts[v] for hm, counts in zip(h, per_type))
                for v in range(len(g))] for per_type in products]
     w, rank = ratlinalg.solve(system, g)
-    assert _class_product(products, _class_product(products, g, w), g) == g
+    d, dw = ratlinalg.integer_multiple(w)  # G W G = G on D w, in int
+    assert _class_product(products, _class_product(products, g, dw), g) == [d * x for x in g]
     return ClassWeights(table, tuple(w), pseudo=rank < len(g))
 
 
@@ -377,39 +368,79 @@ def _contract(engine: ClassWeights, r_vec, c_vec) -> Fraction:
     return sum((w * m for w, m in zip(engine.weights, bins) if m), Fraction(0))
 
 
-def _entry(p, left, right, form) -> int:
-    """Entry of basis element p between letter tuples: the slot
-    permutation test for U (form None), brauer_entry for O and Sp."""
-    if form is None:
-        # left[p[j]] == right[j] for every slot j
-        return 1 if all(map(operator.eq, map(left.__getitem__, p), right)) else 0
-    return brauer_entry(p, left, right, form)
+def _pair_factors(left, right, form: BilinearForm) -> dict:
+    """The nonzero factors that slot pairs (a, b), a < b, contribute to a
+    pairing's entry between letter tuples; every other pair's is 0.
+    Slot s (1-based, s <= 2q) is odd for the s-th output letter and even
+    for inputs: two outputs pair through the dual expansion, two inputs
+    through the form, and an output-input pair is a plain delta, with the
+    skew sign when the input slot comes first.  Each rule needs one letter
+    to be the bar of the other once the input letters are barred, so only
+    slots keyed that way are paired."""
+    slots, keys = [None], {}  # slot -> (letter, key); key -> its slots
+    for x, y in zip(left, right):
+        for letter, key in ((x, x), (y, form.bar(y))):
+            slots.append((letter, key))
+            keys.setdefault(key, []).append(len(slots) - 1)
+    skew = -1 if form.kind == "symplectic" else 1
+    out = {}
+    for a in range(1, len(slots)):
+        x, key = slots[a]
+        for b in keys.get(form.bar(key), ()):
+            if b > a:
+                out[a, b] = form.dsign(x) if a % 2 == b % 2 else 1 if a % 2 else skew
+    return out
 
 
-def _match_vector(elements, form, terms) -> list:
+def _u_entry(p, left, right) -> int:
+    """Entry of the slot permutation p between letter tuples."""
+    # left[p[j]] == right[j] for every slot j
+    return 1 if all(map(operator.eq, map(left.__getitem__, p), right)) else 0
+
+
+def _match_vector(elements, masks, form, terms) -> list:
     """Per basis element, the sum of c * entry(left, right) over the terms
-    (left letters, right letters, c) of a tensor."""
-    if len(terms) == 1:  # as for every monomial: no sum to build
-        (left, right, c), = terms
-        return [c * _entry(p, left, right, form) for p in elements]
-    return [sum(c * w for left, right, c in terms if (w := _entry(p, left, right, form)))
-            for p in elements]
+    (left letters, right letters, c) of a tensor.  A U entry is the slot
+    permutation test.  For O and Sp each term looks up its nonzero
+    slot-pair factors (_pair_factors) once: a pairing whose mask meets a
+    pair with none has entry 0, any other the product of its factors."""
+    if form is None:
+        if len(terms) == 1:  # as for every monomial: no sum to build
+            (left, right, c), = terms
+            return [c * _u_entry(p, left, right) for p in elements]
+        return [sum(c * w for left, right, c in terms if (w := _u_entry(p, left, right)))
+                for p in elements]
+    bits = _slot_pair_bits(len(elements[0]))
+    every = (1 << len(bits)) - 1
+    out = [0] * len(elements)
+    for left, right, c in terms:
+        factors = _pair_factors(left, right, form)
+        zero = every - sum(map(bits.__getitem__, factors))
+        factor = factors.__getitem__
+        for a, mask in enumerate(masks):
+            if not mask & zero:
+                out[a] += c * math.prod(map(factor, elements[a]))
+    return out
 
 
-def _elements(kind: str, q: int, exact: bool) -> list:
-    """The U, O or Sp commutant basis at degree q: the cached type table's,
-    whose cap refuses exact values past DEGREE_CAP; the leading order,
-    which needs no weights, enumerates it afresh there, refused past
-    LEADING_CAP elements."""
+def _elements(kind: str, q: int, exact: bool) -> tuple:
+    """The U, O or Sp commutant basis at degree q and its pairings' masks
+    (TypeTable.masks): the cached type table's, whose cap refuses exact
+    values past DEGREE_CAP; the leading order, which needs no weights,
+    enumerates them afresh there, refused past LEADING_CAP elements."""
     if exact or q <= DEGREE_CAP:
-        return type_table(kind, q).elements
+        table = type_table(kind, q)
+        return table.elements, table.masks
     count = math.factorial(q) if kind == "U" else _double_factorial(2 * q - 1)
     if count > LEADING_CAP:
         noun = "permutations" if kind == "U" else "pairings"
         raise CostGateError(
             f"leading order at q={q} enumerates {count} {noun}; "
             f"capped at {LEADING_CAP}")
-    return perms.all_permutations(q) if kind == "U" else all_pairings(2 * q)
+    if kind == "U":
+        return perms.all_permutations(q), ()
+    pairings = all_pairings(2 * q)
+    return pairings, _pairing_masks(pairings)
 
 
 def _half_degree(kind: str, brackets) -> int | None:
@@ -458,7 +489,7 @@ def _reduce(kind: str, form: BilinearForm | None, brackets, exact: bool):
         return Fraction(0)
     if q == 0:
         return Fraction(1)
-    elements = _elements(kind, q, exact)
+    elements, masks = _elements(kind, q, exact)
     expanded = max(math.prod(len(b[side]) for b in brackets) for side in (1, 2))
     sampling.check_cost(f"match vectors at q={q}", len(elements), expanded,
                         LEADING_CAP, "bracket-term matches")
@@ -474,7 +505,7 @@ def _reduce(kind: str, form: BilinearForm | None, brackets, exact: bool):
             terms = [(x + y, cx * cy) for x, cx in terms for y, cy in bracket[side]]
         if form is not None:
             terms = _twist(terms, q, form)
-        vectors.append(_match_vector(elements, form,
+        vectors.append(_match_vector(elements, masks, form,
                                      [(x[:q], x[q:], c) for x, c in terms]))
     return (kind, q, *vectors)
 

@@ -123,6 +123,14 @@ def _scales(factors) -> list:
     return scales
 
 
+def _magnetic_sums(factors) -> tuple:
+    """The signed sums of the doubled row and column indices, a conjugated
+    factor counting negative: the Haar average vanishes unless both are 0."""
+    signs = [-1 if f.conj else 1 for f in factors]
+    return (sum(s * f.twice_mp for s, f in zip(signs, factors)),
+            sum(s * f.twice_m for s, f in zip(signs, factors)))
+
+
 def wigner_small_d(twice_j: int, twice_mp: int, twice_m: int,
                    beta: float) -> float:
     """Rotation profile d^j_{m'm}(beta) of the spin-j representation."""
@@ -174,10 +182,7 @@ def su2_integral_closed(spec: Su2MonomialSpec) -> float:
     factors = spec.factors
     if not factors:
         return 1.0
-    sign = lambda f: -1 if f.conj else 1
-    if sum(sign(f) * f.twice_mp for f in factors):
-        return 0.0
-    if sum(sign(f) * f.twice_m for f in factors):
+    if any(_magnetic_sums(factors)):
         return 0.0
     prefactor = math.prod(_scales(factors))
     poly = {(0, 0): Fraction(1)}  # the product so far, by (ec, es)
@@ -214,11 +219,9 @@ def su2_integral_quadrature(spec: Su2MonomialSpec, nodes: int = 32) -> float:
     factors = spec.factors
     if not factors:
         return 1.0
-    sgn = [-1 if f.conj else 1 for f in factors]
     xa, wa = _gauss_nodes(0.0, 4 * math.pi, nodes)
     xb, wb = _gauss_nodes(0.0, math.pi, nodes)
-    ka = sum(s * f.twice_mp for s, f in zip(sgn, factors))
-    kg = sum(s * f.twice_m for s, f in zip(sgn, factors))
+    ka, kg = _magnetic_sums(factors)
     alpha_sum = np.dot(wa, np.exp(-0.5j * ka * xa))
     gamma_sum = np.dot(wa, np.exp(-0.5j * kg * xa))
     profile = np.ones_like(xb)

@@ -67,6 +67,15 @@ class Tableau:
         self.rows = [list(r) for r in rows]
         self.shape = check_shape([len(r) for r in rows]) if rows else ()
 
+    @classmethod
+    def _of_shape(cls, rows: list[list[int]], shape: Shape) -> "Tableau":
+        """A tableau on fresh rows whose lengths are the checked shape, as
+        an enumerator builds them; no shape check is run."""
+        t = cls.__new__(cls)
+        t.rows = rows
+        t.shape = shape
+        return t
+
     def entry(self, a: int, b: int) -> int:
         """1-indexed (row, column) access."""
         return self.rows[a - 1][b - 1]
@@ -98,7 +107,7 @@ def _semistandard_fillings(shape: Shape, alphabet: list[int]):
 
     def fill(k: int):
         if k == len(cells):
-            yield Tableau([row[:] for row in grid])
+            yield Tableau._of_shape([row[:] for row in grid], shape)
             return
         r, c = cells[k]
         lo = 0

@@ -3,7 +3,7 @@
 Tensors are sparse maps from index tuples (alphabet letters, see tableaux)
 to int or Fraction coefficients.  The module provides one slot-permutation
 kernel (permute), which applies a single permutation or a whole row-column
-symmetrizer (young_symmetrizer, a plain {permutation: sign} dict), the
+symmetrizer (young_symmetrizer, a read-only {permutation: sign} map), the
 invariant bilinear pairings of the orthogonal and symplectic groups, index
 contraction and expansion, and the split of a tensor into traceless and
 trace parts.
@@ -23,6 +23,7 @@ for its rational parts, while the irrep build keeps D t0 = D t - D t1.
 import functools
 import itertools
 import math
+import types
 from fractions import Fraction
 
 from . import perms, tableaux
@@ -121,14 +122,21 @@ def permute(terms, t: SparseTensor) -> SparseTensor:
     support inner, where P_p moves the factor in slot i to slot p[i]; one
     permutation is {p: 1}, a whole symmetrizer its young_symmetrizer."""
     out = SparseTensor(t.order)
+    data = out.data  # add_term inlined
+    slots = range(t.order)
     for p, c in terms.items():
         if len(p) != t.order:
             raise ValueError("permutation length must match tensor order")
         for idx, tc in t.data.items():
             new = [0] * t.order
-            for i, x in enumerate(idx):
-                new[p[i]] = x
-            out.add_term(tuple(new), c * tc)
+            for i in slots:
+                new[p[i]] = idx[i]
+            new = tuple(new)
+            cur = data.get(new, 0) + c * tc
+            if cur:
+                data[new] = cur
+            else:
+                data.pop(new, None)
     return out
 
 
@@ -144,14 +152,19 @@ def _subgroup_perms(k: int, blocks: list[list[int]]):
     return out
 
 
-def young_symmetrizer(shape) -> dict:
+def young_symmetrizer(shape) -> types.MappingProxyType:
     """Column antisymmetrization after row symmetrization, cells numbered
     row-major: {q p: sign(q)} over column permutations q (outer) and row
     permutations p (inner).  The two groups meet only in the identity, so
     no two terms share a permutation.  As an element of the group algebra
     it satisfies c c = mu c with mu = m!/f^lambda, f^lambda the number of
-    standard tableaux of the shape (tableaux.count_standard_tableaux)."""
-    shape = tableaux.check_shape(shape)
+    standard tableaux of the shape (tableaux.count_standard_tableaux).
+    Each shape's is built once and handed out read-only."""
+    return _young_symmetrizer(tableaux.check_shape(shape))
+
+
+@functools.lru_cache(maxsize=64)
+def _young_symmetrizer(shape: tuple) -> types.MappingProxyType:
     m = tableaux.weight(shape)
     label = itertools.count()
     rows = [[next(label) for _ in range(row_len)] for row_len in shape]
@@ -163,7 +176,7 @@ def young_symmetrizer(shape) -> dict:
         sq = perms.sign(q)
         for p in row_group:
             out[perms.compose(q, p)] = sq
-    return out
+    return types.MappingProxyType(out)
 
 
 class BilinearForm:

@@ -35,7 +35,13 @@ that acceptance criterion 6 checks, the symmetrizer constant
 symmetrized tableau norm (``normalization_squared``), and the tableau
 counts ``count_distinct_entry_fillings`` and ``row_repetition_factor``
 (from ``gelfand_counts``).  The dense route keeps its matrix product and
-rank (``mat_mul``, ``rank``) here too.
+rank (``mat_mul``, ``rank``) here too, with the rational row reduction
+behind them (``rref``).  That reduction also judges the fraction-free
+solve of the package: ``solve_by_rref`` and the class weights it gives
+(``class_weights_by_rref``).  The per-pairing entry rule
+(``brauer_entry``, ``entry_rule``) and the match vectors built from it
+one element at a time (``match_vector_by_entries``) judge the
+table-read match vectors of moments.
 
 Last, it keeps the SU(2) closed form by full term enumeration
 (``su2_integral_closed_enumerated``): one product per choice of a term
@@ -54,7 +60,6 @@ import numpy as np
 
 from haarint import irreps, moments, perms, su2, tableaux, tensors
 from haarint.moments import all_pairings
-from haarint.ratlinalg import rref
 from haarint.tableaux import Tableau
 
 
@@ -220,6 +225,57 @@ def brute_leading(spec, n: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # the dense Gram / Weingarten reference route
 
+def rref(a) -> tuple[list, list]:
+    """Reduced row echelon form, in Fraction arithmetic, and pivot column
+    indices."""
+    m = [[Fraction(x) for x in row] for row in a]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+def solve_by_rref(a, b) -> tuple[list, int]:
+    """ratlinalg.solve by the rational rref of the augmented matrix: the
+    free variables zero, ValueError when the system is inconsistent."""
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    red, pivots = rref([list(a[i]) + [b[i]] for i in range(rows)])
+    if cols in pivots:
+        raise ValueError("inconsistent linear system")
+    x = [Fraction(0)] * cols
+    for r, c in enumerate(pivots):
+        x[c] = red[r][cols]
+    return x, len(pivots)
+
+
+def class_weights_by_rref(kind: str, q: int, n: int) -> tuple:
+    """The class weights of moments._engine, solved in Fraction arithmetic
+    by solve_by_rref: G^2 w = G in the algebra of class functions."""
+    products = moments.type_table(kind, q).products
+    g = [Fraction(x) for x in moments._gram_per_type(kind, q, n)]
+    h = moments._class_product(products, g, g)
+    system = [[sum((hm * counts[v] for hm, counts in zip(h, per_type)), Fraction(0))
+               for v in range(len(g))] for per_type in products]
+    return tuple(solve_by_rref(system, g)[0])
+
+
 def identity(n: int) -> list:
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
@@ -315,6 +371,57 @@ def materialize_brauer(pairing, form: tensors.BilinearForm) -> dict:
         cols = tuple(slots[s] for s in range(2, 2 * q + 1, 2))
         out[(rows, cols)] = out.get((rows, cols), 0) + coeff
     return {rc: v for rc, v in out.items() if v}
+
+
+def brauer_entry(pairing, row_letters, col_letters, form: tensors.BilinearForm) -> int:
+    """Matrix entry of the pairing operator between letter tuples, one pair
+    at a time.
+
+    Internal slot s (1-based, s <= 2q) is odd for the s-th output factor
+    and even for inputs; the entry is the product of one factor per pair:
+    two outputs pair through the dual expansion, two inputs through the
+    form, and an output-input pair is a plain delta (with the skew sign
+    when the input slot comes first).
+    """
+    def letter(s):
+        return row_letters[(s - 1) // 2] if s % 2 else col_letters[s // 2 - 1]
+
+    out = 1
+    for a, b in pairing:
+        x, y = letter(a), letter(b)
+        if a % 2 and b % 2:
+            if y != form.bar(x):
+                return 0
+            out *= form.dsign(x)
+        elif not a % 2 and not b % 2:
+            w = form.pairing(x, y)
+            if not w:
+                return 0
+            out *= w
+        elif a % 2:
+            if x != y:
+                return 0
+        else:
+            if x != y:
+                return 0
+            if form.kind == "symplectic":
+                out = -out
+    return out
+
+
+def entry_rule(p, left, right, form) -> int:
+    """Entry of commutant basis element p between letter tuples: the slot
+    permutation test for U (form None), brauer_entry for O and Sp."""
+    if form is None:
+        return 1 if all(left[p[j]] == right[j] for j in range(len(p))) else 0
+    return brauer_entry(p, left, right, form)
+
+
+def match_vector_by_entries(elements, form, terms) -> list:
+    """moments._match_vector one element at a time: the sum of
+    c * entry_rule(p, left, right) over the terms (left, right, c)."""
+    return [sum(c * entry_rule(p, left, right, form) for left, right, c in terms)
+            for p in elements]
 
 
 def loop_structure(pa, pb, kind: str):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from haarint import cli, entropy, irreps, tableaux
+from haarint import cli, entropy, irreps, su2, tableaux
 from haarint.sampling import BLOCK
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -392,6 +392,28 @@ def test_su2_past_the_float_range_refused(capsys, factors, spin):
     # two of the spin-50 factors still fit: |D^50_00|^2 averages to 1/101
     rec = run_json(capsys, "su2", "--factors", "100,0,0,+;100,0,0,-")
     assert abs(rec["closed"] - 1 / 101) < 1e-12
+
+
+def test_su2_phase_killed_profile_past_the_float_range(capsys):
+    # the magnetic sums are 2 and 0, so the average is 0 before any profile
+    # is evaluated; the quadrature's float-range gate refuses the spin-1025
+    # profiles, so the closed value stands without its cross-check
+    code, out = run(capsys, "su2", "--factors", "2050,2,0,+;2050,0,0,-")
+    assert code == 0
+    rec = json.loads(out)
+    assert (rec["closed"], rec["quadrature"], rec["difference"]) == (0.0, None, None)
+    assert '"quadrature": null,' in out and '"difference": null' in out
+    assert rec["closed"] == su2.su2_integral_closed(su2.Su2MonomialSpec([
+        su2.Su2Factor(2050, 2, 0), su2.Su2Factor(2050, 0, 0, True)]))
+
+
+def test_su2_equal_spins_with_zero_sums_still_refused(capsys):
+    # equal spins and zero magnetic sums: the closed form itself needs the
+    # profiles, so the float-range gate refuses the request
+    code = cli.main(["su2", "--factors", "2050,2,0,+;2050,2,0,-"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err.startswith("cost gate: su2: the spin-2050/2 factor")
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from haarint import irreps, moments, sampling, tensors
+from haarint import irreps, moments, ratlinalg, sampling, tensors
 from haarint.irreps import (
     RepFactor,
     RepMatrixElementSpec,
@@ -174,6 +174,36 @@ def test_build_keeps_int_coefficients(group, lam, n, monkeypatch):
         assert all(type(c) is int for _, _, u, n2 in span for c in [*u.data.values(), n2])
     assert all(type(c) is Fraction for v in basis.vectors for c in v.data.values())
     assert all(type(n2) is Fraction for n2 in basis.norms2)
+
+
+FRACTION_ARITHMETIC = [
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__",
+    "__mod__", "__rmod__", "__divmod__", "__rdivmod__", "__pow__", "__rpow__",
+    "__neg__", "__pos__", "__abs__"]
+
+
+@pytest.mark.parametrize("group,q,n", [("U", 2, 1), ("U", 4, 3), ("O", 3, 1), ("O", 4, 4),
+                                       ("Sp", 2, 1), ("Sp", 3, 2)])
+def test_engine_does_no_fraction_arithmetic(group, q, n, monkeypatch):
+    # the Gram, the system, the fraction-free solve and the G W G = G check
+    # run in int, singular Grams included: any Fraction operator raises,
+    # and only the final weights are Fraction
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic in the engine")
+
+    with monkeypatch.context() as m:
+        for name in FRACTION_ARITHMETIC:
+            m.setattr(Fraction, name, refuse)
+        engine = moments._engine.__wrapped__(group, q, n)  # past the cache
+        weights, rank = ratlinalg.solve([[2, 4], [1, 2]], [6, 3])
+    assert engine.weights == moments._engine(group, q, n).weights
+    assert all(type(w) is Fraction for w in engine.weights)
+    assert (weights, rank) == ([Fraction(3), Fraction(0)], 1)
+    with pytest.raises(AssertionError, match="Fraction arithmetic"):
+        with monkeypatch.context() as m:
+            m.setattr(Fraction, "__mul__", refuse)
+            Fraction(1, 2) * 2
 
 
 @pytest.mark.parametrize("spec", [

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import haarint
-from haarint import moments, sampling, tableaux
+from haarint import moments, ratlinalg, sampling, tableaux
 from haarint.moments import (
     CostGateError,
     Factor,
@@ -28,21 +28,24 @@ from haarint.moments import (
     UnsupportedIntegralError,
     all_pairings,
     asymptotic_leading,
-    brauer_entry,
     evaluate_monomial,
     exact_integral,
     type_table,
 )
 from haarint.tensors import orthogonal_form, symplectic_form
 from helpers import (
+    brauer_entry,
     brute_leading,
+    class_weights_by_rref,
     gram_from_loops,
     gram_from_operators,
     j_entry,
     loop_structure,
     m_entry,
     mat_mul,
+    match_vector_by_entries,
     materialize_brauer,
+    solve_by_rref,
     transpose,
     weingarten_data,
 )
@@ -134,6 +137,34 @@ def test_materialize_matches_entry_rule():
         for r in itertools.product(form.letters, repeat=2):
             for c in itertools.product(form.letters, repeat=2):
                 assert mat.get((r, c), 0) == brauer_entry(p, r, c, form)
+
+
+MATCH_FORMS = {"U": lambda n: None, "O": lambda n: orthogonal_form(n, split=False),
+               "O split": orthogonal_form, "Sp": symplectic_form}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_match_vector_is_the_entry_rule(data):
+    # the table-read match vectors against the per-element entry rule, on
+    # the U, O (standard and split alphabets) and Sp bases up to q = 4 and
+    # the leading-only q = 5: letters repeat and are barred, tensors have
+    # one or more terms, and a term's negation may cancel it
+    kind = data.draw(st.sampled_from(sorted(MATCH_FORMS)))
+    q = data.draw(st.integers(1, 5))
+    n = data.draw(st.integers(1, 3))
+    form = MATCH_FORMS[kind](n)
+    letters = list(range(1, n + 1)) if form is None else form.letters
+    elements, masks = moments._elements(kind.split()[0], q, exact=q <= moments.DEGREE_CAP)
+    word = st.lists(st.sampled_from(letters), min_size=q, max_size=q).map(tuple)
+    coeff = st.integers(-3, 3).filter(bool)
+    terms = data.draw(st.lists(st.tuples(word, word, coeff), min_size=1, max_size=4))
+    if data.draw(st.booleans()):
+        left, right, c = data.draw(st.sampled_from(terms))
+        terms.append((left, right, -c))
+    got = moments._match_vector(elements, masks, form, terms)
+    assert got == match_vector_by_entries(elements, form, terms)
+    assert all(type(x) is int for x in got)
 
 
 def _dense(pairing, form):
@@ -315,6 +346,53 @@ def test_class_weights_match_dense_route(data):
     s = MonomialSpec(group, [Factor(data.draw(idx), data.draw(idx), c)
                              for c in conj])
     assert exact_integral(s, n) == _dense_value(s, n)
+
+
+@st.composite
+def linear_systems(draw):
+    """Square systems a x = b of int or Fraction entries, some with a row
+    that is a multiple of another, or zero, and a right side that may
+    follow it, so singular systems occur both consistent and not."""
+    k = draw(st.integers(1, 5))
+    entry = draw(st.sampled_from([
+        st.integers(-4, 4),
+        st.fractions(min_value=-4, max_value=4, max_denominator=6)]))
+    a = [[draw(entry) for _ in range(k)] for _ in range(k)]
+    b = [draw(entry) for _ in range(k)]
+    if k > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(k)))[:2]
+        m = draw(entry)
+        a[i] = [m * x for x in a[j]]
+        if draw(st.booleans()):  # consistent
+            b[i] = m * b[j]
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(linear_systems())
+def test_solve_is_the_rref_route(system):
+    # the fraction-free elimination gives the rational rref's solution,
+    # rank and inconsistency
+    a, b = system
+    try:
+        expected = solve_by_rref(a, b)
+    except ValueError as err:
+        with pytest.raises(ValueError, match=str(err)):
+            ratlinalg.solve(a, b)
+        return
+    x, rank = ratlinalg.solve(a, b)
+    assert (x, rank) == expected
+    assert all(type(v) is Fraction for v in x)
+
+
+@pytest.mark.parametrize("kind", ["U", "O", "Sp"])
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_class_weights_are_the_rref_route(kind, q):
+    for n in range(1, 11):
+        engine = moments._engine(kind, q, n)
+        expected = class_weights_by_rref(kind, q, n)
+        assert engine.weights == expected
+        assert all(type(w) is Fraction for w in engine.weights)
 
 
 def _package_lru_caches() -> dict:

@@ -161,6 +161,28 @@ def test_enumeration_is_lexicographic():
         assert keys == sorted(keys, key=lambda k: [abs(x) * 2 - (x < 0) if x else 10 ** 9 for x in k])
 
 
+ENUMERATION_GRID = (
+    [(tableaux.enumerate_gl_tableaux, shape, n)
+     for shape in [(1,), (2,), (1, 1), (2, 1), (3,), (2, 2), (2, 1, 1)] for n in range(1, 5)]
+    + [(tableaux.enumerate_o_tableaux, shape, n)
+       for shape, n in [((1,), 3), ((2,), 2), ((2,), 3), ((1, 1), 3), ((1, 1, 1), 3)]]
+    + [(tableaux.enumerate_sp_tableaux, shape, n)
+       for shape, n in [((1,), 1), ((1,), 2), ((1, 1), 2), ((2,), 2)]])
+
+
+@pytest.mark.parametrize("enumerate_,shape,n", ENUMERATION_GRID)
+def test_enumerated_tableaux_are_the_checked_ones(enumerate_, shape, n):
+    # the enumerators build tableaux without re-checking the shape; each
+    # equals Tableau(rows) built the checked way, and owns its rows
+    ts = enumerate_(shape, n)
+    for t in ts:
+        checked = Tableau(t.rows)
+        assert t == checked
+        assert (t.rows, t.shape) == (checked.rows, checked.shape) and t.shape == shape
+    rows = [row for t in ts for row in t.rows]
+    assert len({id(row) for row in rows}) == len(rows)
+
+
 def test_gl_dimension_weyl_values():
     assert tableaux.gl_dimension((1,), 3) == 3
     assert tableaux.gl_dimension((2, 1), 3) == 8

@@ -101,6 +101,16 @@ def test_symmetrizer_values():
         ((0, 1, 2), 1), ((1, 0, 2), 1), ((2, 1, 0), -1), ((1, 2, 0), -1)]
 
 
+def test_symmetrizer_is_shared_read_only():
+    # one build per shape, whatever form the shape is given in; the shared
+    # map refuses writes, so no caller can change another's symmetrizer
+    c = tensors.young_symmetrizer((2, 1))
+    assert tensors.young_symmetrizer([2, 1]) is c
+    with pytest.raises(TypeError):
+        c[(0, 1, 2)] = 5
+    assert c[(0, 1, 2)] == 1
+
+
 def test_normalization_squared_known():
     assert normalization_squared((2,), Tableau([[1, 2]])) == 2
     assert normalization_squared((2,), Tableau([[1, 1]])) == 4
