@@ -37,10 +37,6 @@ EXIT_ASSERT = 4
 SAMPLE_CAP = 10 ** 6
 
 
-def _frac(x: Fraction) -> str:
-    return str(x)
-
-
 def _decimal_digits(k: int) -> int:
     """Decimal digits of |k|, without converting it to a string."""
     k = abs(k)
@@ -191,9 +187,9 @@ def _integral_record(args, spec, n, kind):
             moments.exact_integral, moments.asymptotic_leading,
             moments.integrate_monomial_mc))
     if "exact" in want:
-        record["exact"] = _frac(exact(spec))
+        record["exact"] = str(exact(spec))
     if "leading" in want:
-        record["leading"] = _frac(leading(spec))
+        record["leading"] = str(leading(spec))
     if "dropped_basis_vectors" in record:
         record["dropped_basis_vectors"] = sum(b.dropped for b in irreps._bases_for(spec))
     if "mc" in want:
@@ -275,7 +271,7 @@ def cmd_entropy(args) -> list:
                                          seed=seed + i)
         records.append(_common({
             "command": "entropy", "m": m, "n": n,
-            "exact": _frac(x), "exact_float": float(x),
+            "exact": str(x), "exact_float": float(x),
             "approx": entropy.page_entropy_approx(m, n),
             "mc": est.to_json_dict(), "samples": args.samples,
         }, args, seed))

@@ -3,16 +3,16 @@ groups: exact bases inside tensor powers, sampled representation
 matrices, and exact / leading-order / Monte Carlo integrals of products
 of their entries.
 
-A basis vector is kept as an exact tensor of coprime integers, stored as
-Fraction, plus its norm-square; representation entries are
+A basis vector is kept as an exact tensor of coprime int coefficients,
+plus its int norm-square; representation entries are
 <b_i, u^(x)m b_j>/sqrt(n_i n_j).  The build is integer-only: each
 filling's symmetrized tensor, for O/Sp a positive multiple of its
 traceless part (tensors._trace_part), goes through the one weight-graded,
-fraction-free Gram–Schmidt of tensors (gram_schmidt), and the kept
-vectors turn Fraction only when they fill IrrepBasis.  The brackets hand
-the integers back to moments, so match vectors are int too; Fraction
-enters with the class weights, the leading division and the norms
-(_finish).
+fraction-free Gram–Schmidt of tensors (gram_schmidt), whose kept vectors
+and norms fill IrrepBasis as they are.  The brackets hand those integers
+to moments, so match vectors are int too; Fraction enters with the class
+weights, the leading division and the final division by the root of the
+norm product (_finish).
 Sampled entries come from one kernel (rho_matrix) that takes a matrix or
 a stack of them and builds only the columns asked for; Monte Carlo asks
 it once per module and block of draws.
@@ -55,8 +55,8 @@ class IrrepBasis:
     group: str
     lam: tuple
     n: int
-    vectors: list       # orthogonal rational tensors, tableau order
-    norms2: list        # Fraction norm-squares, parallel to vectors
+    vectors: list       # orthogonal primitive int tensors, tableau order
+    norms2: list        # int norm-squares, parallel to vectors
     tableaux: list      # the surviving fillings, for labeling
     dropped: int        # fillings whose projection fell into earlier spans
     form: BilinearForm | None
@@ -117,18 +117,12 @@ def _build_irrep_basis(group: str, lam: tuple, n: int) -> IrrepBasis:
             out.add_term(idx, -c)
         return out
 
-    def rational(v):
-        out = SparseTensor(v.order)
-        out.data = {idx: Fraction(c) for idx, c in v.data.items()}
-        return out
-
     sym = young_symmetrizer(lam)
     kept, dropped = gram_schmidt(
         ((t, project(permute(sym, SparseTensor.elementary(t.row_major()))))
          for t in fillings), form)
-    return IrrepBasis(group, lam, n, [rational(v) for _, _, v, _ in kept],
-                      [Fraction(n2) for *_, n2 in kept], [t for t, *_ in kept],
-                      dropped, form)
+    return IrrepBasis(group, lam, n, [v for _, _, v, _ in kept],
+                      [n2 for *_, n2 in kept], [t for t, *_ in kept], dropped, form)
 
 
 # ---------------------------------------------------------------------------
@@ -301,13 +295,9 @@ def _brackets(spec: RepMatrixElementSpec) -> tuple:
     bases = _bases_for(spec)
     norms = 1
     for f, basis in zip(spec.factors, bases):
-        norms *= basis.norms2[f.row - 1].numerator * basis.norms2[f.col - 1].numerator
-
-    def terms(v):
-        # a basis vector is primitive: its Fractions are integers
-        return [(idx, c.numerator) for idx, c in v.data.items()]
-
-    brackets = [(f.conj, terms(basis.vectors[f.row - 1]), terms(basis.vectors[f.col - 1]))
+        norms *= basis.norms2[f.row - 1] * basis.norms2[f.col - 1]
+    brackets = [(f.conj, basis.vectors[f.row - 1].data.items(),
+                 basis.vectors[f.col - 1].data.items())
                 for f, basis in zip(spec.factors, bases)]
     # with no factor the integral is 1 before any letter is read
     return (bases[0].form if bases else None), brackets, norms

@@ -13,11 +13,12 @@ builds the expansion span basis behind the trace part and the module
 bases of irreps: symmetrizing, projecting and a split expansion keep a
 tensor's weight, and tensors of different weights have disjoint supports,
 so the inner products the grading skips are exactly zero.  It is
-fraction-free: every vector it holds is a positive integer multiple of the
-rational one, and every vector it keeps is primitive, so the span basis
-holds int.  The trace part comes from one integer kernel (_trace_part),
-D t1 with D the lcm of the span norms met; traceless_project divides by D
-for its rational parts, while the irrep build keeps D t0 = D t - D t1.
+fraction-free: it takes int candidates, every vector it holds is a
+positive integer multiple of the rational one, and every vector it keeps
+is primitive, so the span basis and the module bases hold int.  The trace
+part comes from one integer kernel (_trace_part), D t1 with D the lcm of
+the span norms met; traceless_project divides by D for its rational
+parts, while the irrep build keeps D t0 = D t - D t1.
 """
 
 import functools
@@ -108,9 +109,7 @@ class SparseTensor:
 
     def __eq__(self, other):
         return (isinstance(other, SparseTensor) and self.order == other.order
-                and all(Fraction(c) == Fraction(other.data.get(i, 0))
-                        for i, c in self.data.items())
-                and all(i in self.data for i in other.data))
+                and self.data == other.data)
 
     def __repr__(self):
         body = " + ".join(f"{c}*e{list(i)}" for i, c in sorted(self.data.items()))
@@ -296,24 +295,14 @@ def _span_weight(idx, form: BilinearForm | None) -> tuple:
     return _weight(idx) if form is None or form.split else ()
 
 
-def _integer_multiple(t: SparseTensor) -> SparseTensor:
-    """t itself if its coefficients are int, else a new tensor of t times
-    the lcm of its denominators, in the same item order."""
-    if all(type(c) is int for c in t.data.values()):
-        return t
-    denom = math.lcm(*(c.denominator for c in t.data.values()))
-    out = SparseTensor(t.order)
-    out.data = {idx: c.numerator * (denom // c.denominator) for idx, c in t.data.items()}
-    return out
-
-
 def gram_schmidt(candidates, form: BilinearForm | None):
     """Orthogonalize (label, tensor) candidates in order, each of one weight,
     read from its first index, against the kept vectors of that weight only,
-    and scale each survivor to primitive form, coprime integers.  Returns
-    the kept (label, weight, vector, norm²), int throughout, and the count
-    of dropped candidates.  Candidates are left as they are; a kept vector
-    may be its candidate tensor itself.
+    and scale each survivor to primitive form, coprime integers.  The
+    candidates hold int coefficients, and so do the kept (label, weight,
+    vector, norm²) returned with the count of dropped candidates.
+    Candidates are left as they are; a kept vector may be its candidate
+    tensor itself.
 
     Fraction-free (Bareiss 1968): a candidate is held as a positive integer
     multiple of its rational residue, v <- (n2/g) v - (<u,v>/g) u with
@@ -323,7 +312,6 @@ def gram_schmidt(candidates, form: BilinearForm | None):
     for label, v in candidates:
         w = _span_weight(next(iter(v.data), ()), form)
         same = by_weight.setdefault(w, [])
-        v = _integer_multiple(v)
         for u, n2 in same:
             ip = u.inner(v)
             if ip:  # scaled into a new tensor: the candidate stays as it was

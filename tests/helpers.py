@@ -21,8 +21,9 @@ And it keeps the ungraded exact Gram–Schmidt of the module bases
 ``gram_schmidt_ungraded``, ``build_irrep_basis_ungraded``): every vector
 is orthogonalized against every earlier one, whatever its torus weight,
 in rational arithmetic, and scaled to primitive form (``primitive``); the
-Young symmetrizer is rebuilt for each filling.  The weight-graded,
-fraction-free bases of the package must equal these byte for byte.
+Young symmetrizer is rebuilt for each filling.  Their entries and norms
+are integral Fractions; the weight-graded, fraction-free bases of the
+package, int throughout, must equal them converted to int, byte for byte.
 
 It holds the paper's duality objects by definition, which the package no
 longer needs: the product of the slot-permutation group algebra on

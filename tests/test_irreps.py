@@ -30,7 +30,7 @@ from haarint.irreps import (
     rho_matrix,
     _split_transition,
 )
-from haarint.tensors import CostGateError, orthogonal_form, symplectic_form
+from haarint.tensors import CostGateError, SparseTensor, orthogonal_form, symplectic_form
 
 from helpers import (
     build_irrep_basis_ungraded,
@@ -142,9 +142,15 @@ def _fields(basis):
 @pytest.mark.parametrize("group,lam,n", BENCH_MODULES + WEIGHT_45_GRID)
 def test_graded_basis_is_the_ungraded_one(group, lam, n):
     # the weight-graded Gram–Schmidt gives, byte for byte, the basis of the
-    # ungraded loops: vectors in dict item order, norms, fillings, drops
-    assert _fields(build_irrep_basis(group, lam, n)) == _fields(
-        build_irrep_basis_ungraded(group, lam, n))
+    # ungraded rational loops, whose entries and norms are integers: vectors
+    # in dict item order, norms, fillings, drops
+    ref = build_irrep_basis_ungraded(group, lam, n)
+    assert all(c.denominator == 1 for v in ref.vectors for c in v.data.values())
+    assert all(n2.denominator == 1 for n2 in ref.norms2)
+    ref.vectors = [SparseTensor(v.order, {idx: int(c) for idx, c in v.data.items()})
+                   for v in ref.vectors]
+    ref.norms2 = [int(n2) for n2 in ref.norms2]
+    assert _fields(build_irrep_basis(group, lam, n)) == _fields(ref)
 
 
 INT_GUARD_MODULES = [("U", (2, 1), 3), ("O", (2, 1), 3), ("O", (2,), 2),
@@ -154,8 +160,7 @@ INT_GUARD_MODULES = [("U", (2, 1), 3), ("O", (2, 1), 3), ("O", (2,), 2),
 @pytest.mark.parametrize("group,lam,n", INT_GUARD_MODULES)
 def test_build_keeps_int_coefficients(group, lam, n, monkeypatch):
     # the build does no Fraction arithmetic: the trace span, the projected
-    # candidates and the kept vectors hold int; IrrepBasis alone holds
-    # Fraction, for its repr
+    # candidates, the kept vectors and IrrepBasis hold int
     seen = []
 
     def recording(candidates, form):
@@ -172,8 +177,20 @@ def test_build_keeps_int_coefficients(group, lam, n, monkeypatch):
     if basis.form is not None:
         span = tensors._trace_span_basis(basis.weight, basis.form.cache_key())
         assert all(type(c) is int for _, _, u, n2 in span for c in [*u.data.values(), n2])
-    assert all(type(c) is Fraction for v in basis.vectors for c in v.data.values())
-    assert all(type(n2) is Fraction for n2 in basis.norms2)
+    assert all(type(c) is int for v in basis.vectors for c in v.data.values())
+    assert all(type(n2) is int for n2 in basis.norms2)
+
+
+@pytest.mark.parametrize("group,lam,n", INT_GUARD_MODULES)
+def test_build_makes_no_fraction(group, lam, n, monkeypatch):
+    # no Fraction is made on the way from the fillings to IrrepBasis
+    def refuse(*args, **kwargs):
+        raise AssertionError("Fraction made in the basis build")
+
+    with monkeypatch.context() as m:
+        m.setattr(Fraction, "__new__", refuse)
+        basis = irreps._build_irrep_basis.__wrapped__(group, lam, n)  # past the cache
+    assert _fields(basis) == _fields(build_irrep_basis(group, lam, n))
 
 
 FRACTION_ARITHMETIC = [

@@ -33,6 +33,10 @@ def test_sparse_arithmetic():
     assert (t - t).is_zero()
     assert (Fraction(1, 2) * t).inner(t) == 1
     assert t.tensor(e(3)).order == 3
+    # equality is by value: int and equal Fraction coefficients agree, and
+    # a differing support does not
+    assert Fraction(2) * t == 2 * t
+    assert t != e(1, 2) and t + e(1, 1) != t
 
 
 def test_apply_permutation_moves_slots():
@@ -227,10 +231,9 @@ def test_weight_is_net_count_with_zeros_dropped():
 def test_gram_schmidt_drops_and_grades():
     # U content grading (form None): (1,2) and (2,1) share a weight, (1,1)
     # has its own; zero and dependent candidates are dropped and counted
-    half = Fraction(1, 2)
     candidates = [("a", e(1, 2) + e(2, 1)), ("zero", SparseTensor(2)),
-                  ("b", half * e(1, 2)), ("c", 3 * e(1, 1)),
-                  ("dep", Fraction(2, 3) * e(1, 2) - 4 * e(2, 1)), ("d", e(2, 1))]
+                  ("b", 2 * e(1, 2)), ("c", 3 * e(1, 1)),
+                  ("dep", 2 * e(1, 2) - 12 * e(2, 1)), ("d", e(2, 1))]
     kept, dropped = gram_schmidt(candidates, None)
     assert dropped == 3
     assert [label for label, *_ in kept] == ["a", "b", "c"]
@@ -287,11 +290,18 @@ def gram_schmidt_candidates(draw, one_weight):
 def test_fraction_free_gram_schmidt_is_the_rational_one(candidates):
     # the fraction-free loop keeps, drops, weighs and scales as the ungraded
     # rational one: same labels, weights, values and dict item order, and
-    # it leaves its candidates as they were
-    before = [list(t.data.items()) for _, t in candidates]
-    kept, dropped = gram_schmidt(candidates, None)
+    # it leaves its candidates as they were.  It takes int candidates, each
+    # here a rational one times the lcm of its denominators, a positive
+    # scale that changes no primitive form
+    def integral(t):
+        d = math.lcm(*(Fraction(c).denominator for c in t.data.values()))
+        return SparseTensor(t.order, {idx: int(d * c) for idx, c in t.data.items()})
+
+    scaled = [(label, integral(t)) for label, t in candidates]
+    before = [list(t.data.items()) for _, t in scaled]
+    kept, dropped = gram_schmidt(scaled, None)
     vectors, norms2, labels, dropped_ref = gram_schmidt_ungraded(candidates)
-    assert [list(t.data.items()) for _, t in candidates] == before
+    assert [list(t.data.items()) for _, t in scaled] == before
     assert [label for label, *_ in kept] == labels and dropped == dropped_ref
     for (_, w, v, n2), ref, ref_n2 in zip(kept, vectors, norms2):
         assert list(v.data.items()) == list(ref.data.items())
