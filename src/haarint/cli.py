@@ -124,16 +124,22 @@ def _conj_mark(mark: str) -> bool:
     return mark == "-"
 
 
-def _parse_factors(text: str):
-    """Inline monomial factors: 'i,j,+;i,j,-' with '+' plain, '-' bar."""
+def _inline_factors(text: str, arity: int, usage: str) -> list:
+    """Inline factors separated by ';', each `arity` comma-separated ints
+    and an optional conjugation mark: one (ints..., conj) tuple per factor."""
     out = []
     for part in text.split(";"):
         bits = [b.strip() for b in part.split(",")]
-        if len(bits) not in (2, 3):
-            raise ValueError(f"bad factor {part!r}; expected i,j or i,j,+/-")
-        conj = len(bits) == 3 and _conj_mark(bits[2])
-        out.append(moments.Factor(int(bits[0]), int(bits[1]), conj))
+        if len(bits) not in (arity, arity + 1):
+            raise ValueError(f"bad factor {part!r}; expected {usage}")
+        conj = len(bits) > arity and _conj_mark(bits[arity])
+        out.append((*map(int, bits[:arity]), conj))
     return out
+
+
+def _parse_factors(text: str):
+    """Inline monomial factors: 'i,j,+;i,j,-' with '+' plain, '-' bar."""
+    return [moments.Factor(*f) for f in _inline_factors(text, 2, "i,j or i,j,+/-")]
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +207,12 @@ def _integral_record(args, spec, n, kind):
 def cmd_integral(args) -> list:
     if args.spec:
         data = _load_spec_file(args.spec)
-        if any("lambda" in f for f in data.get("factors", [])):
+        factors = moments._spec_factors(data)
+        irrep = sum("lambda" in f for f in factors)
+        if irrep:
+            if irrep < len(factors):
+                raise ValueError("spec factors mix irrep entries (with 'lambda') "
+                                 "and monomial entries (without)")
             spec = irreps.RepMatrixElementSpec.from_dict(data)
             return _integral_record(args, spec, spec.n, "irrep")
         spec, n = moments.MonomialSpec.from_dict(data)
@@ -217,16 +228,8 @@ def cmd_su2(args) -> list:
     if args.spec:
         spec = su2.Su2MonomialSpec.from_dict(_load_spec_file(args.spec))
     elif args.factors:
-        factors = []
-        for part in args.factors.split(";"):
-            bits = [b.strip() for b in part.split(",")]
-            if len(bits) not in (3, 4):
-                raise ValueError(
-                    f"bad factor {part!r}; expected twice_j,twice_mp,twice_m[,+/-]")
-            conj = len(bits) == 4 and _conj_mark(bits[3])
-            factors.append(su2.Su2Factor(int(bits[0]), int(bits[1]),
-                                         int(bits[2]), conj))
-        spec = su2.Su2MonomialSpec(factors)
+        spec = su2.Su2MonomialSpec([su2.Su2Factor(*f) for f in _inline_factors(
+            args.factors, 3, "twice_j,twice_mp,twice_m[,+/-]")])
     else:
         raise ValueError("need --spec or --factors")
     sampling.check_cost("su2 quadrature", args.nodes, args.nodes, SAMPLE_CAP,

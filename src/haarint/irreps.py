@@ -223,10 +223,6 @@ class RepMatrixElementSpec:
         object.__setattr__(self, "factors", tuple(
             f if isinstance(f, RepFactor) else RepFactor(*f) for f in factors))
 
-    @property
-    def total_weight(self) -> int:
-        return sum(tableaux.weight(f.lam) for f in self.factors)
-
     def to_dict(self) -> dict:
         return {"group": self.group, "N": self.n,
                 "factors": [{"lambda": list(f.lam), "i": f.row, "j": f.col,
@@ -236,14 +232,15 @@ class RepMatrixElementSpec:
     def from_dict(cls, d: dict) -> "RepMatrixElementSpec":
         factors = []
         for f in moments._spec_factors(d):
-            lam = f["lambda"]
+            lam = moments._spec_key(f, "lambda")
             if not isinstance(lam, list):
                 raise ValueError(f"lambda must be a list of integers, got {lam!r}")
             factors.append(RepFactor(
                 tuple(moments._spec_int(p, "a lambda part") for p in lam),
-                moments._spec_int(f["i"], "i"), moments._spec_int(f["j"], "j"),
+                *(moments._spec_int(moments._spec_key(f, k), k) for k in ("i", "j")),
                 moments._spec_conj(f)))
-        return cls(d["group"], moments._spec_int(d["N"], "N"), factors)
+        return cls(moments._spec_key(d, "group"),
+                   moments._spec_int(moments._spec_key(d, "N"), "N"), factors)
 
 
 def _bases_for(spec: RepMatrixElementSpec):

@@ -5,11 +5,13 @@ The integral of a monomial in entries of u and u-bar equals a matrix
 element of the orthogonal projection of |J><J'| onto the span of the
 commutant operators: slot permutations for U(N), pair-partition operators
 for O(N) and Sp(2N).  The projection is r^T W c for match vectors r, c
-and any W with G W G = G, G the Gram matrix of operator traces.
+and any W with G W G = G, G the Gram matrix of operator traces.  All
+three bases are pairings of the 2q slots (_basis): a permutation σ is
+the Brauer diagram pairing output σ(j) with input j.
 
 G(a, b) depends on a and b only through a partition of q, the type of
-the pair: the cycle type of a^-1 b for permutations, the loop lengths of
-a ∪ b for pairings (Collins–Śniady 2006, Collins–Matsumoto 2009).  The
+the pair: the loop lengths of a ∪ b, which for two permutations is the
+cycle type of a^-1 b (Collins–Śniady 2006, Collins–Matsumoto 2009).  The
 class functions of the type form a commutative algebra of dimension
 p(q), so W is sought in it: p(q) rational weights w solve G^2 w = G
 there, and any solution gives G W G = G, singular G (small N) included.
@@ -28,11 +30,13 @@ being the degree-one <e_i|u|e_j>, e_a the a-th letter of the alphabet
 (the split one for Sp).  _bracket_integral owns the rest in both modes:
 the degree rule, the trivial 0 and 1, the commutant basis, one match-work
 gate, the reduce to r, c and the contraction with W (exact) or with its
-leading diagonal δ/D^q, D = N (2N for Sp).  A U entry is the slot
-permutation test; an O/Sp entry is a product of the factors of the
-pairing's slot pairs, which each term of a bracket product builds once
-(_pair_factors) and every pairing looks up, after a mask test that
-skips the pairings with a zero factor.  One SU/SO window serves both
+leading diagonal δ/D^q, D = N (2N for Sp).  An entry is a product of
+the factors of the pairing's slot pairs, each 0 or ±1; each term of a
+bracket product reads them once (_pair_factors) as two bitmasks, the
+nonzero pairs and the -1 pairs, so a pairing's entry is 0 unless its
+mask lies inside the first, else the parity of its overlap with the
+second.  U reads its letters through the standard orthogonal form, whose
+bar is the identity and whose signs are +1.  One SU/SO window serves both
 modes: SU(1) and SO(1) give 1, other cases defer to U or O, vanish, or
 are refused where determinant invariants enter.
 
@@ -43,7 +47,6 @@ on stacks of Haar draws, one stack per block of sampling.mc_expectation.
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -98,9 +101,18 @@ class MonomialSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> tuple:
-        spec = cls(d["group"], [Factor(_spec_int(f["i"], "i"), _spec_int(f["j"], "j"),
-                                       _spec_conj(f)) for f in _spec_factors(d)])
-        return spec, _spec_int(d["N"], "N")
+        spec = cls(_spec_key(d, "group"), [
+            Factor(*(_spec_int(_spec_key(f, k), k) for k in ("i", "j")), _spec_conj(f))
+            for f in _spec_factors(d)])
+        return spec, _spec_int(_spec_key(d, "N"), "N")
+
+
+def _spec_key(d: dict, key: str):
+    """A required entry of a spec file or of one of its factors, refused
+    by name when it is absent."""
+    if key not in d:
+        raise ValueError(f"missing {key!r} entry in the spec")
+    return d[key]
 
 
 def _spec_int(value, what: str) -> int:
@@ -120,7 +132,7 @@ def _spec_conj(factor: dict) -> bool:
 
 
 def _spec_factors(d: dict) -> list:
-    factors = d["factors"]
+    factors = _spec_key(d, "factors")
     if not isinstance(factors, list) or not all(isinstance(f, dict) for f in factors):
         raise ValueError("factors must be a list of objects")
     return factors
@@ -179,11 +191,9 @@ def _double_factorial(m: int) -> int:
     return out
 
 
-def _form_for(kind: str, n: int) -> BilinearForm | None:
-    """The form whose alphabet indexes a monomial: none for U, the
-    standard basis for O, the split alphabet for Sp."""
-    if kind == "U":
-        return None
+def _form_for(kind: str, n: int) -> BilinearForm:
+    """The form whose alphabet indexes a monomial: the standard basis for
+    U and O (bar the identity, every sign +1), the split alphabet for Sp."""
     if kind == "Sp":
         return symplectic_form(n)
     return orthogonal_form(n, split=False)
@@ -235,10 +245,9 @@ class TypeTable:
     ``products[l][m][v]`` counts the c with type(a, c) = m and
     type(c, b) = v for any pair (a, b) of type l: the structure constants
     of the commutative algebra the class functions of the type span.
-    ``masks`` holds each pairing's slot pairs as bits (_pairing_masks),
-    and is empty for U.
+    ``masks`` holds each pairing's slot pairs as bits (_pairing_masks).
     """
-    elements: list  # permutations (tuples) or pairings (tuples of pairs)
+    elements: list  # pairings (tuples of slot pairs), _basis order
     types: tuple
     rows: tuple  # bytes per basis element
     signs: tuple
@@ -259,9 +268,27 @@ def _pairing_masks(pairings) -> tuple:
     return tuple(sum(map(bit, p)) for p in pairings)
 
 
+def _basis(kind: str, q: int) -> list:
+    """The U, O or Sp commutant basis at degree q as pairings of the slots
+    1..2q, odd slot 2i-1 the i-th output and even slot 2j the j-th input:
+    every pairing for O and Sp (all_pairings), and for U the output-input
+    ones, one per slot permutation p (itertools.permutations order) made
+    of the pairs (2p[j]+1, 2j+2), 0-based j, each written low slot first.
+    The loop type of two such pairings σ, τ is the cycle type of σ^-1 τ,
+    so one loop walk (_loop_type) labels every basis."""
+    if kind == "U":
+        pair = [[tuple(sorted((2 * i + 1, 2 * j + 2))) for i in range(q)]
+                for j in range(q)]
+        return [tuple(map(list.__getitem__, pair, p))
+                for p in itertools.permutations(range(q))]
+    if kind in ("O", "Sp"):
+        return all_pairings(2 * q)
+    raise ValueError(f"unknown group tag {kind!r}")
+
+
 @functools.lru_cache(maxsize=16)
 def type_table(kind: str, q: int) -> TypeTable:
-    """Type table of the U, O or Sp commutant basis at degree q.
+    """Type table of the U, O or Sp commutant basis at degree q (_basis).
 
     The symplectic sign of a pairing is its crossing parity,
     ε_a = (-1)^cr(a) with cr(a) the number of crossing pairs of a
@@ -274,25 +301,13 @@ def type_table(kind: str, q: int) -> TypeTable:
         raise CostGateError(
             f"commutant span at q={q} has {math.factorial(q)} permutations or "
             f"{_double_factorial(2 * q - 1)} pairings; capped at q={DEGREE_CAP}")
-    if kind == "U":
-        elems = perms.all_permutations(q)
-        inverses = [perms.inverse(p) for p in elems]
-
-        def label(a, b):
-            return perms.cycle_type(perms.compose(inverses[a], elems[b]))
-    elif kind in ("O", "Sp"):
-        elems = all_pairings(2 * q)
-        partners = [_partners(p) for p in elems]
-
-        def label(a, b):
-            return _loop_type(partners[a], partners[b])
-    else:
-        raise ValueError(f"unknown group tag {kind!r}")
+    elems = _basis(kind, q)
+    partners = [_partners(p) for p in elems]
     k = len(elems)
     index: dict = {}
     # every type occurs in row 0, so the type order is fixed by that row
-    rows = tuple(bytes(index.setdefault(label(a, b), len(index)) for b in range(k))
-                 for a in range(k))
+    rows = tuple(bytes(index.setdefault(_loop_type(pa, pb), len(index)) for pb in partners)
+                 for pa in partners)
     signs = (1,) * k
     if kind == "Sp":
         signs = tuple(_crossing_sign(p) for p in elems)
@@ -303,8 +318,8 @@ def type_table(kind: str, q: int) -> TypeTable:
         for c in range(k):
             counts[rows[0][c]][rows[c][b]] += 1
         products.append(tuple(tuple(row) for row in counts))
-    masks = _pairing_masks(elems) if kind != "U" else ()
-    return TypeTable(elems, tuple(index), rows, signs, tuple(products), masks)
+    return TypeTable(elems, tuple(index), rows, signs, tuple(products),
+                     _pairing_masks(elems))
 
 
 def _gram_per_type(kind: str, q: int, n: int) -> list:
@@ -368,79 +383,64 @@ def _contract(engine: ClassWeights, r_vec, c_vec) -> Fraction:
     return sum((w * m for w, m in zip(engine.weights, bins) if m), Fraction(0))
 
 
-def _pair_factors(left, right, form: BilinearForm) -> dict:
-    """The nonzero factors that slot pairs (a, b), a < b, contribute to a
-    pairing's entry between letter tuples; every other pair's is 0.
+def _pair_factors(left, right, form: BilinearForm) -> tuple:
+    """The factors that slot pairs (a, b), a < b, contribute to a pairing's
+    entry between letter tuples, each 0 or ±1, as two sets of slot-pair
+    bits (_slot_pair_bits): live, the pairs whose factor is nonzero, and
+    minus, those whose factor is -1.
     Slot s (1-based, s <= 2q) is odd for the s-th output letter and even
     for inputs: two outputs pair through the dual expansion, two inputs
     through the form, and an output-input pair is a plain delta, with the
     skew sign when the input slot comes first.  Each rule needs one letter
     to be the bar of the other once the input letters are barred, so only
     slots keyed that way are paired."""
+    bits = _slot_pair_bits(len(left))
     slots, keys = [None], {}  # slot -> (letter, key); key -> its slots
     for x, y in zip(left, right):
         for letter, key in ((x, x), (y, form.bar(y))):
             slots.append((letter, key))
             keys.setdefault(key, []).append(len(slots) - 1)
     skew = -1 if form.kind == "symplectic" else 1
-    out = {}
+    live = minus = 0
     for a in range(1, len(slots)):
         x, key = slots[a]
         for b in keys.get(form.bar(key), ()):
             if b > a:
-                out[a, b] = form.dsign(x) if a % 2 == b % 2 else 1 if a % 2 else skew
-    return out
+                live |= bits[a, b]
+                if (form.dsign(x) if a % 2 == b % 2 else 1 if a % 2 else skew) < 0:
+                    minus |= bits[a, b]
+    return live, minus
 
 
-def _u_entry(p, left, right) -> int:
-    """Entry of the slot permutation p between letter tuples."""
-    # left[p[j]] == right[j] for every slot j
-    return 1 if all(map(operator.eq, map(left.__getitem__, p), right)) else 0
-
-
-def _match_vector(elements, masks, form, terms) -> list:
-    """Per basis element, the sum of c * entry(left, right) over the terms
-    (left letters, right letters, c) of a tensor.  A U entry is the slot
-    permutation test.  For O and Sp each term looks up its nonzero
-    slot-pair factors (_pair_factors) once: a pairing whose mask meets a
-    pair with none has entry 0, any other the product of its factors."""
-    if form is None:
-        if len(terms) == 1:  # as for every monomial: no sum to build
-            (left, right, c), = terms
-            return [c * _u_entry(p, left, right) for p in elements]
-        return [sum(c * w for left, right, c in terms if (w := _u_entry(p, left, right)))
-                for p in elements]
-    bits = _slot_pair_bits(len(elements[0]))
-    every = (1 << len(bits)) - 1
-    out = [0] * len(elements)
+def _match_vector(masks, form: BilinearForm, terms) -> list:
+    """Per basis element, given by its mask (TypeTable.masks), the sum of
+    c * entry(left, right) over the terms (left letters, right letters, c)
+    of a tensor.  Each term looks up its slot-pair factors once
+    (_pair_factors): a pairing with a pair outside live has entry 0, any
+    other (-1)^(its pairs in minus)."""
+    out = [0] * len(masks)
     for left, right, c in terms:
-        factors = _pair_factors(left, right, form)
-        zero = every - sum(map(bits.__getitem__, factors))
-        factor = factors.__getitem__
-        for a, mask in enumerate(masks):
-            if not mask & zero:
-                out[a] += c * math.prod(map(factor, elements[a]))
+        live, minus = _pair_factors(left, right, form)
+        out = [x if m & live != m else x - c if (m & minus).bit_count() & 1 else x + c
+               for x, m in zip(out, masks)]
     return out
 
 
 def _elements(kind: str, q: int, exact: bool) -> tuple:
-    """The U, O or Sp commutant basis at degree q and its pairings' masks
-    (TypeTable.masks): the cached type table's, whose cap refuses exact
-    values past DEGREE_CAP; the leading order, which needs no weights,
-    enumerates them afresh there, refused past LEADING_CAP elements."""
+    """The U, O or Sp commutant basis at degree q as the masks of its
+    pairings (TypeTable.masks): the cached type table's, whose cap
+    refuses exact values past DEGREE_CAP; the leading order, which needs
+    no weights, enumerates them afresh there (_basis), refused past
+    LEADING_CAP elements."""
     if exact or q <= DEGREE_CAP:
-        table = type_table(kind, q)
-        return table.elements, table.masks
+        return type_table(kind, q).masks
     count = math.factorial(q) if kind == "U" else _double_factorial(2 * q - 1)
     if count > LEADING_CAP:
         noun = "permutations" if kind == "U" else "pairings"
         raise CostGateError(
             f"leading order at q={q} enumerates {count} {noun}; "
             f"capped at {LEADING_CAP}")
-    if kind == "U":
-        return perms.all_permutations(q), ()
-    pairings = all_pairings(2 * q)
-    return pairings, _pairing_masks(pairings)
+    return _pairing_masks(_basis(kind, q))
 
 
 def _half_degree(kind: str, brackets) -> int | None:
@@ -477,25 +477,29 @@ def _reduce(kind: str, form: BilinearForm | None, brackets, exact: bool):
     match vectors (kind, q, r_vec, c_vec) of a product of brackets
     <row|u|col>: its integral is r^T W c over _elements(kind, q, exact).
     A bracket is (conj, row terms, col terms), a term (letters, coeff) of
-    a tensor on the alphabet of form (None for U), whose int coefficients
-    give int match vectors; conj marks the entrywise conjugate.  Before
-    any match vector, the match-work gate refuses basis elements x the
-    larger side's term count past LEADING_CAP (one term for a monomial).
-    For U plain brackets fill the early slots and conjugated ones the
-    late; for O and Sp a conjugated bracket is twisted whole, then the
-    product's slots from q on to the inverse."""
+    a tensor on the alphabet of form, whose int coefficients give int
+    match vectors; conj marks the entrywise conjugate.  A U module comes
+    with no form and is read through the standard one (_form_for), as
+    U monomials are.  Before any match vector, the match-work gate
+    refuses basis elements x the larger side's term count past
+    LEADING_CAP (one term for a monomial).  Plain brackets fill the early
+    slots and conjugated ones the late, as U needs; O and Sp take any
+    split.  On a split form a conjugated bracket is twisted whole, then
+    the product's slots from q on to the inverse; on the standard form
+    the twist is the identity."""
     q = _half_degree(kind, brackets)
     if q is None:
         return Fraction(0)
     if q == 0:
         return Fraction(1)
-    elements, masks = _elements(kind, q, exact)
+    masks = _elements(kind, q, exact)
     expanded = max(math.prod(len(b[side]) for b in brackets) for side in (1, 2))
-    sampling.check_cost(f"match vectors at q={q}", len(elements), expanded,
+    sampling.check_cost(f"match vectors at q={q}", len(masks), expanded,
                         LEADING_CAP, "bracket-term matches")
-    if form is None:
-        brackets = sorted(brackets, key=lambda b: b[0])
-    else:
+    if form is None:  # bar and signs of the standard form do not depend on n
+        form = _form_for("U", 1)
+    brackets = sorted(brackets, key=lambda b: b[0])
+    if form.split:
         brackets = [(conj, _twist(rows, 0, form), _twist(cols, 0, form)) if conj
                     else (conj, rows, cols) for conj, rows, cols in brackets]
     vectors = []
@@ -503,10 +507,9 @@ def _reduce(kind: str, form: BilinearForm | None, brackets, exact: bool):
         terms = [((), 1)]
         for bracket in brackets:
             terms = [(x + y, cx * cy) for x, cx in terms for y, cy in bracket[side]]
-        if form is not None:
+        if form.split:
             terms = _twist(terms, q, form)
-        vectors.append(_match_vector(elements, masks, form,
-                                     [(x[:q], x[q:], c) for x, c in terms]))
+        vectors.append(_match_vector(masks, form, [(x[:q], x[q:], c) for x, c in terms]))
     return (kind, q, *vectors)
 
 

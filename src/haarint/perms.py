@@ -4,24 +4,11 @@ Composition is (p * q)(i) = p(q(i)), matching operator order when
 permutations act on tensor slots.
 """
 
-import itertools
-
 Perm = tuple[int, ...]
 
 
 def compose(p: Perm, q: Perm) -> Perm:
     return tuple(p[q[i]] for i in range(len(p)))
-
-
-def inverse(p: Perm) -> Perm:
-    inv = [0] * len(p)
-    for i, image in enumerate(p):
-        inv[image] = i
-    return tuple(inv)
-
-
-def all_permutations(k: int) -> list[Perm]:
-    return list(itertools.permutations(range(k)))
 
 
 def cycle_type(p: Perm) -> tuple[int, ...]:

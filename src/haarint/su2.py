@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .moments import _spec_conj, _spec_factors, _spec_int
+from .moments import _spec_conj, _spec_factors, _spec_int, _spec_key
 from .tensors import CostGateError
 
 __all__ = [
@@ -75,7 +75,8 @@ class Su2MonomialSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Su2MonomialSpec":
-        return cls([Su2Factor(*(_spec_int(f[k], k) for k in ("twice_j", "twice_mp", "twice_m")),
+        return cls([Su2Factor(*(_spec_int(_spec_key(f, k), k)
+                                for k in ("twice_j", "twice_mp", "twice_m")),
                               _spec_conj(f)) for f in _spec_factors(d)])
 
 

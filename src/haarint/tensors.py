@@ -100,13 +100,6 @@ class SparseTensor:
     def norm_squared(self):
         return sum((c * c for c in self.data.values()), 0)
 
-    def tensor(self, other: "SparseTensor") -> "SparseTensor":
-        out = SparseTensor(self.order + other.order)
-        for ia, ca in self.data.items():
-            for ib, cb in other.data.items():
-                out.add_term(ia + ib, ca * cb)
-        return out
-
     def __eq__(self, other):
         return (isinstance(other, SparseTensor) and self.order == other.order
                 and self.data == other.data)

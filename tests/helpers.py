@@ -42,7 +42,14 @@ solve of the package: ``solve_by_rref`` and the class weights it gives
 (``class_weights_by_rref``).  The per-pairing entry rule
 (``brauer_entry``, ``entry_rule``) and the match vectors built from it
 one element at a time (``match_vector_by_entries``) judge the
-table-read match vectors of moments.
+table-read match vectors of moments.  The package holds the U basis as
+output-input pairings; ``as_permutation`` reads each back as the slot
+permutation it is, so the U entry rule, the N^cycles Gram
+(``gram_from_loops``) and the permutation enumeration of
+``brute_leading`` (``inverse``, ``all_permutations``) stay permutation
+judges.  The tensor product of sparse tensors (``tensor_product``) and
+the total box count of an irrep spec (``total_weight``) are test-only
+too.
 
 Last, it keeps the SU(2) closed form by full term enumeration
 (``su2_integral_closed_enumerated``): one product per choice of a term
@@ -179,7 +186,7 @@ def brute_leading(spec, n: int) -> Fraction:
         if q == 0:
             return Fraction(1)
         count = 0
-        for p in perms.all_permutations(q):
+        for p in all_permutations(q):
             if all(plain[k].row == conj[p[k]].row
                    and plain[k].col == conj[p[k]].col for k in range(q)):
                 count += 1
@@ -341,6 +348,29 @@ def cycle_count(p) -> int:
     return len(perms.cycle_type(p))
 
 
+def inverse(p) -> tuple:
+    inv = [0] * len(p)
+    for i, image in enumerate(p):
+        inv[image] = i
+    return tuple(inv)
+
+
+def all_permutations(k: int) -> list:
+    return list(itertools.permutations(range(k)))
+
+
+def as_permutation(pairing) -> tuple:
+    """The slot permutation p of an output-input pairing of the U basis:
+    the pair of output slot 2i+1 and input slot 2j+2 (0-based i, j) gives
+    p[j] = i, so its entry is the test left[p[j]] == right[j]."""
+    p = [None] * len(pairing)
+    for a, b in pairing:
+        out, inp = (a, b) if a % 2 else (b, a)
+        assert out % 2 and not inp % 2, f"{pairing} pairs two outputs or two inputs"
+        p[inp // 2 - 1] = out // 2
+    return tuple(p)
+
+
 def materialize_brauer(pairing, form: tensors.BilinearForm) -> dict:
     """Full sparse matrix {(rows, cols): entry} of the pairing operator;
     reference for the entry rule and the loop-count Gram."""
@@ -411,9 +441,11 @@ def brauer_entry(pairing, row_letters, col_letters, form: tensors.BilinearForm) 
 
 
 def entry_rule(p, left, right, form) -> int:
-    """Entry of commutant basis element p between letter tuples: the slot
-    permutation test for U (form None), brauer_entry for O and Sp."""
+    """Entry of commutant basis element p between letter tuples: for U
+    (form None) the slot permutation test on the pairing's permutation
+    (as_permutation), brauer_entry for O and Sp."""
     if form is None:
+        p = as_permutation(p)
         return 1 if all(left[p[j]] == right[j] for j in range(len(p))) else 0
     return brauer_entry(p, left, right, form)
 
@@ -484,8 +516,8 @@ def loop_structure(pa, pb, kind: str):
 
 
 def _unitary_gram(q: int, n: int) -> list:
-    elements = moments.type_table("U", q).elements
-    return [[Fraction(n ** cycle_count(perms.compose(perms.inverse(pa), pb)))
+    elements = [as_permutation(p) for p in moments.type_table("U", q).elements]
+    return [[Fraction(n ** cycle_count(perms.compose(inverse(pa), pb)))
              for pb in elements] for pa in elements]
 
 
@@ -595,6 +627,21 @@ def traceless_project_ungraded(t, form):
         if coef:
             t1 = t1 + coef * u
     return t - t1, t1
+
+
+def tensor_product(a, b) -> tensors.SparseTensor:
+    """a (x) b: the index tuples of a followed by those of b."""
+    out = tensors.SparseTensor(a.order + b.order)
+    for ia, ca in a.data.items():
+        for ib, cb in b.data.items():
+            out.add_term(ia + ib, ca * cb)
+    return out
+
+
+def total_weight(spec) -> int:
+    """The summed box count of an irrep spec's factors: the order of the
+    tensor power its product of entries lives in."""
+    return sum(tableaux.weight(f.lam) for f in spec.factors)
 
 
 def primitive(t):
@@ -779,7 +826,7 @@ def central_symmetrizer(shape) -> dict:
 
     fact = math.factorial(m)
     out = {}
-    for g in perms.all_permutations(m):
+    for g in all_permutations(m):
         ct = perms.cycle_type(g)
         total = coeff_by_type.get(ct)
         if total:

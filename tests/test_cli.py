@@ -248,6 +248,37 @@ def test_malformed_spec_file_usage_error(capsys, tmp_path, command, payload):
     assert "Traceback" not in err and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("payload,message", [
+    ({"group": "U", "N": 2, "factors": [{"i": 1}]}, "missing 'j' entry in the spec"),
+    ({"N": 2, "factors": PLAIN_AND_BAR}, "missing 'group' entry in the spec"),
+    ({"group": "U", "N": 2, "factors": [
+        {"lambda": [1], "i": 1, "j": 1}, {"i": 1, "j": 1, "conj": True}]},
+     "spec factors mix irrep entries (with 'lambda') and monomial entries (without)"),
+    ({"group": "U", "N": 2, "factors": [1]}, "factors must be a list of objects"),
+], ids=["factor-without-j", "no-group", "mixed-lambda", "int-factor"])
+def test_malformed_spec_file_names_the_problem(capsys, tmp_path, payload, message):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(payload))
+    code = cli.main(["integral", "--spec", str(spec)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["integral", "--group", "U", "--N", "2", "--factors", "1,1;1"],
+     "bad factor '1'; expected i,j or i,j,+/-"),
+    (["integral", "--group", "U", "--N", "2", "--factors", "1,1,+;1,1,x"],
+     "conjugation mark must be + or -, got 'x'"),
+    (["su2", "--factors", "2,0,0,+;2,0"],
+     "bad factor '2,0'; expected twice_j,twice_mp,twice_m[,+/-]"),
+    (["su2", "--factors", "2,0,0,?;2,0,0,-"],
+     "conjugation mark must be + or -, got '?'"),
+], ids=["integral-arity", "integral-mark", "su2-arity", "su2-mark"])
+def test_inline_factor_errors(capsys, argv, message):
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("payload", [
     {"group": "U", "N": 2, "factors": [{"i": 3, "j": 1}, {"i": 3, "j": 1, "conj": True}]},
     {"group": "U", "N": 2, "factors": [{"i": 0, "j": 1}, {"i": 1, "j": 1, "conj": True}]},

@@ -38,6 +38,7 @@ from helpers import (
     gram_from_loops,
     module_dimension_oracle,
     rho_matrix_loop,
+    total_weight,
     weingarten_data,
 )
 
@@ -67,7 +68,7 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         RepFactor((1, 2), 1, 1, False)  # not weakly decreasing
     s = rep_spec("U", 2, ((2,), 1, 1, False), ((1,), 2, 1, True))
-    assert s.total_weight == 3
+    assert total_weight(s) == 3
 
 
 def test_spec_json_roundtrip():
@@ -578,7 +579,7 @@ def test_empty_shape_factor_is_neutral():
 def test_cost_gates(monkeypatch):
     heavy = RepMatrixElementSpec("U", 2, tuple(
         RepFactor((2,), 1, 1, c) for c in (False,) * 3 + (True,) * 3))
-    assert heavy.total_weight == 12
+    assert total_weight(heavy) == 12
     with pytest.raises(CostGateError, match="capped at q=4"):
         integrate_irrep_exact(heavy)
 

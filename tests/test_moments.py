@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import haarint
-from haarint import moments, ratlinalg, sampling, tableaux
+from haarint import moments, perms, ratlinalg, sampling, tableaux
 from haarint.moments import (
     CostGateError,
     Factor,
@@ -34,11 +34,13 @@ from haarint.moments import (
 )
 from haarint.tensors import orthogonal_form, symplectic_form
 from helpers import (
+    as_permutation,
     brauer_entry,
     brute_leading,
     class_weights_by_rref,
     gram_from_loops,
     gram_from_operators,
+    inverse,
     j_entry,
     loop_structure,
     m_entry,
@@ -74,7 +76,8 @@ def test_pairing_order_lexicographic():
 
 
 def test_basis_sizes_and_order():
-    assert type_table("U", 2).elements == [(0, 1), (1, 0)]
+    # U: one output-input pairing per permutation, identity first
+    assert type_table("U", 2).elements == [((1, 2), (3, 4)), ((2, 3), (1, 4))]
     assert len(type_table("O", 2).elements) == 3
     assert len(type_table("O", 3).elements) == 15
     assert len(type_table("Sp", 2).elements) == 3
@@ -150,19 +153,23 @@ def test_match_vector_is_the_entry_rule(data):
     # the U, O (standard and split alphabets) and Sp bases up to q = 4 and
     # the leading-only q = 5: letters repeat and are barred, tensors have
     # one or more terms, and a term's negation may cancel it
+    # (the kernel reads U through the standard form, the oracle keeps the
+    # slot permutation test)
     kind = data.draw(st.sampled_from(sorted(MATCH_FORMS)))
     q = data.draw(st.integers(1, 5))
     n = data.draw(st.integers(1, 3))
     form = MATCH_FORMS[kind](n)
     letters = list(range(1, n + 1)) if form is None else form.letters
-    elements, masks = moments._elements(kind.split()[0], q, exact=q <= moments.DEGREE_CAP)
+    group = kind.split()[0]
+    masks = moments._elements(group, q, exact=q <= moments.DEGREE_CAP)
+    elements = moments._basis(group, q)
     word = st.lists(st.sampled_from(letters), min_size=q, max_size=q).map(tuple)
     coeff = st.integers(-3, 3).filter(bool)
     terms = data.draw(st.lists(st.tuples(word, word, coeff), min_size=1, max_size=4))
     if data.draw(st.booleans()):
         left, right, c = data.draw(st.sampled_from(terms))
         terms.append((left, right, -c))
-    got = moments._match_vector(elements, masks, form, terms)
+    got = moments._match_vector(masks, form or moments._form_for("U", n), terms)
     assert got == match_vector_by_entries(elements, form, terms)
     assert all(type(x) is int for x in got)
 
@@ -284,10 +291,11 @@ def test_class_weights_invert_dense_gram(group, q, n):
     assert engine.pseudo == weingarten_data(g).pseudo
 
 
-@pytest.mark.parametrize("kind", ["O", "Sp"])
+@pytest.mark.parametrize("kind", ["U", "O", "Sp"])
 def test_type_table_matches_loop_walk(kind):
     # loop counts, and for Sp the factorized signs ε_a ε_b (-1)^(q+ℓ),
-    # agree with the sign-tracking walk on every pair up to the degree cap
+    # agree with the sign-tracking walk on every pair up to the degree
+    # cap; a U label is the cycle type of σ_a^-1 σ_b
     form_kind = "symplectic" if kind == "Sp" else "orthogonal"
     for q in range(1, moments.DEGREE_CAP + 1):
         t = type_table(kind, q)
@@ -300,6 +308,13 @@ def test_type_table_matches_loop_walk(kind):
                     assert sign == t.signs[a] * t.signs[b] * (-1) ** (q + loops)
                 else:
                     assert sign == 1
+                if kind == "U":
+                    sa, sb = as_permutation(pa), as_permutation(pb)
+                    assert t.types[t.rows[a][b]] == perms.cycle_type(
+                        perms.compose(inverse(sa), sb))
+        if kind == "U":
+            assert sorted(map(as_permutation, elems)) == sorted(
+                itertools.permutations(range(q)))
 
 
 @pytest.mark.parametrize("q", [5, 6])

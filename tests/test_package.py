@@ -18,23 +18,27 @@ def _private_definitions(node) -> list:
     private (_name) function or class, or a constant (NAME = ...)."""
     if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
         private = node.name.startswith("_") and not node.name.startswith("__")
-        return [node.name] if private else []
+        return [(node.name, node)] if private else []
     targets = node.targets if isinstance(node, ast.Assign) else (
         [node.target] if isinstance(node, ast.AnnAssign) else [])
-    return [t.id for t in targets
+    return [(t.id, node) for t in targets
             if isinstance(t, ast.Name) and not t.id.startswith("__")]
 
 
 def _public_definitions(node) -> list:
-    """A public module-level function or class."""
-    if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-        return [node.name]
-    return []
+    """A public module-level function or class, and the public methods and
+    properties of a public class (as Class.name)."""
+    if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+        return []
+    members = [(f"{node.name}.{item.name}", item) for item in node.body
+               if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+    return [(node.name, node)] + (members if isinstance(node, ast.ClassDef) else [])
 
 
 def _unread(trees: dict, definitions) -> list:
-    """module:name for each name that definitions finds in a module body
-    with no reference anywhere in trees outside its own definition."""
+    """module:name for each (name, defining node) that definitions finds
+    in a module body with no reference anywhere in trees outside that
+    node; a Class.name member is referenced as the attribute name."""
     refs = []  # (module, line, name)
     for module, tree in trees.items():
         for node in ast.walk(tree):
@@ -45,10 +49,11 @@ def _unread(trees: dict, definitions) -> list:
     unused = []
     for module, tree in trees.items():
         for node in tree.body:
-            for name in definitions(node):
-                if not any(ref == name and not (
-                        where == module and node.lineno <= line <= node.end_lineno)
-                        for where, line, ref in refs):
+            for name, where in definitions(node):
+                attr = name.split(".")[-1]
+                if not any(ref == attr and not (
+                        at == module and where.lineno <= line <= where.end_lineno)
+                        for at, line, ref in refs):
                     unused.append(f"{module}:{name}")
     return unused
 
@@ -70,13 +75,14 @@ def test_every_private_helper_has_a_caller():
 
 
 def test_every_public_name_has_a_reader_or_is_library_api():
-    # a public function or class that nothing in the package reads is
-    # either published (haarint.__all__, LIBRARY_API) or test-only code,
-    # which belongs in tests/helpers.py
+    # a public function or class, or a public method or property of a
+    # public class, that nothing in the package reads is either published
+    # (haarint.__all__, LIBRARY_API) or test-only code, which belongs in
+    # tests/helpers.py
     trees = _package_trees()
     assert not _unlisted_public(trees)
     defined = {name for tree in trees.values() for node in tree.body
-               for name in _public_definitions(node)}
+               for name, _ in _public_definitions(node)}
     assert LIBRARY_API <= defined
 
 
@@ -86,13 +92,25 @@ def _append(tree, source: str):
     tree.body += extra.body
 
 
+def _append_method(tree, cls: str, source: str):
+    """Add the function in source, indented, to the body of class cls."""
+    node = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == cls)
+    extra = ast.parse(source)
+    ast.increment_lineno(extra, tree.body[-1].end_lineno)
+    node.body += extra.body
+
+
 def test_public_check_flags_test_only_code():
     # the check above on a package that still carries a test-only slot
-    # permutation and matrix product
+    # permutation, matrix product and tensor product method
     trees = _package_trees()
     _append(trees["tensors.py"], "def apply_permutation(p, t):\n"
                                  "    return permute({p: 1}, t)\n")
     _append(trees["ratlinalg.py"], "def mat_mul(a, b):\n"
                                    "    return [[sum(x * y for x, y in zip(r, c))"
                                    " for c in zip(*b)] for r in a]\n")
-    assert _unlisted_public(trees) == ["ratlinalg.py:mat_mul", "tensors.py:apply_permutation"]
+    _append_method(trees["tensors.py"], "SparseTensor",
+                   "def tensor(self, other):\n"
+                   "    return SparseTensor(self.order + other.order)\n")
+    assert _unlisted_public(trees) == ["ratlinalg.py:mat_mul", "tensors.py:SparseTensor.tensor",
+                                       "tensors.py:apply_permutation"]

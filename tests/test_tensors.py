@@ -15,10 +15,10 @@ from haarint.tensors import (
 
 from helpers import (
     TensorOperator, algebra_product, central_symmetrizer,
-    gl_module_dimension_oracle, gram_schmidt_ungraded, isotypic_projector,
+    gl_module_dimension_oracle, gram_schmidt_ungraded, inverse, isotypic_projector,
     module_dimension_oracle, normalization_squared, symmetrize_by_definition,
-    symmetrized, trace_span_basis_ungraded, traceless_project_ungraded,
-    young_constant_mu,
+    symmetrized, tensor_product, trace_span_basis_ungraded,
+    traceless_project_ungraded, young_constant_mu,
 )
 
 
@@ -32,7 +32,7 @@ def test_sparse_arithmetic():
     assert t.norm_squared() == 2
     assert (t - t).is_zero()
     assert (Fraction(1, 2) * t).inner(t) == 1
-    assert t.tensor(e(3)).order == 3
+    assert tensor_product(t, e(3)) == e(1, 2, 3) + e(2, 1, 3)
     # equality is by value: int and equal Fraction coefficients agree, and
     # a differing support does not
     assert Fraction(2) * t == 2 * t
@@ -147,7 +147,7 @@ def test_norm_against_young_constant_boundary():
 def test_symmetrizer_adjoint(shape, t):
     # the adjoint of sum sgn(q) q.p is sum sgn(q) p^-1.q^-1
     c = tensors.young_symmetrizer(shape)
-    c_adj = {perms.inverse(p): w for p, w in c.items()}
+    c_adj = {inverse(p): w for p, w in c.items()}
     v = e(*t.row_major())
     u = permute({tuple(range(1, v.order)) + (0,): 1}, v)
     assert permute(c, v).inner(u) == v.inner(permute(c_adj, u))
