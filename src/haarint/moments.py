@@ -32,11 +32,13 @@ the degree rule, the trivial 0 and 1, the commutant basis, one match-work
 gate, the reduce to r, c and the contraction with W (exact) or with its
 leading diagonal δ/D^q, D = N (2N for Sp).  An entry is a product of
 the factors of the pairing's slot pairs, each 0 or ±1; each term of a
-bracket product reads them once (_pair_factors) as two bitmasks, the
-nonzero pairs and the -1 pairs, so a pairing's entry is 0 unless its
-mask lies inside the first, else the parity of its overlap with the
-second.  U reads its letters through the standard orthogonal form, whose
-bar is the identity and whose signs are +1.  One SU/SO window serves both
+bracket product reads them once (_pair_factors, from a per-q slot-pair
+table) as two bitmasks, the nonzero pairs and the -1 pairs, so a
+pairing's entry is 0 unless its mask lies inside the first, else the
+parity of its overlap with the second.  Terms with the same two masks
+add their coefficients before the one pass over the basis they share.
+U reads its letters through the standard orthogonal form, whose bar is
+the identity and whose signs are +1.  One SU/SO window serves both
 modes: SU(1) and SO(1) give 1, other cases defer to U or O, vanish, or
 are refused where determinant invariants enter.
 
@@ -256,16 +258,26 @@ class TypeTable:
 
 
 @functools.lru_cache(maxsize=16)
-def _slot_pair_bits(q: int) -> dict:
-    """A bit for every slot pair (a, b), 1 <= a < b <= 2q."""
-    pairs = itertools.combinations(range(1, 2 * q + 1), 2)
-    return {pair: 1 << k for k, pair in enumerate(pairs)}
+def _slot_pair_table(q: int) -> tuple:
+    """The bits of the slot pairs (a, b), 1 <= a < b <= 2q, one per pair in
+    itertools.combinations order, as lookup tables over 1-based slots:
+    bits[a][b] = bits[b][a], the bit of the pair; lower[a], the bits of the
+    pairs (a, b), b > a, of slots of one parity (two outputs or two
+    inputs); and input_first, the bits of the pairs whose lower slot is an
+    input and whose upper one an output."""
+    m = 2 * q
+    bits = [[0] * (m + 1) for _ in range(m + 1)]
+    for k, (a, b) in enumerate(itertools.combinations(range(1, m + 1), 2)):
+        bits[a][b] = bits[b][a] = 1 << k
+    lower = tuple(sum(bits[a][a + 2::2]) for a in range(m + 1))
+    input_first = sum(bits[a][b] for a in range(2, m + 1, 2) for b in range(a + 1, m + 1, 2))
+    return tuple(map(tuple, bits)), lower, input_first
 
 
 def _pairing_masks(pairings) -> tuple:
-    """Per pairing, the bits (_slot_pair_bits) of its slot pairs."""
-    bit = _slot_pair_bits(len(pairings[0])).__getitem__
-    return tuple(sum(map(bit, p)) for p in pairings)
+    """Per pairing, the bits (_slot_pair_table) of its slot pairs."""
+    bits = _slot_pair_table(len(pairings[0]))[0]
+    return tuple(sum(bits[a][b] for a, b in p) for p in pairings)
 
 
 def _basis(kind: str, q: int) -> list:
@@ -386,43 +398,67 @@ def _contract(engine: ClassWeights, r_vec, c_vec) -> Fraction:
 def _pair_factors(left, right, form: BilinearForm) -> tuple:
     """The factors that slot pairs (a, b), a < b, contribute to a pairing's
     entry between letter tuples, each 0 or ±1, as two sets of slot-pair
-    bits (_slot_pair_bits): live, the pairs whose factor is nonzero, and
+    bits (_slot_pair_table): live, the pairs whose factor is nonzero, and
     minus, those whose factor is -1.
     Slot s (1-based, s <= 2q) is odd for the s-th output letter and even
     for inputs: two outputs pair through the dual expansion, two inputs
     through the form, and an output-input pair is a plain delta, with the
     skew sign when the input slot comes first.  Each rule needs one letter
-    to be the bar of the other once the input letters are barred, so only
-    slots keyed that way are paired."""
-    bits = _slot_pair_bits(len(left))
-    slots, keys = [None], {}  # slot -> (letter, key); key -> its slots
+    to be the bar of the other once the input letters are barred, so the
+    live pairs join the slots of a key to those of its bar.  Only the
+    skew form has -1 factors: the input-first pairs, and the same-parity
+    pairs whose lower slot holds a letter of dual sign -1."""
+    bits, lower, input_first = _slot_pair_table(len(left))
+    bar = form.bar
+    keys: dict = {}  # key -> its slots, ascending
+    slot = 1
     for x, y in zip(left, right):
-        for letter, key in ((x, x), (y, form.bar(y))):
-            slots.append((letter, key))
-            keys.setdefault(key, []).append(len(slots) - 1)
-    skew = -1 if form.kind == "symplectic" else 1
-    live = minus = 0
-    for a in range(1, len(slots)):
-        x, key = slots[a]
-        for b in keys.get(form.bar(key), ()):
-            if b > a:
-                live |= bits[a, b]
-                if (form.dsign(x) if a % 2 == b % 2 else 1 if a % 2 else skew) < 0:
-                    minus |= bits[a, b]
-    return live, minus
+        keys.setdefault(x, []).append(slot)
+        keys.setdefault(bar(y), []).append(slot + 1)
+        slot += 2
+    live = 0
+    for key, slots in keys.items():
+        partner = bar(key)
+        if partner == key:
+            for i, a in enumerate(slots):
+                row = bits[a]
+                for b in slots[i + 1:]:
+                    live |= row[b]
+        elif key < partner and partner in keys:
+            others = keys[partner]
+            for a in slots:
+                row = bits[a]
+                for b in others:
+                    live |= row[b]
+    if form.kind != "symplectic":
+        return live, 0
+    negative = input_first
+    for i, (x, y) in enumerate(zip(left, right)):
+        if form.dsign(x) < 0:
+            negative |= lower[2 * i + 1]
+        if form.dsign(y) < 0:
+            negative |= lower[2 * i + 2]
+    return live, live & negative
 
 
 def _match_vector(masks, form: BilinearForm, terms) -> list:
     """Per basis element, given by its mask (TypeTable.masks), the sum of
     c * entry(left, right) over the terms (left letters, right letters, c)
     of a tensor.  Each term looks up its slot-pair factors once
-    (_pair_factors): a pairing with a pair outside live has entry 0, any
-    other (-1)^(its pairs in minus)."""
-    out = [0] * len(masks)
+    (_pair_factors), and terms with the same factors add their
+    coefficients before the pass over the masks: a pairing with a pair
+    outside live has entry 0, any other (-1)^(its pairs in minus).  A term
+    with no live pair adds nothing, since every pairing has a pair."""
+    grouped: dict = {}
     for left, right, c in terms:
-        live, minus = _pair_factors(left, right, form)
-        out = [x if m & live != m else x - c if (m & minus).bit_count() & 1 else x + c
-               for x, m in zip(out, masks)]
+        factors = _pair_factors(left, right, form)
+        if factors[0]:
+            grouped[factors] = grouped.get(factors, 0) + c
+    out = [0] * len(masks)
+    for (live, minus), c in grouped.items():
+        if c:
+            out = [x if m & live != m else x - c if (m & minus).bit_count() & 1 else x + c
+                   for x, m in zip(out, masks)]
     return out
 
 

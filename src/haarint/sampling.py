@@ -16,6 +16,8 @@ runs in parallel; the CLI's --threads is echoed in each record and never
 changes a result.
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass
 

@@ -18,6 +18,7 @@ integers converted to floats only at the very end.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -200,8 +201,20 @@ def su2_integral_closed(spec: Su2MonomialSpec) -> float:
     return prefactor * float(total)
 
 
-def _gauss_nodes(a: float, b: float, nodes: int):
-    x, w = np.polynomial.legendre.leggauss(nodes)
+@functools.lru_cache(maxsize=8)
+def _gauss_rule(nodes: int) -> tuple:
+    """The Gauss-Legendre rule on [-1, 1] (leggauss), computed once per
+    node count and handed out as read-only arrays, so no caller can change
+    what the next one reads."""
+    rule = np.polynomial.legendre.leggauss(nodes)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
+def _gauss_nodes(a: float, b: float, rule) -> tuple:
+    """The nodes and weights of a rule (_gauss_rule) scaled to [a, b]."""
+    x, w = rule
     half = (b - a) / 2
     return a + half * (x + 1), half * w
 
@@ -220,15 +233,16 @@ def su2_integral_quadrature(spec: Su2MonomialSpec, nodes: int = 32) -> float:
     factors = spec.factors
     if not factors:
         return 1.0
-    xa, wa = _gauss_nodes(0.0, 4 * math.pi, nodes)
-    xb, wb = _gauss_nodes(0.0, math.pi, nodes)
+    rule = _gauss_rule(nodes)
+    xa, wa = _gauss_nodes(0.0, 4 * math.pi, rule)
+    xb, wb = _gauss_nodes(0.0, math.pi, rule)
     ka, kg = _magnetic_sums(factors)
     alpha_sum = np.dot(wa, np.exp(-0.5j * ka * xa))
     gamma_sum = np.dot(wa, np.exp(-0.5j * kg * xa))
     profile = np.ones_like(xb)
+    c, s = np.cos(xb / 2), np.sin(xb / 2)
     # conjugation leaves the real profile alone
     for f, scale in zip(factors, _scales(factors)):
-        c, s = np.cos(xb / 2), np.sin(xb / 2)
         d = scale * sum(float(coeff) * c ** ec * s ** es for coeff, ec, es
                         in _small_d_terms(f.twice_j, f.twice_mp, f.twice_m))
         profile = profile * d

@@ -42,7 +42,11 @@ solve of the package: ``solve_by_rref`` and the class weights it gives
 (``class_weights_by_rref``).  The per-pairing entry rule
 (``brauer_entry``, ``entry_rule``) and the match vectors built from it
 one element at a time (``match_vector_by_entries``) judge the
-table-read match vectors of moments.  The package holds the U basis as
+table-read match vectors of moments, and so does the slot-by-slot read
+of a term's slot-pair factors (``pair_factors_by_slots``, on the bit
+layout ``slot_pair_bits``) with one pass over the masks per term
+(``match_vector_by_terms``), which the keyed, term-grouping kernel of
+moments replaced.  The package holds the U basis as
 output-input pairings; ``as_permutation`` reads each back as the slot
 permutation it is, so the U entry rule, the N^cycles Gram
 (``gram_from_loops``) and the permutation enumeration of
@@ -55,7 +59,9 @@ Last, it keeps the SU(2) closed form by full term enumeration
 (``su2_integral_closed_enumerated``): one product per choice of a term
 from each factor's half-angle expansion, exponential in the factor
 count.  The factor-at-a-time product of the package must print the same
-float.
+float.  And it keeps the Gauss-Legendre quadrature as it ran before the
+rule was cached (``su2_integral_quadrature_fresh``): leggauss solved
+afresh on every call, the half-angle cosine and sine taken per factor.  The cached rule must give the same float.
 """
 
 import functools
@@ -455,6 +461,56 @@ def match_vector_by_entries(elements, form, terms) -> list:
     c * entry_rule(p, left, right) over the terms (left, right, c)."""
     return [sum(c * entry_rule(p, left, right, form) for left, right, c in terms)
             for p in elements]
+
+
+def slot_pair_bits(q: int) -> dict:
+    """A bit for every slot pair (a, b), 1 <= a < b <= 2q, the k-th pair of
+    itertools.combinations getting bit k: the layout of the pairing masks
+    of moments."""
+    pairs = itertools.combinations(range(1, 2 * q + 1), 2)
+    return {pair: 1 << k for k, pair in enumerate(pairs)}
+
+
+def pair_factors_by_slots(left, right, form: tensors.BilinearForm) -> tuple:
+    """moments._pair_factors slot by slot: for every slot a, each later
+    slot b whose key is the bar of a's, with the factor's sign read from
+    the rule of the two slots' kinds.
+    Slot s (1-based, s <= 2q) is odd for the s-th output letter and even
+    for inputs: two outputs pair through the dual expansion, two inputs
+    through the form, and an output-input pair is a plain delta, with the
+    skew sign when the input slot comes first.  Each rule needs one letter
+    to be the bar of the other once the input letters are barred, so only
+    slots keyed that way are paired.  Returns (live, minus) as slot-pair
+    bits (slot_pair_bits)."""
+    bits = slot_pair_bits(len(left))
+    slots, keys = [None], {}  # slot -> (letter, key); key -> its slots
+    for x, y in zip(left, right):
+        for letter, key in ((x, x), (y, form.bar(y))):
+            slots.append((letter, key))
+            keys.setdefault(key, []).append(len(slots) - 1)
+    skew = -1 if form.kind == "symplectic" else 1
+    live = minus = 0
+    for a in range(1, len(slots)):
+        x, key = slots[a]
+        for b in keys.get(form.bar(key), ()):
+            if b > a:
+                live |= bits[a, b]
+                if (form.dsign(x) if a % 2 == b % 2 else 1 if a % 2 else skew) < 0:
+                    minus |= bits[a, b]
+    return live, minus
+
+
+def match_vector_by_terms(masks, form: tensors.BilinearForm, terms) -> list:
+    """moments._match_vector one pass over the masks per term, without
+    grouping the terms by their factors (pair_factors_by_slots): a pairing
+    with a pair outside live has entry 0, any other (-1)^(its pairs in
+    minus)."""
+    out = [0] * len(masks)
+    for left, right, c in terms:
+        live, minus = pair_factors_by_slots(left, right, form)
+        out = [x if m & live != m else x - c if (m & minus).bit_count() & 1 else x + c
+               for x, m in zip(out, masks)]
+    return out
 
 
 def loop_structure(pa, pb, kind: str):
@@ -932,3 +988,32 @@ def su2_integral_closed_enumerated(spec) -> float:
         if coeff:
             total += coeff * su2._half_angle_moment(ec, es)
     return prefactor * float(total)
+
+
+def su2_integral_quadrature_fresh(spec, nodes: int = 32) -> float:
+    """su2.su2_integral_quadrature with the Gauss-Legendre rule solved
+    afresh on every call, and cos(beta/2), sin(beta/2) taken once per
+    factor."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+
+    def gauss_nodes(a, b):
+        half = (b - a) / 2
+        return a + half * (x + 1), half * w
+
+    factors = spec.factors
+    if not factors:
+        return 1.0
+    xa, wa = gauss_nodes(0.0, 4 * math.pi)
+    xb, wb = gauss_nodes(0.0, math.pi)
+    ka, kg = su2._magnetic_sums(factors)
+    alpha_sum = np.dot(wa, np.exp(-0.5j * ka * xa))
+    gamma_sum = np.dot(wa, np.exp(-0.5j * kg * xa))
+    profile = np.ones_like(xb)
+    for f, scale in zip(factors, su2._scales(factors)):
+        c, s = np.cos(xb / 2), np.sin(xb / 2)
+        d = scale * sum(float(coeff) * c ** ec * s ** es for coeff, ec, es
+                        in su2._small_d_terms(f.twice_j, f.twice_mp, f.twice_m))
+        profile = profile * d
+    beta_sum = np.dot(wb, profile * np.sin(xb))
+    value = alpha_sum * beta_sum * gamma_sum / (32 * math.pi ** 2)
+    return float(value.real)

@@ -46,7 +46,10 @@ from helpers import (
     m_entry,
     mat_mul,
     match_vector_by_entries,
+    match_vector_by_terms,
     materialize_brauer,
+    pair_factors_by_slots,
+    slot_pair_bits,
     solve_by_rref,
     transpose,
     weingarten_data,
@@ -171,6 +174,45 @@ def test_match_vector_is_the_entry_rule(data):
         terms.append((left, right, -c))
     got = moments._match_vector(masks, form or moments._form_for("U", n), terms)
     assert got == match_vector_by_entries(elements, form, terms)
+    assert all(type(x) is int for x in got)
+
+
+KERNEL_FORMS = {"U": lambda n: moments._form_for("U", n),
+                "O": lambda n: orthogonal_form(n, split=False),
+                "O split": lambda n: orthogonal_form(2 * n - 1),
+                "Sp": symplectic_form}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_keyed_kernel_is_the_slot_by_slot_read(data):
+    # the keyed slot-pair factors and the term-grouping match vectors
+    # against the slot-by-slot read with one pass per term, on U (read
+    # through the standard form), standard O, split O at odd N (whose
+    # alphabet has the self-barred letter 0) and Sp up to q = 4; the
+    # tensors repeat terms and relabel them by letter permutations that
+    # keep bar and the dual signs, so terms share their factors
+    kind = data.draw(st.sampled_from(sorted(KERNEL_FORMS)))
+    q = data.draw(st.integers(1, moments.DEGREE_CAP))
+    form = KERNEL_FORMS[kind](data.draw(st.integers(1, 3)))
+    table = moments.type_table(kind.split()[0], q)
+    bits = moments._slot_pair_table(q)[0]
+    assert {pair: bits[pair[0]][pair[1]] for pair in slot_pair_bits(q)} == slot_pair_bits(q)
+    letters = form.letters
+    word = st.lists(st.sampled_from(letters), min_size=q, max_size=q).map(tuple)
+    coeff = st.integers(-3, 3).filter(bool)
+    terms = data.draw(st.lists(st.tuples(word, word, coeff), min_size=1, max_size=4))
+    sizes = sorted({abs(x) for x in letters} - {0})
+    for _ in range(data.draw(st.integers(0, 4))):
+        left, right, _ = data.draw(st.sampled_from(terms))
+        image = dict(zip(sizes, data.draw(st.permutations(sizes))))
+        relabel = lambda w: tuple(x and (image[x] if x > 0 else -image[-x]) for x in w)
+        terms.append((relabel(left), relabel(right), data.draw(coeff)))
+    for left, right, _ in terms:
+        assert moments._pair_factors(left, right, form) == \
+            pair_factors_by_slots(left, right, form)
+    got = moments._match_vector(table.masks, form, terms)
+    assert got == match_vector_by_terms(table.masks, form, terms)
     assert all(type(x) is int for x in got)
 
 
@@ -427,7 +469,7 @@ def _package_lru_caches() -> dict:
 def test_engine_caches_are_bounded():
     caches = _package_lru_caches()
     assert {"haarint.moments._engine", "haarint.moments.type_table",
-            "haarint.irreps._build_irrep_basis",
+            "haarint.irreps._build_irrep_basis", "haarint.su2._gauss_rule",
             "haarint.tensors._trace_span_basis"} <= set(caches)
     for name, cached in caches.items():
         assert cached.cache_parameters()["maxsize"] is not None, name

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import haarint
 from haarint import sampling
 from haarint.sampling import (
     BLOCK, McEstimate, RngStream, mc_expectation, sample_compact_symplectic,
@@ -134,6 +138,22 @@ def test_sample_group_dispatch():
     assert sample_group("Sp", 2, RngStream(1)).matrix.shape == (4, 4)
     with pytest.raises(ValueError):
         sample_group("X", 3, RngStream(1))
+
+
+def test_numpy_random_loads_on_the_first_draw():
+    # the sampler's annotations stay unevaluated, so importing the CLI
+    # leaves numpy.random unloaded until something samples
+    script = ("import sys\n"
+              "import haarint.cli\n"
+              "print('numpy.random' in sys.modules)\n"
+              "from haarint.sampling import RngStream, sample_group\n"
+              "sample_group('U', 2, RngStream(1))\n"
+              "print('numpy.random' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(haarint.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert out.stdout.split() == ["False", "True"]
 
 
 def test_mc_constant():

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import su2_integral_closed_enumerated
+from haarint import cli, su2
+from helpers import su2_integral_closed_enumerated, su2_integral_quadrature_fresh
 from haarint.su2 import (
     Su2Factor,
     Su2MonomialSpec,
@@ -200,6 +201,33 @@ def test_closed_matches_quadrature_exhaustively():
         count += 1
         nonzero += c != 0.0
     assert count == 1475 and nonzero == 133
+
+
+@pytest.mark.parametrize("nodes", [8, 32, 33, 100])
+def test_cached_rule_gives_the_fresh_quadrature(nodes):
+    # the rule computed once per node count and the hoisted half-angle
+    # cosine and sine print the floats of a leggauss solved on every call
+    for spec in _low_spin_grid():
+        assert su2_integral_quadrature(spec, nodes) == \
+            su2_integral_quadrature_fresh(spec, nodes)
+
+
+def test_cached_rule_refuses_writes():
+    for a in su2._gauss_rule(32):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+def test_second_su2_request_reuses_the_rule(capsys):
+    argv = ["su2", "--factors", "2,0,2,+;2,0,2,-", "--nodes", "37"]
+    assert cli.main(argv) == 0
+    before = su2._gauss_rule.cache_info()
+    assert cli.main(argv) == 0
+    after = su2._gauss_rule.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+    out = capsys.readouterr().out
+    assert out[:len(out) // 2] == out[len(out) // 2:]
 
 
 def test_quadrature_node_convergence():
