@@ -11,19 +11,18 @@ the Brauer diagram pairing output σ(j) with input j.
 
 G(a, b) depends on a and b only through a partition of q, the type of
 the pair: the loop lengths of a ∪ b, which for two permutations is the
-cycle type of a^-1 b (Collins–Śniady 2006, Collins–Matsumoto 2009).  The
-class functions of the type form a commutative algebra of dimension
-p(q), so W is sought in it: p(q) rational weights w solve G^2 w = G
-there, and any solution gives G W G = G, singular G (small N) included.
-The Gram per type, G^2 and the system are int; ratlinalg.solve
-eliminates fraction-free and hands back the weights as Fraction, and
-the check on every build, G (D w) G = D G with D their common
-denominator, runs in int too.
-The symplectic Gram is the orthogonal one at dimension -2N up to the
-signs ε_a ε_b (-1)^q, ε_a the crossing parity of the pairing a.  The
-dense Gram and its Weingarten matrix are not built here: they live in
-the test suite (tests/helpers.py) as the reference route that judges
-these weights.
+cycle type of a^-1 b (Collins–Śniady 2006, Collins–Matsumoto 2009).  So
+does W, whose p(q) weights are closed forms in the characters of the
+symmetric group (_engine): w_μ = (1/M) Σ_λ a_λ(μ)/z_λ(N) over λ ⊢ q,
+with M and a_λ(μ) free of N.  Where some z_λ is 0 (small N) the Gram is
+singular and the sum without those λ is a generalized inverse; any W
+with G W G = G gives the same projection.  Each build checks
+G (D w) G = D G in int, D the weights' common denominator, by a route of
+its own (_class_product).  The symplectic Gram, and so W, is the
+orthogonal one at dimension -2N up to the signs ε_a ε_b (-1)^q, ε_a the
+crossing parity of the pairing a.  The dense Gram and its Weingarten
+matrix are not built here: they live in the test suite (tests/helpers.py)
+as the reference route that judges these weights.
 
 Monomials and irrep matrix elements (irreps) only build brackets, u_ij
 being the degree-one <e_i|u|e_j>, e_a the a-th letter of the alphabet
@@ -46,6 +45,7 @@ The Monte Carlo cross-check (integrate_monomial_mc) evaluates the monomial
 on stacks of Haar draws, one stack per block of sampling.mc_expectation.
 """
 
+import collections
 import functools
 import itertools
 import math
@@ -54,7 +54,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import perms, ratlinalg, sampling
+from . import perms, sampling, tableaux
 from .tensors import BilinearForm, CostGateError, orthogonal_form, symplectic_form
 
 DEGREE_CAP = 4  # operators per side; the commutant span grows as q! / (2q-1)!!
@@ -244,16 +244,12 @@ class TypeTable:
     ``rows[a][b]`` indexes into ``types`` the partition of q that labels
     the basis pair (a, b).  ``signs`` holds the ε_a of the symplectic
     Gram, G(a, b) = ε_a ε_b (-1)^q (-2N)^ℓ(type), and is all +1 otherwise.
-    ``products[l][m][v]`` counts the c with type(a, c) = m and
-    type(c, b) = v for any pair (a, b) of type l: the structure constants
-    of the commutative algebra the class functions of the type span.
     ``masks`` holds each pairing's slot pairs as bits (_pairing_masks).
     """
     elements: list  # pairings (tuples of slot pairs), _basis order
     types: tuple
     rows: tuple  # bytes per basis element
     signs: tuple
-    products: tuple
     masks: tuple
 
 
@@ -315,23 +311,14 @@ def type_table(kind: str, q: int) -> TypeTable:
             f"{_double_factorial(2 * q - 1)} pairings; capped at q={DEGREE_CAP}")
     elems = _basis(kind, q)
     partners = [_partners(p) for p in elems]
-    k = len(elems)
     index: dict = {}
     # every type occurs in row 0, so the type order is fixed by that row
     rows = tuple(bytes(index.setdefault(_loop_type(pa, pb), len(index)) for pb in partners)
                  for pa in partners)
-    signs = (1,) * k
+    signs = (1,) * len(elems)
     if kind == "Sp":
         signs = tuple(_crossing_sign(p) for p in elems)
-    products = []
-    for t in range(len(index)):
-        b = rows[0].index(t)
-        counts = [[0] * len(index) for _ in index]
-        for c in range(k):
-            counts[rows[0][c]][rows[c][b]] += 1
-        products.append(tuple(tuple(row) for row in counts))
-    return TypeTable(elems, tuple(index), rows, signs, tuple(products),
-                     _pairing_masks(elems))
+    return TypeTable(elems, tuple(index), rows, signs, _pairing_masks(elems))
 
 
 def _gram_per_type(kind: str, q: int, n: int) -> list:
@@ -340,16 +327,45 @@ def _gram_per_type(kind: str, q: int, n: int) -> list:
     return [sign * d ** len(t) for t in type_table(kind, q).types]
 
 
-def _class_product(products, x, y) -> list:
-    """Product of two class functions, given by their values per type."""
-    out = []
-    for per_type in products:
-        acc = 0
-        for xm, counts in zip(x, per_type):
-            if xm:
-                acc += xm * sum(yv * c for yv, c in zip(y, counts) if c)
-        out.append(acc)
-    return out
+def _class_product(table: TypeTable, x, y) -> list:
+    """Product of two class functions, given by their values per type:
+    at type t, the sum over c of x(first, c) y(c, b), b the first element
+    of row 0 of type t; the signs of a symplectic pair cancel over c."""
+    first = table.rows[0]
+    return [sum(x[s] * y[u] for s, u in zip(first, table.rows[first.index(t)]))
+            for t in range(len(table.types))]
+
+
+@functools.lru_cache(maxsize=16)
+def _character_sums(kind: str, q: int) -> tuple:
+    """The N-free part of the U, O or Sp class weights at degree q: M, and
+    per λ ⊢ q in type order the a_λ(μ) per type μ.  For U, M = q!^2 and
+    a_λ(μ) = χ^λ(1)^2 χ^λ(μ), μ the cycle type of σ^-1 τ.  For O and Sp,
+    whose type tables differ only in their signs, M = (2q)! and
+    a_λ(μ) = f^2λ Σ_τ χ^2λ(τ), τ over the 2^q q! slot permutations that
+    carry the first pairing ((1, 2), (3, 4), …) onto the first pairing p
+    of type μ in row 0: p's slot permutation (as in _crossing_sign) after
+    each one that keeps the first pairing."""
+    table = type_table(kind, q)
+    shapes = table.types  # every partition of q is a type
+    if kind == "U":
+        return math.factorial(q) ** 2, tuple(
+            tuple(tableaux.count_standard_tableaux(lam) ** 2 * tableaux.character(lam, mu)
+                  for mu in shapes) for lam in shapes)
+    keep = [tuple(x for j, f in zip(order, flips) for x in (2 * j + f, 2 * j + 1 - f))
+            for order in itertools.permutations(range(q))
+            for flips in itertools.product((0, 1), repeat=q)]
+    cosets = []  # per type, the cycle types of its τ with their counts
+    for t in range(len(shapes)):
+        p = [s - 1 for pair in table.elements[table.rows[0].index(t)] for s in pair]
+        cosets.append(collections.Counter(perms.cycle_type(perms.compose(p, h)) for h in keep))
+    sums = []
+    for lam in shapes:
+        doubled = tuple(2 * part for part in lam)
+        chi = {nu: tableaux.character(doubled, nu) for nu in set().union(*cosets)}
+        sums.append(tuple(tableaux.count_standard_tableaux(doubled)
+                          * sum(m * chi[nu] for nu, m in coset.items()) for coset in cosets))
+    return math.factorial(2 * q), tuple(sums)
 
 
 # ---------------------------------------------------------------------------
@@ -367,19 +383,27 @@ class ClassWeights:
 @functools.lru_cache(maxsize=128)
 def _engine(group: str, q: int, n: int) -> ClassWeights:
     """Class weights of the U, O or Sp commutant at degree q, dimension n:
-    one solution of G^2 w = G in the algebra of class functions.  The
-    Gram, G^2 and the system are int, and so is the check G (D w) G = D G,
-    D the lcm of the weights' denominators; Fraction enters with w."""
+    w = (1/M) Σ a_λ/z_λ over the λ with z_λ ≠ 0 (_character_sums), where
+    z_λ = s_λ(1^n) for U and Π (d + 2j - i) over the cells (i, j) of λ,
+    0-based, for O (d = n) and Sp (d = -2n, the sum times (-1)^q).  The
+    sum is taken in int over D = M lcm(z_λ), and so is the check
+    G (D w) G = D G; Fraction enters with w."""
     table = type_table(group, q)
-    products = table.products
+    m, sums = _character_sums(group, q)
+    if group == "U":
+        z = [tableaux.gl_dimension(lam, n) for lam in table.types]
+    else:
+        d = -2 * n if group == "Sp" else n
+        z = [math.prod(d + 2 * j - i for i, part in enumerate(lam) for j in range(part))
+             for lam in table.types]
+    live = [(a, x) for a, x in zip(sums, z) if x]
+    common = math.lcm(*(x for _, x in live))
+    sign = (-1) ** q if group == "Sp" else 1
+    dw = [sign * sum(a[t] * (common // x) for a, x in live) for t in range(len(z))]
+    denom = m * common
     g = _gram_per_type(group, q, n)
-    h = _class_product(products, g, g)
-    system = [[sum(hm * counts[v] for hm, counts in zip(h, per_type))
-               for v in range(len(g))] for per_type in products]
-    w, rank = ratlinalg.solve(system, g)
-    d, dw = ratlinalg.integer_multiple(w)  # G W G = G on D w, in int
-    assert _class_product(products, _class_product(products, g, dw), g) == [d * x for x in g]
-    return ClassWeights(table, tuple(w), pseudo=rank < len(g))
+    assert _class_product(table, _class_product(table, g, dw), g) == [denom * x for x in g]
+    return ClassWeights(table, tuple(Fraction(x, denom) for x in dw), pseudo=len(live) < len(z))
 
 
 def _contract(engine: ClassWeights, r_vec, c_vec) -> Fraction:
@@ -522,7 +546,8 @@ def _reduce(kind: str, form: BilinearForm | None, brackets, exact: bool):
     slots and conjugated ones the late, as U needs; O and Sp take any
     split.  On a split form a conjugated bracket is twisted whole, then
     the product's slots from q on to the inverse; on the standard form
-    the twist is the identity."""
+    the twist is the identity.  Where every bracket's row terms are its
+    column terms the two sides are one computation, so c is r."""
     q = _half_degree(kind, brackets)
     if q is None:
         return Fraction(0)
@@ -539,14 +564,14 @@ def _reduce(kind: str, form: BilinearForm | None, brackets, exact: bool):
         brackets = [(conj, _twist(rows, 0, form), _twist(cols, 0, form)) if conj
                     else (conj, rows, cols) for conj, rows, cols in brackets]
     vectors = []
-    for side in (1, 2):
+    for side in (1,) if all(rows == cols for _, rows, cols in brackets) else (1, 2):
         terms = [((), 1)]
         for bracket in brackets:
             terms = [(x + y, cx * cy) for x, cx in terms for y, cy in bracket[side]]
         if form.split:
             terms = _twist(terms, q, form)
         vectors.append(_match_vector(masks, form, [(x[:q], x[q:], c) for x, c in terms]))
-    return (kind, q, *vectors)
+    return kind, q, vectors[0], vectors[-1]
 
 
 def _bracket_integral(kind: str, n: int, form: BilinearForm | None, brackets,

@@ -1,4 +1,5 @@
-"""Young diagrams and the tableau families attached to the classical groups.
+"""Young diagrams, the tableau families attached to the classical groups,
+and the irreducible characters of the symmetric groups.
 
 Entries are signed integers: a barred letter i-bar is stored as -i, and the
 single middle letter of the odd orthogonal alphabet is stored as 0.  Each
@@ -210,6 +211,28 @@ def count_standard_tableaux(shape) -> int:
     t, rem = divmod(num, den)
     assert rem == 0
     return t
+
+
+def character(shape, cycle_type) -> int:
+    """The irreducible character χ^shape of S_m at a permutation of the
+    given cycle type (m the weight of both), by Murnaghan–Nakayama on the
+    beta-numbers shape_i + ℓ - i of the diagram: removing a rim hook of
+    length r moves one bead b to the free place b - r, with the sign
+    (-1)^(beads strictly between)."""
+    shape = check_shape(shape)
+    if sum(cycle_type) != weight(shape):
+        raise ValueError("the cycle type and the shape must have one weight")
+    beads = frozenset(p + len(shape) - 1 - i for i, p in enumerate(shape))
+
+    def strip(beads, parts):
+        if not parts:
+            return 1
+        r, rest = parts[0], parts[1:]
+        return sum((-1) ** sum(b - r < x < b for x in beads)
+                   * strip(beads - {b} | {b - r}, rest)
+                   for b in beads if b >= r and b - r not in beads)
+
+    return strip(beads, tuple(sorted(cycle_type, reverse=True)))
 
 
 def gl_dimension(shape, n: int) -> int:

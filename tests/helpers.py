@@ -37,8 +37,10 @@ symmetrized tableau norm (``normalization_squared``), and the tableau
 counts ``count_distinct_entry_fillings`` and ``row_repetition_factor``
 (from ``gelfand_counts``).  The dense route keeps its matrix product and
 rank (``mat_mul``, ``rank``) here too, with the rational row reduction
-behind them (``rref``).  That reduction also judges the fraction-free
-solve of the package: ``solve_by_rref`` and the class weights it gives
+behind them (``rref``).  That reduction also keeps the linear route
+to the class weights that the closed forms of the package replaced: the
+structure constants of the class algebra (``structure_constants``,
+``class_product``) and G^2 w = G solved by ``solve_by_rref``
 (``class_weights_by_rref``).  The per-pairing entry rule
 (``brauer_entry``, ``entry_rule``) and the match vectors built from it
 one element at a time (``match_vector_by_entries``) judge the
@@ -46,7 +48,9 @@ table-read match vectors of moments, and so does the slot-by-slot read
 of a term's slot-pair factors (``pair_factors_by_slots``, on the bit
 layout ``slot_pair_bits``) with one pass over the masks per term
 (``match_vector_by_terms``), which the keyed, term-grouping kernel of
-moments replaced.  The package holds the U basis as
+moments replaced.  Brackets whose column tensors carry one more zero
+term (``pad_columns``) take the two-pass reduce, against which the
+one-pass reduce of diagonal brackets is judged.  The package holds the U basis as
 output-input pairings; ``as_permutation`` reads each back as the slot
 permutation it is, so the U entry rule, the N^cycles Gram
 (``gram_from_loops``) and the permutation enumeration of
@@ -266,8 +270,9 @@ def rref(a) -> tuple[list, list]:
 
 
 def solve_by_rref(a, b) -> tuple[list, int]:
-    """ratlinalg.solve by the rational rref of the augmented matrix: the
-    free variables zero, ValueError when the system is inconsistent."""
+    """One solution of a x = b by the rational rref of the augmented
+    matrix: the free variables zero, ValueError when the system is
+    inconsistent; and the rank of a."""
     rows = len(a)
     cols = len(a[0]) if rows else 0
     red, pivots = rref([list(a[i]) + [b[i]] for i in range(rows)])
@@ -279,15 +284,42 @@ def solve_by_rref(a, b) -> tuple[list, int]:
     return x, len(pivots)
 
 
+def structure_constants(table) -> list:
+    """products[l][m][v]: the number of c with type(a, c) = m and
+    type(c, b) = v, for the pair (a, b) of type l whose a is the first
+    element and whose b is the first of that type in row 0: the structure
+    constants of the algebra of class functions of the type table."""
+    k, p = len(table.rows), len(table.types)
+    products = []
+    for t in range(p):
+        b = table.rows[0].index(t)
+        counts = [[0] * p for _ in range(p)]
+        for c in range(k):
+            counts[table.rows[0][c]][table.rows[c][b]] += 1
+        products.append(counts)
+    return products
+
+
+def class_product(products, x, y) -> list:
+    """Product of two class functions, given by their values per type,
+    through the structure constants."""
+    return [sum((xm * yv * c for xm, counts in zip(x, per_type)
+                 for yv, c in zip(y, counts) if c), Fraction(0))
+            for per_type in products]
+
+
 def class_weights_by_rref(kind: str, q: int, n: int) -> tuple:
-    """The class weights of moments._engine, solved in Fraction arithmetic
-    by solve_by_rref: G^2 w = G in the algebra of class functions."""
-    products = moments.type_table(kind, q).products
+    """Class weights of the U, O or Sp commutant by the linear route the
+    package replaced with closed forms: one solution of G^2 w = G in the
+    algebra of class functions (structure_constants), solved by
+    solve_by_rref, and whether G^2 is singular there (the pseudo flag)."""
+    products = structure_constants(moments.type_table(kind, q))
     g = [Fraction(x) for x in moments._gram_per_type(kind, q, n)]
-    h = moments._class_product(products, g, g)
+    h = class_product(products, g, g)
     system = [[sum((hm * counts[v] for hm, counts in zip(h, per_type)), Fraction(0))
                for v in range(len(g))] for per_type in products]
-    return tuple(solve_by_rref(system, g)[0])
+    w, rank = solve_by_rref(system, g)
+    return tuple(w), rank < len(g)
 
 
 def identity(n: int) -> list:
@@ -510,6 +542,17 @@ def match_vector_by_terms(masks, form: tensors.BilinearForm, terms) -> list:
         live, minus = pair_factors_by_slots(left, right, form)
         out = [x if m & live != m else x - c if (m & minus).bit_count() & 1 else x + c
                for x, m in zip(out, masks)]
+    return out
+
+
+def pad_columns(brackets) -> list:
+    """The same brackets (moments._reduce) with each column tensor written
+    with one more term of coefficient 0, so that no bracket's column terms
+    are its row terms, while every match vector stays the same."""
+    out = []
+    for conj, rows, cols in brackets:
+        cols = list(cols)
+        out.append((conj, rows, cols + [(cols[0][0], 0)]))
     return out
 
 

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from haarint import irreps, moments, ratlinalg, sampling, tensors
+from haarint import irreps, moments, sampling, tensors
 from haarint.irreps import (
     RepFactor,
     RepMatrixElementSpec,
@@ -37,6 +37,7 @@ from helpers import (
     gl_module_dimension_oracle,
     gram_from_loops,
     module_dimension_oracle,
+    pad_columns,
     rho_matrix_loop,
     total_weight,
     weingarten_data,
@@ -204,9 +205,9 @@ FRACTION_ARITHMETIC = [
 @pytest.mark.parametrize("group,q,n", [("U", 2, 1), ("U", 4, 3), ("O", 3, 1), ("O", 4, 4),
                                        ("Sp", 2, 1), ("Sp", 3, 2)])
 def test_engine_does_no_fraction_arithmetic(group, q, n, monkeypatch):
-    # the Gram, the system, the fraction-free solve and the G W G = G check
-    # run in int, singular Grams included: any Fraction operator raises,
-    # and only the final weights are Fraction
+    # the Gram, the character sums and the G W G = G check run in int,
+    # singular Grams included: any Fraction operator raises, and only the
+    # final weights are Fraction
     def refuse(*args):
         raise AssertionError("Fraction arithmetic in the engine")
 
@@ -214,14 +215,37 @@ def test_engine_does_no_fraction_arithmetic(group, q, n, monkeypatch):
         for name in FRACTION_ARITHMETIC:
             m.setattr(Fraction, name, refuse)
         engine = moments._engine.__wrapped__(group, q, n)  # past the cache
-        weights, rank = ratlinalg.solve([[2, 4], [1, 2]], [6, 3])
     assert engine.weights == moments._engine(group, q, n).weights
     assert all(type(w) is Fraction for w in engine.weights)
-    assert (weights, rank) == ([Fraction(3), Fraction(0)], 1)
     with pytest.raises(AssertionError, match="Fraction arithmetic"):
         with monkeypatch.context() as m:
             m.setattr(Fraction, "__mul__", refuse)
             Fraction(1, 2) * 2
+
+
+@pytest.mark.parametrize("spec,diagonal", [
+    (schur_spec("U", 3, (2, 1), 2, 2), True), (schur_spec("O", 3, (2, 1), 4, 4), True),
+    (schur_spec("Sp", 2, (2, 1), 3, 3), True), (schur_spec("Sp", 1, (3,), 2, 2), True),
+    (rep_spec("O", 2, ((2,), 2, 2, False), ((1,), 1, 1, False), ((1,), 1, 1, False)), True),
+    (schur_spec("U", 3, (2, 1), 2, 5), False), (schur_spec("Sp", 2, (2, 1), 3, 7), False),
+])
+def test_reduce_reuses_the_row_vector_on_diagonal_factors(spec, diagonal, monkeypatch):
+    # a product of diagonal matrix elements builds one match vector, and
+    # the same brackets with a zero term padded onto each column tensor
+    # give the same two vectors in two passes
+    form, brackets, _ = irreps._brackets(spec)
+    calls = []
+    match_vector = moments._match_vector
+
+    def counting(*args):
+        calls.append(args)
+        return match_vector(*args)
+
+    monkeypatch.setattr(moments, "_match_vector", counting)
+    reduced = moments._reduce(spec.group, form, brackets, exact=True)
+    assert len(calls) == (1 if diagonal else 2)
+    assert moments._reduce(spec.group, form, pad_columns(brackets), exact=True) == reduced
+    assert len(calls) == (3 if diagonal else 4)
 
 
 @pytest.mark.parametrize("spec", [

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import haarint
-from haarint import moments, perms, ratlinalg, sampling, tableaux
+from haarint import moments, perms, sampling, tableaux
 from haarint.moments import (
     CostGateError,
     Factor,
@@ -48,9 +48,9 @@ from helpers import (
     match_vector_by_entries,
     match_vector_by_terms,
     materialize_brauer,
+    pad_columns,
     pair_factors_by_slots,
     slot_pair_bits,
-    solve_by_rref,
     transpose,
     weingarten_data,
 )
@@ -214,6 +214,38 @@ def test_keyed_kernel_is_the_slot_by_slot_read(data):
     got = moments._match_vector(table.masks, form, terms)
     assert got == match_vector_by_terms(table.masks, form, terms)
     assert all(type(x) is int for x in got)
+
+
+@pytest.mark.parametrize("group,n,factors", [
+    ("U", 3, [(1, 1, False), (2, 2, False), (1, 1, True), (2, 2, True)]),
+    ("O", 3, [(1, 1, False), (1, 1, False), (2, 2, False), (3, 3, True)]),
+    ("Sp", 2, [(1, 1, False), (3, 3, True), (2, 2, False), (4, 4, True)]),
+    ("U", 3, [(1, 2, False), (2, 1, True)]),
+    ("Sp", 2, [(1, 2, False), (2, 1, True)]),
+])
+def test_reduce_reuses_the_row_vector(group, n, factors, monkeypatch):
+    # where every bracket's row terms are its column terms one match
+    # vector serves both sides; the same brackets with a zero term padded
+    # onto each column tensor take two passes and give the same vectors,
+    # and so the same value
+    kind, form, brackets = moments._brackets(spec(group, *factors), n)
+    calls = []
+    match_vector = moments._match_vector
+
+    def counting(*args):
+        calls.append(args)
+        return match_vector(*args)
+
+    monkeypatch.setattr(moments, "_match_vector", counting)
+    reduced = moments._reduce(kind, form, brackets, exact=True)
+    diagonal = all(f[0] == f[1] for f in factors)
+    assert len(calls) == (1 if diagonal else 2)
+    padded = pad_columns(brackets)
+    assert moments._reduce(kind, form, padded, exact=True) == reduced
+    assert len(calls) == (3 if diagonal else 4)
+    value = moments._bracket_integral(kind, n, form, brackets, True)
+    assert value == moments._bracket_integral(kind, n, form, padded, True)
+    assert value == _dense_value(spec(group, *factors), n)
 
 
 def _dense(pairing, form):
@@ -405,51 +437,53 @@ def test_class_weights_match_dense_route(data):
     assert exact_integral(s, n) == _dense_value(s, n)
 
 
-@st.composite
-def linear_systems(draw):
-    """Square systems a x = b of int or Fraction entries, some with a row
-    that is a multiple of another, or zero, and a right side that may
-    follow it, so singular systems occur both consistent and not."""
-    k = draw(st.integers(1, 5))
-    entry = draw(st.sampled_from([
-        st.integers(-4, 4),
-        st.fractions(min_value=-4, max_value=4, max_denominator=6)]))
-    a = [[draw(entry) for _ in range(k)] for _ in range(k)]
-    b = [draw(entry) for _ in range(k)]
-    if k > 1 and draw(st.booleans()):
-        i, j = draw(st.permutations(range(k)))[:2]
-        m = draw(entry)
-        a[i] = [m * x for x in a[j]]
-        if draw(st.booleans()):  # consistent
-            b[i] = m * b[j]
-    return a, b
-
-
-@settings(max_examples=300, deadline=None)
-@given(linear_systems())
-def test_solve_is_the_rref_route(system):
-    # the fraction-free elimination gives the rational rref's solution,
-    # rank and inconsistency
-    a, b = system
-    try:
-        expected = solve_by_rref(a, b)
-    except ValueError as err:
-        with pytest.raises(ValueError, match=str(err)):
-            ratlinalg.solve(a, b)
-        return
-    x, rank = ratlinalg.solve(a, b)
-    assert (x, rank) == expected
-    assert all(type(v) is Fraction for v in x)
+def _gwg_is_g(g, engine) -> bool:
+    """G W G = G for a dense Gram g and the Weingarten matrix of the
+    class weights, in int: G (D W) G = D G, D the weights' common
+    denominator."""
+    assert all(x.denominator == 1 for row in g for x in row)
+    d = math.lcm(*(w.denominator for w in engine.weights))
+    dense = np.array([[int(x) for x in row] for row in g], dtype=object)
+    dw = np.array([[int(x * d) for x in row] for row in _expand(engine)], dtype=object)
+    return bool((dense @ dw @ dense == d * dense).all())
 
 
 @pytest.mark.parametrize("kind", ["U", "O", "Sp"])
 @pytest.mark.parametrize("q", [1, 2, 3, 4])
 def test_class_weights_are_the_rref_route(kind, q):
+    # the closed forms flag a singular Gram where G^2 w = G is singular,
+    # and give the linear route's weights wherever it is not; where it is,
+    # the two are different generalized inverses, and the closed forms'
+    # one inverts the dense Gram, so every r^T W c is the linear route's
     for n in range(1, 11):
         engine = moments._engine(kind, q, n)
-        expected = class_weights_by_rref(kind, q, n)
-        assert engine.weights == expected
+        expected, pseudo = class_weights_by_rref(kind, q, n)
+        assert engine.pseudo == pseudo
         assert all(type(w) is Fraction for w in engine.weights)
+        if pseudo:
+            assert _gwg_is_g(gram_from_loops(kind, q, n), engine)
+        else:
+            assert engine.weights == expected
+
+
+def _catalan(m: int) -> int:
+    return math.comb(2 * m, m) // (m + 1)
+
+
+@pytest.mark.parametrize("kind", ["U", "O", "Sp"])
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_class_weights_have_the_moebius_asymptotics(kind, q):
+    # w_μ = Π_i (-1)^(μ_i - 1) Cat(μ_i - 1) / D^(q + |μ|) + O(D^-(q + |μ| + 1)),
+    # |μ| = q - ℓ(μ) (Collins–Śniady 2006, Collins–Matsumoto 2009): D = N
+    # for U and O, and -2N for Sp, whose weights carry (-1)^q.  At μ = 1^q
+    # this is the δ/D^q that the leading order contracts; every other type
+    # is of higher order in 1/D.
+    n = 10 ** 6
+    engine = moments._engine(kind, q, n)
+    d, sign = (-2 * n, (-1) ** q) if kind == "Sp" else (n, 1)
+    for mu, w in zip(engine.table.types, engine.weights):
+        moebius = math.prod((-1) ** (part - 1) * _catalan(part - 1) for part in mu)
+        assert abs(sign * d ** (2 * q - len(mu)) * w - moebius) <= Fraction(1, 10 ** 4)
 
 
 def _package_lru_caches() -> dict:
@@ -468,7 +502,8 @@ def _package_lru_caches() -> dict:
 
 def test_engine_caches_are_bounded():
     caches = _package_lru_caches()
-    assert {"haarint.moments._engine", "haarint.moments.type_table",
+    assert {"haarint.moments._engine", "haarint.moments._character_sums",
+            "haarint.moments.type_table",
             "haarint.irreps._build_irrep_basis", "haarint.su2._gauss_rule",
             "haarint.tensors._trace_span_basis"} <= set(caches)
     for name, cached in caches.items():

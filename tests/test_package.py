@@ -6,11 +6,12 @@ from pathlib import Path
 import haarint
 
 SOURCES = sorted(Path(haarint.__file__).parent.glob("*.py"))
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 # public functions and classes kept for library users although nothing in
 # the package reads them; a name re-exported in haarint.__all__ needs no entry
-LIBRARY_API = {"bloch_vector", "contract", "count_standard_tableaux",
-               "purify", "symplectic_j", "traceless_project"}
+LIBRARY_API = {"bloch_vector", "contract", "purify", "symplectic_j",
+               "traceless_project"}
 
 
 def _private_definitions(node) -> list:
@@ -106,11 +107,25 @@ def test_public_check_flags_test_only_code():
     trees = _package_trees()
     _append(trees["tensors.py"], "def apply_permutation(p, t):\n"
                                  "    return permute({p: 1}, t)\n")
-    _append(trees["ratlinalg.py"], "def mat_mul(a, b):\n"
+    _append(trees["perms.py"], "def mat_mul(a, b):\n"
                                    "    return [[sum(x * y for x, y in zip(r, c))"
                                    " for c in zip(*b)] for r in a]\n")
     _append_method(trees["tensors.py"], "SparseTensor",
                    "def tensor(self, other):\n"
                    "    return SparseTensor(self.order + other.order)\n")
-    assert _unlisted_public(trees) == ["ratlinalg.py:mat_mul", "tensors.py:SparseTensor.tensor",
+    assert _unlisted_public(trees) == ["perms.py:mat_mul", "tensors.py:SparseTensor.tensor",
                                        "tensors.py:apply_permutation"]
+
+
+def _layout_modules(readme: str) -> list:
+    """The modules the rows of the README's library-layout table name."""
+    section = readme.split("\n## Library layout\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `haarint.")]
+    return [row.split("`")[1].removeprefix("haarint.") for row in rows]
+
+
+def test_readme_layout_lists_every_module():
+    # one row per module of the package, none for a module that is gone
+    listed = _layout_modules(README.read_text())
+    assert sorted(listed) == sorted(path.stem for path in SOURCES if path.stem != "__init__")
+    assert len(listed) == len(set(listed))

@@ -9,7 +9,7 @@ from haarint import tableaux
 from haarint.tableaux import Tableau
 
 from helpers import (
-    brute_gl_dimension, brute_row_stabilizer, brute_standard_count,
+    brute_gl_dimension, brute_row_stabilizer, brute_standard_count, class_size,
     count_distinct_entry_fillings, gelfand_counts, row_repetition_factor,
     weyl_gl_dimension, young_constant_mu,
 )
@@ -104,21 +104,53 @@ def test_standard_count_matches_bruteforce(shape):
     assert tableaux.count_standard_tableaux(shape) == brute_standard_count(shape)
 
 
+def all_partitions(total, cap=None):
+    """The partitions of total with parts at most cap, descending."""
+    if total == 0:
+        yield ()
+        return
+    for p in range(min(total, total if cap is None else cap), 0, -1):
+        for rest in all_partitions(total - p, p):
+            yield (p,) + rest
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=1, max_value=5))
 def test_standard_count_square_sum(m):
     # sum of squared counts over all weight-m shapes is m!
-    def all_partitions(total, cap):
-        if total == 0:
-            yield ()
-            return
-        for p in range(min(total, cap), 0, -1):
-            for rest in all_partitions(total - p, p):
-                yield (p,) + rest
-
     total = sum(tableaux.count_standard_tableaux(s) ** 2
-                for s in all_partitions(m, m))
+                for s in all_partitions(m))
     assert total == math.factorial(m)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_character_at_the_identity_counts_standard_tableaux(m):
+    for shape in all_partitions(m):
+        assert tableaux.character(shape, (1,) * m) == tableaux.count_standard_tableaux(shape)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_character_rows_are_orthonormal(m):
+    # Σ_μ χ^λ(μ) χ^ν(μ) / z_μ = δ_λν, as Σ_μ |class μ| χ^λ(μ) χ^ν(μ) = m! δ_λν;
+    # m = 8 holds the S_8 characters of the O/Sp class weights at q = 4
+    shapes = list(all_partitions(m))
+    sizes = [class_size(mu) for mu in shapes]
+    table = [[tableaux.character(lam, mu) for mu in shapes] for lam in shapes]
+    for i, row in enumerate(table):
+        for j, other in enumerate(table):
+            assert sum(z * a * b for z, a, b in zip(sizes, row, other)) == \
+                (math.factorial(m) if i == j else 0)
+
+
+def test_character_values():
+    # S_3: the trivial, sign and standard characters at (1^3), (2, 1), (3)
+    assert [tableaux.character((3,), mu) for mu in [(1, 1, 1), (2, 1), (3,)]] == [1, 1, 1]
+    assert [tableaux.character((1, 1, 1), mu) for mu in [(1, 1, 1), (2, 1), (3,)]] == [1, -1, 1]
+    assert [tableaux.character((2, 1), mu) for mu in [(1, 1, 1), (2, 1), (3,)]] == [2, 0, -1]
+    # a cycle type read in any order
+    assert tableaux.character((2, 2), (1, 2, 1)) == tableaux.character((2, 2), (2, 1, 1)) == 0
+    with pytest.raises(ValueError):
+        tableaux.character((2, 1), (2, 2))
 
 
 def test_distinct_entry_count_exposed():
