@@ -186,7 +186,10 @@ def _integral_record(args, spec, n, kind):
         exact, leading, mc = (irreps.integrate_irrep_exact, irreps.asymptotic_irrep,
                               irreps.integrate_irrep_mc)
         if {"exact", "leading"} & want:
-            record["dropped_basis_vectors"] = None  # filled once the bases are built
+            # those routes read weight spaces (irreps._weight_space) of modules
+            # with as many fillings as their dimension; a space that dropped a
+            # filling would end the request with an assertion
+            record["dropped_basis_vectors"] = 0
     else:
         record["factors"] = spec.to_dict(n)["factors"]
         exact, leading, mc = (functools.partial(route, n=n) for route in (
@@ -196,8 +199,6 @@ def _integral_record(args, spec, n, kind):
         record["exact"] = str(exact(spec))
     if "leading" in want:
         record["leading"] = str(leading(spec))
-    if "dropped_basis_vectors" in record:
-        record["dropped_basis_vectors"] = sum(b.dropped for b in irreps._bases_for(spec))
     if "mc" in want:
         record["mc"] = mc(spec, samples=args.samples, seed=seed).to_json_dict()
     record["samples"] = args.samples if "mc" in want else None

@@ -36,6 +36,7 @@ from .tensors import (
     BilinearForm,
     CostGateError,
     SparseTensor,
+    _span_weight,
     _trace_part,
     gram_schmidt,
     orthogonal_form,
@@ -89,40 +90,98 @@ def build_irrep_basis(group: str, lam, n: int) -> IrrepBasis:
     return _build_irrep_basis(group, tableaux.check_shape(lam), n)
 
 
+@dataclass(frozen=True)
+class ModuleIndex:
+    """The admissible fillings of one module in tableau order, each with
+    its torus weight, and per weight the positions of its fillings; the
+    filling count is the module's dimension (_module_index), so entry p of
+    the basis is built from filling p."""
+    fillings: tuple
+    weights: tuple
+    by_weight: dict  # weight -> filling positions, ascending
+    form: BilinearForm | None
+
+    @property
+    def rank(self) -> int:
+        return len(self.fillings)
+
+
 @functools.lru_cache(maxsize=128)
-def _build_irrep_basis(group: str, lam: tuple, n: int) -> IrrepBasis:
+def _module_index(group: str, lam: tuple, n: int) -> ModuleIndex:
     if group == "U":
         if len(lam) > n:
             raise ValueError(f"shape {lam} has more rows than GL({n}) letters")
         fillings = tableaux.enumerate_gl_tableaux(lam, n)
-        form = None
+        form, dim = None, tableaux.gl_dimension(lam, n)
     elif group == "O":
         fillings = tableaux.enumerate_o_tableaux(lam, n)
-        form = orthogonal_form(n)
+        form, dim = orthogonal_form(n), tableaux.o_dimension(lam, n)
     elif group == "Sp":
         fillings = tableaux.enumerate_sp_tableaux(lam, n)
-        form = symplectic_form(n)
+        form, dim = symplectic_form(n), tableaux.sp_dimension(lam, n)
     else:
         raise ValueError(f"no irrep basis for group tag {group!r}")
+    assert len(fillings) == dim, (
+        f"{group}({n}) module {lam}: {len(fillings)} fillings for dimension {dim}")
+    weights = tuple(_span_weight(t.row_major(), form) for t in fillings)
+    by_weight = {}
+    for p, w in enumerate(weights):
+        by_weight.setdefault(w, []).append(p)
+    return ModuleIndex(tuple(fillings), weights, by_weight, form)
 
-    def project(t):
-        # a positive integer multiple of the traceless part, D t0 = D t - D t1,
-        # in one pass over t and one over D t1
+
+def _orthogonalize(lam: tuple, index: ModuleIndex, positions):
+    """gram_schmidt over the fillings at the given positions, in order:
+    each filling's symmetrized tensor, for O/Sp a positive integer multiple
+    of its traceless part, D t0 = D t - D t1, in one pass over t and one
+    over D t1."""
+    sym = young_symmetrizer(lam)
+    form = index.form
+
+    def candidate(p):
+        s = permute(sym, SparseTensor.elementary(index.fillings[p].row_major()))
         if form is None:
-            return t
-        d, t1 = _trace_part(t, form)
-        out = SparseTensor(t.order)
-        out.data = {idx: d * c for idx, c in t.data.items()}
+            return s
+        d, t1 = _trace_part(s, form, index.weights[p])
+        out = SparseTensor(s.order)
+        out.data = {idx: d * c for idx, c in s.data.items()}
         for idx, c in t1.data.items():
             out.add_term(idx, -c)
         return out
 
-    sym = young_symmetrizer(lam)
-    kept, dropped = gram_schmidt(
-        ((t, project(permute(sym, SparseTensor.elementary(t.row_major()))))
-         for t in fillings), form)
+    return gram_schmidt(((index.fillings[p], candidate(p)) for p in positions), form)
+
+
+@functools.lru_cache(maxsize=128)
+def _build_irrep_basis(group: str, lam: tuple, n: int) -> IrrepBasis:
+    index = _module_index(group, lam, n)
+    kept, dropped = _orthogonalize(lam, index, range(index.rank))
     return IrrepBasis(group, lam, n, [v for _, _, v, _ in kept],
-                      [n2 for *_, n2 in kept], [t for t, *_ in kept], dropped, form)
+                      [n2 for *_, n2 in kept], [t for t, *_ in kept], dropped, index.form)
+
+
+@functools.lru_cache(maxsize=1024)
+def _weight_space(group: str, lam: tuple, n: int, weight: tuple) -> list:
+    """The kept (filling, weight, vector, norm²) of the fillings of one
+    weight: the Gram–Schmidt is graded, so they are the full basis's
+    entries at those fillings' positions, and the fillings of a weight are
+    independent, since all of them together are as many as the dimension
+    and span the module."""
+    index = _module_index(group, lam, n)
+    kept, dropped = _orthogonalize(lam, index, index.by_weight[weight])
+    assert not dropped, (
+        f"{group}({n}) module {lam}: {dropped} dependent fillings of weight {weight}")
+    return kept
+
+
+def _basis_entry(group: str, lam: tuple, n: int, p: int) -> tuple:
+    """(vector, norm²) of entry p (1-based) of the module basis, from the
+    one weight space that holds it."""
+    index = _module_index(group, lam, n)
+    weight = index.weights[p - 1]
+    _, _, vector, n2 = _weight_space(group, lam, n, weight)[
+        index.by_weight[weight].index(p - 1)]
+    return vector, n2
 
 
 # ---------------------------------------------------------------------------
@@ -243,15 +302,22 @@ class RepMatrixElementSpec:
                    moments._spec_int(moments._spec_key(d, "N"), "N"), factors)
 
 
-def _bases_for(spec: RepMatrixElementSpec):
+def _check_entries(spec: RepMatrixElementSpec):
+    """The module index of each factor, once its entry is checked to lie in
+    the module; no basis is built."""
     out = []
     for f in spec.factors:
-        basis = build_irrep_basis(spec.group, f.lam, spec.n)
-        if not (1 <= f.row <= basis.rank and 1 <= f.col <= basis.rank):
+        index = _module_index(spec.group, f.lam, spec.n)
+        if not (1 <= f.row <= index.rank and 1 <= f.col <= index.rank):
             raise ValueError(
-                f"entry ({f.row},{f.col}) outside rank-{basis.rank} module {f.lam}")
-        out.append(basis)
+                f"entry ({f.row},{f.col}) outside rank-{index.rank} module {f.lam}")
+        out.append(index)
     return out
+
+
+def _bases_for(spec: RepMatrixElementSpec):
+    _check_entries(spec)
+    return [build_irrep_basis(spec.group, f.lam, spec.n) for f in spec.factors]
 
 
 def integrate_irrep_mc(spec: RepMatrixElementSpec, samples: int, seed: int):
@@ -288,16 +354,18 @@ def integrate_irrep_mc(spec: RepMatrixElementSpec, samples: int, seed: int):
 def _brackets(spec: RepMatrixElementSpec) -> tuple:
     """(form, brackets, norm product): each factor is the bracket
     <b_i|u|b_j> of its basis vectors' terms, and the integral is that of
-    the brackets (moments._bracket_integral) over sqrt(norm product)."""
-    bases = _bases_for(spec)
+    the brackets (moments._bracket_integral) over sqrt(norm product).
+    Only the weight spaces of the entries read are built (_basis_entry)."""
+    indices = _check_entries(spec)
     norms = 1
-    for f, basis in zip(spec.factors, bases):
-        norms *= basis.norms2[f.row - 1] * basis.norms2[f.col - 1]
-    brackets = [(f.conj, basis.vectors[f.row - 1].data.items(),
-                 basis.vectors[f.col - 1].data.items())
-                for f, basis in zip(spec.factors, bases)]
+    brackets = []
+    for f in spec.factors:
+        (row, n_row), (col, n_col) = (_basis_entry(spec.group, f.lam, spec.n, p)
+                                      for p in (f.row, f.col))
+        norms *= n_row * n_col
+        brackets.append((f.conj, row.data.items(), col.data.items()))
     # with no factor the integral is 1 before any letter is read
-    return (bases[0].form if bases else None), brackets, norms
+    return (indices[0].form if indices else None), brackets, norms
 
 
 def _finish(core: Fraction, norm_product: int) -> Fraction:

@@ -49,7 +49,7 @@ import collections
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -301,7 +301,8 @@ def type_table(kind: str, q: int) -> TypeTable:
     The symplectic sign of a pairing is its crossing parity,
     ε_a = (-1)^cr(a) with cr(a) the number of crossing pairs of a
     (Collins–Matsumoto 2009); the first pairing ((1, 2), (3, 4), …) has
-    none, so ε = 1 there.
+    none, so ε = 1 there.  Sp shares every other field with the O table,
+    which it reads from this cache.
     """
     if q < 1:
         raise ValueError("need q >= 1")
@@ -309,16 +310,17 @@ def type_table(kind: str, q: int) -> TypeTable:
         raise CostGateError(
             f"commutant span at q={q} has {math.factorial(q)} permutations or "
             f"{_double_factorial(2 * q - 1)} pairings; capped at q={DEGREE_CAP}")
+    if kind == "Sp":
+        table = type_table("O", q)
+        return replace(
+            table, signs=tuple(_crossing_sign(p) for p in table.elements))
     elems = _basis(kind, q)
     partners = [_partners(p) for p in elems]
     index: dict = {}
     # every type occurs in row 0, so the type order is fixed by that row
     rows = tuple(bytes(index.setdefault(_loop_type(pa, pb), len(index)) for pb in partners)
                  for pa in partners)
-    signs = (1,) * len(elems)
-    if kind == "Sp":
-        signs = tuple(_crossing_sign(p) for p in elems)
-    return TypeTable(elems, tuple(index), rows, signs, _pairing_masks(elems))
+    return TypeTable(elems, tuple(index), rows, (1,) * len(elems), _pairing_masks(elems))
 
 
 def _gram_per_type(kind: str, q: int, n: int) -> list:
@@ -338,10 +340,10 @@ def _class_product(table: TypeTable, x, y) -> list:
 
 @functools.lru_cache(maxsize=16)
 def _character_sums(kind: str, q: int) -> tuple:
-    """The N-free part of the U, O or Sp class weights at degree q: M, and
-    per λ ⊢ q in type order the a_λ(μ) per type μ.  For U, M = q!^2 and
-    a_λ(μ) = χ^λ(1)^2 χ^λ(μ), μ the cycle type of σ^-1 τ.  For O and Sp,
-    whose type tables differ only in their signs, M = (2q)! and
+    """The N-free part of the U or O class weights at degree q: M, and
+    per λ ⊢ q in type order the a_λ(μ) per type μ; Sp, whose type table
+    differs from O's only in its signs, reads O's.  For U, M = q!^2 and
+    a_λ(μ) = χ^λ(1)^2 χ^λ(μ), μ the cycle type of σ^-1 τ.  For O, M = (2q)! and
     a_λ(μ) = f^2λ Σ_τ χ^2λ(τ), τ over the 2^q q! slot permutations that
     carry the first pairing ((1, 2), (3, 4), …) onto the first pairing p
     of type μ in row 0: p's slot permutation (as in _crossing_sign) after
@@ -389,7 +391,7 @@ def _engine(group: str, q: int, n: int) -> ClassWeights:
     sum is taken in int over D = M lcm(z_λ), and so is the check
     G (D w) G = D G; Fraction enters with w."""
     table = type_table(group, q)
-    m, sums = _character_sums(group, q)
+    m, sums = _character_sums("O" if group == "Sp" else group, q)
     if group == "U":
         z = [tableaux.gl_dimension(lam, n) for lam in table.types]
     else:
@@ -519,16 +521,19 @@ def _half_degree(kind: str, brackets) -> int | None:
 
 
 def _twist(terms, q: int, form: BilinearForm) -> list:
-    """Rewrite the slots from q on through the inverse matrix: each letter
-    x there becomes bar(x) at the cost of its dual sign (-1 for positive
-    symplectic letters).  At q = 0 this is the entrywise conjugate of a
-    whole bracket."""
+    """Rewrite the slots from q on through the inverse matrix of a split
+    form: each letter x there becomes bar(x) = -x at the cost of its dual
+    sign (-1 for positive symplectic letters).  At q = 0 this is the
+    entrywise conjugate of a whole bracket."""
+    skew = form.kind == "symplectic"
     out = []
     for letters, c in terms:
-        tail = letters[q:]
-        for x in tail:
-            c *= form.dsign(x)
-        out.append((letters[:q] + tuple(map(form.bar, tail)), c))
+        tail = tuple(-x for x in letters[q:])
+        if skew:
+            for x in tail:
+                if x < 0:
+                    c = -c
+        out.append((letters[:q] + tail, c))
     return out
 
 

@@ -98,8 +98,9 @@ class Tableau:
         return f"Tableau[{body}]"
 
 
-def _semistandard_fillings(shape: Shape, alphabet: list[int]):
-    """Row-weak, column-strict fillings, lexicographic in alphabet position."""
+def _semistandard_fillings(shape: Shape, alphabet: list[int], row_floor=lambda r: 0):
+    """Row-weak, column-strict fillings, lexicographic in alphabet position,
+    whose row r (0-based) holds no letter before position row_floor(r)."""
     pos = {letter: k for k, letter in enumerate(alphabet)}
     if len(pos) != len(alphabet):
         raise ValueError("alphabet letters must be distinct")
@@ -111,7 +112,7 @@ def _semistandard_fillings(shape: Shape, alphabet: list[int]):
             yield Tableau._of_shape([row[:] for row in grid], shape)
             return
         r, c = cells[k]
-        lo = 0
+        lo = row_floor(r)
         if c > 0:
             lo = max(lo, pos[grid[r][c - 1]])
         if r > 0:
@@ -176,17 +177,10 @@ def enumerate_o_tableaux(shape, n: int) -> list[Tableau]:
 
 
 def enumerate_sp_tableaux(shape, n: int) -> list[Tableau]:
-    """Symplectic standard tableaux for Sp(2n): row i entries are >= ibar."""
+    """Symplectic standard tableaux for Sp(2n): row i entries are >= ibar,
+    the letter at position 2(i-1) of the alphabet."""
     shape = check_group_shape("Sp", shape, n)
-    alphabet = sp_alphabet(n)
-    pos = {letter: k for k, letter in enumerate(alphabet)}
-    out = []
-    for t in _semistandard_fillings(shape, alphabet):
-        ok = all(pos[x] >= pos[-(r + 1)]
-                 for r, row in enumerate(t.rows) for x in row)
-        if ok:
-            out.append(t)
-    return out
+    return list(_semistandard_fillings(shape, sp_alphabet(n), lambda r: 2 * r))
 
 
 def count_standard_tableaux(shape) -> int:
@@ -251,3 +245,50 @@ def gl_dimension(shape, n: int) -> int:
     d, rem = divmod(num, den)
     assert rem == 0
     return d
+
+
+def _weyl_ratio(ls, ms, linear: bool) -> int:
+    """prod_{i<j} (l_i^2 - l_j^2)/(m_i^2 - m_j^2), times prod l_i/m_i when
+    linear: the Weyl dimension formula of types B, C and D on the shifted
+    parts l and the shifts m, both scaled by one factor, in int."""
+    num = den = 1
+    for i, (li, mi) in enumerate(zip(ls, ms)):
+        for lj, mj in zip(ls[i + 1:], ms[i + 1:]):
+            num *= li * li - lj * lj
+            den *= mi * mi - mj * mj
+        if linear:
+            num *= li
+            den *= mi
+    d, rem = divmod(num, den)
+    assert rem == 0
+    return d
+
+
+def o_dimension(shape, n: int) -> int:
+    """Dimension of the O(n) module of the shape (check_group_shape), by
+    the Weyl formula of SO(n) on the parts of the shape or of its
+    associate, whose first column has n - shape'_1 boxes and which has
+    the same dimension.  For n = 2r+1 the shifted parts are doubled,
+    2(shape_i + r - i) - 1 over 2(r - i) - 1 (0-based i); for n = 2r a
+    shape of r rows restricts to two SO(n) modules, so it counts twice."""
+    shape = check_group_shape("O", shape, n)
+    r = n // 2
+    if 2 * len(shape) > n:
+        cols = conjugate(shape)
+        shape = conjugate((n - cols[0],) + cols[1:]) if n > cols[0] else ()
+    parts = list(shape) + [0] * (r - len(shape))
+    if n % 2:
+        return _weyl_ratio([2 * (p + r - i) - 1 for i, p in enumerate(parts)],
+                           [2 * (r - i) - 1 for i in range(r)], linear=True)
+    dim = _weyl_ratio([p + r - 1 - i for i, p in enumerate(parts)],
+                      [r - 1 - i for i in range(r)], linear=False)
+    return 2 * dim if r and parts[-1] else dim
+
+
+def sp_dimension(shape, n: int) -> int:
+    """Dimension of the Sp(2n) module of the shape (at most n rows), by the
+    Weyl formula of type C on shape_i + n - i over n - i (0-based i)."""
+    shape = check_group_shape("Sp", shape, n)
+    parts = list(shape) + [0] * (n - len(shape))
+    return _weyl_ratio([p + n - i for i, p in enumerate(parts)],
+                       [n - i for i in range(n)], linear=True)

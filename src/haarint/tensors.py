@@ -327,41 +327,42 @@ def gram_schmidt(candidates, form: BilinearForm | None):
     return kept, dropped
 
 
-@functools.lru_cache(maxsize=64)
-def _trace_span_basis(order: int, key: tuple) -> list:
+@functools.lru_cache(maxsize=1024)
+def _trace_span_basis(order: int, key: tuple, weight: tuple | None = None) -> list:
     """The kept (label, weight, vector, norm²) of gram_schmidt over every
-    expanded lower tensor of the form with the given cache key."""
+    expanded lower tensor of the form with the given cache key, or over
+    those of one weight: an expansion keeps the weight of its lower
+    tensor, and the Gram–Schmidt is graded, so these are the whole span's
+    vectors of that weight, in its order.  A label is the generator's
+    place in the whole sequence, slot pairs (i, j) outer, lower inner."""
+    if order < 2:
+        return []
     form = BilinearForm(*key)
-    generators = (((i, j, lower), expand(SparseTensor.elementary(lower), i, j, form))
-                  for i, j in itertools.combinations(range(order), 2)
-                  for lower in itertools.product(form.letters, repeat=order - 2))
+    lowers = list(enumerate(itertools.product(form.letters, repeat=order - 2)))
+    if weight is not None:
+        lowers = [(k, lower) for k, lower in lowers if _span_weight(lower, form) == weight]
+    size = len(form.letters) ** (order - 2)
+    generators = ((c * size + k, expand(SparseTensor.elementary(lower), i, j, form))
+                  for c, (i, j) in enumerate(itertools.combinations(range(order), 2))
+                  for k, lower in lowers)
     return gram_schmidt(generators, form)[0]
 
 
-@functools.lru_cache(maxsize=64)
-def _span_index(order: int, key: tuple) -> tuple:
-    """_trace_span_basis indexed for projection: the weight of each index
-    in its vectors' supports, and per weight the (position, vector, norm²)
-    in basis order."""
-    weight_of, by_weight = {}, {}
-    for pos, (_, w, u, n2) in enumerate(_trace_span_basis(order, key)):
-        weight_of.update(dict.fromkeys(u.data, w))
-        by_weight.setdefault(w, []).append((pos, u, n2))
-    return weight_of, by_weight
-
-
-def _trace_part(t: SparseTensor, form: BilinearForm):
+def _trace_part(t: SparseTensor, form: BilinearForm, weight: tuple | None = None):
     """(D, D t1): t1 the trace part of traceless_project, D the lcm of the
     norms of the span vectors t meets, so D t1 is integral when t is.
 
     Only the span vectors of a weight that occurs in t can meet its
-    support; they are taken in basis order, so a tensor of mixed weight
-    gets the same parts as from the whole basis."""
-    weight_of, by_weight = _span_index(t.order, form.cache_key())
-    weights = {weight_of[idx] for idx in t.data if idx in weight_of}
-    span = by_weight[weights.pop()] if len(weights) == 1 else sorted(
-        x for w in weights for x in by_weight[w])
-    hits = [(ip, u, n2) for _, u, n2 in span if (ip := u.inner(t))]
+    support, and only those are built (_trace_span_basis); they are taken
+    in the whole span's order, so a tensor of mixed weight gets the same
+    parts as from the whole span.  weight, where given, is the one weight
+    of every index of t."""
+    key = form.cache_key()
+    weights = {_span_weight(idx, form) for idx in t.data} if weight is None else {weight}
+    span = [x for w in weights for x in _trace_span_basis(t.order, key, w)]
+    if len(weights) > 1:
+        span.sort(key=lambda x: x[0])
+    hits = [(ip, u, n2) for _, _, u, n2 in span if (ip := u.inner(t))]
     d = math.lcm(*(n2 for *_, n2 in hits))
     t1 = SparseTensor(t.order)
     for ip, u, n2 in hits:

@@ -116,6 +116,41 @@ def test_integral_irrep_spec_file(capsys, tmp_path):
     assert rec["dropped_basis_vectors"] == 0
 
 
+@pytest.mark.parametrize("group,lam,n", [("U", (2, 1), 3), ("O", (2, 1), 3), ("Sp", (2, 1), 2)])
+@pytest.mark.parametrize("mode", ["exact", "leading", "all"])
+def test_irrep_requests_read_weight_spaces(capsys, tmp_path, monkeypatch, group, lam, n, mode):
+    # irrep factors have no inline form: a --spec request reads the weight
+    # spaces of its entries, never a full basis outside Monte Carlo, and
+    # prints the dropped count and the rank check of the full basis
+    basis = irreps.build_irrep_basis(group, lam, n)
+    rank = basis.rank
+    if mode != "all":
+        def refuse(*args):
+            raise AssertionError("full basis built for an exact or leading request")
+
+        monkeypatch.setattr(irreps, "_build_irrep_basis", refuse)
+    extra = ["--samples", "50", "--seed", "3"] if mode == "all" else []
+
+    def request(i, j):
+        spec = tmp_path / "irrep.json"
+        spec.write_text(json.dumps({"group": group, "N": n, "factors": [
+            {"lambda": list(lam), "i": i, "j": j, "conj": c} for c in (False, True)]}))
+        code = cli.main(["integral", "--spec", str(spec), "--mode", mode] + extra)
+        return (code, *capsys.readouterr())
+
+    irreps._weight_space.cache_clear()
+    code, out, err = request(rank, 1)
+    assert code == 0 and err == ""
+    assert '"dropped_basis_vectors": %d,' % (2 * basis.dropped) in out
+    if mode != "leading":
+        assert json.loads(out)["exact"] == f"1/{rank}"
+    index = irreps._module_index(group, lam, n)
+    assert irreps._weight_space.cache_info().currsize == len(
+        {index.weights[rank - 1], index.weights[0]})
+    assert request(rank + 1, 1) == (
+        2, "", f"error: entry ({rank + 1},1) outside rank-{rank} module {lam}\n")
+
+
 def test_integral_missing_n_usage(capsys):
     code, _ = run(capsys, "integral", "--group", "U", "--factors", "1,1,+")
     assert code == 2

@@ -10,6 +10,7 @@ matrix entries and the monomial engine is an independent route.
 
 import functools
 import itertools
+import math
 import os
 import sys
 import time
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from haarint import irreps, moments, sampling, tensors
+from haarint import irreps, moments, sampling, tableaux, tensors
 from haarint.irreps import (
     RepFactor,
     RepMatrixElementSpec,
@@ -153,6 +154,96 @@ def test_graded_basis_is_the_ungraded_one(group, lam, n):
                    for v in ref.vectors]
     ref.norms2 = [int(n2) for n2 in ref.norms2]
     assert _fields(build_irrep_basis(group, lam, n)) == _fields(ref)
+
+
+def _partitions(m, largest=None):
+    if m == 0:
+        yield ()
+        return
+    for part in range(min(m, largest or m), 0, -1):
+        for rest in _partitions(m - part, part):
+            yield (part,) + rest
+
+
+def _admissible(group, lam, n):
+    if group == "U":
+        return len(lam) <= n
+    try:
+        tableaux.check_group_shape(group, lam, n)
+    except ValueError:
+        return False
+    return True
+
+
+# every U/O/Sp module with N <= 5 and weight <= 5 that the build gate admits
+DIMENSION_GRID = [(g, lam, n) for g in ("U", "O", "Sp") for n in range(1, 6)
+                  for m in range(1, 6) for lam in _partitions(m)
+                  if _admissible(g, lam, n) and irreps._build_work(g, lam, n) <= irreps.BUILD_CAP]
+DIMENSIONS = {"U": tableaux.gl_dimension, "O": tableaux.o_dimension,
+              "Sp": tableaux.sp_dimension}
+ENUMERATORS = {"U": tableaux.enumerate_gl_tableaux, "O": tableaux.enumerate_o_tableaux,
+               "Sp": tableaux.enumerate_sp_tableaux}
+
+
+@pytest.mark.parametrize("group,lam,n", DIMENSION_GRID)
+def test_dimension_is_the_filling_count_and_the_rank(group, lam, n):
+    # the Weyl dimension, the admissible-filling count the module index
+    # asserts, and the rank of the full Gram–Schmidt agree
+    basis = build_irrep_basis(group, lam, n)
+    assert DIMENSIONS[group](lam, n) == len(ENUMERATORS[group](lam, n)) == basis.rank
+    assert irreps._module_index(group, lam, n).rank == basis.rank and basis.dropped == 0
+
+
+@pytest.mark.parametrize("group,lam,n", BENCH_MODULES + WEIGHT_45_GRID)
+def test_weight_spaces_merge_to_the_full_basis(group, lam, n):
+    # every entry read through its weight space is the full basis's entry
+    # at the same position, dict item order included
+    basis = build_irrep_basis(group, lam, n)
+    index = irreps._module_index(group, lam, n)
+    assert index.fillings == tuple(basis.tableaux)
+    for p, (vector, n2) in enumerate(zip(basis.vectors, basis.norms2), start=1):
+        got, got_n2 = irreps._basis_entry(group, lam, n, p)
+        assert list(got.data.items()) == list(vector.data.items()) and got_n2 == n2
+    merged = sorted((index.fillings.index(t), v) for w in index.by_weight
+                    for t, _, v, _ in irreps._weight_space(group, lam, n, w))
+    assert [v for _, v in merged] == basis.vectors
+
+
+def _full_basis_value(spec, bases, exact):
+    # the integral read from full bases, as every request did before
+    norms = math.prod(b.norms2[f.row - 1] * b.norms2[f.col - 1]
+                      for f, b in zip(spec.factors, bases))
+    brackets = [(f.conj, b.vectors[f.row - 1].data.items(), b.vectors[f.col - 1].data.items())
+                for f, b in zip(spec.factors, bases)]
+    return irreps._finish(moments._bracket_integral(
+        spec.group, spec.n, bases[0].form, brackets, exact), norms)
+
+
+@pytest.mark.parametrize("group,lam,n", [("Sp", (2, 1), 4), ("U", (2, 1), 7)])
+def test_exact_and_leading_build_only_the_weight_spaces_read(group, lam, n, monkeypatch):
+    # a Schur request reads four entries: it builds their weight spaces, a
+    # few of the module's many, and never the full basis, and gives the
+    # full-basis route's Fraction
+    basis = build_irrep_basis(group, lam, n)
+    index = irreps._module_index(group, lam, n)
+    assert len(index.by_weight) > 20
+
+    def refuse(*args):
+        raise AssertionError("full basis built for an exact or leading request")
+
+    monkeypatch.setattr(irreps, "_build_irrep_basis", refuse)
+    rank = basis.rank
+    entries = [(1, 1), (1, rank), (rank, 1), (rank, rank)] + [
+        (1 + (7 * k) % rank, 1 + (11 * k + 3) % rank) for k in range(12)]
+    for route, exact in ((integrate_irrep_exact, True), (asymptotic_irrep, False)):
+        for (i, j), (k, l) in zip(entries, entries[:1] + entries[:-1]):
+            spec = schur_spec(group, n, lam, i, j, k, l)
+            irreps._weight_space.cache_clear()
+            got = route(spec)
+            info = irreps._weight_space.cache_info()
+            read = {index.weights[p - 1] for p in (i, j, k, l)}
+            assert info.misses == info.currsize == len(read)
+            assert got == _full_basis_value(spec, [basis, basis], exact)
 
 
 INT_GUARD_MODULES = [("U", (2, 1), 3), ("O", (2, 1), 3), ("O", (2,), 2),
@@ -685,6 +776,7 @@ def test_build_gate_refuses_before_any_build(monkeypatch):
         raise AssertionError("basis built before the build gate")
 
     monkeypatch.setattr(irreps, "build_irrep_basis", refuse)
+    monkeypatch.setattr(irreps, "_module_index", refuse)
     big = schur_spec("U", 43, (2, 1))  # 26488 fillings x 4 symmetrizer terms
     with pytest.raises(CostGateError, match="work estimate 105952 exceeds"):
         asymptotic_irrep(big)

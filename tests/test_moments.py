@@ -391,6 +391,40 @@ def test_type_table_matches_loop_walk(kind):
                 itertools.permutations(range(q)))
 
 
+def _fresh_table(kind, q):
+    # each kind's table built on its own, as before Sp shared O's
+    elems = moments._basis(kind, q)
+    partners = [moments._partners(p) for p in elems]
+    index = {}
+    rows = tuple(bytes(index.setdefault(moments._loop_type(pa, pb), len(index))
+                       for pb in partners) for pa in partners)
+    signs = tuple(moments._crossing_sign(p) if kind == "Sp" else 1 for p in elems)
+    return moments.TypeTable(elems, tuple(index), rows, signs, moments._pairing_masks(elems))
+
+
+@pytest.mark.parametrize("q", range(1, moments.DEGREE_CAP + 1))
+def test_sp_reads_the_o_tables(q):
+    # Sp shares O's elements, types, rows and masks and its character sums;
+    # both kinds equal a fresh build, and the second kind hits the caches
+    o = type_table("O", q)
+    if q < moments.DEGREE_CAP:  # the q=4 rows take seconds to rebuild
+        assert o == _fresh_table("O", q)
+        assert moments.type_table.__wrapped__("Sp", q) == _fresh_table("Sp", q)
+    tables = moments.type_table.cache_info()
+    sp = moments.type_table.__wrapped__("Sp", q)
+    assert moments.type_table.cache_info().hits == tables.hits + 1
+    assert moments.type_table.cache_info().misses == tables.misses
+    assert all(getattr(sp, f) is getattr(o, f) for f in ("elements", "types", "rows", "masks"))
+    assert sp.signs == tuple(moments._crossing_sign(p) for p in all_pairings(2 * q))
+    moments._engine("O", q, 3)
+    sums = moments._character_sums.cache_info()
+    for n in (1, 2):
+        moments._engine.__wrapped__("Sp", q, n)
+    assert moments._character_sums.cache_info().hits == sums.hits + 2
+    assert moments._character_sums.cache_info().misses == sums.misses
+    assert moments._character_sums("O", q) == moments._character_sums.__wrapped__("O", q)
+
+
 @pytest.mark.parametrize("q", [5, 6])
 def test_crossing_parity_matches_loop_walk(q):
     # above the degree cap: the sign rule of the type table against the
@@ -504,7 +538,8 @@ def test_engine_caches_are_bounded():
     caches = _package_lru_caches()
     assert {"haarint.moments._engine", "haarint.moments._character_sums",
             "haarint.moments.type_table",
-            "haarint.irreps._build_irrep_basis", "haarint.su2._gauss_rule",
+            "haarint.irreps._build_irrep_basis", "haarint.irreps._module_index",
+            "haarint.irreps._weight_space", "haarint.su2._gauss_rule",
             "haarint.tensors._trace_span_basis"} <= set(caches)
     for name, cached in caches.items():
         assert cached.cache_parameters()["maxsize"] is not None, name

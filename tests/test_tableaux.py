@@ -223,6 +223,24 @@ def test_gl_dimension_weyl_values():
     assert tableaux.gl_dimension((2, 1), 1) == 0
 
 
+def test_o_and_sp_dimension_known_values():
+    # the values bench/test_bench.py fixes for the oracle's Weyl formulas
+    assert [tableaux.o_dimension((k,), 3) for k in range(1, 5)] == [3, 5, 7, 9]
+    assert tableaux.o_dimension((1, 1), 3) == 3 and tableaux.o_dimension((1, 1, 1), 3) == 1
+    assert tableaux.o_dimension((2, 1), 3) == 5  # (2) twisted by the determinant
+    assert tableaux.o_dimension((1,), 2) == 2 and tableaux.o_dimension((3,), 2) == 2
+    assert tableaux.o_dimension((1, 1), 2) == 1
+    assert tableaux.o_dimension((1, 1), 4) == 6 and tableaux.o_dimension((2, 1), 4) == 16
+    assert tableaux.sp_dimension((1,), 2) == 4 and tableaux.sp_dimension((1, 1), 2) == 5
+    assert tableaux.sp_dimension((2,), 2) == 10 and tableaux.sp_dimension((3,), 1) == 4
+    assert tableaux.sp_dimension((2, 1), 2) == 16
+    assert tableaux.o_dimension((), 5) == tableaux.sp_dimension((), 3) == 1
+    with pytest.raises(ValueError):
+        tableaux.o_dimension((2, 2), 3)
+    with pytest.raises(ValueError):
+        tableaux.sp_dimension((1, 1, 1), 2)
+
+
 @settings(max_examples=60, deadline=None)
 @given(partition_strategy(max_weight=8), st.integers(min_value=1, max_value=40))
 def test_gl_dimension_is_the_weyl_product(shape, n):
