@@ -13,6 +13,14 @@ and norms fill IrrepBasis as they are.  The brackets hand those integers
 to moments, so match vectors are int too; Fraction enters with the class
 weights, the leading division and the final division by the root of the
 norm product (_finish).
+Exact and leading requests build only the weight spaces they read
+(_weight_space): entry p is the vector kept from filling p.  That is
+exact because the Gram–Schmidt is graded, so a weight's vectors do not
+depend on the others, and because the module index (_module_index)
+asserts that the admissible fillings are as many as the module's
+dimension, so, spanning the module, none is dropped.  Monte Carlo reads
+the whole basis (_build_irrep_basis), one pass that equals the merge of
+the weight spaces by filling position.
 Sampled entries come from one kernel (rho_matrix) that takes a matrix or
 a stack of them and builds only the columns asked for; Monte Carlo asks
 it once per module and block of draws.
@@ -92,18 +100,19 @@ def build_irrep_basis(group: str, lam, n: int) -> IrrepBasis:
 
 @dataclass(frozen=True)
 class ModuleIndex:
-    """The admissible fillings of one module in tableau order, each with
-    its torus weight, and per weight the positions of its fillings; the
-    filling count is the module's dimension (_module_index), so entry p of
-    the basis is built from filling p."""
-    fillings: tuple
+    """The admissible fillings of one module as row-major entry tuples in
+    tableau order, each with its torus weight, and per weight the
+    positions of its fillings; the filling count is the module's
+    dimension (_module_index), so entry p of the basis is built from
+    filling p."""
+    words: tuple
     weights: tuple
     by_weight: dict  # weight -> filling positions, ascending
     form: BilinearForm | None
 
     @property
     def rank(self) -> int:
-        return len(self.fillings)
+        return len(self.words)
 
 
 @functools.lru_cache(maxsize=128)
@@ -111,35 +120,33 @@ def _module_index(group: str, lam: tuple, n: int) -> ModuleIndex:
     if group == "U":
         if len(lam) > n:
             raise ValueError(f"shape {lam} has more rows than GL({n}) letters")
-        fillings = tableaux.enumerate_gl_tableaux(lam, n)
         form, dim = None, tableaux.gl_dimension(lam, n)
     elif group == "O":
-        fillings = tableaux.enumerate_o_tableaux(lam, n)
         form, dim = orthogonal_form(n), tableaux.o_dimension(lam, n)
     elif group == "Sp":
-        fillings = tableaux.enumerate_sp_tableaux(lam, n)
         form, dim = symplectic_form(n), tableaux.sp_dimension(lam, n)
     else:
         raise ValueError(f"no irrep basis for group tag {group!r}")
-    assert len(fillings) == dim, (
-        f"{group}({n}) module {lam}: {len(fillings)} fillings for dimension {dim}")
-    weights = tuple(_span_weight(t.row_major(), form) for t in fillings)
+    words = tableaux.admissible_words(group, lam, n)
+    assert len(words) == dim, (
+        f"{group}({n}) module {lam}: {len(words)} fillings for dimension {dim}")
+    weights = tuple(_span_weight(w, form) for w in words)
     by_weight = {}
     for p, w in enumerate(weights):
         by_weight.setdefault(w, []).append(p)
-    return ModuleIndex(tuple(fillings), weights, by_weight, form)
+    return ModuleIndex(tuple(words), weights, by_weight, form)
 
 
 def _orthogonalize(lam: tuple, index: ModuleIndex, positions):
-    """gram_schmidt over the fillings at the given positions, in order:
-    each filling's symmetrized tensor, for O/Sp a positive integer multiple
-    of its traceless part, D t0 = D t - D t1, in one pass over t and one
-    over D t1."""
+    """gram_schmidt over the fillings at the given positions, in order,
+    each labeled by its word: each filling's symmetrized tensor, for O/Sp
+    a positive integer multiple of its traceless part, D t0 = D t - D t1,
+    in one pass over t and one over D t1."""
     sym = young_symmetrizer(lam)
     form = index.form
 
     def candidate(p):
-        s = permute(sym, SparseTensor.elementary(index.fillings[p].row_major()))
+        s = permute(sym, SparseTensor.elementary(index.words[p]))
         if form is None:
             return s
         d, t1 = _trace_part(s, form, index.weights[p])
@@ -149,20 +156,20 @@ def _orthogonalize(lam: tuple, index: ModuleIndex, positions):
             out.add_term(idx, -c)
         return out
 
-    return gram_schmidt(((index.fillings[p], candidate(p)) for p in positions), form)
+    return gram_schmidt(((index.words[p], candidate(p)) for p in positions), form)
 
 
 @functools.lru_cache(maxsize=128)
 def _build_irrep_basis(group: str, lam: tuple, n: int) -> IrrepBasis:
     index = _module_index(group, lam, n)
     kept, dropped = _orthogonalize(lam, index, range(index.rank))
-    return IrrepBasis(group, lam, n, [v for _, _, v, _ in kept],
-                      [n2 for *_, n2 in kept], [t for t, *_ in kept], dropped, index.form)
+    return IrrepBasis(group, lam, n, [v for _, _, v, _ in kept], [n2 for *_, n2 in kept],
+                      tableaux._as_tableaux(lam, [w for w, *_ in kept]), dropped, index.form)
 
 
 @functools.lru_cache(maxsize=1024)
 def _weight_space(group: str, lam: tuple, n: int, weight: tuple) -> list:
-    """The kept (filling, weight, vector, norm²) of the fillings of one
+    """The kept (word, weight, vector, norm²) of the fillings of one
     weight: the Gram–Schmidt is graded, so they are the full basis's
     entries at those fillings' positions, and the fillings of a weight are
     independent, since all of them together are as many as the dimension

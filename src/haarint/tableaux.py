@@ -99,30 +99,46 @@ class Tableau:
 
 
 def _semistandard_fillings(shape: Shape, alphabet: list[int], row_floor=lambda r: 0):
-    """Row-weak, column-strict fillings, lexicographic in alphabet position,
-    whose row r (0-based) holds no letter before position row_floor(r)."""
+    """Row-weak, column-strict fillings as row-major entry tuples,
+    lexicographic in alphabet position, whose row r (0-based) holds no
+    letter before position row_floor(r)."""
     pos = {letter: k for k, letter in enumerate(alphabet)}
     if len(pos) != len(alphabet):
         raise ValueError("alphabet letters must be distinct")
-    cells = [(r, c) for r, row_len in enumerate(shape) for c in range(row_len)]
-    grid = [[None] * row_len for row_len in shape]
+    # per cell, its row and the word positions of its left and upper
+    # neighbours (-1 where there is none)
+    cells = []
+    for r, row_len in enumerate(shape):
+        for c in range(row_len):
+            k = len(cells)
+            cells.append((r, k - 1 if c else -1, k - shape[r - 1] if r else -1))
+    word = [None] * len(cells)
 
     def fill(k: int):
         if k == len(cells):
-            yield Tableau._of_shape([row[:] for row in grid], shape)
+            yield tuple(word)
             return
-        r, c = cells[k]
+        r, left, up = cells[k]
         lo = row_floor(r)
-        if c > 0:
-            lo = max(lo, pos[grid[r][c - 1]])
-        if r > 0:
-            lo = max(lo, pos[grid[r - 1][c]] + 1)
+        if left >= 0:
+            lo = max(lo, pos[word[left]])
+        if up >= 0:
+            lo = max(lo, pos[word[up]] + 1)
         for idx in range(lo, len(alphabet)):
-            grid[r][c] = alphabet[idx]
+            word[k] = alphabet[idx]
             yield from fill(k + 1)
-        grid[r][c] = None
 
     yield from fill(0)
+
+
+def _as_tableaux(shape: Shape, words) -> list[Tableau]:
+    """Tableaux of the shape from row-major entry tuples."""
+    bounds = []
+    start = 0
+    for row_len in shape:
+        bounds.append((start, start + row_len))
+        start += row_len
+    return [Tableau._of_shape([list(w[a:b]) for a, b in bounds], shape) for w in words]
 
 
 def check_group_shape(group: str, shape, n: int) -> Shape:
@@ -139,7 +155,7 @@ def check_group_shape(group: str, shape, n: int) -> Shape:
 def enumerate_gl_tableaux(shape, n: int) -> list[Tableau]:
     """Semistandard tableaux with entries 1..n; empty when the shape is too tall."""
     shape = check_shape(shape)
-    return list(_semistandard_fillings(shape, gl_alphabet(n)))
+    return _as_tableaux(shape, _semistandard_fillings(shape, gl_alphabet(n)))
 
 
 def _o_standard(t: Tableau, n: int, pos: dict[int, int]) -> bool:
@@ -172,7 +188,7 @@ def enumerate_o_tableaux(shape, n: int) -> list[Tableau]:
     shape = check_group_shape("O", shape, n)
     alphabet = o_alphabet(n)
     pos = {letter: k for k, letter in enumerate(alphabet)}
-    return [t for t in _semistandard_fillings(shape, alphabet)
+    return [t for t in _as_tableaux(shape, _semistandard_fillings(shape, alphabet))
             if _o_standard(t, n, pos)]
 
 
@@ -180,7 +196,23 @@ def enumerate_sp_tableaux(shape, n: int) -> list[Tableau]:
     """Symplectic standard tableaux for Sp(2n): row i entries are >= ibar,
     the letter at position 2(i-1) of the alphabet."""
     shape = check_group_shape("Sp", shape, n)
-    return list(_semistandard_fillings(shape, sp_alphabet(n), lambda r: 2 * r))
+    return _as_tableaux(shape, _sp_words(shape, n))
+
+
+def _sp_words(shape: Shape, n: int):
+    return _semistandard_fillings(shape, sp_alphabet(n), lambda r: 2 * r)
+
+
+def admissible_words(group: str, shape, n: int) -> list[tuple]:
+    """Row-major entry tuples of the admissible fillings of the U ("U" or
+    "GL"), O or Sp module of the shape, in the order of enumerate_*."""
+    if group in ("U", "GL"):
+        return list(_semistandard_fillings(check_shape(shape), gl_alphabet(n)))
+    if group == "O":
+        return [tuple(t.row_major()) for t in enumerate_o_tableaux(shape, n)]
+    if group == "Sp":
+        return list(_sp_words(check_group_shape("Sp", shape, n), n))
+    raise ValueError(f"no tableau family for group tag {group!r}")
 
 
 def count_standard_tableaux(shape) -> int:

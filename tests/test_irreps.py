@@ -200,12 +200,12 @@ def test_weight_spaces_merge_to_the_full_basis(group, lam, n):
     # at the same position, dict item order included
     basis = build_irrep_basis(group, lam, n)
     index = irreps._module_index(group, lam, n)
-    assert index.fillings == tuple(basis.tableaux)
+    assert index.words == tuple(tuple(t.row_major()) for t in basis.tableaux)
     for p, (vector, n2) in enumerate(zip(basis.vectors, basis.norms2), start=1):
         got, got_n2 = irreps._basis_entry(group, lam, n, p)
         assert list(got.data.items()) == list(vector.data.items()) and got_n2 == n2
-    merged = sorted((index.fillings.index(t), v) for w in index.by_weight
-                    for t, _, v, _ in irreps._weight_space(group, lam, n, w))
+    merged = sorted((index.words.index(word), v) for w in index.by_weight
+                    for word, _, v, _ in irreps._weight_space(group, lam, n, w))
     assert [v for _, v in merged] == basis.vectors
 
 
