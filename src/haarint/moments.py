@@ -433,18 +433,19 @@ def _pair_factors(left, right, form: BilinearForm) -> tuple:
     to be the bar of the other once the input letters are barred, so the
     live pairs join the slots of a key to those of its bar.  Only the
     skew form has -1 factors: the input-first pairs, and the same-parity
-    pairs whose lower slot holds a letter of dual sign -1."""
+    pairs whose lower slot holds a letter of dual sign -1, the positive
+    letters.  The bar of x is -x on a split form and x otherwise."""
     bits, lower, input_first = _slot_pair_table(len(left))
-    bar = form.bar
+    bar = -1 if form.split else 1
     keys: dict = {}  # key -> its slots, ascending
     slot = 1
     for x, y in zip(left, right):
         keys.setdefault(x, []).append(slot)
-        keys.setdefault(bar(y), []).append(slot + 1)
+        keys.setdefault(bar * y, []).append(slot + 1)
         slot += 2
     live = 0
     for key, slots in keys.items():
-        partner = bar(key)
+        partner = bar * key
         if partner == key:
             for i, a in enumerate(slots):
                 row = bits[a]
@@ -460,9 +461,9 @@ def _pair_factors(left, right, form: BilinearForm) -> tuple:
         return live, 0
     negative = input_first
     for i, (x, y) in enumerate(zip(left, right)):
-        if form.dsign(x) < 0:
+        if x > 0:
             negative |= lower[2 * i + 1]
-        if form.dsign(y) < 0:
+        if y > 0:
             negative |= lower[2 * i + 2]
     return live, live & negative
 

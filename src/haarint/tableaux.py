@@ -204,9 +204,9 @@ def _sp_words(shape: Shape, n: int):
 
 
 def admissible_words(group: str, shape, n: int) -> list[tuple]:
-    """Row-major entry tuples of the admissible fillings of the U ("U" or
-    "GL"), O or Sp module of the shape, in the order of enumerate_*."""
-    if group in ("U", "GL"):
+    """Row-major entry tuples of the admissible fillings of the U, O or Sp
+    module of the shape, in the order of enumerate_*."""
+    if group == "U":
         return list(_semistandard_fillings(check_shape(shape), gl_alphabet(n)))
     if group == "O":
         return [tuple(t.row_major()) for t in enumerate_o_tableaux(shape, n)]
