@@ -186,9 +186,9 @@ def _integral_record(args, spec, n, kind):
         exact, leading, mc = (irreps.integrate_irrep_exact, irreps.asymptotic_irrep,
                               irreps.integrate_irrep_mc)
         if {"exact", "leading"} & want:
-            # those routes read weight spaces (irreps._weight_space) of modules
-            # with as many fillings as their dimension; a space that dropped a
-            # filling would end the request with an assertion
+            # every route reads weight spaces (irreps._weight_space), which
+            # end the request with an assertion if a filling is dropped; the
+            # count is printed where the exact or leading route runs
             record["dropped_basis_vectors"] = 0
     else:
         record["factors"] = spec.to_dict(n)["factors"]

@@ -13,14 +13,15 @@ and norms fill IrrepBasis as they are.  The brackets hand those integers
 to moments, so match vectors are int too; Fraction enters with the class
 weights, the leading division and the final division by the root of the
 norm product (_finish).
-Exact and leading requests build only the weight spaces they read
+Fillings are orthogonalized in one place, one weight space at a time
 (_weight_space): entry p is the vector kept from filling p.  That is
 exact because the Gram–Schmidt is graded, so a weight's vectors do not
 depend on the others, and because the module index (_module_index)
 asserts that the admissible fillings are as many as the module's
-dimension, so, spanning the module, none is dropped.  Monte Carlo reads
-the whole basis (_build_irrep_basis), one pass that equals the merge of
-the weight spaces by filling position.
+dimension, so, spanning the module, none is dropped.  Exact and leading
+requests build only the weight spaces they read; Monte Carlo reads the
+whole basis (_build_irrep_basis), the merge of every weight space by
+filling position.
 Sampled entries come from one kernel (rho_matrix) that takes a matrix or
 a stack of them and builds only the columns asked for; Monte Carlo asks
 it once per module and block of draws.
@@ -55,7 +56,8 @@ from .tensors import (
 
 # work units (see _build_work) the module bases of one request, in every
 # mode, may cost: U(42) lambda=(2,1), just under it, builds cold in about
-# 1.3 s on a 2-core host, O(12) lambda=(2,1) in 0.06 s
+# 0.8 s on a 2-core host, O(12) lambda=(2,1) in 0.05 s; tall O/Sp shapes
+# under it take longer, O(5) lambda=(2,1,1,1) about 4 s
 BUILD_CAP = 10 ** 5
 
 
@@ -66,8 +68,7 @@ class IrrepBasis:
     n: int
     vectors: list       # orthogonal primitive int tensors, tableau order
     norms2: list        # int norm-squares, parallel to vectors
-    tableaux: list      # the surviving fillings, for labeling
-    dropped: int        # fillings whose projection fell into earlier spans
+    tableaux: list      # the fillings, for labeling
     form: BilinearForm | None
 
     @property
@@ -101,12 +102,13 @@ def build_irrep_basis(group: str, lam, n: int) -> IrrepBasis:
 @dataclass(frozen=True)
 class ModuleIndex:
     """The admissible fillings of one module as row-major entry tuples in
-    tableau order, each with its torus weight, and per weight the
-    positions of its fillings; the filling count is the module's
-    dimension (_module_index), so entry p of the basis is built from
-    filling p."""
+    tableau order, each with its torus weight and its slot among the
+    fillings of that weight, and per weight the positions of its fillings;
+    the filling count is the module's dimension (_module_index), so entry
+    p of the basis is built from filling p."""
     words: tuple
     weights: tuple
+    slots: tuple
     by_weight: dict  # weight -> filling positions, ascending
     form: BilinearForm | None
 
@@ -131,63 +133,60 @@ def _module_index(group: str, lam: tuple, n: int) -> ModuleIndex:
     assert len(words) == dim, (
         f"{group}({n}) module {lam}: {len(words)} fillings for dimension {dim}")
     weights = tuple(_span_weight(w, form) for w in words)
-    by_weight = {}
+    by_weight, slots = {}, []
     for p, w in enumerate(weights):
-        by_weight.setdefault(w, []).append(p)
-    return ModuleIndex(tuple(words), weights, by_weight, form)
+        positions = by_weight.setdefault(w, [])
+        slots.append(len(positions))
+        positions.append(p)
+    return ModuleIndex(tuple(words), weights, tuple(slots), by_weight, form)
 
 
-def _orthogonalize(lam: tuple, index: ModuleIndex, positions):
-    """gram_schmidt over the fillings at the given positions, in order,
-    each labeled by its word: each filling's symmetrized tensor, for O/Sp
-    a positive integer multiple of its traceless part, D t0 = D t - D t1,
-    in one pass over t and one over D t1."""
+@functools.lru_cache(maxsize=1024)
+def _weight_space(group: str, lam: tuple, n: int, weight: tuple) -> list:
+    """The kept (word, weight, vector, norm²) of gram_schmidt over the
+    fillings of one weight, in order: each filling's symmetrized tensor,
+    for O/Sp a positive integer multiple of its traceless part,
+    D t0 = D t - D t1, in one pass over t and one over D t1.  None is
+    dropped: the fillings of all weights are as many as the dimension and
+    span the module."""
+    index = _module_index(group, lam, n)
     sym = young_symmetrizer(lam)
     form = index.form
 
-    def candidate(p):
-        s = permute(sym, SparseTensor.elementary(index.words[p]))
+    def candidate(word):
+        s = permute(sym, SparseTensor.elementary(word))
         if form is None:
             return s
-        d, t1 = _trace_part(s, form, index.weights[p])
+        d, t1 = _trace_part(s, form, weight)
         out = SparseTensor(s.order)
         out.data = {idx: d * c for idx, c in s.data.items()}
         for idx, c in t1.data.items():
             out.add_term(idx, -c)
         return out
 
-    return gram_schmidt(((index.words[p], candidate(p)) for p in positions), form)
+    words = [index.words[p] for p in index.by_weight[weight]]
+    kept = gram_schmidt(((w, candidate(w)) for w in words), form)
+    assert len(kept) == len(words), (
+        f"{group}({n}) module {lam}: {len(words) - len(kept)} dependent fillings "
+        f"of weight {weight}")
+    return kept
 
 
 @functools.lru_cache(maxsize=128)
 def _build_irrep_basis(group: str, lam: tuple, n: int) -> IrrepBasis:
+    """The merge of the module's weight spaces, by filling position."""
     index = _module_index(group, lam, n)
-    kept, dropped = _orthogonalize(lam, index, range(index.rank))
+    spaces = {w: _weight_space(group, lam, n, w) for w in index.by_weight}
+    kept = [spaces[w][slot] for w, slot in zip(index.weights, index.slots)]
     return IrrepBasis(group, lam, n, [v for _, _, v, _ in kept], [n2 for *_, n2 in kept],
-                      tableaux._as_tableaux(lam, [w for w, *_ in kept]), dropped, index.form)
-
-
-@functools.lru_cache(maxsize=1024)
-def _weight_space(group: str, lam: tuple, n: int, weight: tuple) -> list:
-    """The kept (word, weight, vector, norm²) of the fillings of one
-    weight: the Gram–Schmidt is graded, so they are the full basis's
-    entries at those fillings' positions, and the fillings of a weight are
-    independent, since all of them together are as many as the dimension
-    and span the module."""
-    index = _module_index(group, lam, n)
-    kept, dropped = _orthogonalize(lam, index, index.by_weight[weight])
-    assert not dropped, (
-        f"{group}({n}) module {lam}: {dropped} dependent fillings of weight {weight}")
-    return kept
+                      tableaux._as_tableaux(lam, index.words), index.form)
 
 
 def _basis_entry(group: str, lam: tuple, n: int, p: int) -> tuple:
     """(vector, norm²) of entry p (1-based) of the module basis, from the
     one weight space that holds it."""
     index = _module_index(group, lam, n)
-    weight = index.weights[p - 1]
-    _, _, vector, n2 = _weight_space(group, lam, n, weight)[
-        index.by_weight[weight].index(p - 1)]
+    _, _, vector, n2 = _weight_space(group, lam, n, index.weights[p - 1])[index.slots[p - 1]]
     return vector, n2
 
 
@@ -241,7 +240,8 @@ def _apply_modes(act: np.ndarray, vecs: np.ndarray, m: int) -> np.ndarray:
 def rho_matrix(u, basis: IrrepBasis, cols=None) -> np.ndarray:
     """Representation matrix of u in the orthonormalized tableau basis, or
     of each matrix of a stack u (size, d, d); with cols, a list of 1-based
-    column numbers, only those columns, in that order.
+    column numbers, each an int in 1..rank, only those columns, in that
+    order.
 
     Column j is u^(x)m applied to b_j along the m tensor modes, then
     contracted with every conj(b_i); no other column is computed.
@@ -252,7 +252,9 @@ def rho_matrix(u, basis: IrrepBasis, cols=None) -> np.ndarray:
         raise ValueError(f"sample is {mat.shape}, module needs {(d, d)}")
     act = _action_matrix(basis, mat.reshape(-1, d, d))
     vecs = basis.float_vectors
-    cols = range(1, basis.rank + 1) if cols is None else cols
+    cols = range(1, basis.rank + 1) if cols is None else list(cols)
+    if not all(isinstance(j, (int, np.integer)) and 1 <= j <= basis.rank for j in cols):
+        raise ValueError(f"columns {cols} are not all ints in 1..{basis.rank}")
     w = _apply_modes(act, vecs[[j - 1 for j in cols]], basis.weight)
     out = (w @ vecs.conj().T).swapaxes(-1, -2)
     return out.reshape(mat.shape[:-2] + out.shape[1:])

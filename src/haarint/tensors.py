@@ -291,17 +291,17 @@ def _span_weight(idx, form: BilinearForm | None) -> tuple:
 def gram_schmidt(candidates, form: BilinearForm | None):
     """Orthogonalize (label, tensor) candidates in order, each of one weight,
     read from its first index, against the kept vectors of that weight only,
-    and scale each survivor to primitive form, coprime integers.  The
-    candidates hold int coefficients, and so do the kept (label, weight,
-    vector, norm²) returned with the count of dropped candidates.
-    Candidates are left as they are; a kept vector may be its candidate
-    tensor itself.
+    and scale each survivor to primitive form, coprime integers; a candidate
+    in the span of earlier ones is dropped.  The candidates hold int
+    coefficients, and so do the kept (label, weight, vector, norm²)
+    returned.  Candidates are left as they are; a kept vector may be its
+    candidate tensor itself.
 
     Fraction-free (Bareiss 1968): a candidate is held as a positive integer
     multiple of its rational residue, v <- (n2/g) v - (<u,v>/g) u with
     g = gcd(<u,v>, n2), so it drops the same zero entries, keeps the same
     item order and has the same primitive form as v <- v - <u,v>/n2 u."""
-    kept, by_weight, dropped = [], {}, 0
+    kept, by_weight = [], {}
     for label, v in candidates:
         w = _span_weight(next(iter(v.data), ()), form)
         same = by_weight.setdefault(w, [])
@@ -314,7 +314,6 @@ def gram_schmidt(candidates, form: BilinearForm | None):
                 for idx, c in u.data.items():
                     v.add_term(idx, -ip * c)
         if v.is_zero():
-            dropped += 1
             continue
         content = math.gcd(*v.data.values())
         if content != 1:
@@ -324,28 +323,27 @@ def gram_schmidt(candidates, form: BilinearForm | None):
         n2 = v.norm_squared()
         same.append((v, n2))
         kept.append((label, w, v, n2))
-    return kept, dropped
+    return kept
 
 
 @functools.lru_cache(maxsize=1024)
-def _trace_span_basis(order: int, key: tuple, weight: tuple | None = None) -> list:
-    """The kept (label, weight, vector, norm²) of gram_schmidt over every
-    expanded lower tensor of the form with the given cache key, or over
-    those of one weight: an expansion keeps the weight of its lower
-    tensor, and the Gram–Schmidt is graded, so these are the whole span's
-    vectors of that weight, in its order.  A label is the generator's
-    place in the whole sequence, slot pairs (i, j) outer, lower inner."""
+def _trace_span_basis(order: int, key: tuple, weight: tuple) -> list:
+    """The kept (label, weight, vector, norm²) of gram_schmidt over the
+    expanded lower tensors of one weight, of the form with the given cache
+    key: an expansion keeps the weight of its lower tensor, and the
+    Gram–Schmidt is graded, so these are the whole span's vectors of that
+    weight, in its order.  A label is the generator's place in the whole
+    sequence, slot pairs (i, j) outer, lower inner."""
     if order < 2:
         return []
     form = BilinearForm(*key)
-    lowers = list(enumerate(itertools.product(form.letters, repeat=order - 2)))
-    if weight is not None:
-        lowers = [(k, lower) for k, lower in lowers if _span_weight(lower, form) == weight]
+    lowers = enumerate(itertools.product(form.letters, repeat=order - 2))
+    lowers = [(k, lower) for k, lower in lowers if _span_weight(lower, form) == weight]
     size = len(form.letters) ** (order - 2)
     generators = ((c * size + k, expand(SparseTensor.elementary(lower), i, j, form))
                   for c, (i, j) in enumerate(itertools.combinations(range(order), 2))
                   for k, lower in lowers)
-    return gram_schmidt(generators, form)[0]
+    return gram_schmidt(generators, form)
 
 
 def _trace_part(t: SparseTensor, form: BilinearForm, weight: tuple | None = None):

@@ -24,6 +24,10 @@ in rational arithmetic, and scaled to primitive form (``primitive``); the
 Young symmetrizer is rebuilt for each filling.  Their entries and norms
 are integral Fractions; the weight-graded, fraction-free bases of the
 package, int throughout, must equal them converted to int, byte for byte.
+The ungraded module basis also counts the fillings it drops
+(``UngradedBasis``), which the package asserts are none.  The package's
+whole trace span is read back from its per-weight spans in label order
+(``trace_span_by_weights``).
 
 It holds the paper's duality objects by definition, which the package no
 longer needs: the product of the slot-permutation group algebra on
@@ -718,6 +722,16 @@ def trace_span_basis_ungraded(order: int, key: tuple) -> list:
     return basis
 
 
+def trace_span_by_weights(order: int, key: tuple) -> list:
+    """The package's trace-span vectors of every weight of the expanded
+    lower tensors, in label order: the whole span."""
+    form = tensors.BilinearForm(*key)
+    weights = {tensors._span_weight(lower, form)
+               for lower in itertools.product(form.letters, repeat=order - 2)}
+    return sorted((x for w in weights for x in tensors._trace_span_basis(order, key, w)),
+                  key=lambda x: x[0])
+
+
 def traceless_project_ungraded(t, form):
     """(t0, t1): t1 is the projection of t onto every trace-span vector."""
     t1 = tensors.SparseTensor(t.order)
@@ -770,9 +784,14 @@ def gram_schmidt_ungraded(candidates):
     return vectors, norms2, kept, dropped
 
 
-def build_irrep_basis_ungraded(group: str, lam, n: int) -> irreps.IrrepBasis:
+@dataclass
+class UngradedBasis(irreps.IrrepBasis):
+    dropped: int  # fillings whose projection fell into earlier spans
+
+
+def build_irrep_basis_ungraded(group: str, lam, n: int) -> UngradedBasis:
     """The module basis from the ungraded loops above, one symmetrizer per
-    filling."""
+    filling, with the count of fillings dropped."""
     lam = tableaux.check_shape(lam)
     if group == "U":
         fillings, form = tableaux.enumerate_gl_tableaux(lam, n), None
@@ -786,7 +805,7 @@ def build_irrep_basis_ungraded(group: str, lam, n: int) -> irreps.IrrepBasis:
 
     candidates = ((t, project(symmetrized(lam, t))) for t in fillings)
     vectors, norms2, kept, dropped = gram_schmidt_ungraded(candidates)
-    return irreps.IrrepBasis(group, lam, n, vectors, norms2, kept, dropped, form)
+    return UngradedBasis(group, lam, n, vectors, norms2, kept, form, dropped)
 
 
 # ---------------------------------------------------------------------------

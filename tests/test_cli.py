@@ -121,7 +121,7 @@ def test_integral_irrep_spec_file(capsys, tmp_path):
 def test_irrep_requests_read_weight_spaces(capsys, tmp_path, monkeypatch, group, lam, n, mode):
     # irrep factors have no inline form: a --spec request reads the weight
     # spaces of its entries, never a full basis outside Monte Carlo, and
-    # prints the dropped count and the rank check of the full basis
+    # prints the dropped count, 0, and the rank check of the full basis
     basis = irreps.build_irrep_basis(group, lam, n)
     rank = basis.rank
     if mode != "all":
@@ -141,7 +141,7 @@ def test_irrep_requests_read_weight_spaces(capsys, tmp_path, monkeypatch, group,
     irreps._weight_space.cache_clear()
     code, out, err = request(rank, 1)
     assert code == 0 and err == ""
-    assert '"dropped_basis_vectors": %d,' % (2 * basis.dropped) in out
+    assert '"dropped_basis_vectors": 0,' in out
     if mode != "leading":
         assert json.loads(out)["exact"] == f"1/{rank}"
     index = irreps._module_index(group, lam, n)

@@ -104,7 +104,7 @@ RANK_TABLE = [
 def test_basis_rank_frozen(group, lam, n, rank):
     basis = build_irrep_basis(group, lam, n)
     assert basis.rank == rank
-    assert basis.dropped == 0
+    assert build_irrep_basis_ungraded(group, lam, n).dropped == 0
     assert len(basis.tableaux) == rank
     if group == "U":
         assert rank == gl_module_dimension_oracle(lam, n)
@@ -139,15 +139,16 @@ WEIGHT_45_GRID = [
 
 def _fields(basis):
     return (repr([list(v.data.items()) for v in basis.vectors]),
-            repr(basis.norms2), [t.rows for t in basis.tableaux], basis.dropped)
+            repr(basis.norms2), [t.rows for t in basis.tableaux])
 
 
 @pytest.mark.parametrize("group,lam,n", BENCH_MODULES + WEIGHT_45_GRID)
 def test_graded_basis_is_the_ungraded_one(group, lam, n):
     # the weight-graded Gram–Schmidt gives, byte for byte, the basis of the
     # ungraded rational loops, whose entries and norms are integers: vectors
-    # in dict item order, norms, fillings, drops
+    # in dict item order, norms, fillings; the loops drop no filling
     ref = build_irrep_basis_ungraded(group, lam, n)
+    assert ref.dropped == 0
     assert all(c.denominator == 1 for v in ref.vectors for c in v.data.values())
     assert all(n2.denominator == 1 for n2 in ref.norms2)
     ref.vectors = [SparseTensor(v.order, {idx: int(c) for idx, c in v.data.items()})
@@ -188,10 +189,13 @@ ENUMERATORS = {"U": tableaux.enumerate_gl_tableaux, "O": tableaux.enumerate_o_ta
 @pytest.mark.parametrize("group,lam,n", DIMENSION_GRID)
 def test_dimension_is_the_filling_count_and_the_rank(group, lam, n):
     # the Weyl dimension, the admissible-filling count the module index
-    # asserts, and the rank of the full Gram–Schmidt agree
+    # asserts, and the rank of the Gram–Schmidt agree: the weight spaces
+    # keep every filling
     basis = build_irrep_basis(group, lam, n)
+    index = irreps._module_index(group, lam, n)
     assert DIMENSIONS[group](lam, n) == len(ENUMERATORS[group](lam, n)) == basis.rank
-    assert irreps._module_index(group, lam, n).rank == basis.rank and basis.dropped == 0
+    assert index.rank == basis.rank == sum(
+        len(irreps._weight_space(group, lam, n, w)) for w in index.by_weight)
 
 
 @pytest.mark.parametrize("group,lam,n", BENCH_MODULES + WEIGHT_45_GRID)
@@ -250,26 +254,39 @@ INT_GUARD_MODULES = [("U", (2, 1), 3), ("O", (2, 1), 3), ("O", (2,), 2),
                      ("Sp", (2, 1), 2), ("Sp", (3,), 1)]
 
 
-@pytest.mark.parametrize("group,lam,n", INT_GUARD_MODULES)
-def test_build_keeps_int_coefficients(group, lam, n, monkeypatch):
-    # the build does no Fraction arithmetic: the trace span, the projected
-    # candidates, the kept vectors and IrrepBasis hold int
+def _cold_build(group, lam, n, patch):
+    """The module basis built past every cache that holds its vectors, and
+    every gram_schmidt call the build makes, as (candidates, kept): one per
+    weight space, and for O/Sp one more per trace span of that weight."""
     seen = []
+    real = tensors.gram_schmidt
 
     def recording(candidates, form):
         candidates = list(candidates)
-        kept, dropped = tensors.gram_schmidt(candidates, form)
+        kept = real(candidates, form)
         seen.append((candidates, kept))
-        return kept, dropped
+        return kept
 
-    monkeypatch.setattr(irreps, "gram_schmidt", recording)
-    basis = irreps._build_irrep_basis.__wrapped__(group, lam, n)  # past the cache
-    (candidates, kept), = seen
-    assert all(type(c) is int for _, t in candidates for c in t.data.values())
-    assert all(type(c) is int for _, _, v, n2 in kept for c in [*v.data.values(), n2])
-    if basis.form is not None:
-        span = tensors._trace_span_basis(basis.weight, basis.form.cache_key())
-        assert all(type(c) is int for _, _, u, n2 in span for c in [*u.data.values(), n2])
+    patch.setattr(irreps, "gram_schmidt", recording)
+    patch.setattr(tensors, "gram_schmidt", recording)
+    irreps._weight_space.cache_clear()
+    tensors._trace_span_basis.cache_clear()
+    basis = irreps._build_irrep_basis.__wrapped__(group, lam, n)
+    spaces = len(irreps._module_index(group, lam, n).by_weight)
+    assert len(seen) == (spaces if group == "U" else 2 * spaces)
+    return basis, seen
+
+
+@pytest.mark.parametrize("group,lam,n", INT_GUARD_MODULES)
+def test_build_keeps_int_coefficients(group, lam, n, monkeypatch):
+    # a cold build does no Fraction arithmetic: every gram_schmidt call, over
+    # the trace spans' generators and over the projected fillings, takes and
+    # keeps int, and so does IrrepBasis
+    basis, seen = _cold_build(group, lam, n, monkeypatch)
+    assert all(type(c) is int for candidates, _ in seen
+               for _, t in candidates for c in t.data.values())
+    assert all(type(c) is int for _, kept in seen
+               for _, _, v, n2 in kept for c in [*v.data.values(), n2])
     assert all(type(c) is int for v in basis.vectors for c in v.data.values())
     assert all(type(n2) is int for n2 in basis.norms2)
 
@@ -280,10 +297,36 @@ def test_build_makes_no_fraction(group, lam, n, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("Fraction made in the basis build")
 
+    want = _fields(build_irrep_basis(group, lam, n))
     with monkeypatch.context() as m:
         m.setattr(Fraction, "__new__", refuse)
-        basis = irreps._build_irrep_basis.__wrapped__(group, lam, n)  # past the cache
-    assert _fields(basis) == _fields(build_irrep_basis(group, lam, n))
+        basis, _ = _cold_build(group, lam, n, m)
+    assert _fields(basis) == want
+
+
+@pytest.mark.parametrize("group,lam,n", INT_GUARD_MODULES)
+def test_monte_carlo_and_exact_share_weight_spaces(group, lam, n):
+    # a Monte Carlo request builds the full basis as the merge of every
+    # weight space, each once, and an exact request on the same module
+    # after it builds none
+    index = irreps._module_index(group, lam, n)
+    spec = schur_spec(group, n, lam, 1, index.rank)
+    irreps._build_irrep_basis.cache_clear()
+    irreps._weight_space.cache_clear()
+    integrate_irrep_mc(spec, samples=4, seed=1)
+    assert integrate_irrep_exact(spec) == Fraction(1, index.rank)
+    info = irreps._weight_space.cache_info()
+    assert info.misses == info.currsize == len(index.by_weight)
+
+
+@pytest.mark.parametrize("cols", [[0], [-1], [7], [1.0], [6, 0]])
+def test_rho_matrix_refuses_columns_outside_the_module(cols):
+    # U(3) lambda=(2) has rank 6: 0 and -1 would wrap round to column 6,
+    # 7 would be a numpy IndexError, and 1.0 is no column number
+    basis = build_irrep_basis("U", (2,), 3)
+    assert rho_matrix(np.eye(3), basis, [1, np.int64(6)]).shape == (6, 2)
+    with pytest.raises(ValueError, match=r"columns .* are not all ints in 1\.\.6"):
+        rho_matrix(np.eye(3), basis, cols)
 
 
 FRACTION_ARITHMETIC = [
