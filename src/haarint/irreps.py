@@ -45,8 +45,8 @@ from .tensors import (
     BilinearForm,
     CostGateError,
     SparseTensor,
-    _span_weight,
     _trace_part,
+    _weight,
     gram_schmidt,
     orthogonal_form,
     permute,
@@ -132,7 +132,7 @@ def _module_index(group: str, lam: tuple, n: int) -> ModuleIndex:
     words = tableaux.admissible_words(group, lam, n)
     assert len(words) == dim, (
         f"{group}({n}) module {lam}: {len(words)} fillings for dimension {dim}")
-    weights = tuple(_span_weight(w, form) for w in words)
+    weights = tuple(_weight(w) for w in words)
     by_weight, slots = {}, []
     for p, w in enumerate(weights):
         positions = by_weight.setdefault(w, [])
@@ -165,7 +165,7 @@ def _weight_space(group: str, lam: tuple, n: int, weight: tuple) -> list:
         return out
 
     words = [index.words[p] for p in index.by_weight[weight]]
-    kept = gram_schmidt(((w, candidate(w)) for w in words), form)
+    kept = gram_schmidt((w, candidate(w)) for w in words)
     assert len(kept) == len(words), (
         f"{group}({n}) module {lam}: {len(words) - len(kept)} dependent fillings "
         f"of weight {weight}")
@@ -247,7 +247,7 @@ def rho_matrix(u, basis: IrrepBasis, cols=None) -> np.ndarray:
     contracted with every conj(b_i); no other column is computed.
     """
     mat = np.asarray(u.matrix if hasattr(u, "matrix") else u)
-    d = len(basis.form.letters) if basis.form is not None else basis.n
+    d = sampling.dimension(basis.group, basis.n)
     if mat.ndim not in (2, 3) or mat.shape[-2:] != (d, d):
         raise ValueError(f"sample is {mat.shape}, module needs {(d, d)}")
     act = _action_matrix(basis, mat.reshape(-1, d, d))
@@ -272,8 +272,8 @@ class RepFactor:
 
     def __init__(self, lam, row, col, conj=False):
         object.__setattr__(self, "lam", tableaux.check_shape(lam))
-        object.__setattr__(self, "row", row)
-        object.__setattr__(self, "col", col)
+        object.__setattr__(self, "row", tableaux.check_int(row, "row"))
+        object.__setattr__(self, "col", tableaux.check_int(col, "col"))
         object.__setattr__(self, "conj", bool(conj))
 
 
@@ -287,7 +287,7 @@ class RepMatrixElementSpec:
         if group not in ("U", "O", "Sp"):
             raise ValueError(f"unknown group tag {group!r}")
         object.__setattr__(self, "group", group)
-        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "n", tableaux.check_int(n, "N"))
         object.__setattr__(self, "factors", tuple(
             f if isinstance(f, RepFactor) else RepFactor(*f) for f in factors))
 
@@ -304,11 +304,11 @@ class RepMatrixElementSpec:
             if not isinstance(lam, list):
                 raise ValueError(f"lambda must be a list of integers, got {lam!r}")
             factors.append(RepFactor(
-                tuple(moments._spec_int(p, "a lambda part") for p in lam),
-                *(moments._spec_int(moments._spec_key(f, k), k) for k in ("i", "j")),
+                tuple(tableaux.check_int(p, "a lambda part") for p in lam),
+                *(tableaux.check_int(moments._spec_key(f, k), k) for k in ("i", "j")),
                 moments._spec_conj(f)))
         return cls(moments._spec_key(d, "group"),
-                   moments._spec_int(moments._spec_key(d, "N"), "N"), factors)
+                   tableaux.check_int(moments._spec_key(d, "N"), "N"), factors)
 
 
 def _check_entries(spec: RepMatrixElementSpec):
@@ -361,11 +361,12 @@ def integrate_irrep_mc(spec: RepMatrixElementSpec, samples: int, seed: int):
 # exact and leading-order integrals
 
 def _brackets(spec: RepMatrixElementSpec) -> tuple:
-    """(form, brackets, norm product): each factor is the bracket
+    """(split, brackets, norm product): each factor is the bracket
     <b_i|u|b_j> of its basis vectors' terms, and the integral is that of
-    the brackets (moments._bracket_integral) over sqrt(norm product).
+    the brackets (moments._bracket_integral) over sqrt(norm product).  The
+    O and Sp modules live on the split alphabets, the U modules on 1..N.
     Only the weight spaces of the entries read are built (_basis_entry)."""
-    indices = _check_entries(spec)
+    _check_entries(spec)
     norms = 1
     brackets = []
     for f in spec.factors:
@@ -373,8 +374,7 @@ def _brackets(spec: RepMatrixElementSpec) -> tuple:
                                       for p in (f.row, f.col))
         norms *= n_row * n_col
         brackets.append((f.conj, row.data.items(), col.data.items()))
-    # with no factor the integral is 1 before any letter is read
-    return (indices[0].form if indices else None), brackets, norms
+    return spec.group != "U", brackets, norms
 
 
 def _finish(core: Fraction, norm_product: int) -> Fraction:
@@ -423,8 +423,8 @@ def _gate_build(spec: RepMatrixElementSpec):
 
 def _integral(spec: RepMatrixElementSpec, exact: bool) -> Fraction:
     _gate_build(spec)
-    form, brackets, norms = _brackets(spec)
-    return _finish(moments._bracket_integral(spec.group, spec.n, form, brackets, exact),
+    split, brackets, norms = _brackets(spec)
+    return _finish(moments._bracket_integral(spec.group, spec.n, split, brackets, exact),
                    norms)
 
 

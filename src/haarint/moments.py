@@ -36,8 +36,9 @@ table) as two bitmasks, the nonzero pairs and the -1 pairs, so a
 pairing's entry is 0 unless its mask lies inside the first, else the
 parity of its overlap with the second.  Terms with the same two masks
 add their coefficients before the one pass over the basis they share.
-U reads its letters through the standard orthogonal form, whose bar is
-the identity and whose signs are +1.  One SU/SO window serves both
+The kernel needs two bits of the alphabet: whether it is split (the bar
+of x is -x; otherwise x, as on the letters 1..N of U and O monomials),
+and whether the form is skew, which is Sp's.  One SU/SO window serves both
 modes: SU(1) and SO(1) give 1, other cases defer to U or O, vanish, or
 are refused where determinant invariants enter.
 
@@ -55,7 +56,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import perms, sampling, tableaux
-from .tensors import BilinearForm, CostGateError, orthogonal_form, symplectic_form
+from .tensors import CostGateError
 
 DEGREE_CAP = 4  # operators per side; the commutant span grows as q! / (2q-1)!!
 # basis elements the weight-free leading order may enumerate above DEGREE_CAP
@@ -72,6 +73,10 @@ class Factor:
     row: int
     col: int
     conj: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "row", tableaux.check_int(self.row, "row"))
+        object.__setattr__(self, "col", tableaux.check_int(self.col, "col"))
 
 
 @dataclass(frozen=True)
@@ -104,9 +109,9 @@ class MonomialSpec:
     @classmethod
     def from_dict(cls, d: dict) -> tuple:
         spec = cls(_spec_key(d, "group"), [
-            Factor(*(_spec_int(_spec_key(f, k), k) for k in ("i", "j")), _spec_conj(f))
-            for f in _spec_factors(d)])
-        return spec, _spec_int(_spec_key(d, "N"), "N")
+            Factor(*(tableaux.check_int(_spec_key(f, k), k) for k in ("i", "j")),
+                   _spec_conj(f)) for f in _spec_factors(d)])
+        return spec, tableaux.check_int(_spec_key(d, "N"), "N")
 
 
 def _spec_key(d: dict, key: str):
@@ -115,14 +120,6 @@ def _spec_key(d: dict, key: str):
     if key not in d:
         raise ValueError(f"missing {key!r} entry in the spec")
     return d[key]
-
-
-def _spec_int(value, what: str) -> int:
-    """An integer read from a spec file; JSON true/false load as bools and
-    are refused, like floats and strings."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
 
 
 def _spec_conj(factor: dict) -> bool:
@@ -191,14 +188,6 @@ def _double_factorial(m: int) -> int:
         out *= m
         m -= 2
     return out
-
-
-def _form_for(kind: str, n: int) -> BilinearForm:
-    """The form whose alphabet indexes a monomial: the standard basis for
-    U and O (bar the identity, every sign +1), the split alphabet for Sp."""
-    if kind == "Sp":
-        return symplectic_form(n)
-    return orthogonal_form(n, split=False)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +410,7 @@ def _contract(engine: ClassWeights, r_vec, c_vec) -> Fraction:
     return sum((w * m for w, m in zip(engine.weights, bins) if m), Fraction(0))
 
 
-def _pair_factors(left, right, form: BilinearForm) -> tuple:
+def _pair_factors(left, right, split: bool, skew: bool) -> tuple:
     """The factors that slot pairs (a, b), a < b, contribute to a pairing's
     entry between letter tuples, each 0 or ±1, as two sets of slot-pair
     bits (_slot_pair_table): live, the pairs whose factor is nonzero, and
@@ -434,9 +423,9 @@ def _pair_factors(left, right, form: BilinearForm) -> tuple:
     live pairs join the slots of a key to those of its bar.  Only the
     skew form has -1 factors: the input-first pairs, and the same-parity
     pairs whose lower slot holds a letter of dual sign -1, the positive
-    letters.  The bar of x is -x on a split form and x otherwise."""
+    letters.  The bar of x is -x on a split alphabet and x otherwise."""
     bits, lower, input_first = _slot_pair_table(len(left))
-    bar = -1 if form.split else 1
+    bar = -1 if split else 1
     keys: dict = {}  # key -> its slots, ascending
     slot = 1
     for x, y in zip(left, right):
@@ -457,7 +446,7 @@ def _pair_factors(left, right, form: BilinearForm) -> tuple:
                 row = bits[a]
                 for b in others:
                     live |= row[b]
-    if form.kind != "symplectic":
+    if not skew:
         return live, 0
     negative = input_first
     for i, (x, y) in enumerate(zip(left, right)):
@@ -468,7 +457,7 @@ def _pair_factors(left, right, form: BilinearForm) -> tuple:
     return live, live & negative
 
 
-def _match_vector(masks, form: BilinearForm, terms) -> list:
+def _match_vector(masks, split: bool, skew: bool, terms) -> list:
     """Per basis element, given by its mask (TypeTable.masks), the sum of
     c * entry(left, right) over the terms (left letters, right letters, c)
     of a tensor.  Each term looks up its slot-pair factors once
@@ -478,7 +467,7 @@ def _match_vector(masks, form: BilinearForm, terms) -> list:
     with no live pair adds nothing, since every pairing has a pair."""
     grouped: dict = {}
     for left, right, c in terms:
-        factors = _pair_factors(left, right, form)
+        factors = _pair_factors(left, right, split, skew)
         if factors[0]:
             grouped[factors] = grouped.get(factors, 0) + c
     out = [0] * len(masks)
@@ -521,12 +510,11 @@ def _half_degree(kind: str, brackets) -> int | None:
     return None if total % 2 else total // 2
 
 
-def _twist(terms, q: int, form: BilinearForm) -> list:
+def _twist(terms, q: int, skew: bool) -> list:
     """Rewrite the slots from q on through the inverse matrix of a split
     form: each letter x there becomes bar(x) = -x at the cost of its dual
-    sign (-1 for positive symplectic letters).  At q = 0 this is the
+    sign (-1 for positive letters of the skew form).  At q = 0 this is the
     entrywise conjugate of a whole bracket."""
-    skew = form.kind == "symplectic"
     out = []
     for letters, c in terms:
         tail = tuple(-x for x in letters[q:])
@@ -538,22 +526,23 @@ def _twist(terms, q: int, form: BilinearForm) -> list:
     return out
 
 
-def _reduce(kind: str, form: BilinearForm | None, brackets, exact: bool):
+def _reduce(kind: str, split: bool, brackets, exact: bool):
     """The value where no weights are needed (a Fraction), otherwise the
     match vectors (kind, q, r_vec, c_vec) of a product of brackets
     <row|u|col>: its integral is r^T W c over _elements(kind, q, exact).
     A bracket is (conj, row terms, col terms), a term (letters, coeff) of
-    a tensor on the alphabet of form, whose int coefficients give int
-    match vectors; conj marks the entrywise conjugate.  A U module comes
-    with no form and is read through the standard one (_form_for), as
-    U monomials are.  Before any match vector, the match-work gate
-    refuses basis elements x the larger side's term count past
-    LEADING_CAP (one term for a monomial).  Plain brackets fill the early
-    slots and conjugated ones the late, as U needs; O and Sp take any
-    split.  On a split form a conjugated bracket is twisted whole, then
-    the product's slots from q on to the inverse; on the standard form
-    the twist is the identity.  Where every bracket's row terms are its
-    column terms the two sides are one computation, so c is r."""
+    a tensor, whose int coefficients give int match vectors; conj marks
+    the entrywise conjugate.  The letters are on the split alphabet
+    (tableaux) where split is set, the bar of x being -x, and otherwise
+    on 1..N with the identity bar, as for U and O monomials and U
+    modules; the form is skew for Sp.  Before any match vector, the
+    match-work gate refuses basis elements x the larger side's term count
+    past LEADING_CAP (one term for a monomial).  Plain brackets fill the
+    early slots and conjugated ones the late, as U needs; O and Sp take
+    any split of the slots.  On a split alphabet a conjugated bracket is
+    twisted whole, then the product's slots from q on to the inverse;
+    otherwise the twist is the identity.  Where every bracket's row terms
+    are its column terms the two sides are one computation, so c is r."""
     q = _half_degree(kind, brackets)
     if q is None:
         return Fraction(0)
@@ -563,30 +552,28 @@ def _reduce(kind: str, form: BilinearForm | None, brackets, exact: bool):
     expanded = max(math.prod(len(b[side]) for b in brackets) for side in (1, 2))
     sampling.check_cost(f"match vectors at q={q}", len(masks), expanded,
                         LEADING_CAP, "bracket-term matches")
-    if form is None:  # bar and signs of the standard form do not depend on n
-        form = _form_for("U", 1)
+    skew = kind == "Sp"
     brackets = sorted(brackets, key=lambda b: b[0])
-    if form.split:
-        brackets = [(conj, _twist(rows, 0, form), _twist(cols, 0, form)) if conj
+    if split:
+        brackets = [(conj, _twist(rows, 0, skew), _twist(cols, 0, skew)) if conj
                     else (conj, rows, cols) for conj, rows, cols in brackets]
     vectors = []
     for side in (1,) if all(rows == cols for _, rows, cols in brackets) else (1, 2):
         terms = [((), 1)]
         for bracket in brackets:
             terms = [(x + y, cx * cy) for x, cx in terms for y, cy in bracket[side]]
-        if form.split:
-            terms = _twist(terms, q, form)
-        vectors.append(_match_vector(masks, form, [(x[:q], x[q:], c) for x, c in terms]))
+        if split:
+            terms = _twist(terms, q, skew)
+        vectors.append(_match_vector(masks, split, skew, [(x[:q], x[q:], c) for x, c in terms]))
     return kind, q, vectors[0], vectors[-1]
 
 
-def _bracket_integral(kind: str, n: int, form: BilinearForm | None, brackets,
-                      exact: bool) -> Fraction:
+def _bracket_integral(kind: str, n: int, split: bool, brackets, exact: bool) -> Fraction:
     """The integral over U(n), O(n) or Sp(2n) of a product of brackets
     (_reduce): the match vectors contracted with the class weights (exact)
     or with the order-D^-q part of W, the diagonal δ/D^q, D = n, or 2n for
     Sp (Collins–Śniady 2006, Collins–Matsumoto 2009): r^T c / D^q."""
-    reduced = _reduce(kind, form, brackets, exact)
+    reduced = _reduce(kind, split, brackets, exact)
     if isinstance(reduced, Fraction):
         return reduced
     kind, q, r_vec, c_vec = reduced
@@ -596,15 +583,16 @@ def _bracket_integral(kind: str, n: int, form: BilinearForm | None, brackets,
     return Fraction(sum(ra * ca for ra, ca in zip(r_vec, c_vec)), d ** q)
 
 
-def _brackets(spec: MonomialSpec, n: int) -> tuple:
-    """(kind, form, brackets) of a monomial: each factor u_ij is the
-    degree-one bracket <e_i|u|e_j>, e_a the a-th letter of the form's
-    alphabet, read without building it: a for U and O, the a-th of
-    -1, 1, -2, 2, … (tableaux.sp_alphabet) for Sp; SU and SO read U and O."""
+def _brackets(spec: MonomialSpec) -> tuple:
+    """(kind, split, brackets) of a monomial: each factor u_ij is the
+    degree-one bracket <e_i|u|e_j>, e_a the a-th letter of the group's
+    alphabet, read without building it: a for U and O, the a-th of the
+    split alphabet -1, 1, -2, 2, … (tableaux.sp_alphabet) for Sp, the one
+    split kind; SU and SO read U and O."""
     kind = {"SU": "U", "SO": "O"}.get(spec.group, spec.group)
-    e = (lambda a: ((-1) ** a * ((a + 1) // 2),)) if kind == "Sp" else (lambda a: (a,))
-    return kind, _form_for(kind, n), [(f.conj, [(e(f.row), 1)], [(e(f.col), 1)])
-                                      for f in spec.factors]
+    split = kind == "Sp"
+    e = (lambda a: ((-1) ** a * ((a + 1) // 2),)) if split else (lambda a: (a,))
+    return kind, split, [(f.conj, [(e(f.row), 1)], [(e(f.col), 1)]) for f in spec.factors]
 
 
 def _window(spec: MonomialSpec, n: int) -> Fraction | None:
@@ -644,8 +632,8 @@ def _integral(spec: MonomialSpec, n: int, exact: bool) -> Fraction:
     short = _window(spec, n)
     if short is not None:
         return short
-    kind, form, brackets = _brackets(spec, n)
-    return _bracket_integral(kind, n, form, brackets, exact)
+    kind, split, brackets = _brackets(spec)
+    return _bracket_integral(kind, n, split, brackets, exact)
 
 
 def exact_integral(spec: MonomialSpec, n: int) -> Fraction:

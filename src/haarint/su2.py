@@ -26,7 +26,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .moments import _spec_conj, _spec_factors, _spec_int, _spec_key
+from .moments import _spec_conj, _spec_factors, _spec_key
+from .tableaux import check_int
 from .tensors import CostGateError
 
 __all__ = [
@@ -76,7 +77,7 @@ class Su2MonomialSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Su2MonomialSpec":
-        return cls([Su2Factor(*(_spec_int(_spec_key(f, k), k)
+        return cls([Su2Factor(*(check_int(_spec_key(f, k), k)
                                 for k in ("twice_j", "twice_mp", "twice_m")),
                               _spec_conj(f)) for f in _spec_factors(d)])
 

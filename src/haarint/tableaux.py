@@ -8,13 +8,22 @@ the row-major entry list under that order.
 """
 
 import math
+import numbers
 
 
 Shape = tuple[int, ...]
 
 
+def check_int(value, what: str) -> int:
+    """value as an int: an int or a numpy integer; a float, string or bool
+    (JSON true/false) is refused."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def check_shape(shape) -> Shape:
-    shape = tuple(int(p) for p in shape)
+    shape = tuple(check_int(p, "a shape part") for p in shape)
     if any(p <= 0 for p in shape):
         raise ValueError("shape parts must be positive")
     if any(a < b for a, b in zip(shape, shape[1:])):

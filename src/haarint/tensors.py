@@ -4,13 +4,13 @@ Tensors are sparse maps from index tuples (alphabet letters, see tableaux)
 to int or Fraction coefficients.  The module provides one slot-permutation
 kernel (permute), which applies a single permutation or a whole row-column
 symmetrizer (young_symmetrizer, a read-only {permutation: sign} map), the
-invariant bilinear pairings of the orthogonal and symplectic groups, index
-contraction and expansion, and the split of a tensor into traceless and
-trace parts.
+invariant bilinear pairings of the orthogonal and symplectic groups on
+their split alphabets (tableaux), index contraction and expansion, and the
+split of a tensor into traceless and trace parts.
 
 One exact Gram–Schmidt (gram_schmidt), graded by torus weight (_weight),
 builds the expansion span basis behind the trace part and the module
-bases of irreps: symmetrizing, projecting and a split expansion keep a
+bases of irreps: symmetrizing, projecting and an expansion keep a
 tensor's weight, and tensors of different weights have disjoint supports,
 so the inner products the grading skips are exactly zero.  It is
 fraction-free: it takes int candidates, every vector it holds is a
@@ -45,11 +45,6 @@ class SparseTensor:
     def elementary(cls, index) -> "SparseTensor":
         index = tuple(index)
         return cls(len(index), {index: 1})
-
-    @classmethod
-    def unit(cls) -> "SparseTensor":
-        """The order-0 tensor equal to 1."""
-        return cls(0, {(): 1})
 
     def copy(self) -> "SparseTensor":
         t = SparseTensor(self.order)
@@ -172,34 +167,25 @@ def _young_symmetrizer(shape: tuple) -> types.MappingProxyType:
 
 
 class BilinearForm:
-    """Invariant pairing on V, with the dual-basis data used for expansion.
-
-    kind "orthogonal" covers both realizations of the symmetric form:
-    split=True uses the barred alphabet with omega(i, ibar) = 1, split=False
-    the standard basis with omega = delta.  kind "symplectic" is the skew
+    """Invariant pairing on V, with the dual-basis data used for expansion,
+    on the split alphabet, where the bar of letter x is -x: kind
+    "orthogonal" is the symmetric form with omega(i, ibar) = 1, the middle
+    letter 0 of odd n paired with itself, and kind "symplectic" the skew
     form with omega(ibar, i) = 1 = -omega(i, ibar).
     """
 
-    def __init__(self, kind: str, n: int, split: bool = True):
+    def __init__(self, kind: str, n: int):
         if kind not in ("orthogonal", "symplectic"):
             raise ValueError(f"unknown form kind {kind!r}")
         if n < 1:
             raise ValueError("need n >= 1")
         self.kind = kind
         self.n = n
-        self.split = split or kind == "symplectic"
-        self.dim = 2 * n if kind == "symplectic" else n
-
-    @functools.cached_property
-    def letters(self) -> list:
-        """The alphabet (tableaux), built on first use: a monomial reads its
-        letters by position (moments._brackets) and never builds it."""
-        if self.kind == "symplectic":
-            return tableaux.sp_alphabet(self.n)
-        return tableaux.o_alphabet(self.n) if self.split else tableaux.gl_alphabet(self.n)
+        self.letters = (tableaux.sp_alphabet if kind == "symplectic" else tableaux.o_alphabet)(n)
+        self.dim = len(self.letters)
 
     def bar(self, x: int) -> int:
-        return -x if self.split else x
+        return -x
 
     def pairing(self, x: int, y: int) -> int:
         """omega(e_x, e_y)."""
@@ -219,15 +205,14 @@ class BilinearForm:
         return [(x, self.bar(x), self.dsign(x)) for x in self.letters]
 
     def cache_key(self):
-        return (self.kind, self.n, self.split)
+        return (self.kind, self.n)
 
     def __repr__(self):
-        tag = "split" if self.split else "standard"
-        return f"BilinearForm({self.kind}, n={self.n}, {tag})"
+        return f"BilinearForm({self.kind}, n={self.n})"
 
 
-def orthogonal_form(n: int, split: bool = True) -> BilinearForm:
-    return BilinearForm("orthogonal", n, split)
+def orthogonal_form(n: int) -> BilinearForm:
+    return BilinearForm("orthogonal", n)
 
 
 def symplectic_form(n: int) -> BilinearForm:
@@ -273,7 +258,7 @@ def _weight(idx) -> tuple:
     (+i counts 1, -i counts -1, the letter 0 nothing) as sorted
     (i, count) pairs, zero counts dropped.  On the U alphabet, positive
     letters only, it is the content.  A slot permutation keeps it, and so
-    does an expansion by a split form, which inserts x beside -x."""
+    does an expansion by a form, which inserts x beside -x."""
     net = {}
     for x in idx:
         if x:
@@ -281,14 +266,7 @@ def _weight(idx) -> tuple:
     return tuple(sorted((a, c) for a, c in net.items() if c))
 
 
-def _span_weight(idx, form: BilinearForm | None) -> tuple:
-    # form None is the U alphabet, whose weight is the content; the
-    # standard orthogonal form inserts x beside x, which changes the
-    # content, so its trace span is left ungraded
-    return _weight(idx) if form is None or form.split else ()
-
-
-def gram_schmidt(candidates, form: BilinearForm | None):
+def gram_schmidt(candidates):
     """Orthogonalize (label, tensor) candidates in order, each of one weight,
     read from its first index, against the kept vectors of that weight only,
     and scale each survivor to primitive form, coprime integers; a candidate
@@ -303,7 +281,7 @@ def gram_schmidt(candidates, form: BilinearForm | None):
     item order and has the same primitive form as v <- v - <u,v>/n2 u."""
     kept, by_weight = [], {}
     for label, v in candidates:
-        w = _span_weight(next(iter(v.data), ()), form)
+        w = _weight(next(iter(v.data), ()))
         same = by_weight.setdefault(w, [])
         for u, n2 in same:
             ip = u.inner(v)
@@ -338,12 +316,12 @@ def _trace_span_basis(order: int, key: tuple, weight: tuple) -> list:
         return []
     form = BilinearForm(*key)
     lowers = enumerate(itertools.product(form.letters, repeat=order - 2))
-    lowers = [(k, lower) for k, lower in lowers if _span_weight(lower, form) == weight]
+    lowers = [(k, lower) for k, lower in lowers if _weight(lower) == weight]
     size = len(form.letters) ** (order - 2)
     generators = ((c * size + k, expand(SparseTensor.elementary(lower), i, j, form))
                   for c, (i, j) in enumerate(itertools.combinations(range(order), 2))
                   for k, lower in lowers)
-    return gram_schmidt(generators, form)
+    return gram_schmidt(generators)
 
 
 def _trace_part(t: SparseTensor, form: BilinearForm, weight: tuple | None = None):
@@ -356,7 +334,7 @@ def _trace_part(t: SparseTensor, form: BilinearForm, weight: tuple | None = None
     parts as from the whole span.  weight, where given, is the one weight
     of every index of t."""
     key = form.cache_key()
-    weights = {_span_weight(idx, form) for idx in t.data} if weight is None else {weight}
+    weights = {_weight(idx) for idx in t.data} if weight is None else {weight}
     span = [x for w in weights for x in _trace_span_basis(t.order, key, w)]
     if len(weights) > 1:
         span.sort(key=lambda x: x[0])

@@ -52,7 +52,10 @@ table-read match vectors of moments, and so does the slot-by-slot read
 of a term's slot-pair factors (``pair_factors_by_slots``, on the bit
 layout ``slot_pair_bits``) with one pass over the masks per term
 (``match_vector_by_terms``), which the keyed, term-grouping kernel of
-moments replaced.  Brackets whose column tensors carry one more zero
+moments replaced.  These read a form's letters, bar, dual signs and
+pairing; the O monomials, on the letters 1..N, are read through the
+standard symmetric form (``StandardForm``), which the package, whose O
+forms are split, no longer builds.  Brackets whose column tensors carry one more zero
 term (``pad_columns``) take the two-pass reduce, against which the
 one-pass reduce of diagonal brackets is judged.  The package holds the U basis as
 output-input pairings; ``as_permutation`` reads each back as the slot
@@ -60,8 +63,8 @@ permutation it is, so the U entry rule, the N^cycles Gram
 (``gram_from_loops``) and the permutation enumeration of
 ``brute_leading`` (``inverse``, ``all_permutations``) stay permutation
 judges.  The tensor product of sparse tensors (``tensor_product``) and
-the total box count of an irrep spec (``total_weight``) are test-only
-too.
+the total box count of an irrep spec (``total_weight``) and the order-0
+unit tensor (``unit_tensor``) are test-only too.
 
 Last, it keeps the SU(2) closed form by full term enumeration
 (``su2_integral_closed_enumerated``): one product per choice of a term
@@ -413,7 +416,28 @@ def as_permutation(pairing) -> tuple:
     return tuple(p)
 
 
-def materialize_brauer(pairing, form: tensors.BilinearForm) -> dict:
+class StandardForm:
+    """The symmetric form on the standard alphabet 1..n, which the package
+    does not build (its O forms are split): the bar is the identity, every
+    dual sign is 1 and the pairing is δ.  The oracles read O monomials,
+    whose letters are 1..n, through it, as the kernel does with its split
+    flag off."""
+    kind = "orthogonal"
+
+    def __init__(self, n: int):
+        self.letters = list(range(1, n + 1))
+
+    def bar(self, x: int) -> int:
+        return x
+
+    def dsign(self, x: int) -> int:
+        return 1
+
+    def pairing(self, x: int, y: int) -> int:
+        return int(x == y)
+
+
+def materialize_brauer(pairing, form) -> dict:
     """Full sparse matrix {(rows, cols): entry} of the pairing operator;
     reference for the entry rule and the loop-count Gram."""
     q = len(pairing)
@@ -446,7 +470,7 @@ def materialize_brauer(pairing, form: tensors.BilinearForm) -> dict:
     return {rc: v for rc, v in out.items() if v}
 
 
-def brauer_entry(pairing, row_letters, col_letters, form: tensors.BilinearForm) -> int:
+def brauer_entry(pairing, row_letters, col_letters, form) -> int:
     """Matrix entry of the pairing operator between letter tuples, one pair
     at a time.
 
@@ -507,7 +531,7 @@ def slot_pair_bits(q: int) -> dict:
     return {pair: 1 << k for k, pair in enumerate(pairs)}
 
 
-def pair_factors_by_slots(left, right, form: tensors.BilinearForm) -> tuple:
+def pair_factors_by_slots(left, right, form) -> tuple:
     """moments._pair_factors slot by slot: for every slot a, each later
     slot b whose key is the bar of a's, with the factor's sign read from
     the rule of the two slots' kinds.
@@ -536,7 +560,7 @@ def pair_factors_by_slots(left, right, form: tensors.BilinearForm) -> tuple:
     return live, minus
 
 
-def match_vector_by_terms(masks, form: tensors.BilinearForm, terms) -> list:
+def match_vector_by_terms(masks, form, terms) -> list:
     """moments._match_vector one pass over the masks per term, without
     grouping the terms by their factors (pair_factors_by_slots): a pairing
     with a pair outside live has entry 0, any other (-1)^(its pairs in
@@ -645,7 +669,7 @@ def gram_from_operators(kind: str, q: int, n: int) -> list:
         raise ValueError("need n >= 1")
     if kind == "U":
         return _unitary_gram(q, n)
-    form = moments._form_for(kind, n)
+    form = tensors.symplectic_form(n) if kind == "Sp" else StandardForm(n)
     mats = [materialize_brauer(p, form) for p in moments.type_table(kind, q).elements]
     out = []
     for ma in mats:
@@ -726,7 +750,7 @@ def trace_span_by_weights(order: int, key: tuple) -> list:
     """The package's trace-span vectors of every weight of the expanded
     lower tensors, in label order: the whole span."""
     form = tensors.BilinearForm(*key)
-    weights = {tensors._span_weight(lower, form)
+    weights = {tensors._weight(lower)
                for lower in itertools.product(form.letters, repeat=order - 2)}
     return sorted((x for w in weights for x in tensors._trace_span_basis(order, key, w)),
                   key=lambda x: x[0])
@@ -740,6 +764,11 @@ def traceless_project_ungraded(t, form):
         if coef:
             t1 = t1 + coef * u
     return t - t1, t1
+
+
+def unit_tensor() -> tensors.SparseTensor:
+    """The order-0 tensor equal to 1."""
+    return tensors.SparseTensor(0, {(): 1})
 
 
 def tensor_product(a, b) -> tensors.SparseTensor:

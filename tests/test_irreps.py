@@ -73,6 +73,30 @@ def test_spec_validation():
     assert total_weight(s) == 3
 
 
+def test_rep_factor_refuses_non_integer_entries():
+    # a float entry once reached the basis lookup (TypeError) or a numpy
+    # index (IndexError); numpy integers are integers and pass as ints
+    with pytest.raises(ValueError, match="row must be an integer"):
+        RepFactor((2,), 1.0, 1)
+    with pytest.raises(ValueError, match="col must be an integer"):
+        RepFactor((2,), 1, True)
+    f = RepFactor((2,), np.int64(2), np.int32(1))
+    assert (f.row, f.col) == (2, 1) and type(f.row) is type(f.col) is int
+    spec = RepMatrixElementSpec("U", 3, [f, RepFactor((2,), 2, 1, True)])
+    assert integrate_irrep_exact(spec) == integrate_irrep_exact(
+        rep_spec("U", 3, ((2,), 2, 1, False), ((2,), 2, 1, True)))
+
+
+def test_rep_spec_refuses_a_non_integer_dimension():
+    # N = 3.7 once ran silently at N = 3
+    with pytest.raises(ValueError, match="N must be an integer"):
+        RepMatrixElementSpec("U", 3.7, [((1,), 1, 1, False)])
+    with pytest.raises(ValueError, match="N must be an integer"):
+        RepMatrixElementSpec("U", "3", [((1,), 1, 1, False)])
+    spec = RepMatrixElementSpec("U", np.int64(3), [((1,), 1, 1, False)])
+    assert spec.n == 3 and type(spec.n) is int
+
+
 def test_spec_json_roundtrip():
     s = rep_spec("Sp", 2, ((2, 1), 1, 3, False), ((1,), 2, 2, True))
     d = s.to_dict()
@@ -220,7 +244,7 @@ def _full_basis_value(spec, bases, exact):
     brackets = [(f.conj, b.vectors[f.row - 1].data.items(), b.vectors[f.col - 1].data.items())
                 for f, b in zip(spec.factors, bases)]
     return irreps._finish(moments._bracket_integral(
-        spec.group, spec.n, bases[0].form, brackets, exact), norms)
+        spec.group, spec.n, spec.group != "U", brackets, exact), norms)
 
 
 @pytest.mark.parametrize("group,lam,n", [("Sp", (2, 1), 4), ("U", (2, 1), 7)])
@@ -261,9 +285,9 @@ def _cold_build(group, lam, n, patch):
     seen = []
     real = tensors.gram_schmidt
 
-    def recording(candidates, form):
+    def recording(candidates):
         candidates = list(candidates)
-        kept = real(candidates, form)
+        kept = real(candidates)
         seen.append((candidates, kept))
         return kept
 
@@ -367,7 +391,7 @@ def test_reduce_reuses_the_row_vector_on_diagonal_factors(spec, diagonal, monkey
     # a product of diagonal matrix elements builds one match vector, and
     # the same brackets with a zero term padded onto each column tensor
     # give the same two vectors in two passes
-    form, brackets, _ = irreps._brackets(spec)
+    split, brackets, _ = irreps._brackets(spec)
     calls = []
     match_vector = moments._match_vector
 
@@ -376,9 +400,9 @@ def test_reduce_reuses_the_row_vector_on_diagonal_factors(spec, diagonal, monkey
         return match_vector(*args)
 
     monkeypatch.setattr(moments, "_match_vector", counting)
-    reduced = moments._reduce(spec.group, form, brackets, exact=True)
+    reduced = moments._reduce(spec.group, split, brackets, exact=True)
     assert len(calls) == (1 if diagonal else 2)
-    assert moments._reduce(spec.group, form, pad_columns(brackets), exact=True) == reduced
+    assert moments._reduce(spec.group, split, pad_columns(brackets), exact=True) == reduced
     assert len(calls) == (3 if diagonal else 4)
 
 
@@ -388,10 +412,10 @@ def test_reduce_reuses_the_row_vector_on_diagonal_factors(spec, diagonal, monkey
     schur_spec("Sp", 2, (2, 1), 3, 7), schur_spec("Sp", 1, (3,), 2, 3),
 ])
 def test_match_vectors_are_int(spec):
-    form, brackets, norms = irreps._brackets(spec)
+    split, brackets, norms = irreps._brackets(spec)
     assert type(norms) is int
     assert all(type(c) is int for _, rows, cols in brackets for _, c in [*rows, *cols])
-    reduced = moments._reduce(spec.group, form, brackets, exact=True)
+    reduced = moments._reduce(spec.group, split, brackets, exact=True)
     assert not isinstance(reduced, Fraction)  # the vectors are built
     _, _, r_vec, c_vec = reduced
     assert any(r_vec) and any(c_vec)
@@ -544,8 +568,8 @@ def _dense_weights(group, q, n):
 def _dense_value(spec):
     """The same match vectors contracted with the dense Weingarten matrix
     of the materialized Gram."""
-    form, brackets, norms = irreps._brackets(spec)
-    reduced = moments._reduce(spec.group, form, brackets, exact=True)
+    split, brackets, norms = irreps._brackets(spec)
+    reduced = moments._reduce(spec.group, split, brackets, exact=True)
     if isinstance(reduced, Fraction):
         return irreps._finish(reduced, norms)
     group, q, r_vec, c_vec = reduced

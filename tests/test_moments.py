@@ -34,6 +34,7 @@ from haarint.moments import (
 )
 from haarint.tensors import orthogonal_form, symplectic_form
 from helpers import (
+    StandardForm,
     as_permutation,
     brauer_entry,
     brute_leading,
@@ -98,7 +99,7 @@ def test_degree_cap():
 # pairing operators
 
 def test_identity_pairing_is_identity():
-    for form in (orthogonal_form(3, split=False), symplectic_form(2)):
+    for form in (StandardForm(3), symplectic_form(2)):
         mat = materialize_brauer(((1, 2), (3, 4)), form)
         letters = form.letters
         for a in letters:
@@ -108,7 +109,7 @@ def test_identity_pairing_is_identity():
 
 
 def test_entry_rule_orthogonal():
-    form = orthogonal_form(3, split=False)
+    form = StandardForm(3)
     cross = ((1, 3), (2, 4))  # outputs paired, inputs paired
     assert brauer_entry(cross, (1, 1), (2, 2), form) == 1
     assert brauer_entry(cross, (1, 2), (2, 2), form) == 0
@@ -130,7 +131,7 @@ def test_entry_rule_symplectic_signs():
 
 
 def test_materialized_entries_are_signs():
-    for form in (orthogonal_form(2, split=False), symplectic_form(2)):
+    for form in (StandardForm(2), symplectic_form(2)):
         for p in all_pairings(4):
             for v in materialize_brauer(p, form).values():
                 assert v in (1, -1)
@@ -145,8 +146,9 @@ def test_materialize_matches_entry_rule():
                 assert mat.get((r, c), 0) == brauer_entry(p, r, c, form)
 
 
-MATCH_FORMS = {"U": lambda n: None, "O": lambda n: orthogonal_form(n, split=False),
-               "O split": orthogonal_form, "Sp": symplectic_form}
+# kind -> (the oracle's form at n, the kernel's split flag); Sp is the skew kind
+MATCH_FORMS = {"U": (lambda n: None, False), "O": (StandardForm, False),
+               "O split": (orthogonal_form, True), "Sp": (symplectic_form, True)}
 
 
 @settings(max_examples=150, deadline=None)
@@ -156,12 +158,13 @@ def test_match_vector_is_the_entry_rule(data):
     # the U, O (standard and split alphabets) and Sp bases up to q = 4 and
     # the leading-only q = 5: letters repeat and are barred, tensors have
     # one or more terms, and a term's negation may cancel it
-    # (the kernel reads U through the standard form, the oracle keeps the
+    # (the kernel reads U with the split flag off, the oracle keeps the
     # slot permutation test)
     kind = data.draw(st.sampled_from(sorted(MATCH_FORMS)))
     q = data.draw(st.integers(1, 5))
     n = data.draw(st.integers(1, 3))
-    form = MATCH_FORMS[kind](n)
+    make_form, split = MATCH_FORMS[kind]
+    form = make_form(n)
     letters = list(range(1, n + 1)) if form is None else form.letters
     group = kind.split()[0]
     masks = moments._elements(group, q, exact=q <= moments.DEGREE_CAP)
@@ -172,29 +175,31 @@ def test_match_vector_is_the_entry_rule(data):
     if data.draw(st.booleans()):
         left, right, c = data.draw(st.sampled_from(terms))
         terms.append((left, right, -c))
-    got = moments._match_vector(masks, form or moments._form_for("U", n), terms)
+    got = moments._match_vector(masks, split, kind == "Sp", terms)
     assert got == match_vector_by_entries(elements, form, terms)
     assert all(type(x) is int for x in got)
 
 
-KERNEL_FORMS = {"U": lambda n: moments._form_for("U", n),
-                "O": lambda n: orthogonal_form(n, split=False),
-                "O split": lambda n: orthogonal_form(2 * n - 1),
-                "Sp": symplectic_form}
+# kind -> (the oracle's form at n, the kernel's split flag), as MATCH_FORMS
+KERNEL_FORMS = {"U": (StandardForm, False), "O": (StandardForm, False),
+                "O split": (lambda n: orthogonal_form(2 * n - 1), True),
+                "Sp": (symplectic_form, True)}
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_keyed_kernel_is_the_slot_by_slot_read(data):
     # the keyed slot-pair factors and the term-grouping match vectors
-    # against the slot-by-slot read with one pass per term, on U (read
-    # through the standard form), standard O, split O at odd N (whose
-    # alphabet has the self-barred letter 0) and Sp up to q = 4; the
-    # tensors repeat terms and relabel them by letter permutations that
-    # keep bar and the dual signs, so terms share their factors
+    # against the slot-by-slot read with one pass per term, on U and O
+    # (read through the standard form), split O at odd N (whose alphabet
+    # has the self-barred letter 0) and Sp up to q = 4; the tensors repeat
+    # terms and relabel them by letter permutations that keep bar and the
+    # dual signs, so terms share their factors
     kind = data.draw(st.sampled_from(sorted(KERNEL_FORMS)))
     q = data.draw(st.integers(1, moments.DEGREE_CAP))
-    form = KERNEL_FORMS[kind](data.draw(st.integers(1, 3)))
+    make_form, split = KERNEL_FORMS[kind]
+    form = make_form(data.draw(st.integers(1, 3)))
+    skew = kind == "Sp"
     table = moments.type_table(kind.split()[0], q)
     bits = moments._slot_pair_table(q)[0]
     assert {pair: bits[pair[0]][pair[1]] for pair in slot_pair_bits(q)} == slot_pair_bits(q)
@@ -209,9 +214,9 @@ def test_keyed_kernel_is_the_slot_by_slot_read(data):
         relabel = lambda w: tuple(x and (image[x] if x > 0 else -image[-x]) for x in w)
         terms.append((relabel(left), relabel(right), data.draw(coeff)))
     for left, right, _ in terms:
-        assert moments._pair_factors(left, right, form) == \
+        assert moments._pair_factors(left, right, split, skew) == \
             pair_factors_by_slots(left, right, form)
-    got = moments._match_vector(table.masks, form, terms)
+    got = moments._match_vector(table.masks, split, skew, terms)
     assert got == match_vector_by_terms(table.masks, form, terms)
     assert all(type(x) is int for x in got)
 
@@ -228,7 +233,7 @@ def test_reduce_reuses_the_row_vector(group, n, factors, monkeypatch):
     # vector serves both sides; the same brackets with a zero term padded
     # onto each column tensor take two passes and give the same vectors,
     # and so the same value
-    kind, form, brackets = moments._brackets(spec(group, *factors), n)
+    kind, split, brackets = moments._brackets(spec(group, *factors))
     calls = []
     match_vector = moments._match_vector
 
@@ -237,14 +242,14 @@ def test_reduce_reuses_the_row_vector(group, n, factors, monkeypatch):
         return match_vector(*args)
 
     monkeypatch.setattr(moments, "_match_vector", counting)
-    reduced = moments._reduce(kind, form, brackets, exact=True)
+    reduced = moments._reduce(kind, split, brackets, exact=True)
     diagonal = all(f[0] == f[1] for f in factors)
     assert len(calls) == (1 if diagonal else 2)
     padded = pad_columns(brackets)
-    assert moments._reduce(kind, form, padded, exact=True) == reduced
+    assert moments._reduce(kind, split, padded, exact=True) == reduced
     assert len(calls) == (3 if diagonal else 4)
-    value = moments._bracket_integral(kind, n, form, brackets, True)
-    assert value == moments._bracket_integral(kind, n, form, padded, True)
+    value = moments._bracket_integral(kind, n, split, brackets, True)
+    assert value == moments._bracket_integral(kind, n, split, padded, True)
     assert value == _dense_value(spec(group, *factors), n)
 
 
@@ -270,7 +275,7 @@ def test_pairing_operators_commute_with_tensor_action(group, n):
     # the defining property of the span: a sampled group element, embedded
     # with interleaved letters in the symplectic case, must commute with
     # every pairing operator
-    form = symplectic_form(n) if group == "Sp" else orthogonal_form(n, split=False)
+    form = symplectic_form(n) if group == "Sp" else StandardForm(n)
     u = sampling.sample_group(group, n, sampling.RngStream(911)).matrix
     uu = np.kron(u, u)
     for p in all_pairings(4):
@@ -445,7 +450,7 @@ def _dense_weights(group, q, n):
 
 
 def _dense_value(spec, n):
-    reduced = moments._reduce(*moments._brackets(spec, n), exact=True)
+    reduced = moments._reduce(*moments._brackets(spec), exact=True)
     if isinstance(reduced, Fraction):
         return reduced
     group, q, r_vec, c_vec = reduced
@@ -714,15 +719,28 @@ def test_monomial_letters_need_no_alphabet():
     # a monomial reads its letters by position, so no alphabet of N letters
     # is built: 10^9 letters would take tens of GB
     for n in range(1, 5):
-        _, form, brackets = moments._brackets(
-            spec("Sp", *[(a, a) for a in range(1, 2 * n + 1)]), n)
-        assert [b[1][0][0][0] for b in brackets] == tableaux.sp_alphabet(n) == form.letters
+        _, split, brackets = moments._brackets(
+            spec("Sp", *[(a, a) for a in range(1, 2 * n + 1)]))
+        assert split and [b[1][0][0][0] for b in brackets] == tableaux.sp_alphabet(n)
     start = time.perf_counter()
     big = 10 ** 9
     assert exact_integral(spec("O", (1, 1), (1, 1)), big) == Fraction(1, big)
     assert exact_integral(spec("O", (1, 1)), big) == 0
     assert asymptotic_leading(spec("Sp", (1, 1), (1, 1, True)), big) == Fraction(1, 2 * big)
     assert time.perf_counter() - start < 0.5
+
+
+def test_monomial_factors_refuse_non_integer_indices():
+    # a float index once gave 1/2 exact and a numpy IndexError in Monte
+    # Carlo; numpy integers are integers and pass as ints
+    with pytest.raises(ValueError, match="row must be an integer"):
+        MonomialSpec("U", [(1.0, 1), (1.0, 1, True)])
+    with pytest.raises(ValueError, match="col must be an integer"):
+        MonomialSpec("U", [(1, "1")])
+    s = MonomialSpec("U", [(np.int64(1), np.int32(1)), (1, 1, True)])
+    assert all(type(x) is int for f in s.factors for x in (f.row, f.col))
+    assert exact_integral(s, 2) == Fraction(1, 2)
+    assert s == spec("U", (1, 1), (1, 1, True))
 
 
 def test_index_validation():

@@ -39,22 +39,24 @@ def _public_definitions(node) -> list:
 def _unread(trees: dict, definitions) -> list:
     """module:name for each (name, defining node) that definitions finds
     in a module body with no reference anywhere in trees outside that
-    node; a Class.name member is referenced as the attribute name."""
-    refs = []  # (module, line, name)
+    node; a Class.name member is referenced only as an attribute (x.name),
+    a module-level name also as a bare name."""
+    refs = []  # (module, line, name, whether an attribute)
     for module, tree in trees.items():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                refs.append((module, node.lineno, node.id))
+                refs.append((module, node.lineno, node.id, False))
             elif isinstance(node, ast.Attribute):
-                refs.append((module, node.lineno, node.attr))
+                refs.append((module, node.lineno, node.attr, True))
     unused = []
     for module, tree in trees.items():
         for node in tree.body:
             for name, where in definitions(node):
+                member = "." in name
                 attr = name.split(".")[-1]
-                if not any(ref == attr and not (
+                if not any(ref == attr and (is_attr or not member) and not (
                         at == module and where.lineno <= line <= where.end_lineno)
-                        for at, line, ref in refs):
+                        for at, line, ref, is_attr in refs):
                     unused.append(f"{module}:{name}")
     return unused
 
@@ -103,8 +105,11 @@ def _append_method(tree, cls: str, source: str):
 
 def test_public_check_flags_test_only_code():
     # the check above on a package that still carries a test-only slot
-    # permutation, matrix product and tensor product method
+    # permutation, matrix product and tensor product method; a bare name
+    # that spells the method (here in an f-string) does not read it
     trees = _package_trees()
+    _append(trees["entropy.py"], "def _label(tensor):\n"
+                                 "    return f'{tensor}'\n")
     _append(trees["tensors.py"], "def apply_permutation(p, t):\n"
                                  "    return permute({p: 1}, t)\n")
     _append(trees["perms.py"], "def mat_mul(a, b):\n"

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -32,6 +33,15 @@ def test_conjugate():
     assert tableaux.conjugate((3, 1)) == (2, 1, 1)
     assert tableaux.conjugate((2, 2)) == (2, 2)
     assert tableaux.conjugate((1, 1, 1)) == (3,)
+
+
+def test_shape_parts_must_be_integers():
+    # a float part was once truncated: [2.7, 1] read as (2, 1)
+    for bad in ([2.7, 1], [2, 1.0], ["2"], [True]):
+        with pytest.raises(ValueError, match="shape part must be an integer"):
+            tableaux.check_shape(bad)
+    shape = tableaux.check_shape([np.int64(2), np.int32(1)])
+    assert shape == (2, 1) and all(type(p) is int for p in shape)
 
 
 def test_alphabets():

@@ -9,7 +9,7 @@ import hypothesis.strategies as st
 from haarint import perms, tableaux, tensors
 from haarint.tableaux import Tableau
 from haarint.tensors import (
-    BilinearForm, CostGateError, SparseTensor, contract, expand,
+    CostGateError, SparseTensor, contract, expand,
     gram_schmidt, orthogonal_form, permute, symplectic_form, traceless_project,
 )
 
@@ -18,7 +18,7 @@ from helpers import (
     gl_module_dimension_oracle, gram_schmidt_ungraded, inverse, isotypic_projector,
     module_dimension_oracle, normalization_squared, symmetrize_by_definition,
     symmetrized, tensor_product, trace_span_basis_ungraded, trace_span_by_weights,
-    traceless_project_ungraded, young_constant_mu,
+    traceless_project_ungraded, unit_tensor, young_constant_mu,
 )
 
 
@@ -159,10 +159,6 @@ def test_pairing_tables():
     assert f.pairing(1, -1) == 1
     assert f.pairing(-1, 1) == 1
     assert f.pairing(1, 1) == 0
-    g = orthogonal_form(2, split=False)
-    assert g.letters == [1, 2]
-    assert g.pairing(1, 1) == 1
-    assert g.pairing(1, 2) == 0
     h = symplectic_form(2)
     assert h.pairing(-1, 1) == 1
     assert h.pairing(1, -1) == -1
@@ -173,20 +169,19 @@ def test_pairing_tables():
 def test_contract_known_values():
     h = symplectic_form(1)
     t = e(-1, 1) - e(1, -1)
-    assert contract(t, 0, 1, h) == 2 * SparseTensor.unit()
+    assert contract(t, 0, 1, h) == 2 * unit_tensor()
     f = orthogonal_form(2)
-    assert contract(e(-1, 1), 0, 1, f) == SparseTensor.unit()
+    assert contract(e(-1, 1), 0, 1, f) == unit_tensor()
     assert contract(e(1, 1), 0, 1, f).is_zero()
 
 
 def test_expand_known_values():
     f = orthogonal_form(2)
-    t = expand(SparseTensor.unit(), 0, 1, f)
+    t = expand(unit_tensor(), 0, 1, f)
     assert t == e(-1, 1) + e(1, -1)
 
 
 @pytest.mark.parametrize("form", [orthogonal_form(2), orthogonal_form(3),
-                                  orthogonal_form(2, split=False),
                                   symplectic_form(1), symplectic_form(2)])
 def test_contract_expand_traces_dimension(form):
     base = e(*([form.letters[0]] * 2))
@@ -229,12 +224,12 @@ def test_weight_is_net_count_with_zeros_dropped():
 
 
 def test_gram_schmidt_drops_and_grades():
-    # U content grading (form None): (1,2) and (2,1) share a weight, (1,1)
+    # U content grading: (1,2) and (2,1) share a weight, (1,1)
     # has its own; zero and dependent candidates are dropped
     candidates = [("a", e(1, 2) + e(2, 1)), ("zero", SparseTensor(2)),
                   ("b", 2 * e(1, 2)), ("c", 3 * e(1, 1)),
                   ("dep", 2 * e(1, 2) - 12 * e(2, 1)), ("d", e(2, 1))]
-    kept = gram_schmidt(candidates, None)
+    kept = gram_schmidt(candidates)
     assert len(kept) == len(candidates) - 3
     assert [label for label, *_ in kept] == ["a", "b", "c"]
     assert [w for _, w, _, _ in kept] == [((1, 1), (2, 1))] * 2 + [((1, 2),)]
@@ -299,7 +294,7 @@ def test_fraction_free_gram_schmidt_is_the_rational_one(candidates):
 
     scaled = [(label, integral(t)) for label, t in candidates]
     before = [list(t.data.items()) for _, t in scaled]
-    kept = gram_schmidt(scaled, None)
+    kept = gram_schmidt(scaled)
     vectors, norms2, labels, dropped_ref = gram_schmidt_ungraded(candidates)
     assert [list(t.data.items()) for _, t in scaled] == before
     assert [label for label, *_ in kept] == labels
@@ -312,22 +307,21 @@ def test_fraction_free_gram_schmidt_is_the_rational_one(candidates):
 
 
 @pytest.mark.parametrize("order,key", [
-    (2, ("orthogonal", 3, True)), (3, ("orthogonal", 2, True)),
-    (3, ("orthogonal", 3, True)), (3, ("symplectic", 2, True)),
-    (4, ("symplectic", 1, True)), (3, ("orthogonal", 3, False)),
+    (2, ("orthogonal", 3)), (3, ("orthogonal", 2)),
+    (3, ("orthogonal", 3)), (3, ("symplectic", 2)),
+    (4, ("symplectic", 1)),
 ])
 def test_trace_span_basis_spans_the_ungraded_one(order, key):
     graded = trace_span_by_weights(order, key)
     assert len(graded) == len(trace_span_basis_ungraded(order, key))
     for i, (_, w, u, _) in enumerate(graded):
-        assert all(tensors._span_weight(idx, BilinearForm(*key)) == w for idx in u.data)
+        assert all(tensors._weight(idx) == w for idx in u.data)
         assert all(u.inner(v) == 0 for _, _, v, _ in graded[i + 1:])
 
 
-# split O(1..5), odd N with the letter 0; Sp(1..3); the ungraded standard form
+# O(1..5), odd N with the letter 0; Sp(1..3)
 GRADED_FORMS = ([orthogonal_form(n) for n in range(1, 6)]
-                + [symplectic_form(n) for n in range(1, 4)]
-                + [orthogonal_form(n, split=False) for n in (2, 3)])
+                + [symplectic_form(n) for n in range(1, 4)])
 
 
 def _cancelling_index(data, form, order):
