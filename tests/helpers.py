@@ -426,6 +426,7 @@ class StandardForm:
 
     def __init__(self, n: int):
         self.letters = list(range(1, n + 1))
+        self.dim = n
 
     def bar(self, x: int) -> int:
         return x
@@ -435,6 +436,9 @@ class StandardForm:
 
     def pairing(self, x: int, y: int) -> int:
         return int(x == y)
+
+    def dual_pairs(self):
+        return [(x, x, 1) for x in self.letters]
 
 
 def materialize_brauer(pairing, form) -> dict:

@@ -14,7 +14,7 @@ from haarint.tensors import (
 )
 
 from helpers import (
-    TensorOperator, algebra_product, central_symmetrizer,
+    StandardForm, TensorOperator, algebra_product, central_symmetrizer,
     gl_module_dimension_oracle, gram_schmidt_ungraded, inverse, isotypic_projector,
     module_dimension_oracle, normalization_squared, symmetrize_by_definition,
     symmetrized, tensor_product, trace_span_basis_ungraded, trace_span_by_weights,
@@ -181,7 +181,7 @@ def test_expand_known_values():
     assert t == e(-1, 1) + e(1, -1)
 
 
-@pytest.mark.parametrize("form", [orthogonal_form(2), orthogonal_form(3),
+@pytest.mark.parametrize("form", [orthogonal_form(2), orthogonal_form(3), StandardForm(2),
                                   symplectic_form(1), symplectic_form(2)])
 def test_contract_expand_traces_dimension(form):
     base = e(*([form.letters[0]] * 2))
