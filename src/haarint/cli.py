@@ -36,6 +36,10 @@ EXIT_ASSERT = 4
 # quadrature
 SAMPLE_CAP = 10 ** 6
 
+# bits of the products a `tableaux` gate may multiply out for the module
+# dimension (tableaux.gl_dimension_bits): about 0.4 s on a 2-core host
+DIMENSION_BITS = 2 ** 20
+
 
 def _decimal_digits(k: int) -> int:
     """Decimal digits of |k|, without converting it to a string."""
@@ -44,7 +48,7 @@ def _decimal_digits(k: int) -> int:
     return d + 1 if k >= 10 ** d else d
 
 
-def _check_digits(what: str, x: Fraction):
+def _check_digits(what: str, x: Fraction | int):
     """Refuse a value whose numerator or denominator has more decimal
     digits than str() may print (sys.get_int_max_str_digits, 0: no limit)."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 3.10.7+
@@ -145,13 +149,32 @@ def _parse_factors(text: str):
 # ---------------------------------------------------------------------------
 # subcommands
 
+def _gate_tableaux(shape, letters: int):
+    """Refuse, before any enumeration, a listing of more than SAMPLE_CAP
+    tableau entries: the semistandard fillings over the letters, whose
+    number is the GL dimension, of weight(shape) entries each; O and Sp
+    filter the fillings of their N (Sp: 2N) letters.  Where that dimension
+    costs more than DIMENSION_BITS to multiply out, the shape, less its
+    full columns, is not empty, so the module is not a power of the
+    determinant and has at least as many dimensions as letters: that
+    bound refuses.  A count str() cannot print is refused by its digits."""
+    m = tableaux.weight(shape)
+    low = letters * m
+    if low > SAMPLE_CAP and tableaux.gl_dimension_bits(shape, letters) > DIMENSION_BITS:
+        _check_digits("tableaux: tableau entries", low)
+        raise CostGateError(
+            f"tableaux: at least {letters} x {m} = {low} tableau entries "
+            f"(the exact count takes over {DIMENSION_BITS} bits); capped at {SAMPLE_CAP}")
+    count = tableaux.gl_dimension(shape, letters)
+    if count * m > SAMPLE_CAP:
+        _check_digits("tableaux: tableau entries", count * m)
+    sampling.check_cost("tableaux", count, m, SAMPLE_CAP, "tableau entries")
+    sampling.check_cost("tableaux", 1, letters, SAMPLE_CAP, "alphabet letters")
+
+
 def cmd_tableaux(args) -> list:
     shape = tableaux.check_group_shape(args.group, _parse_shape(args.shape), args.N)
-    # O and Sp filter the semistandard fillings of their N (Sp: 2N) letters
-    letters = 2 * args.N if args.group == "Sp" else args.N
-    sampling.check_cost("tableaux", tableaux.gl_dimension(shape, letters),
-                        tableaux.weight(shape), SAMPLE_CAP, "tableau entries")
-    sampling.check_cost("tableaux", 1, letters, SAMPLE_CAP, "alphabet letters")
+    _gate_tableaux(shape, 2 * args.N if args.group == "Sp" else args.N)
     if args.group == "GL":
         listing = tableaux.enumerate_gl_tableaux(shape, args.N)
     elif args.group == "O":
@@ -374,6 +397,8 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
     try:
+        if args.threads < 1:
+            raise ValueError(f"--threads must be at least 1, got {args.threads}")
         records = args.func(args)
     except CostGateError as e:
         print(f"cost gate: {e}", file=sys.stderr)

@@ -141,7 +141,10 @@ def _module_index(group: str, lam: tuple, n: int) -> ModuleIndex:
     return ModuleIndex(tuple(words), weights, tuple(slots), by_weight, form)
 
 
-@functools.lru_cache(maxsize=1024)
+# a module the build gate admits has at most BUILD_CAP fillings (its work
+# counts them), so at most that many weights: no build evicts its own
+# weight spaces, and the spaces of one request's modules all stay cached
+@functools.lru_cache(maxsize=BUILD_CAP)
 def _weight_space(group: str, lam: tuple, n: int, weight: tuple) -> list:
     """The kept (word, weight, vector, norm²) of gram_schmidt over the
     fillings of one weight, in order: each filling's symmetrized tensor,

@@ -151,6 +151,7 @@ def evaluate_monomial(spec: MonomialSpec, matrix) -> complex | np.ndarray:
 def integrate_monomial_mc(spec: MonomialSpec, n: int, samples: int, seed: int):
     """Monte Carlo estimate of the monomial's integral over stacked Haar
     draws (sampling.mc_expectation), refused past sampling.MC_CAP."""
+    n = tableaux.check_int(n, "N")
     spec.validate(n)  # a negative index would wrap instead of failing
     d = sampling.dimension(spec.group, n)
     sampling.check_cost("Monte Carlo", samples, 1 + d * d, sampling.MC_CAP)
@@ -626,6 +627,7 @@ def _window(spec: MonomialSpec, n: int) -> Fraction | None:
 
 
 def _integral(spec: MonomialSpec, n: int, exact: bool) -> Fraction:
+    n = tableaux.check_int(n, "N")
     if n < 1:
         raise ValueError("need n >= 1")
     spec.validate(n)

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tableaux import check_int
 from .tensors import CostGateError
 
 # samples per stacked draw: enough to amortize the per-call overhead, few
@@ -211,6 +212,7 @@ def mc_expectation(draw, samples: int, seed: int) -> McEstimate:
     reduced with numpy's pairwise mean, so the estimate depends only on
     (seed, samples).
     """
+    samples, seed = check_int(samples, "samples"), check_int(seed, "seed")
     if samples < 2:
         raise ValueError("need at least 2 samples")
     vals = np.empty(samples, dtype=complex)

@@ -57,6 +57,8 @@ class Su2Factor:
     conj: bool = False
 
     def __post_init__(self):
+        for name in ("twice_j", "twice_mp", "twice_m"):
+            object.__setattr__(self, name, check_int(getattr(self, name), name))
         _check_triple(self.twice_j, self.twice_mp, self.twice_m)
 
 

@@ -7,6 +7,8 @@ group fixes a total order on its alphabet; enumeration is lexicographic on
 the row-major entry list under that order.
 """
 
+import bisect
+import itertools
 import math
 import numbers
 
@@ -37,9 +39,13 @@ def weight(shape) -> int:
 
 def conjugate(shape) -> Shape:
     shape = check_shape(shape)
-    if not shape:
-        return ()
-    return tuple(sum(1 for p in shape if p > j) for j in range(shape[0]))
+    cols = []
+    height = len(shape)  # the rows longer than column j
+    for j in range(shape[0] if shape else 0):
+        while shape[height - 1] <= j:
+            height -= 1
+        cols.append(height)
+    return tuple(cols)
 
 
 def gl_alphabet(n: int) -> list[int]:
@@ -107,37 +113,54 @@ class Tableau:
         return f"Tableau[{body}]"
 
 
-def _semistandard_fillings(shape: Shape, alphabet: list[int], row_floor=lambda r: 0):
+def _semistandard_fillings(shape: Shape, alphabet: list[int], row_floor: int = 0):
     """Row-weak, column-strict fillings as row-major entry tuples,
     lexicographic in alphabet position, whose row r (0-based) holds no
-    letter before position row_floor(r)."""
-    pos = {letter: k for k, letter in enumerate(alphabet)}
-    if len(pos) != len(alphabet):
+    letter before position row_floor * r.
+
+    One loop over the cells, with no recursion: the cells after the last
+    one advanced take their least letters, and a cell never takes a letter
+    that leaves too few later letters for the cells below it in its
+    column.  So with the floors of the U, O and Sp families (0, and 2 for
+    Sp's 2n letters and at most n rows) no branch is entered that no
+    filling completes, and the walk costs O(cells) per filling."""
+    size = len(alphabet)
+    if len(set(alphabet)) != size:
         raise ValueError("alphabet letters must be distinct")
-    # per cell, its row and the word positions of its left and upper
-    # neighbours (-1 where there is none)
+    cols = conjugate(shape)
+    # per cell: the word positions of its left and upper neighbours (-1
+    # where there is none), and its least and greatest alphabet position
     cells = []
     for r, row_len in enumerate(shape):
         for c in range(row_len):
             k = len(cells)
-            cells.append((r, k - 1 if c else -1, k - shape[r - 1] if r else -1))
+            cells.append((k - 1 if c else -1, k - shape[r - 1] if r else -1,
+                          row_floor * r, size - cols[c] + r))
+    at = [0] * len(cells)  # alphabet position of each cell
     word = [None] * len(cells)
-
-    def fill(k: int):
-        if k == len(cells):
+    k = 0  # the cells before k are filled
+    while True:
+        while k < len(cells):
+            left, up, lo, hi = cells[k]
+            if left >= 0 and at[left] > lo:
+                lo = at[left]
+            if up >= 0 and at[up] >= lo:
+                lo = at[up] + 1
+            if lo > hi:
+                break
+            at[k] = lo
+            word[k] = alphabet[lo]
+            k += 1
+        else:
             yield tuple(word)
+        k -= 1  # advance the last filled cell that can still take a later letter
+        while k >= 0 and at[k] == cells[k][3]:
+            k -= 1
+        if k < 0:
             return
-        r, left, up = cells[k]
-        lo = row_floor(r)
-        if left >= 0:
-            lo = max(lo, pos[word[left]])
-        if up >= 0:
-            lo = max(lo, pos[word[up]] + 1)
-        for idx in range(lo, len(alphabet)):
-            word[k] = alphabet[idx]
-            yield from fill(k + 1)
-
-    yield from fill(0)
+        at[k] += 1
+        word[k] = alphabet[at[k]]
+        k += 1
 
 
 def _as_tableaux(shape: Shape, words) -> list[Tableau]:
@@ -154,7 +177,7 @@ def check_group_shape(group: str, shape, n: int) -> Shape:
     """The checked shape, if it labels a module of the group at n: O(n)
     needs at most n boxes in the first two columns, Sp(2n) at most n rows."""
     shape = check_shape(shape)
-    if group == "O" and sum(conjugate(shape)[:2]) > n:
+    if group == "O" and len(shape) + sum(p > 1 for p in shape) > n:
         raise ValueError("first two column lengths must sum to at most n")
     if group == "Sp" and len(shape) > n:
         raise ValueError("shape must have at most n rows")
@@ -164,63 +187,72 @@ def check_group_shape(group: str, shape, n: int) -> Shape:
 def enumerate_gl_tableaux(shape, n: int) -> list[Tableau]:
     """Semistandard tableaux with entries 1..n; empty when the shape is too tall."""
     shape = check_shape(shape)
-    return _as_tableaux(shape, _semistandard_fillings(shape, gl_alphabet(n)))
+    return _as_tableaux(shape, admissible_words("U", shape, n))
 
 
-def _o_standard(t: Tableau, n: int, pos: dict[int, int]) -> bool:
-    r = n // 2
-    col1 = t.column(1)
-    col2 = t.column(2)
-    for i in range(1, r + 1):
+def _o_standard(word: tuple, shape: Shape, starts: list, n: int, pos: dict[int, int]) -> bool:
+    """Whether the row-major word of a semistandard filling over
+    o_alphabet(n) is orthogonal standard; row a (1-based) starts at word
+    position starts[a - 1], and its entry in column b at that plus b - 1."""
+    # the columns are strictly increasing in alphabet position
+    col1 = [pos[word[s]] for s in starts]
+    col2 = [pos[word[s + 1]] for s, row_len in zip(starts, shape) if row_len > 1]
+    for i in range(1, n // 2 + 1):
         cut = pos[i]
-        alpha = sum(1 for x in col1 if pos[x] <= cut)
-        beta = sum(1 for x in col2 if pos[x] <= cut)
+        alpha = bisect.bisect_right(col1, cut)
+        beta = bisect.bisect_right(col2, cut)
         if alpha + beta > 2 * i:
             return False
         if alpha + beta == 2 * i:
-            if alpha > beta and t.entry(alpha, 1) == -i:
+            if alpha > beta and word[starts[alpha - 1]] == -i:
                 row = beta  # row where an unbarred i could sit
-                for b in range(1, (t.shape[row - 1] if row >= 1 else 0) + 1):
-                    if row >= 1 and t.entry(row, b) == i:
-                        if row == 1 or t.entry(row - 1, b) != -i:
-                            return False
-            if alpha == beta == i and t.entry(i, 1) == -i:
-                for b in range(1, t.shape[i - 1] + 1):
-                    if t.entry(i, b) == i:
-                        if i == 1 or t.entry(i - 1, b) != -i:
-                            return False
+                if row >= 1 and _lone_unbarred(word, shape, starts, row, i):
+                    return False
+            if alpha == beta == i and word[starts[i - 1]] == -i:
+                if _lone_unbarred(word, shape, starts, i, i):
+                    return False
     return True
+
+
+def _lone_unbarred(word, shape, starts, row: int, i: int) -> bool:
+    """Whether row (1-based) holds an unbarred i that does not sit under
+    an i-bar (one in the first row never does)."""
+    here = starts[row - 1]
+    above = starts[row - 2] if row > 1 else None
+    return any(word[here + b] == i and (above is None or word[above + b] != -i)
+               for b in range(shape[row - 1]))
 
 
 def enumerate_o_tableaux(shape, n: int) -> list[Tableau]:
     """Orthogonal standard tableaux for O(n) (shapes: check_group_shape)."""
     shape = check_group_shape("O", shape, n)
-    alphabet = o_alphabet(n)
-    pos = {letter: k for k, letter in enumerate(alphabet)}
-    return [t for t in _as_tableaux(shape, _semistandard_fillings(shape, alphabet))
-            if _o_standard(t, n, pos)]
+    return _as_tableaux(shape, admissible_words("O", shape, n))
 
 
 def enumerate_sp_tableaux(shape, n: int) -> list[Tableau]:
     """Symplectic standard tableaux for Sp(2n): row i entries are >= ibar,
     the letter at position 2(i-1) of the alphabet."""
     shape = check_group_shape("Sp", shape, n)
-    return _as_tableaux(shape, _sp_words(shape, n))
-
-
-def _sp_words(shape: Shape, n: int):
-    return _semistandard_fillings(shape, sp_alphabet(n), lambda r: 2 * r)
+    return _as_tableaux(shape, admissible_words("Sp", shape, n))
 
 
 def admissible_words(group: str, shape, n: int) -> list[tuple]:
     """Row-major entry tuples of the admissible fillings of the U, O or Sp
-    module of the shape, in the order of enumerate_*."""
+    module of the shape, in the order of enumerate_*: the semistandard
+    fillings over the group's alphabet, for O those that are orthogonal
+    standard, for Sp those whose row i holds no letter before i-bar."""
     if group == "U":
         return list(_semistandard_fillings(check_shape(shape), gl_alphabet(n)))
     if group == "O":
-        return [tuple(t.row_major()) for t in enumerate_o_tableaux(shape, n)]
+        shape = check_group_shape("O", shape, n)
+        alphabet = o_alphabet(n)
+        pos = {letter: k for k, letter in enumerate(alphabet)}
+        starts = list(itertools.accumulate(shape, initial=0))[:-1]
+        return [w for w in _semistandard_fillings(shape, alphabet)
+                if _o_standard(w, shape, starts, n, pos)]
     if group == "Sp":
-        return list(_sp_words(check_group_shape("Sp", shape, n), n))
+        return list(_semistandard_fillings(check_group_shape("Sp", shape, n),
+                                           sp_alphabet(n), row_floor=2))
     raise ValueError(f"no tableau family for group tag {group!r}")
 
 
@@ -270,22 +302,58 @@ def character(shape, cycle_type) -> int:
     return strip(beads, tuple(sorted(cycle_type, reverse=True)))
 
 
+def _without_full_columns(shape: Shape, n: int) -> Shape:
+    """The shape of at most n rows less its columns of n boxes: GL(n)
+    modules that differ by a power of the determinant have one dimension."""
+    if not shape or len(shape) != n:
+        return shape
+    return tuple(p - shape[-1] for p in shape if p > shape[-1])
+
+
 def gl_dimension(shape, n: int) -> int:
-    """Dimension of the GL(n) module: the hook-content product over the
-    cells, prod (n + c - r) / hook(r, c), in O(weight) steps for any n."""
+    """Dimension of the GL(n) module, after the columns of n boxes are
+    dropped: where n^2 is below the weight, Weyl's formula over the pairs
+    of the n rows, prod (l_i - l_j)/(j - i) on l_i = shape_i - i; else the
+    hook-content product over the cells, prod (n + c - r) / hook(r, c).
+    Either way at most min(n^2, weight) factors (gl_dimension_bits)."""
     shape = check_shape(shape)
     if len(shape) > n:
         return 0
-    conj = conjugate(shape)
-    num = 1
-    den = 1
-    for r, row_len in enumerate(shape):
-        for c in range(row_len):
-            num *= n + c - r
-            den *= (row_len - c) + (conj[c] - r) - 1
+    shape = _without_full_columns(shape, n)
+    if n * n < weight(shape):
+        parts = shape + (0,) * (n - len(shape))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        num = _product([parts[i] - parts[j] + j - i for i, j in pairs])
+        den = _product([j - i for i, j in pairs])
+    else:
+        conj = conjugate(shape)
+        cells = [(r, c, row_len) for r, row_len in enumerate(shape) for c in range(row_len)]
+        num = _product([n + c - r for r, c, _ in cells])
+        den = _product([(row_len - c) + (conj[c] - r) - 1 for r, c, row_len in cells])
     d, rem = divmod(num, den)
     assert rem == 0
     return d
+
+
+def _product(factors: list) -> int:
+    """The product of the ints, multiplied in pairs of neighbours, then
+    pairs of those products, and so on, so that big ints meet their
+    equals: far cheaper than one long running product."""
+    while len(factors) > 1:
+        factors = [math.prod(factors[i:i + 2]) for i in range(0, len(factors), 2)]
+    return factors[0] if factors else 1
+
+
+def gl_dimension_bits(shape, n: int) -> int:
+    """A bound on the bits of the numerator gl_dimension multiplies out,
+    and so on its cost and on the bits of the dimension: its factors,
+    at most min(n^2, weight) after the full columns are dropped, are each
+    at most n + weight; 0 for a shape of more than n rows."""
+    shape = check_shape(shape)
+    if len(shape) > n:
+        return 0
+    m = weight(_without_full_columns(shape, n))
+    return min(n * n, m) * (n + m).bit_length()
 
 
 def _weyl_ratio(ls, ms, linear: bool) -> int:

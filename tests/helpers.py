@@ -73,6 +73,13 @@ count.  The factor-at-a-time product of the package must print the same
 float.  And it keeps the Gauss-Legendre quadrature as it ran before the
 rule was cached (``su2_integral_quadrature_fresh``): leggauss solved
 afresh on every call, the half-angle cosine and sine taken per factor.  The cached rule must give the same float.
+
+And it keeps the tableau walk the package's one loop replaced
+(``semistandard_fillings_by_recursion``): one generator per cell, with no
+look-ahead, and the O fillings built as tableaux, tested through
+``Tableau.column`` and ``Tableau.entry`` (``o_standard_tableau``) and
+flattened back (``admissible_words_by_recursion``).  The package's words
+must equal them word for word and in order.
 """
 
 import functools
@@ -1112,3 +1119,83 @@ def su2_integral_quadrature_fresh(spec, nodes: int = 32) -> float:
     beta_sum = np.dot(wb, profile * np.sin(xb))
     value = alpha_sum * beta_sum * gamma_sum / (32 * math.pi ** 2)
     return float(value.real)
+
+
+# ---------------------------------------------------------------------------
+# the tableau families as they were enumerated before the one loop
+
+def semistandard_fillings_by_recursion(shape, alphabet, row_floor=lambda r: 0):
+    """Row-weak, column-strict fillings as row-major entry tuples,
+    lexicographic in alphabet position, whose row r (0-based) holds no
+    letter before position row_floor(r): one generator per cell, each
+    trying every later letter, with no look-ahead."""
+    pos = {letter: k for k, letter in enumerate(alphabet)}
+    if len(pos) != len(alphabet):
+        raise ValueError("alphabet letters must be distinct")
+    # per cell, its row and the word positions of its left and upper
+    # neighbours (-1 where there is none)
+    cells = []
+    for r, row_len in enumerate(shape):
+        for c in range(row_len):
+            k = len(cells)
+            cells.append((r, k - 1 if c else -1, k - shape[r - 1] if r else -1))
+    word = [None] * len(cells)
+
+    def fill(k: int):
+        if k == len(cells):
+            yield tuple(word)
+            return
+        r, left, up = cells[k]
+        lo = row_floor(r)
+        if left >= 0:
+            lo = max(lo, pos[word[left]])
+        if up >= 0:
+            lo = max(lo, pos[word[up]] + 1)
+        for idx in range(lo, len(alphabet)):
+            word[k] = alphabet[idx]
+            yield from fill(k + 1)
+
+    yield from fill(0)
+
+
+def o_standard_tableau(t: Tableau, n: int, pos: dict) -> bool:
+    """The orthogonal standardness test on a built tableau, read through
+    Tableau.column and Tableau.entry."""
+    r = n // 2
+    col1 = t.column(1)
+    col2 = t.column(2)
+    for i in range(1, r + 1):
+        cut = pos[i]
+        alpha = sum(1 for x in col1 if pos[x] <= cut)
+        beta = sum(1 for x in col2 if pos[x] <= cut)
+        if alpha + beta > 2 * i:
+            return False
+        if alpha + beta == 2 * i:
+            if alpha > beta and t.entry(alpha, 1) == -i:
+                row = beta  # row where an unbarred i could sit
+                for b in range(1, (t.shape[row - 1] if row >= 1 else 0) + 1):
+                    if row >= 1 and t.entry(row, b) == i:
+                        if row == 1 or t.entry(row - 1, b) != -i:
+                            return False
+            if alpha == beta == i and t.entry(i, 1) == -i:
+                for b in range(1, t.shape[i - 1] + 1):
+                    if t.entry(i, b) == i:
+                        if i == 1 or t.entry(i - 1, b) != -i:
+                            return False
+    return True
+
+
+def admissible_words_by_recursion(group: str, shape, n: int) -> list:
+    """tableaux.admissible_words by the recursive walk: the O fillings
+    built as tableaux, tested, and flattened back by Tableau.row_major."""
+    if group == "U":
+        return list(semistandard_fillings_by_recursion(
+            tableaux.check_shape(shape), tableaux.gl_alphabet(n)))
+    if group == "O":
+        shape = tableaux.check_group_shape("O", shape, n)
+        alphabet = tableaux.o_alphabet(n)
+        pos = {letter: k for k, letter in enumerate(alphabet)}
+        built = tableaux._as_tableaux(shape, semistandard_fillings_by_recursion(shape, alphabet))
+        return [tuple(t.row_major()) for t in built if o_standard_tableau(t, n, pos)]
+    return list(semistandard_fillings_by_recursion(
+        tableaux.check_group_shape("Sp", shape, n), tableaux.sp_alphabet(n), lambda r: 2 * r))

@@ -5,6 +5,7 @@ JSON record (or list), so the tests parse and compare structurally.
 """
 
 import json
+import math
 import pathlib
 import sys
 import time
@@ -58,6 +59,54 @@ def test_tableaux_alphabet_gated(capsys):
     assert time.perf_counter() - start < 0.5
     rec = run_json(capsys, "tableaux", "--shape", "", "--N", "3", "--group", "Sp")
     assert rec["count"] == 1 and rec["tableaux"] == [[]]
+
+
+COLUMN_1500 = ",".join(["1"] * 1500)
+
+
+@pytest.mark.parametrize("shape,n,rows", [
+    ("1000", 1, [[1] * 1000]),  # RecursionError
+    (COLUMN_1500, 1500, [[k] for k in range(1, 1501)]),  # RecursionError
+    ("100000", 1, [[1] * 100000]),  # RecursionError after 10 s in the gate
+    ("300000", 1, [[1] * 300000]),  # past 60 s in the gate
+    ("50000,50000", 2, [[1] * 50000, [2] * 50000]),  # 9 s in the gate
+], ids=["1000-N1", "1x1500-N1500", "100000-N1", "300000-N1", "50000x2-N2"])
+def test_tableaux_long_shapes_are_listed(capsys, shape, n, rows):
+    # one filling each, of up to 300 000 entries: no length limit other
+    # than the entry gate, and no walk that recurses per cell
+    start = time.perf_counter()
+    code = cli.main(["tableaux", "--shape", shape, "--N", str(n)])
+    out, err = capsys.readouterr()
+    assert time.perf_counter() - start < 5
+    assert (code, err) == (0, "")
+    rec = json.loads(out)
+    assert rec["count"] == 1 and rec["tableaux"] == [rows]
+
+
+@pytest.mark.parametrize("argv,err", [
+    # the exact count, as before, found by Weyl's formula over the two rows
+    (["--shape", "100000", "--N", "2"],
+     "tableaux: 100001 x 100000 = 10000100000 tableau entries; capped at 1000000"),
+    (["--shape", COLUMN_1500, "--N", "1500", "--group", "Sp"],
+     f"tableaux: {math.comb(3000, 1500)} x 1500 = {1500 * math.comb(3000, 1500)} "
+     f"tableau entries; capped at 1000000"),
+    # the exact count takes more bits than the gate multiplies out: a bound
+    (["--shape", "1000000", "--N", "1000"],
+     "tableaux: at least 1000 x 1000000 = 1000000000 tableau entries (the exact "
+     "count takes over 1048576 bits); capped at 1000000"),
+    (["--shape", "100000000000000000000", "--N", "100000000000000000000"],
+     f"tableaux: at least {10 ** 20} x {10 ** 20} = {10 ** 40} tableau entries (the "
+     f"exact count takes over 1048576 bits); capped at 1000000"),
+    # a count str() cannot print, once an error with exit code 2
+    (["--shape", "10000", "--N", "100000"],
+     "tableaux: tableau entries: 14555 decimal digits; str() prints at most 4300"),
+], ids=["exact", "exact-Sp", "bound", "bound-huge", "digits"])
+def test_tableaux_gate_refuses_fast(capsys, argv, err):
+    start = time.perf_counter()
+    code = cli.main(["tableaux", *argv])
+    out, printed = capsys.readouterr()
+    assert time.perf_counter() - start < 5
+    assert (code, out, printed) == (3, "", f"cost gate: {err}\n")
 
 
 def test_tableaux_bad_shape_usage_error(capsys):
@@ -563,6 +612,20 @@ def test_sample_negative_count_usage(capsys):
         assert err == f"error: --N must be at least 1, got {n}\n"
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_usage(capsys, threads):
+    # refused like --N < 1, before any work, in every subcommand; it was
+    # echoed into the record with exit 0
+    for argv in (["tableaux", "--shape", "2", "--N", "2"],
+                 ["sample", "--group", "U", "--N", "2", "--seed", "1"],
+                 ["integral", "--group", "U", "--N", "2", "--factors", "1,1,+;1,1,-"]):
+        code = cli.main(argv + ["--threads", threads])
+        assert (code, *capsys.readouterr()) == (
+            2, "", f"error: --threads must be at least 1, got {threads}\n")
+    assert run_json(capsys, "tableaux", "--shape", "2", "--N", "2",
+                    "--threads", "1")["threads"] == 1
+
+
 def test_sample_reproducible_across_threads(capsys):
     a = run_json(capsys, "sample", "--group", "O", "--N", "3",
                  "--count", "2", "--seed", "4", "--threads", "1")
@@ -694,3 +757,44 @@ def test_every_record_echoes_seed_and_caps(capsys):
 def test_unknown_command_usage(capsys):
     assert cli.main(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+# every subcommand, CSV output, a usage error from the parser, one from a
+# command, and a cost-gate refusal
+PARSER_ARGV = [
+    ["tableaux", "--shape", "2,1", "--N", "3", "--group", "O"],
+    ["tableaux", "--shape", "2", "--N", "2", "--format", "csv"],
+    ["integral", "--group", "U", "--N", "3", "--factors", "1,1,+;1,1,-",
+     "--mode", "all", "--seed", "4", "--samples", "200"],
+    ["integral", "--group", "Sp", "--N", "2", "--factors", "1,1,+;1,1,-", "--format", "csv"],
+    ["integral", "--mode", "nonsense"],
+    ["integral", "--group", "U", "--N", "3"],
+    ["su2", "--factors", "2,0,0,+;2,0,0,-"],
+    ["entropy", "--m", "2", "--n", "2,3", "--samples", "100", "--seed", "5"],
+    ["sample", "--group", "SO", "--N", "2", "--count", "2", "--seed", "6", "--threads", "2"],
+    ["sample", "--group", "U", "--N", "1001", "--seed", "1"],
+    ["tableaux", "--shape", "2", "--N", "2", "--threads", "0"],
+    ["frobnicate"],
+    ["tableaux", "--shape", "3", "--N", "2"],
+]
+
+
+def test_one_shared_parser_answers_as_fresh_ones(capsys, monkeypatch):
+    # the requests answered through one parser built once give the exit
+    # codes, stdout and stderr of a fresh parser per request, on a second
+    # pass too: a cached build_parser would change nothing printed
+    monkeypatch.delenv(cli.SEED_ENV, raising=False)
+
+    def answers():
+        out = []
+        for argv in PARSER_ARGV:
+            code = cli.main(list(argv))
+            out.append((code, *capsys.readouterr()))
+        return out
+
+    fresh = answers()
+    assert {code for code, *_ in fresh} == {0, 2, 3}
+    shared = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: shared)
+    assert answers() == fresh
+    assert answers() == fresh

@@ -328,6 +328,20 @@ def test_build_makes_no_fraction(group, lam, n, monkeypatch):
     assert _fields(basis) == want
 
 
+def test_a_second_module_leaves_the_first_cached():
+    # U(42) lambda=(2,1), just under BUILD_CAP, has 13 202 weights; its
+    # build once evicted every other module's weight spaces, and its own
+    sp = irreps.RepMatrixElementSpec("Sp", 2, [((2,), 1, 1), ((2,), 1, 1, True)])
+    irreps._weight_space.cache_clear()
+    value = irreps.integrate_irrep_exact(sp)
+    assert len(irreps._module_index("U", (2, 1), 42).by_weight) == 13202
+    irreps._build_irrep_basis.__wrapped__("U", (2, 1), 42)
+    misses = irreps._weight_space.cache_info().misses
+    assert irreps.integrate_irrep_exact(sp) == value
+    irreps._build_irrep_basis.__wrapped__("U", (2, 1), 42)
+    assert irreps._weight_space.cache_info().misses == misses
+
+
 @pytest.mark.parametrize("group,lam,n", INT_GUARD_MODULES)
 def test_monte_carlo_and_exact_share_weight_spaces(group, lam, n):
     # a Monte Carlo request builds the full basis as the merge of every

@@ -539,6 +539,24 @@ def _package_lru_caches() -> dict:
     return found
 
 
+def test_integer_arguments_refuse_floats():
+    # N, samples and seed go through check_int: a float is a ValueError
+    # (it was a bare AssertionError, a TypeError, or a seed of 1.5 that ran)
+    square = spec("U", (1, 1), (1, 1, True))
+    calls = [lambda: exact_integral(square, 2.5),
+             lambda: asymptotic_leading(square, 2.5),
+             lambda: moments.integrate_monomial_mc(square, 2.5, 10, 1),
+             lambda: moments.integrate_monomial_mc(square, 2, 10.0, 1),
+             lambda: moments.integrate_monomial_mc(square, 2, 10, 1.5)]
+    for call in calls:
+        with pytest.raises(ValueError, match="must be an integer"):
+            call()
+    assert exact_integral(square, np.int64(2)) == asymptotic_leading(square, np.int32(2)) == \
+        Fraction(1, 2)
+    est = moments.integrate_monomial_mc(square, np.int64(2), np.int64(10), np.int64(1))
+    assert est == moments.integrate_monomial_mc(square, 2, 10, 1) and type(est.seed) is int
+
+
 def test_engine_caches_are_bounded():
     caches = _package_lru_caches()
     assert {"haarint.moments._engine", "haarint.moments._character_sums",

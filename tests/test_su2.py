@@ -90,6 +90,18 @@ def test_triple_validation():
         Su2Factor(1, 1, 0, False)
 
 
+def test_factor_fields_must_be_integers():
+    # a float spin was accepted and failed later inside the closed form
+    for bad in ((2.0, 0, 0), (2, 0.0, 0), (2, 0, "0"), (True, 1, 1)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            Su2Factor(*bad)
+    f = Su2Factor(np.int64(2), np.int32(0), np.int64(0))
+    assert (f.twice_j, f.twice_mp, f.twice_m) == (2, 0, 0)
+    assert all(type(x) is int for x in (f.twice_j, f.twice_mp, f.twice_m))
+    assert su2_integral_closed(Su2MonomialSpec([f, Su2Factor(2, 0, 0, True)])) == \
+        su2_integral_closed(Su2MonomialSpec([Su2Factor(2, 0, 0), Su2Factor(2, 0, 0, True)]))
+
+
 # ---------------------------------------------------------------------------
 # full matrix elements
 

@@ -1,4 +1,7 @@
+import ast
+import inspect
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -10,9 +13,9 @@ from haarint import tableaux
 from haarint.tableaux import Tableau
 
 from helpers import (
-    brute_gl_dimension, brute_row_stabilizer, brute_standard_count, class_size,
-    count_distinct_entry_fillings, gelfand_counts, row_repetition_factor,
-    weyl_gl_dimension, young_constant_mu,
+    admissible_words_by_recursion, brute_gl_dimension, brute_row_stabilizer,
+    brute_standard_count, class_size, count_distinct_entry_fillings, gelfand_counts,
+    row_repetition_factor, weyl_gl_dimension, young_constant_mu,
 )
 
 
@@ -262,3 +265,104 @@ def test_gl_dimension_is_the_weyl_product(shape, n):
 def test_gl_dimension_huge_n():
     n = 10 ** 12
     assert tableaux.gl_dimension((2, 1), n) == n * (n * n - 1) // 3
+
+
+@pytest.mark.parametrize("group", ["U", "O", "Sp"])
+def test_admissible_words_are_the_recursive_walk(group):
+    # the one loop gives the words of the recursive walk, in its order, on
+    # every shape of weight <= 5 with N <= 5, and refuses the same shapes
+    for m in range(6):
+        for shape in all_partitions(m):
+            for n in range(1, 6):
+                try:
+                    expected = admissible_words_by_recursion(group, shape, n)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        tableaux.admissible_words(group, shape, n)
+                    continue
+                assert tableaux.admissible_words(group, shape, n) == expected, (shape, n)
+
+
+def test_walker_is_one_loop():
+    # no call of itself and no yield from: the depth of the walk is not
+    # bounded by the interpreter's recursion limit
+    tree = ast.parse(inspect.getsource(tableaux._semistandard_fillings))
+    assert not any(isinstance(node, ast.YieldFrom) for node in ast.walk(tree))
+    assert not any(isinstance(node, ast.Name) and node.id == "_semistandard_fillings"
+                   for node in ast.walk(tree))
+    assert not hasattr(tableaux, "_sp_words")
+    column = (1,) * 1500
+    assert tableaux.admissible_words("U", column, 1500) == [tuple(range(1, 1501))]
+    assert tableaux.admissible_words("U", (3000,), 1) == [(1,) * 3000]
+
+
+def test_walker_enters_no_dead_branch():
+    # a cell leaves room below it in its column: a column of 200 boxes over
+    # 200 letters has one filling, found without trying the 2^200 prefixes
+    # of strictly increasing letters that a walk with no look-ahead tries
+    words = list(tableaux._semistandard_fillings((1,) * 200, list(range(200))))
+    assert words == [tuple(range(200))]
+    assert list(tableaux._semistandard_fillings((1,) * 201, list(range(200)))) == []
+
+
+def test_o_family_builds_no_rejected_tableau(monkeypatch):
+    # the O test reads the word: a tableau is built only for a filling
+    # that is kept, and admissible_words builds none
+    built = []
+    of_shape = Tableau._of_shape.__func__
+
+    def counting(cls, rows, shape):
+        built.append(rows)
+        return of_shape(cls, rows, shape)
+
+    monkeypatch.setattr(Tableau, "_of_shape", classmethod(counting))
+    kept = tableaux.enumerate_o_tableaux((2, 1), 4)
+    assert len(built) == len(kept) == tableaux.o_dimension((2, 1), 4)
+    assert tableaux.gl_dimension((2, 1), 4) > len(kept)  # fillings were rejected
+    built.clear()
+    tableaux.admissible_words("O", (2, 1), 4)
+    assert built == []
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_conjugate_counts_the_longer_rows(m):
+    assert tableaux.conjugate(()) == ()
+    for shape in all_partitions(m):
+        assert tableaux.conjugate(shape) == tuple(
+            sum(1 for p in shape if p > j) for j in range(shape[0]))
+
+
+def test_o_shape_check_reads_two_columns():
+    # the first two column lengths, without building the whole conjugate
+    with pytest.raises(ValueError):
+        tableaux.check_group_shape("O", (10 ** 20,), 1)
+    assert tableaux.check_group_shape("O", (10 ** 20,), 2) == (10 ** 20,)
+    with pytest.raises(ValueError):
+        tableaux.check_group_shape("O", (5, 2, 1), 4)
+    assert tableaux.check_group_shape("O", (5, 2, 1), 5) == (5, 2, 1)
+
+
+def test_gl_dimension_of_long_rows_is_cheap():
+    # full columns drop out, and Weyl's formula over the rows takes over
+    # where n^2 is below the weight: these took seconds as hook-content
+    # products over every cell
+    start = time.perf_counter()
+    assert tableaux.gl_dimension((50000, 50000), 2) == 1
+    assert tableaux.gl_dimension((300000,), 1) == 1
+    assert tableaux.gl_dimension((1,) * 1500, 1500) == 1
+    assert tableaux.gl_dimension((100000,), 2) == 100001
+    assert tableaux.gl_dimension((100000, 99998), 2) == 3
+    assert tableaux.gl_dimension((10 ** 20,), 3) == math.comb(10 ** 20 + 2, 2)
+    assert tableaux.gl_dimension_bits((50000, 50000), 2) == 0
+    assert time.perf_counter() - start < 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(partition_strategy(max_weight=30), st.integers(min_value=1, max_value=7))
+def test_gl_dimension_branches_are_the_weyl_product(shape, n):
+    # both branches, with full columns dropped or not, against the Weyl
+    # product on the whole shape; the dimension fits the bits bound
+    dim = tableaux.gl_dimension(shape, n)
+    assert dim == weyl_gl_dimension(shape, n)
+    if len(shape) <= n:
+        assert dim.bit_length() <= max(1, tableaux.gl_dimension_bits(shape, n))
