@@ -149,7 +149,7 @@ def _parse_factors(text: str):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _gate_tableaux(shape, letters: int):
+def _gate_tableaux(group: str, shape, n: int):
     """Refuse, before any enumeration, a listing of more than SAMPLE_CAP
     tableau entries: the semistandard fillings over the letters, whose
     number is the GL dimension, of weight(shape) entries each; O and Sp
@@ -157,7 +157,12 @@ def _gate_tableaux(shape, letters: int):
     costs more than DIMENSION_BITS to multiply out, the shape, less its
     full columns, is not empty, so the module is not a power of the
     determinant and has at least as many dimensions as letters: that
-    bound refuses.  A count str() cannot print is refused by its digits."""
+    bound refuses.  The Sp walk yields only the sp_dimension fillings, so
+    where the GL count refuses, that count decides, unless a module of at
+    least 2N dimensions is refused already or its numerator, weight(shape)
+    factors of at most 2N + 2 weight(shape), takes more than DIMENSION_BITS.
+    A count str() cannot print is refused by its digits."""
+    letters = 2 * n if group == "Sp" else n
     m = tableaux.weight(shape)
     low = letters * m
     if low > SAMPLE_CAP and tableaux.gl_dimension_bits(shape, letters) > DIMENSION_BITS:
@@ -166,6 +171,9 @@ def _gate_tableaux(shape, letters: int):
             f"tableaux: at least {letters} x {m} = {low} tableau entries "
             f"(the exact count takes over {DIMENSION_BITS} bits); capped at {SAMPLE_CAP}")
     count = tableaux.gl_dimension(shape, letters)
+    if (group == "Sp" and count * m > SAMPLE_CAP >= low
+            and m * (letters + 2 * m).bit_length() <= DIMENSION_BITS):
+        count = tableaux.sp_dimension(shape, n)
     if count * m > SAMPLE_CAP:
         _check_digits("tableaux: tableau entries", count * m)
     sampling.check_cost("tableaux", count, m, SAMPLE_CAP, "tableau entries")
@@ -174,7 +182,7 @@ def _gate_tableaux(shape, letters: int):
 
 def cmd_tableaux(args) -> list:
     shape = tableaux.check_group_shape(args.group, _parse_shape(args.shape), args.N)
-    _gate_tableaux(shape, 2 * args.N if args.group == "Sp" else args.N)
+    _gate_tableaux(args.group, shape, args.N)
     if args.group == "GL":
         listing = tableaux.enumerate_gl_tableaux(shape, args.N)
     elif args.group == "O":

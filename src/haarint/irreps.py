@@ -400,7 +400,8 @@ def _build_work(group: str, lam: tuple, n: int) -> int:
     """Work units of one module basis build: the fillings, bounded by
     gl_dimension(lam, dim V), times the term bound prod lam_i! prod lam'_j!
     of the Young symmetrizer applied to each; for O/Sp also times
-    C(m,2) dim V, the trace-span entries one lower index expands into."""
+    C(m,2) dim V, the trace-span entries one lower index expands into,
+    or 1 for a weight-1 module, which has no trace but still its fillings."""
     m = tableaux.weight(lam)
     if m > 64:  # checked first: the terms below take O(lam_1) steps
         raise CostGateError(
@@ -410,7 +411,7 @@ def _build_work(group: str, lam: tuple, n: int) -> int:
     d = sampling.dimension(group, n)
     terms = math.prod(math.factorial(k) for k in lam + tableaux.conjugate(lam))
     work = tableaux.gl_dimension(lam, d) * terms
-    return work if group == "U" else work * math.comb(m, 2) * d
+    return work if group == "U" else work * max(1, math.comb(m, 2) * d)
 
 
 def _gate_build(spec: RepMatrixElementSpec):

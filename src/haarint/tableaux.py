@@ -1,5 +1,6 @@
-"""Young diagrams, the tableau families attached to the classical groups,
-and the irreducible characters of the symmetric groups.
+"""Young diagrams, the tableau families attached to the classical groups and
+the dimensions of their modules, and the irreducible characters of the
+symmetric groups.
 
 Entries are signed integers: a barred letter i-bar is stored as -i, and the
 single middle letter of the odd orthogonal alphabet is stored as 0.  Each
@@ -190,17 +191,23 @@ def enumerate_gl_tableaux(shape, n: int) -> list[Tableau]:
     return _as_tableaux(shape, admissible_words("U", shape, n))
 
 
-def _o_standard(word: tuple, shape: Shape, starts: list, n: int, pos: dict[int, int]) -> bool:
-    """Whether the row-major word of a semistandard filling over
-    o_alphabet(n) is orthogonal standard; row a (1-based) starts at word
-    position starts[a - 1], and its entry in column b at that plus b - 1."""
+def _o_standard(word: tuple, shape: Shape, starts: list, pos: dict[int, int]) -> bool:
+    """Whether the row-major word of a semistandard filling over an
+    orthogonal alphabet is orthogonal standard; row a (1-based) starts at
+    word position starts[a - 1], and its entry in column b at that plus
+    b - 1."""
     # the columns are strictly increasing in alphabet position
-    col1 = [pos[word[s]] for s in starts]
-    col2 = [pos[word[s + 1]] for s, row_len in zip(starts, shape) if row_len > 1]
-    for i in range(1, n // 2 + 1):
+    col1 = [word[s] for s in starts]
+    col2 = [word[s + 1] for s, row_len in zip(starts, shape) if row_len > 1]
+    cuts1 = [pos[x] for x in col1]
+    cuts2 = [pos[x] for x in col2]
+    # alpha + beta - 2i only grows at an i = |x| of an entry x of the first
+    # two columns and falls by 2 at every other i, so an i that breaks or
+    # meets the bound with no such x follows one that already broke it
+    for i in sorted({abs(x) for x in col1 + col2} - {0}):
         cut = pos[i]
-        alpha = bisect.bisect_right(col1, cut)
-        beta = bisect.bisect_right(col2, cut)
+        alpha = bisect.bisect_right(cuts1, cut)
+        beta = bisect.bisect_right(cuts2, cut)
         if alpha + beta > 2 * i:
             return False
         if alpha + beta == 2 * i:
@@ -249,7 +256,7 @@ def admissible_words(group: str, shape, n: int) -> list[tuple]:
         pos = {letter: k for k, letter in enumerate(alphabet)}
         starts = list(itertools.accumulate(shape, initial=0))[:-1]
         return [w for w in _semistandard_fillings(shape, alphabet)
-                if _o_standard(w, shape, starts, n, pos)]
+                if _o_standard(w, shape, starts, pos)]
     if group == "Sp":
         return list(_semistandard_fillings(check_group_shape("Sp", shape, n),
                                            sp_alphabet(n), row_floor=2))
@@ -257,27 +264,11 @@ def admissible_words(group: str, shape, n: int) -> list[tuple]:
 
 
 def count_standard_tableaux(shape) -> int:
-    """Standard fillings of the diagram by 1..m, each exactly once.
-
-    Evaluated by the ratio-of-factorials product over the shifted parts
-    l_i = shape_i + n - i; the brute-force enumeration is the test oracle.
-    """
-    shape = check_shape(shape)
-    if not shape:
-        return 1
-    m = weight(shape)
-    n = len(shape)
-    l = [shape[i] + n - (i + 1) for i in range(n)]
-    num = math.factorial(m)
-    for i in range(n):
-        for j in range(i + 1, n):
-            num *= l[i] - l[j]
-    den = 1
-    for li in l:
-        den *= math.factorial(li)
-    t, rem = divmod(num, den)
-    assert rem == 0
-    return t
+    """Standard fillings of the diagram by 1..m, each exactly once: the
+    hook length formula m!/prod hook; the brute-force enumeration is the
+    test oracle."""
+    _, cells = _cells(check_shape(shape))
+    return _hook_ratio([math.factorial(len(cells))], cells)
 
 
 def character(shape, cycle_type) -> int:
@@ -323,14 +314,26 @@ def gl_dimension(shape, n: int) -> int:
     if n * n < weight(shape):
         parts = shape + (0,) * (n - len(shape))
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        num = _product([parts[i] - parts[j] + j - i for i, j in pairs])
-        den = _product([j - i for i, j in pairs])
-    else:
-        conj = conjugate(shape)
-        cells = [(r, c, row_len) for r, row_len in enumerate(shape) for c in range(row_len)]
-        num = _product([n + c - r for r, c, _ in cells])
-        den = _product([(row_len - c) + (conj[c] - r) - 1 for r, c, row_len in cells])
-    d, rem = divmod(num, den)
+        d, rem = divmod(_product([parts[i] - parts[j] + j - i for i, j in pairs]),
+                        _product([j - i for i, j in pairs]))
+        assert rem == 0
+        return d
+    _, cells = _cells(shape)
+    return _hook_ratio([n + c - r for r, c, _ in cells], cells)
+
+
+def _cells(shape: Shape) -> tuple[Shape, list]:
+    """The conjugate of the shape and its cells (r, c, hook), 0-based and
+    row by row: hook = (shape_r - c) + (shape'_c - r) - 1."""
+    conj = conjugate(shape)
+    return conj, [(r, c, row_len - c + conj[c] - r - 1)
+                  for r, row_len in enumerate(shape) for c in range(row_len)]
+
+
+def _hook_ratio(factors: list, cells: list) -> int:
+    """The product of the factors over that of the cells' hooks, which
+    divides it."""
+    d, rem = divmod(_product(factors), _product([h for _, _, h in cells]))
     assert rem == 0
     return d
 
@@ -356,48 +359,26 @@ def gl_dimension_bits(shape, n: int) -> int:
     return min(n * n, m) * (n + m).bit_length()
 
 
-def _weyl_ratio(ls, ms, linear: bool) -> int:
-    """prod_{i<j} (l_i^2 - l_j^2)/(m_i^2 - m_j^2), times prod l_i/m_i when
-    linear: the Weyl dimension formula of types B, C and D on the shifted
-    parts l and the shifts m, both scaled by one factor, in int."""
-    num = den = 1
-    for i, (li, mi) in enumerate(zip(ls, ms)):
-        for lj, mj in zip(ls[i + 1:], ms[i + 1:]):
-            num *= li * li - lj * lj
-            den *= mi * mi - mj * mj
-        if linear:
-            num *= li
-            den *= mi
-    d, rem = divmod(num, den)
-    assert rem == 0
-    return d
-
-
 def o_dimension(shape, n: int) -> int:
-    """Dimension of the O(n) module of the shape (check_group_shape), by
-    the Weyl formula of SO(n) on the parts of the shape or of its
-    associate, whose first column has n - shape'_1 boxes and which has
-    the same dimension.  For n = 2r+1 the shifted parts are doubled,
-    2(shape_i + r - i) - 1 over 2(r - i) - 1 (0-based i); for n = 2r a
-    shape of r rows restricts to two SO(n) modules, so it counts twice."""
+    """Dimension of the O(n) module of the shape (check_group_shape): the
+    product over the cells (r, c), 0-based, of (n + s) / hook(r, c), with
+    s = shape_r + shape_c - r - c - 2 on and below the diagonal (r >= c)
+    and s = r + c - shape'_r - shape'_c above it (El Samra and King,
+    J. Phys. A 12 (1979) 2317): |shape| factors at any n."""
     shape = check_group_shape("O", shape, n)
-    r = n // 2
-    if 2 * len(shape) > n:
-        cols = conjugate(shape)
-        shape = conjugate((n - cols[0],) + cols[1:]) if n > cols[0] else ()
-    parts = list(shape) + [0] * (r - len(shape))
-    if n % 2:
-        return _weyl_ratio([2 * (p + r - i) - 1 for i, p in enumerate(parts)],
-                           [2 * (r - i) - 1 for i in range(r)], linear=True)
-    dim = _weyl_ratio([p + r - 1 - i for i, p in enumerate(parts)],
-                      [r - 1 - i for i in range(r)], linear=False)
-    return 2 * dim if r and parts[-1] else dim
+    conj, cells = _cells(shape)
+    return _hook_ratio([n + (shape[r] + shape[c] - r - c - 2 if r >= c
+                             else r + c - conj[r] - conj[c]) for r, c, _ in cells], cells)
 
 
 def sp_dimension(shape, n: int) -> int:
-    """Dimension of the Sp(2n) module of the shape (at most n rows), by the
-    Weyl formula of type C on shape_i + n - i over n - i (0-based i)."""
+    """Dimension of the Sp(2n) module of the shape (at most n rows): the
+    product over the cells (r, c), 0-based, of (2n + t) / hook(r, c), with
+    t = shape_r + shape_c - r - c below the diagonal (r > c) and
+    t = r + c + 2 - shape'_r - shape'_c on and above it (El Samra and
+    King, as o_dimension)."""
     shape = check_group_shape("Sp", shape, n)
-    parts = list(shape) + [0] * (n - len(shape))
-    return _weyl_ratio([p + n - i for i, p in enumerate(parts)],
-                       [n - i for i in range(n)], linear=True)
+    conj, cells = _cells(shape)
+    return _hook_ratio([2 * n + (shape[r] + shape[c] - r - c if r > c
+                                 else r + c + 2 - conj[r] - conj[c]) for r, c, _ in cells],
+                       cells)

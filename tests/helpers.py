@@ -135,6 +135,52 @@ def weyl_gl_dimension(shape, n: int) -> int:
     return num // den
 
 
+def _weyl_ratio(ls, ms, linear: bool) -> int:
+    """prod_{i<j} (l_i^2 - l_j^2)/(m_i^2 - m_j^2), times prod l_i/m_i when
+    linear: the Weyl dimension formula of types B, C and D on the shifted
+    parts l and the shifts m, both scaled by one factor."""
+    num = den = 1
+    for i, (li, mi) in enumerate(zip(ls, ms)):
+        for lj, mj in zip(ls[i + 1:], ms[i + 1:]):
+            num *= li * li - lj * lj
+            den *= mi * mi - mj * mj
+        if linear:
+            num *= li
+            den *= mi
+    assert num % den == 0
+    return num // den
+
+
+def weyl_o_dimension(shape, n: int) -> int:
+    """Dimension of the O(n) module by the Weyl formula of SO(n) on the
+    parts of the shape or of its associate, whose first column has
+    n - shape'_1 boxes and which has the same dimension, O(n^2) steps.
+    For n = 2r+1 the shifted parts are doubled, 2(shape_i + r - i) - 1
+    over 2(r - i) - 1 (0-based i); for n = 2r a shape of r rows restricts
+    to two SO(n) modules, so it counts twice."""
+    shape = tableaux.check_group_shape("O", shape, n)
+    r = n // 2
+    if 2 * len(shape) > n:
+        cols = tableaux.conjugate(shape)
+        shape = tableaux.conjugate((n - cols[0],) + cols[1:]) if n > cols[0] else ()
+    parts = list(shape) + [0] * (r - len(shape))
+    if n % 2:
+        return _weyl_ratio([2 * (p + r - i) - 1 for i, p in enumerate(parts)],
+                           [2 * (r - i) - 1 for i in range(r)], linear=True)
+    dim = _weyl_ratio([p + r - 1 - i for i, p in enumerate(parts)],
+                      [r - 1 - i for i in range(r)], linear=False)
+    return 2 * dim if r and parts[-1] else dim
+
+
+def weyl_sp_dimension(shape, n: int) -> int:
+    """Dimension of the Sp(2n) module by the Weyl formula of type C on
+    shape_i + n - i over n - i (0-based i), O(n^2) steps."""
+    shape = tableaux.check_group_shape("Sp", shape, n)
+    parts = list(shape) + [0] * (n - len(shape))
+    return _weyl_ratio([p + n - i for i, p in enumerate(parts)],
+                       [n - i for i in range(n)], linear=True)
+
+
 def module_dimension_oracle(lam, form: tensors.BilinearForm) -> int:
     """Dimension of the module labeled by lam for the group preserving form.
 

@@ -100,13 +100,27 @@ def test_tableaux_long_shapes_are_listed(capsys, shape, n, rows):
     # a count str() cannot print, once an error with exit code 2
     (["--shape", "10000", "--N", "100000"],
      "tableaux: tableau entries: 14555 decimal digits; str() prints at most 4300"),
-], ids=["exact", "exact-Sp", "bound", "bound-huge", "digits"])
+    # long Sp rows, in well under a second: the GL(2) count refuses, then
+    # the Sp count under the bits bound, or the GL count where the Sp count
+    # would pass it (Sp(2) = SL(2), so both counts are k + 1)
+    (["--shape", "61680", "--N", "1", "--group", "Sp"],
+     "tableaux: 61681 x 61680 = 3804484080 tableau entries; capped at 1000000"),
+    (["--shape", "65536", "--N", "1", "--group", "Sp"],
+     "tableaux: 65537 x 65536 = 4295032832 tableau entries; capped at 1000000"),
+], ids=["exact", "exact-Sp", "bound", "bound-huge", "digits", "Sp-row", "Sp-row-bits"])
 def test_tableaux_gate_refuses_fast(capsys, argv, err):
     start = time.perf_counter()
     code = cli.main(["tableaux", *argv])
     out, printed = capsys.readouterr()
     assert time.perf_counter() - start < 5
     assert (code, out, printed) == (3, "", f"cost gate: {err}\n")
+
+
+def test_tableaux_sp_gate_reads_the_sp_count(capsys):
+    # the GL(8) count, 232848 x 16 entries, is over the cap; the Sp(8)
+    # walk lists only its 26026 fillings, 416416 entries
+    rec = run_json(capsys, "tableaux", "--shape", "4,4,4,4", "--N", "4", "--group", "Sp")
+    assert rec["count"] == tableaux.sp_dimension((4, 4, 4, 4), 4) == 26026
 
 
 def test_tableaux_bad_shape_usage_error(capsys):
@@ -231,7 +245,7 @@ SCHUR_U2 = {"group": "U", "N": 2,
     (["su2", "--factors", "2,0,0,+;2,0,0,-", "--nodes", "1000000000"],
      "1000000000 x 1000000000 = 1000000000000000000"),
     (["tableaux", "--shape", "9", "--N", "30"], "163011640 x 9 = 1467104760"),
-    (["tableaux", "--shape", "3,3", "--N", "40", "--group", "Sp"], "1888984800 x 6 = 11333908800"),
+    (["tableaux", "--shape", "3,3", "--N", "40", "--group", "Sp"], "1885572000 x 6 = 11313432000"),
 ])
 def test_monte_carlo_sizes_refused_before_drawing(capsys, tmp_path, monkeypatch,
                                                   argv, estimate):
@@ -297,6 +311,34 @@ def test_irrep_build_gate_before_bases(capsys, tmp_path, monkeypatch, mode):
     assert code == 3 and out == ""
     assert err == ("cost gate: module basis builds: work estimate 115200 "
                    "exceeds the cap 100000 for O(4)\n")
+
+
+BIG_N = [(group, n, mode, lam) for group in ("U", "O", "Sp") for n in (10 ** 3, 10 ** 5)
+         for mode in ("exact", "leading") for lam in ([1], [2], [1, 1])]
+
+
+@pytest.mark.parametrize("group,n,mode,lam", BIG_N)
+def test_big_n_irrep_requests_end_fast(capsys, tmp_path, group, n, mode, lam):
+    # the module dimensions take weight(lam) factors at any N, and weight-1
+    # O/Sp modules count towards the build gate: each request answers or
+    # is refused, and neither takes O(N^2) steps
+    spec = tmp_path / "irrep.json"
+    spec.write_text(json.dumps({"group": group, "N": n, "factors": [
+        {"lambda": lam, "i": 1, "j": 1, "conj": conj} for conj in (False, True)]}))
+    start = time.perf_counter()
+    code = cli.main(["integral", "--spec", str(spec), "--mode", mode])
+    _, err = capsys.readouterr()
+    assert code in (0, 3), err
+    assert time.perf_counter() - start < 2
+
+
+def test_big_n_o_tableaux_listing_ends_fast(capsys):
+    # the O standardness test reads the letters of the first two columns,
+    # not all N/2 letter pairs
+    start = time.perf_counter()
+    code, out = run(capsys, "tableaux", "--shape", "1", "--N", "100000", "--group", "O")
+    assert time.perf_counter() - start < 2
+    assert code == 0 and json.loads(out)["count"] == 100000
 
 
 SP2 = {"group": "Sp", "N": 2}

@@ -792,7 +792,7 @@ def test_cost_gates(monkeypatch):
     sp = rep_spec("Sp", 2, ((3, 2), 1, 1, False), ((1,), 1, 1, False))
     with pytest.raises(CostGateError) as refused:
         integrate_irrep_exact(sp)
-    assert str(refused.value) == ("module basis builds: work estimate 115200 "
+    assert str(refused.value) == ("module basis builds: work estimate 115204 "
                                   "exceeds the cap 100000 for Sp(2)")
 
 

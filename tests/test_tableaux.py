@@ -15,7 +15,8 @@ from haarint.tableaux import Tableau
 from helpers import (
     admissible_words_by_recursion, brute_gl_dimension, brute_row_stabilizer,
     brute_standard_count, class_size, count_distinct_entry_fillings, gelfand_counts,
-    row_repetition_factor, weyl_gl_dimension, young_constant_mu,
+    row_repetition_factor, weyl_gl_dimension, weyl_o_dimension, weyl_sp_dimension,
+    young_constant_mu,
 )
 
 
@@ -252,6 +253,31 @@ def test_o_and_sp_dimension_known_values():
         tableaux.o_dimension((2, 2), 3)
     with pytest.raises(ValueError):
         tableaux.sp_dimension((1, 1, 1), 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(partition_strategy(max_weight=8), st.integers(min_value=1, max_value=40))
+def test_o_and_sp_dimensions_are_the_weyl_products(shape, n):
+    # the El Samra-King cell products equal Weyl's formulas over the rows,
+    # with O's associate, parity and counted-twice cases, and refuse the
+    # same shapes
+    for fast, weyl in ((tableaux.o_dimension, weyl_o_dimension),
+                       (tableaux.sp_dimension, weyl_sp_dimension)):
+        try:
+            expected = weyl(shape, n)
+        except ValueError:
+            with pytest.raises(ValueError):
+                fast(shape, n)
+            continue
+        assert fast(shape, n) == expected, (fast.__name__, shape, n)
+
+
+def test_o_and_sp_dimensions_huge_n():
+    # |shape| factors at any n: Weyl's formula over n rows would not end
+    n = 10 ** 12
+    assert tableaux.sp_dimension((1,), n) == 2 * n
+    assert tableaux.o_dimension((2,), n) == n * (n + 1) // 2 - 1
+    assert tableaux.sp_dimension((1, 1), n) == n * (2 * n - 1) - 1
 
 
 @settings(max_examples=60, deadline=None)
