@@ -5,7 +5,10 @@ records for table diffs).  Exact fields print as p/q strings so golden
 files stay lossless; every stochastic record embeds the seed and sample
 count that produced it, and echoes --threads, which changes no result.
 Exit codes: 0 success, 2 usage error, 3 cost-gate refusal, 4 internal
-assertion failure.
+assertion failure.  main(argv) answers one request in-process and
+returns that code; each call builds only the parser of the subcommand
+argv names first (COMMANDS, build_parser), and the full parser only for
+help, typos or a missing command.
 """
 
 from __future__ import annotations
@@ -342,7 +345,61 @@ def cmd_sample(args) -> list:
 # ---------------------------------------------------------------------------
 # wiring
 
-def build_parser() -> argparse.ArgumentParser:
+def _tableaux_arguments(p):
+    p.add_argument("--shape", required=True)
+    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--group", choices=("GL", "O", "Sp"), default="GL")
+
+
+def _integral_arguments(p):
+    p.add_argument("--spec", help="JSON spec file (lambda keys pick the "
+                                  "representation path)")
+    p.add_argument("--group", choices=("U", "SU", "O", "SO", "Sp"))
+    p.add_argument("--N", type=int)
+    p.add_argument("--factors", help="inline 'i,j,+;i,j,-' (+ plain, - bar)")
+    p.add_argument("--mode", choices=("exact", "leading", "mc", "all"),
+                   default="exact")
+
+
+def _su2_arguments(p):
+    p.add_argument("--spec")
+    p.add_argument("--factors",
+                   help="inline 'twice_j,twice_mp,twice_m,+/-;...'")
+    p.add_argument("--nodes", type=int, default=32)
+
+
+def _entropy_arguments(p):
+    p.add_argument("--m", required=True, help="comma list of left dimensions")
+    p.add_argument("--n", required=True, help="comma list of right dimensions")
+
+
+def _sample_arguments(p):
+    p.add_argument("--group", choices=("U", "SU", "O", "SO", "Sp"),
+                   required=True)
+    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--count", type=int, default=1)
+
+
+# subcommand name -> (help text, the function adding its arguments, its cmd_*)
+COMMANDS = {
+    "tableaux": ("enumerate admissible fillings of a shape",
+                 _tableaux_arguments, cmd_tableaux),
+    "integral": ("monomial or matrix-element Haar integral",
+                 _integral_arguments, cmd_integral),
+    "su2": ("closed-form spin average vs quadrature", _su2_arguments, cmd_su2),
+    "entropy": ("average marginal entropy: exact, approx, MC",
+                _entropy_arguments, cmd_entropy),
+    "sample": ("draw Haar-distributed matrices", _sample_arguments, cmd_sample),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `haarint` parser: every subcommand, or only `command`'s.
+
+    A one-command parser answers every argv that names that command first
+    as the full parser does, byte for byte: its usage line still lists all
+    of COMMANDS.  It builds 3 ArgumentParsers where the full one builds 7.
+    The full parser answers help, typos and a missing command."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--seed", type=int, default=None)
@@ -354,52 +411,24 @@ def build_parser() -> argparse.ArgumentParser:
         prog="haarint",
         description="Exact and asymptotic Haar integrals over the "
                     "classical compact groups")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("tableaux", parents=[common],
-                       help="enumerate admissible fillings of a shape")
-    p.add_argument("--shape", required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--group", choices=("GL", "O", "Sp"), default="GL")
-    p.set_defaults(func=cmd_tableaux)
-
-    p = sub.add_parser("integral", parents=[common],
-                       help="monomial or matrix-element Haar integral")
-    p.add_argument("--spec", help="JSON spec file (lambda keys pick the "
-                                  "representation path)")
-    p.add_argument("--group", choices=("U", "SU", "O", "SO", "Sp"))
-    p.add_argument("--N", type=int)
-    p.add_argument("--factors", help="inline 'i,j,+;i,j,-' (+ plain, - bar)")
-    p.add_argument("--mode", choices=("exact", "leading", "mc", "all"),
-                   default="exact")
-    p.set_defaults(func=cmd_integral)
-
-    p = sub.add_parser("su2", parents=[common],
-                       help="closed-form spin average vs quadrature")
-    p.add_argument("--spec")
-    p.add_argument("--factors",
-                   help="inline 'twice_j,twice_mp,twice_m,+/-;...'")
-    p.add_argument("--nodes", type=int, default=32)
-    p.set_defaults(func=cmd_su2)
-
-    p = sub.add_parser("entropy", parents=[common],
-                       help="average marginal entropy: exact, approx, MC")
-    p.add_argument("--m", required=True, help="comma list of left dimensions")
-    p.add_argument("--n", required=True, help="comma list of right dimensions")
-    p.set_defaults(func=cmd_entropy)
-
-    p = sub.add_parser("sample", parents=[common],
-                       help="draw Haar-distributed matrices")
-    p.add_argument("--group", choices=("U", "SU", "O", "SO", "Sp"),
-                   required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--count", type=int, default=1)
-    p.set_defaults(func=cmd_sample)
+    # metavar None keeps "required: command" for the full parser
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(COMMANDS) + "}")
+    for name in COMMANDS if command is None else (command,):
+        help_text, add_arguments, func = COMMANDS[name]
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Answer one request; returns its exit code (argv None: sys.argv[1:])."""
+    if argv is None:
+        argv = sys.argv[1:]
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    parser = build_parser(command)
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

@@ -4,6 +4,7 @@ Each invocation runs in-process through main(argv); stdout carries one
 JSON record (or list), so the tests parse and compare structurally.
 """
 
+import argparse
 import json
 import math
 import pathlib
@@ -802,7 +803,8 @@ def test_unknown_command_usage(capsys):
 
 
 # every subcommand, CSV output, a usage error from the parser, one from a
-# command, and a cost-gate refusal
+# command, and a cost-gate refusal; then the argv that reach the top-level
+# parser after a command (an unknown option) or without one, and each help
 PARSER_ARGV = [
     ["tableaux", "--shape", "2,1", "--N", "3", "--group", "O"],
     ["tableaux", "--shape", "2", "--N", "2", "--format", "csv"],
@@ -818,13 +820,19 @@ PARSER_ARGV = [
     ["tableaux", "--shape", "2", "--N", "2", "--threads", "0"],
     ["frobnicate"],
     ["tableaux", "--shape", "3", "--N", "2"],
+    ["integral", "--bogus", "1"],
+    *([name, "-h"] for name in cli.COMMANDS),
+    ["-h"],
+    [],
+    ["--seed", "1", "integral"],
 ]
 
 
 def test_one_shared_parser_answers_as_fresh_ones(capsys, monkeypatch):
-    # the requests answered through one parser built once give the exit
-    # codes, stdout and stderr of a fresh parser per request, on a second
-    # pass too: a cached build_parser would change nothing printed
+    # the requests answered through the full parser, built once, give the
+    # exit codes, stdout and stderr of the per-command parser each request
+    # builds, on a second pass too: a cached build_parser would change
+    # nothing printed
     monkeypatch.delenv(cli.SEED_ENV, raising=False)
 
     def answers():
@@ -837,6 +845,50 @@ def test_one_shared_parser_answers_as_fresh_ones(capsys, monkeypatch):
     fresh = answers()
     assert {code for code, *_ in fresh} == {0, 2, 3}
     shared = cli.build_parser()
-    monkeypatch.setattr(cli, "build_parser", lambda: shared)
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: shared)
     assert answers() == fresh
     assert answers() == fresh
+
+
+def _count_parsers(monkeypatch) -> list:
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    return built
+
+
+def test_a_request_builds_only_its_command_parser(capsys, monkeypatch):
+    # the shared options, the top level and the named command: 3 parsers,
+    # where the full parser builds all 5 subcommands' too
+    built = _count_parsers(monkeypatch)
+    assert cli.main(["integral", "--group", "U", "--N", "2",
+                     "--factors", "1,1,+;1,1,-"]) == 0
+    assert len(built) == 3
+    for name in cli.COMMANDS:
+        built.clear()
+        assert cli.main([name, "-h"]) == 0
+        assert len(built) == 3
+    capsys.readouterr()
+    built.clear()
+    cli.build_parser()
+    assert len(built) == 7
+
+
+@pytest.mark.parametrize("argv", [
+    ["haarint", "integral", "--group", "U", "--N", "2", "--factors", "1,1,+;1,1,-"],
+    ["haarint"],
+])
+def test_main_reads_sys_argv(capsys, monkeypatch, argv):
+    monkeypatch.setattr(sys, "argv", argv)
+    by_default = (cli.main(), *capsys.readouterr())
+    assert (cli.main(sys.argv[1:]), *capsys.readouterr()) == by_default
+    code, _, err = by_default
+    if argv == ["haarint"]:
+        assert code == 2 and "required: command" in err
+    else:
+        assert code == 0
