@@ -850,22 +850,17 @@ def test_one_shared_parser_answers_as_fresh_ones(capsys, monkeypatch):
     assert answers() == fresh
 
 
-def _count_parsers(monkeypatch) -> list:
+def test_a_request_builds_only_its_command_parser(capsys, monkeypatch):
+    # the shared options, the top level and the named command: 3 parsers,
+    # where the full parser builds all 5 subcommands' too
     built = []
     init = argparse.ArgumentParser.__init__
 
     def counting(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
+        built.append(self)
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-    return built
-
-
-def test_a_request_builds_only_its_command_parser(capsys, monkeypatch):
-    # the shared options, the top level and the named command: 3 parsers,
-    # where the full parser builds all 5 subcommands' too
-    built = _count_parsers(monkeypatch)
     assert cli.main(["integral", "--group", "U", "--N", "2",
                      "--factors", "1,1,+;1,1,-"]) == 0
     assert len(built) == 3
