@@ -78,13 +78,11 @@ def _emit(records: list, fmt: str):
         print(json.dumps(payload, indent=2))
         return
     rows = []
-    columns: list[str] = []
+    columns: dict = {}  # the keys in first-seen order
     for rec in records:
         flat: dict = {}
         _flatten(rec, "", flat)
-        for key in flat:
-            if key not in columns:
-                columns.append(key)
+        columns.update(dict.fromkeys(flat))
         rows.append(flat)
     writer = csv.writer(sys.stdout)
     writer.writerow(columns)
@@ -398,15 +396,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
     A one-command parser answers every argv that names that command first
     as the full parser does, byte for byte: its usage line still lists all
-    of COMMANDS.  It builds 3 ArgumentParsers where the full one builds 7.
+    of COMMANDS.  It builds 2 ArgumentParsers where the full one builds 6.
     The full parser answers help, typos and a missing command."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--samples", type=int, default=10000)
-    common.add_argument("--threads", type=int, default=1,
-                        help="echoed in each record; never changes results")
-
     parser = argparse.ArgumentParser(
         prog="haarint",
         description="Exact and asymptotic Haar integrals over the "
@@ -417,7 +408,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         metavar=None if command is None else "{" + ",".join(COMMANDS) + "}")
     for name in COMMANDS if command is None else (command,):
         help_text, add_arguments, func = COMMANDS[name]
-        p = sub.add_parser(name, parents=[common], help=help_text)
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--samples", type=int, default=10000)
+        p.add_argument("--threads", type=int, default=1,
+                       help="echoed in each record; never changes results")
         add_arguments(p)
         p.set_defaults(func=func)
     return parser

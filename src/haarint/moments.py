@@ -29,18 +29,20 @@ being the degree-one <e_i|u|e_j>, e_a the a-th letter of the alphabet
 (the split one for Sp).  _bracket_integral owns the rest in both modes:
 the degree rule, the trivial 0 and 1, the commutant basis, one match-work
 gate, the reduce to r, c and the contraction with W (exact) or with its
-leading diagonal δ/D^q, D = N (2N for Sp).  An entry is a product of
-the factors of the pairing's slot pairs, each 0 or ±1; each term of a
-bracket product reads them once (_pair_factors, from a per-q slot-pair
-table) as two bitmasks, the nonzero pairs and the -1 pairs, so a
-pairing's entry is 0 unless its mask lies inside the first, else the
+leading diagonal δ/D^q, D = N (2N for Sp).  Both modes read one cached
+listing of the basis as slot-pair masks (_masks); only exact requests
+build type tables, character sums and class weights.  An entry is a
+product of the factors of the pairing's slot pairs, each 0 or ±1; each
+term of a bracket product reads them once (_pair_factors, from a per-q
+slot-pair table) as two bitmasks, the nonzero pairs and the -1 pairs, so
+a pairing's entry is 0 unless its mask lies inside the first, else the
 parity of its overlap with the second.  Terms with the same two masks
 add their coefficients before the one pass over the basis they share.
 The kernel needs two bits of the alphabet: whether it is split (the bar
 of x is -x; otherwise x, as on the letters 1..N of U and O monomials),
-and whether the form is skew, which is Sp's.  One SU/SO window serves both
-modes: SU(1) and SO(1) give 1, other cases defer to U or O, vanish, or
-are refused where determinant invariants enter.
+and whether the form is skew, which is Sp's.  One SU/SO window serves
+both modes: SU(1) and SO(1) give 1, other cases defer to U or O, vanish,
+or are refused where determinant invariants enter.
 
 The Monte Carlo cross-check (integrate_monomial_mc) evaluates the monomial
 on stacks of Haar draws, one stack per block of sampling.mc_expectation.
@@ -59,7 +61,7 @@ from . import perms, sampling, tableaux
 from .tensors import CostGateError
 
 DEGREE_CAP = 4  # operators per side; the commutant span grows as q! / (2q-1)!!
-# basis elements the weight-free leading order may enumerate above DEGREE_CAP
+# basis elements any request may list (_masks); exact ones stop at DEGREE_CAP
 LEADING_CAP = 10 ** 6
 
 
@@ -234,13 +236,11 @@ class TypeTable:
     ``rows[a][b]`` indexes into ``types`` the partition of q that labels
     the basis pair (a, b).  ``signs`` holds the ε_a of the symplectic
     Gram, G(a, b) = ε_a ε_b (-1)^q (-2N)^ℓ(type), and is all +1 otherwise.
-    ``masks`` holds each pairing's slot pairs as bits (_pairing_masks).
     """
     elements: list  # pairings (tuples of slot pairs), _basis order
     types: tuple
     rows: tuple  # bytes per basis element
     signs: tuple
-    masks: tuple
 
 
 @functools.lru_cache(maxsize=16)
@@ -258,12 +258,6 @@ def _slot_pair_table(q: int) -> tuple:
     lower = tuple(sum(bits[a][a + 2::2]) for a in range(m + 1))
     input_first = sum(bits[a][b] for a in range(2, m + 1, 2) for b in range(a + 1, m + 1, 2))
     return tuple(map(tuple, bits)), lower, input_first
-
-
-def _pairing_masks(pairings) -> tuple:
-    """Per pairing, the bits (_slot_pair_table) of its slot pairs."""
-    bits = _slot_pair_table(len(pairings[0]))[0]
-    return tuple(sum(bits[a][b] for a, b in p) for p in pairings)
 
 
 def _basis(kind: str, q: int) -> list:
@@ -310,7 +304,7 @@ def type_table(kind: str, q: int) -> TypeTable:
     # every type occurs in row 0, so the type order is fixed by that row
     rows = tuple(bytes(index.setdefault(_loop_type(pa, pb), len(index)) for pb in partners)
                  for pa in partners)
-    return TypeTable(elems, tuple(index), rows, (1,) * len(elems), _pairing_masks(elems))
+    return TypeTable(elems, tuple(index), rows, (1,) * len(elems))
 
 
 def _gram_per_type(kind: str, q: int, n: int) -> list:
@@ -459,7 +453,7 @@ def _pair_factors(left, right, split: bool, skew: bool) -> tuple:
 
 
 def _match_vector(masks, split: bool, skew: bool, terms) -> list:
-    """Per basis element, given by its mask (TypeTable.masks), the sum of
+    """Per basis element, given by its mask (_masks), the sum of
     c * entry(left, right) over the terms (left letters, right letters, c)
     of a tensor.  Each term looks up its slot-pair factors once
     (_pair_factors), and terms with the same factors add their
@@ -479,21 +473,22 @@ def _match_vector(masks, split: bool, skew: bool, terms) -> list:
     return out
 
 
-def _elements(kind: str, q: int, exact: bool) -> tuple:
-    """The U, O or Sp commutant basis at degree q as the masks of its
-    pairings (TypeTable.masks): the cached type table's, whose cap
-    refuses exact values past DEGREE_CAP; the leading order, which needs
-    no weights, enumerates them afresh there (_basis), refused past
-    LEADING_CAP elements."""
-    if exact or q <= DEGREE_CAP:
-        return type_table(kind, q).masks
+@functools.lru_cache(maxsize=16)
+def _masks(kind: str, q: int) -> tuple:
+    """The U, O or Sp commutant basis at degree q (_basis) as the bits
+    (_slot_pair_table) of each pairing's slot pairs; Sp reads O's entry.
+    A count past LEADING_CAP is refused before any listing, so the cache
+    holds only U at q <= 9 and O at q <= 7 (_reduce asks for Sp as O)."""
+    if kind == "Sp":
+        return _masks("O", q)
     count = math.factorial(q) if kind == "U" else _double_factorial(2 * q - 1)
     if count > LEADING_CAP:
         noun = "permutations" if kind == "U" else "pairings"
         raise CostGateError(
             f"leading order at q={q} enumerates {count} {noun}; "
             f"capped at {LEADING_CAP}")
-    return _pairing_masks(_basis(kind, q))
+    bits = _slot_pair_table(q)[0]
+    return tuple(sum(bits[a][b] for a, b in p) for p in _basis(kind, q))
 
 
 def _half_degree(kind: str, brackets) -> int | None:
@@ -527,10 +522,10 @@ def _twist(terms, q: int, skew: bool) -> list:
     return out
 
 
-def _reduce(kind: str, split: bool, brackets, exact: bool):
+def _reduce(kind: str, split: bool, brackets):
     """The value where no weights are needed (a Fraction), otherwise the
     match vectors (kind, q, r_vec, c_vec) of a product of brackets
-    <row|u|col>: its integral is r^T W c over _elements(kind, q, exact).
+    <row|u|col>: its integral is r^T W c over the basis _masks(kind, q).
     A bracket is (conj, row terms, col terms), a term (letters, coeff) of
     a tensor, whose int coefficients give int match vectors; conj marks
     the entrywise conjugate.  The letters are on the split alphabet
@@ -549,11 +544,11 @@ def _reduce(kind: str, split: bool, brackets, exact: bool):
         return Fraction(0)
     if q == 0:
         return Fraction(1)
-    masks = _elements(kind, q, exact)
+    skew = kind == "Sp"
+    masks = _masks("O" if skew else kind, q)
     expanded = max(math.prod(len(b[side]) for b in brackets) for side in (1, 2))
     sampling.check_cost(f"match vectors at q={q}", len(masks), expanded,
                         LEADING_CAP, "bracket-term matches")
-    skew = kind == "Sp"
     brackets = sorted(brackets, key=lambda b: b[0])
     if split:
         brackets = [(conj, _twist(rows, 0, skew), _twist(cols, 0, skew)) if conj
@@ -573,13 +568,16 @@ def _bracket_integral(kind: str, n: int, split: bool, brackets, exact: bool) -> 
     """The integral over U(n), O(n) or Sp(2n) of a product of brackets
     (_reduce): the match vectors contracted with the class weights (exact)
     or with the order-D^-q part of W, the diagonal δ/D^q, D = n, or 2n for
-    Sp (Collins–Śniady 2006, Collins–Matsumoto 2009): r^T c / D^q."""
-    reduced = _reduce(kind, split, brackets, exact)
+    Sp (Collins–Śniady 2006, Collins–Matsumoto 2009): r^T c / D^q.  The
+    engine comes first: past DEGREE_CAP its type table refuses the request."""
+    q = _half_degree(kind, brackets)
+    engine = _engine(kind, q, n) if exact and q else None
+    reduced = _reduce(kind, split, brackets)
     if isinstance(reduced, Fraction):
         return reduced
     kind, q, r_vec, c_vec = reduced
     if exact:
-        return _contract(_engine(kind, q, n), r_vec, c_vec)
+        return _contract(engine, r_vec, c_vec)
     d = 2 * n if kind == "Sp" else n
     return Fraction(sum(ra * ca for ra, ca in zip(r_vec, c_vec)), d ** q)
 

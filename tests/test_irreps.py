@@ -414,9 +414,9 @@ def test_reduce_reuses_the_row_vector_on_diagonal_factors(spec, diagonal, monkey
         return match_vector(*args)
 
     monkeypatch.setattr(moments, "_match_vector", counting)
-    reduced = moments._reduce(spec.group, split, brackets, exact=True)
+    reduced = moments._reduce(spec.group, split, brackets)
     assert len(calls) == (1 if diagonal else 2)
-    assert moments._reduce(spec.group, split, pad_columns(brackets), exact=True) == reduced
+    assert moments._reduce(spec.group, split, pad_columns(brackets)) == reduced
     assert len(calls) == (3 if diagonal else 4)
 
 
@@ -429,7 +429,7 @@ def test_match_vectors_are_int(spec):
     split, brackets, norms = irreps._brackets(spec)
     assert type(norms) is int
     assert all(type(c) is int for _, rows, cols in brackets for _, c in [*rows, *cols])
-    reduced = moments._reduce(spec.group, split, brackets, exact=True)
+    reduced = moments._reduce(spec.group, split, brackets)
     assert not isinstance(reduced, Fraction)  # the vectors are built
     _, _, r_vec, c_vec = reduced
     assert any(r_vec) and any(c_vec)
@@ -583,7 +583,7 @@ def _dense_value(spec):
     """The same match vectors contracted with the dense Weingarten matrix
     of the materialized Gram."""
     split, brackets, norms = irreps._brackets(spec)
-    reduced = moments._reduce(spec.group, split, brackets, exact=True)
+    reduced = moments._reduce(spec.group, split, brackets)
     if isinstance(reduced, Fraction):
         return irreps._finish(reduced, norms)
     group, q, r_vec, c_vec = reduced
@@ -820,6 +820,21 @@ def test_leading_above_the_degree_cap(group, n, lam):
         assert asymptotic_irrep(schur_spec(group, n, lam, *ij, *kl)) == want
     with pytest.raises(CostGateError, match="capped at q=4"):
         integrate_irrep_exact(schur_spec(group, n, lam))
+
+
+@pytest.mark.parametrize("group,n,lam", [("O", 4, (4,)), ("Sp", 2, (2, 2))])
+def test_leading_irrep_builds_no_type_table(group, n, lam, monkeypatch):
+    # a leading q = 4 irrep request reads only the listed masks: no type
+    # table, character sums or class weights
+    def refuse(*args):
+        raise AssertionError("a leading request built a type table or class weights")
+
+    rank = build_irrep_basis(group, lam, n).rank
+    monkeypatch.setattr(moments, "type_table", refuse)
+    monkeypatch.setattr(moments, "_engine", refuse)
+    for ij, kl in [((1, 1), (1, 1)), ((1, rank), (1, rank))]:
+        want = workloads.oracles.schur_leading(group, lam, n, ij, kl)
+        assert asymptotic_irrep(schur_spec(group, n, lam, *ij, *kl)) == want != 0
 
 
 @pytest.mark.parametrize("exact", [True, False])

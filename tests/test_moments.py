@@ -167,7 +167,7 @@ def test_match_vector_is_the_entry_rule(data):
     form = make_form(n)
     letters = list(range(1, n + 1)) if form is None else form.letters
     group = kind.split()[0]
-    masks = moments._elements(group, q, exact=q <= moments.DEGREE_CAP)
+    masks = moments._masks(group, q)
     elements = moments._basis(group, q)
     word = st.lists(st.sampled_from(letters), min_size=q, max_size=q).map(tuple)
     coeff = st.integers(-3, 3).filter(bool)
@@ -200,7 +200,7 @@ def test_keyed_kernel_is_the_slot_by_slot_read(data):
     make_form, split = KERNEL_FORMS[kind]
     form = make_form(data.draw(st.integers(1, 3)))
     skew = kind == "Sp"
-    table = moments.type_table(kind.split()[0], q)
+    masks = moments._masks(kind.split()[0], q)
     bits = moments._slot_pair_table(q)[0]
     assert {pair: bits[pair[0]][pair[1]] for pair in slot_pair_bits(q)} == slot_pair_bits(q)
     letters = form.letters
@@ -216,8 +216,8 @@ def test_keyed_kernel_is_the_slot_by_slot_read(data):
     for left, right, _ in terms:
         assert moments._pair_factors(left, right, split, skew) == \
             pair_factors_by_slots(left, right, form)
-    got = moments._match_vector(table.masks, split, skew, terms)
-    assert got == match_vector_by_terms(table.masks, form, terms)
+    got = moments._match_vector(masks, split, skew, terms)
+    assert got == match_vector_by_terms(masks, form, terms)
     assert all(type(x) is int for x in got)
 
 
@@ -242,11 +242,11 @@ def test_reduce_reuses_the_row_vector(group, n, factors, monkeypatch):
         return match_vector(*args)
 
     monkeypatch.setattr(moments, "_match_vector", counting)
-    reduced = moments._reduce(kind, split, brackets, exact=True)
+    reduced = moments._reduce(kind, split, brackets)
     diagonal = all(f[0] == f[1] for f in factors)
     assert len(calls) == (1 if diagonal else 2)
     padded = pad_columns(brackets)
-    assert moments._reduce(kind, split, padded, exact=True) == reduced
+    assert moments._reduce(kind, split, padded) == reduced
     assert len(calls) == (3 if diagonal else 4)
     value = moments._bracket_integral(kind, n, split, brackets, True)
     assert value == moments._bracket_integral(kind, n, split, padded, True)
@@ -404,12 +404,12 @@ def _fresh_table(kind, q):
     rows = tuple(bytes(index.setdefault(moments._loop_type(pa, pb), len(index))
                        for pb in partners) for pa in partners)
     signs = tuple(moments._crossing_sign(p) if kind == "Sp" else 1 for p in elems)
-    return moments.TypeTable(elems, tuple(index), rows, signs, moments._pairing_masks(elems))
+    return moments.TypeTable(elems, tuple(index), rows, signs)
 
 
 @pytest.mark.parametrize("q", range(1, moments.DEGREE_CAP + 1))
 def test_sp_reads_the_o_tables(q):
-    # Sp shares O's elements, types, rows and masks and its character sums;
+    # Sp shares O's elements, types and rows and its character sums;
     # both kinds equal a fresh build, and the second kind hits the caches
     o = type_table("O", q)
     if q < moments.DEGREE_CAP:  # the q=4 rows take seconds to rebuild
@@ -419,7 +419,7 @@ def test_sp_reads_the_o_tables(q):
     sp = moments.type_table.__wrapped__("Sp", q)
     assert moments.type_table.cache_info().hits == tables.hits + 1
     assert moments.type_table.cache_info().misses == tables.misses
-    assert all(getattr(sp, f) is getattr(o, f) for f in ("elements", "types", "rows", "masks"))
+    assert all(getattr(sp, f) is getattr(o, f) for f in ("elements", "types", "rows"))
     assert sp.signs == tuple(moments._crossing_sign(p) for p in all_pairings(2 * q))
     moments._engine("O", q, 3)
     sums = moments._character_sums.cache_info()
@@ -450,7 +450,7 @@ def _dense_weights(group, q, n):
 
 
 def _dense_value(spec, n):
-    reduced = moments._reduce(*moments._brackets(spec), exact=True)
+    reduced = moments._reduce(*moments._brackets(spec))
     if isinstance(reduced, Fraction):
         return reduced
     group, q, r_vec, c_vec = reduced
@@ -919,6 +919,48 @@ def test_leading_orthogonal():
     assert asymptotic_leading(s, 4) == 0
     assert exact_integral(s, 3) == Fraction(-1, 30)
     assert asymptotic_leading(spec("O", *[(1, 1)] * 10), 3) == Fraction(945, 3 ** 5)
+
+
+def _refuse(*args):
+    raise AssertionError("a leading request built a type table or class weights")
+
+
+@pytest.mark.parametrize("group,n", [("O", 3), ("Sp", 2)])
+def test_leading_builds_no_type_table(group, n, monkeypatch):
+    # a leading q = 4 request reads only the listed masks: no type table,
+    # character sums or class weights
+    monkeypatch.setattr(moments, "type_table", _refuse)
+    monkeypatch.setattr(moments, "_engine", _refuse)
+    s = spec(group, (1, 1), (1, 1), (2, 2), (2, 2), (1, 1, True), (1, 1, True),
+             (2, 2, True), (2, 2, True))
+    assert asymptotic_leading(s, n) == brute_leading(s, n) != 0
+
+
+@pytest.mark.parametrize("q", range(1, moments.DEGREE_CAP + 1))
+@pytest.mark.parametrize("kind", ["U", "O", "Sp"])
+def test_masks_are_the_type_table_elements(kind, q):
+    # one listing for both modes: the slot-pair bits of the type table's
+    # elements, in their order; Sp reads O's cached listing
+    bits = slot_pair_bits(q)
+    assert moments._masks(kind, q) == tuple(
+        sum(bits[pair] for pair in p) for p in type_table(kind, q).elements)
+    if kind == "Sp":
+        assert moments._masks("Sp", q) is moments._masks("O", q)
+
+
+def test_leading_above_the_degree_cap_lists_the_basis_once(monkeypatch):
+    # SO(3) o_12^10 (q = 5, 945 pairings) twice: the second request reads
+    # the cached listing, and so does an Sp request, without a key of its own
+    moments._masks.cache_clear()
+    listed = []
+    basis = moments._basis
+    monkeypatch.setattr(moments, "_basis", lambda *args: listed.append(args) or basis(*args))
+    s = spec("SO", *[(1, 2)] * 10)
+    assert asymptotic_leading(s, 3) == asymptotic_leading(s, 3) == Fraction(945, 3 ** 5)
+    asymptotic_leading(spec("Sp", *[(1, 1)] * 5, *[(1, 1, True)] * 5), 3)
+    assert listed == [("O", 5)]
+    info = moments._masks.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
 
 
 def test_leading_gate_above_the_degree_cap():

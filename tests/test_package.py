@@ -122,6 +122,77 @@ def test_public_check_flags_test_only_code():
                                        "tensors.py:apply_permutation"]
 
 
+def _int_literal(node) -> bool:
+    """An int literal, or a sum, difference, product or power of them."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub, ast.Mult, ast.Pow)):
+        return _int_literal(node.left) and _int_literal(node.right)
+    return isinstance(node, ast.Constant) and type(node.value) is int
+
+
+def _functools_name(node):
+    """x for the attribute functools.x, else None."""
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+            and node.value.id == "functools":
+        return node.attr
+    return None
+
+
+def _unbounded_caches(trees: dict) -> list:
+    """module:line of each cache without an explicit bound: functools.cache,
+    a functools.lru_cache used bare or whose maxsize is neither an int
+    literal nor a module constant bound to one, and either name imported
+    from functools, which would hide it from this check."""
+    found = []
+    for module, tree in trees.items():
+        constants = {t.id for node in tree.body if isinstance(node, ast.Assign)
+                     and _int_literal(node.value) for t in node.targets if isinstance(t, ast.Name)}
+        called = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _functools_name(node.func) == "lru_cache":
+                called.add(node.func)
+                size = node.args[0] if node.args else next(
+                    (k.value for k in node.keywords if k.arg == "maxsize"), None)
+                if not (_int_literal(size) or isinstance(size, ast.Name) and size.id in constants):
+                    found.append(f"{module}:{node.lineno}")
+        for node in ast.walk(tree):
+            name = _functools_name(node)
+            bare = name == "lru_cache" and node not in called
+            imported = isinstance(node, ast.ImportFrom) and node.module == "functools" \
+                and bool({a.name for a in node.names} & {"cache", "lru_cache"})
+            if name == "cache" or bare or imported:
+                found.append(f"{module}:{node.lineno}")
+    return sorted(found)
+
+
+def test_every_cache_is_bounded():
+    # caches are bounded: each functools.lru_cache names its maxsize, and
+    # functools.cache, which never evicts, is not used
+    assert not _unbounded_caches(_package_trees())
+
+
+def test_cache_check_flags_unbounded_caches():
+    # the check above on a package that carries each kind of unbounded
+    # cache, next to two bounded ones it must pass
+    trees = _package_trees()
+    base = trees["su2.py"].body[-1].end_lineno
+    _append(trees["su2.py"], "@functools.cache\n"
+                             "def _a(): pass\n"
+                             "@functools.lru_cache\n"
+                             "def _b(): pass\n"
+                             "@functools.lru_cache(maxsize=None)\n"
+                             "def _c(): pass\n"
+                             "_LIMIT = None\n"
+                             "@functools.lru_cache(_LIMIT)\n"
+                             "def _d(): pass\n"
+                             "from functools import cache\n"
+                             "_SIZE = 2 ** 4\n"
+                             "@functools.lru_cache(_SIZE)\n"
+                             "def _e(): pass\n"
+                             "@functools.lru_cache(maxsize=8, typed=True)\n"
+                             "def _f(): pass\n")
+    assert _unbounded_caches(trees) == sorted(f"su2.py:{base + k}" for k in (1, 3, 5, 8, 10))
+
+
 def _layout_modules(readme: str) -> list:
     """The modules the rows of the README's library-layout table name."""
     section = readme.split("\n## Library layout\n", 1)[1].split("\n## ", 1)[0]
