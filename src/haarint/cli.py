@@ -6,9 +6,10 @@ files stay lossless; every stochastic record embeds the seed and sample
 count that produced it, and echoes --threads, which changes no result.
 Exit codes: 0 success, 2 usage error, 3 cost-gate refusal, 4 internal
 assertion failure.  main(argv) answers one request in-process and
-returns that code; each call builds only the parser of the subcommand
-argv names first (COMMANDS, build_parser), and the full parser only for
-help, typos or a missing command.
+returns that code; a request that names a command is parsed by that
+command's parser alone (command_parser), and the full parser
+(build_parser) answers help, typos, a missing command or arguments left
+over.  The JSON is json.dumps(indent=2)'s text, written in one pass.
 """
 
 from __future__ import annotations
@@ -17,9 +18,11 @@ import argparse
 import csv
 import functools
 import json
+import math
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -72,10 +75,38 @@ def _flatten(value, prefix, out):
         out[prefix] = value
 
 
+def _json(value, indent: str) -> str:
+    """json.dumps(value, indent=2)'s text for a value at this indent; the
+    records' keys are str, and any other key is a TypeError."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [int.__repr__(v) if type(v) is int else _json(v, inner) for v in value]
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _json(v, inner)
+                 for k, v in value.items()]
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
+    raise TypeError(f"Object of type {value.__class__.__name__} "
+                    f"is not JSON serializable")
+
+
 def _emit(records: list, fmt: str):
     if fmt == "json":
-        payload = records[0] if len(records) == 1 else records
-        print(json.dumps(payload, indent=2))
+        print(_json(records[0] if len(records) == 1 else records, ""))
         return
     rows = []
     columns: dict = {}  # the keys in first-seen order
@@ -391,31 +422,36 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The `haarint` parser: every subcommand, or only `command`'s.
+def _add_command(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """Give `parser` the common options, then command `name`'s own."""
+    parser.add_argument("--format", choices=("json", "csv"), default="json")
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--samples", type=int, default=10000)
+    parser.add_argument("--threads", type=int, default=1,
+                        help="echoed in each record; never changes results")
+    _help, add_arguments, func = COMMANDS[name]
+    add_arguments(parser)
+    parser.set_defaults(func=func, command=name)
+    return parser
 
-    A one-command parser answers every argv that names that command first
-    as the full parser does, byte for byte: its usage line still lists all
-    of COMMANDS.  It builds 2 ArgumentParsers where the full one builds 6.
-    The full parser answers help, typos and a missing command."""
+
+def command_parser(name: str) -> argparse.ArgumentParser:
+    """Command `name`'s parser alone: the one, with its errors, help and
+    exit codes, that build_parser() runs on the arguments after `name`."""
+    return _add_command(argparse.ArgumentParser(prog=f"haarint {name}"), name)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full `haarint` parser, with every subcommand: 6 ArgumentParsers
+    where command_parser builds 1.  It answers help, typos, a missing
+    command and arguments left over after a command's own."""
     parser = argparse.ArgumentParser(
         prog="haarint",
         description="Exact and asymptotic Haar integrals over the "
                     "classical compact groups")
-    # metavar None keeps "required: command" for the full parser
-    sub = parser.add_subparsers(
-        dest="command", required=True,
-        metavar=None if command is None else "{" + ",".join(COMMANDS) + "}")
-    for name in COMMANDS if command is None else (command,):
-        help_text, add_arguments, func = COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--samples", type=int, default=10000)
-        p.add_argument("--threads", type=int, default=1,
-                       help="echoed in each record; never changes results")
-        add_arguments(p)
-        p.set_defaults(func=func)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, *_) in COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_text), name)
     return parser
 
 
@@ -423,10 +459,13 @@ def main(argv=None) -> int:
     """Answer one request; returns its exit code (argv None: sys.argv[1:])."""
     if argv is None:
         argv = sys.argv[1:]
-    command = argv[0] if argv and argv[0] in COMMANDS else None
-    parser = build_parser(command)
     try:
-        args = parser.parse_args(argv)
+        args, rest = None, argv
+        if argv and argv[0] in COMMANDS:
+            args, rest = command_parser(argv[0]).parse_known_args(argv[1:])
+        if args is None or rest:
+            # the full parser prints the top-level "unrecognized arguments"
+            args = build_parser().parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
     try:

@@ -80,10 +80,15 @@ look-ahead, and the O fillings built as tableaux, tested through
 ``Tableau.column`` and ``Tableau.entry`` (``o_standard_tableau``) and
 flattened back (``admissible_words_by_recursion``).  The package's words
 must equal them word for word and in order.
+
+Last of all, it keeps the command line's JSON output as
+``json.dumps(payload, indent=2)`` printed it (``emit_json_by_dumps``),
+which the package's one-pass emitter must match byte for byte.
 """
 
 import functools
 import itertools
+import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -1245,3 +1250,10 @@ def admissible_words_by_recursion(group: str, shape, n: int) -> list:
         return [tuple(t.row_major()) for t in built if o_standard_tableau(t, n, pos)]
     return list(semistandard_fillings_by_recursion(
         tableaux.check_group_shape("Sp", shape, n), tableaux.sp_alphabet(n), lambda r: 2 * r))
+
+
+def emit_json_by_dumps(records: list):
+    """cli._emit's JSON output by json.dumps(indent=2), whose pure-Python
+    encoder the one-pass emitter of the package must match byte for byte."""
+    payload = records[0] if len(records) == 1 else records
+    print(json.dumps(payload, indent=2))

@@ -5,18 +5,23 @@ JSON record (or list), so the tests parse and compare structurally.
 """
 
 import argparse
+import gc
 import json
 import math
 import pathlib
+import statistics
 import sys
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, seed, settings, strategies as st
 
 from haarint import cli, entropy, irreps, su2, tableaux
 from haarint.sampling import BLOCK
+
+from helpers import emit_json_by_dumps
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -804,7 +809,7 @@ def test_unknown_command_usage(capsys):
 
 # every subcommand, CSV output, a usage error from the parser, one from a
 # command, and a cost-gate refusal; then the argv that reach the top-level
-# parser after a command (an unknown option) or without one, and each help
+# parser after a command (arguments left over) or without one, and each help
 PARSER_ARGV = [
     ["tableaux", "--shape", "2,1", "--N", "3", "--group", "O"],
     ["tableaux", "--shape", "2", "--N", "2", "--format", "csv"],
@@ -821,6 +826,13 @@ PARSER_ARGV = [
     ["frobnicate"],
     ["tableaux", "--shape", "3", "--N", "2"],
     ["integral", "--bogus", "1"],
+    ["integral", "extra", "--N", "2"],
+    ["integral", "--", "x"],
+    ["integral", "integral"],
+    ["sample", "-h", "--bogus"],
+    ["integral", "--format"],
+    ["integral", "--group", "U", "--N", "2", "--factors", "1,1,+;1,1,-",
+     "--mode", "mc", "--seed", "1", "--sa", "200"],
     *([name, "-h"] for name in cli.COMMANDS),
     ["-h"],
     [],
@@ -829,10 +841,10 @@ PARSER_ARGV = [
 
 
 def test_one_shared_parser_answers_as_fresh_ones(capsys, monkeypatch):
-    # the requests answered through the full parser, built once, give the
-    # exit codes, stdout and stderr of the per-command parser each request
-    # builds, on a second pass too: a cached build_parser would change
-    # nothing printed
+    # the requests answered by one parser per command and one full parser,
+    # each built once, give the exit codes, stdout and stderr of the fresh
+    # parsers each request builds, on a second pass too: cached parsers
+    # would change nothing printed
     monkeypatch.delenv(cli.SEED_ENV, raising=False)
 
     def answers():
@@ -844,8 +856,10 @@ def test_one_shared_parser_answers_as_fresh_ones(capsys, monkeypatch):
 
     fresh = answers()
     assert {code for code, *_ in fresh} == {0, 2, 3}
-    shared = cli.build_parser()
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: shared)
+    shared = {name: cli.command_parser(name) for name in cli.COMMANDS}
+    full = cli.build_parser()
+    monkeypatch.setattr(cli, "command_parser", shared.__getitem__)
+    monkeypatch.setattr(cli, "build_parser", lambda: full)
     assert answers() == fresh
     assert answers() == fresh
 
@@ -868,8 +882,9 @@ def test_csv_header_is_linear_in_the_keys(capsys):
 
 
 def test_a_request_builds_only_its_command_parser(capsys, monkeypatch):
-    # the top level and the named command: 2 parsers, where the full
-    # parser builds all 5 subcommands'
+    # a named command, and its help, build its one parser; arguments left
+    # over add the full parser, which builds all 5 subcommands' and the top
+    # level's
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -880,15 +895,101 @@ def test_a_request_builds_only_its_command_parser(capsys, monkeypatch):
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
     assert cli.main(["integral", "--group", "U", "--N", "2",
                      "--factors", "1,1,+;1,1,-"]) == 0
-    assert len(built) == 2
+    assert len(built) == 1
     for name in cli.COMMANDS:
         built.clear()
         assert cli.main([name, "-h"]) == 0
-        assert len(built) == 2
+        assert len(built) == 1
+    built.clear()
+    assert cli.main(["integral", "--bogus", "1"]) == 2
+    assert len(built) == 1 + 6
     capsys.readouterr()
     built.clear()
     cli.build_parser()
     assert len(built) == 6
+
+
+def _through_full_parser(name: str):
+    """A stand-in for cli.command_parser that answers the whole request
+    through build_parser().parse_args(argv), leaving nothing over."""
+    def parse_known_args(rest):
+        return cli.build_parser().parse_args([name, *rest]), []
+    return mock.Mock(parse_known_args=parse_known_args)
+
+
+# every option of the five commands, small values for them, and the tokens
+# that end options, ask for help, go unrecognized or read as negative
+ARGV_TOKENS = sorted({
+    "--format", "--seed", "--samples", "--threads", "--shape", "--N",
+    "--group", "--spec", "--factors", "--mode", "--nodes", "--m", "--n",
+    "--count", "json", "csv", "0", "1", "2", "3", "2,1", "GL", "U", "SU",
+    "O", "SO", "Sp", "exact", "leading", "mc", "all", "1,1,+;1,1,-",
+    "2,0,0,+;2,0,0,-", "--", "-h", "x", "-1", "no-such-spec.json"})
+
+
+@seed(1)
+@fuzz(150)
+@given(st.sampled_from(sorted(cli.COMMANDS)),
+       st.lists(st.sampled_from(ARGV_TOKENS), max_size=8))
+def test_one_command_parser_answers_as_the_full_parser(capsys, monkeypatch, name, tokens):
+    monkeypatch.delenv(cli.SEED_ENV, raising=False)
+    argv = [name, *tokens]
+    answer = (cli.main(list(argv)), *capsys.readouterr())
+    with mock.patch.object(cli, "command_parser", _through_full_parser):
+        assert (cli.main(list(argv)), *capsys.readouterr()) == answer
+
+
+def test_a_warm_request_leaves_little_cyclic_garbage(capsys):
+    # unreachable objects one in-process request leaves for the collector,
+    # counted with the collector off (all of them are young): argparse's
+    # parser holds cycles, and json.dumps(indent=...) built closures on
+    # every call, which hold more
+    argv = ["integral", "--group", "U", "--N", "3", "--factors", "1,1,+;1,1,-"]
+    assert cli.main(list(argv)) == 0
+    counts = []
+    gc.disable()
+    try:
+        gc.collect()
+        for _ in range(20):
+            gc.collect(0)
+            cli.main(list(argv))
+            counts.append(gc.collect(0))
+    finally:
+        gc.enable()
+    capsys.readouterr()
+    assert statistics.median(counts) <= 80, counts
+
+
+JSON_SCALARS = (st.integers() | st.booleans() | st.none() | st.text()
+                | st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+JSON_PAYLOADS = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=40)
+
+
+@fuzz(200)
+@given(st.lists(JSON_PAYLOADS, min_size=1, max_size=3))
+@example([{"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "-0": -0.0,
+           "tiny": 5e-324, "\x00\u00e9\u2028\"": ["\x1f\ud7ff", True, False, None],
+           "empty": [{}, [], ""]}])
+@example([[], {}])
+def test_json_output_is_json_dumps_text(capsys, records):
+    emit_json_by_dumps(records)
+    expected = capsys.readouterr().out
+    cli._emit(records, "json")
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("payload", [
+    {"a": [1, np.int64(2)]}, {"b": {"c": 1j}}, [1.5, {"d": {1, 2}}]])
+def test_json_output_refuses_what_json_refuses(capsys, payload):
+    with pytest.raises(TypeError) as expected:
+        emit_json_by_dumps([payload])
+    with pytest.raises(TypeError) as refused:
+        cli._emit([payload], "json")
+    assert str(refused.value) == str(expected.value)
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("argv", [
