@@ -194,7 +194,7 @@ def _gate_tableaux(group: str, shape, n: int):
     least 2N dimensions is refused already or its numerator, weight(shape)
     factors of at most 2N + 2 weight(shape), takes more than DIMENSION_BITS.
     A count str() cannot print is refused by its digits."""
-    letters = 2 * n if group == "Sp" else n
+    letters = sampling.dimension(group, n)
     m = tableaux.weight(shape)
     low = letters * m
     if low > SAMPLE_CAP and tableaux.gl_dimension_bits(shape, letters) > DIMENSION_BITS:

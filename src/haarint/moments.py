@@ -5,9 +5,9 @@ The integral of a monomial in entries of u and u-bar equals a matrix
 element of the orthogonal projection of |J><J'| onto the span of the
 commutant operators: slot permutations for U(N), pair-partition operators
 for O(N) and Sp(2N).  The projection is r^T W c for match vectors r, c
-and any W with G W G = G, G the Gram matrix of operator traces.  All
-three bases are pairings of the 2q slots (_basis): a permutation σ is
-the Brauer diagram pairing output σ(j) with input j.
+and any W with G W G = G, G the Gram matrix of operator traces.  Both
+bases are pairings of the 2q slots (_basis): a permutation σ is the
+Brauer diagram pairing output σ(j) with input j.
 
 G(a, b) depends on a and b only through a partition of q, the type of
 the pair: the loop lengths of a ∪ b, which for two permutations is the
@@ -18,9 +18,10 @@ with M and a_λ(μ) free of N.  Where some z_λ is 0 (small N) the Gram is
 singular and the sum without those λ is a generalized inverse; any W
 with G W G = G gives the same projection.  Each build checks
 G (D w) G = D G in int, D the weights' common denominator, by a route of
-its own (_class_product).  The symplectic Gram, and so W, is the
-orthogonal one at dimension -2N up to the signs ε_a ε_b (-1)^q, ε_a the
-crossing parity of the pairing a.  The dense Gram and its Weingarten
+its own (_class_product).  Sp(2N) is O(-2N): the symplectic Gram, and
+so W, is the orthogonal one at dimension -2N up to the signs
+ε_a ε_b (-1)^q, ε_a the crossing parity of the pairing a (_crossing_signs),
+so the engine knows only U and O.  The dense Gram and its Weingarten
 matrix are not built here: they live in the test suite (tests/helpers.py)
 as the reference route that judges these weights.
 
@@ -29,7 +30,7 @@ being the degree-one <e_i|u|e_j>, e_a the a-th letter of the alphabet
 (the split one for Sp).  _bracket_integral owns the rest in both modes:
 the degree rule, the trivial 0 and 1, the commutant basis, one match-work
 gate, the reduce to r, c and the contraction with W (exact) or with its
-leading diagonal δ/D^q, D = N (2N for Sp).  Both modes read one cached
+leading diagonal δ/N^q, Sp read as O at -2N.  Both modes read one cached
 listing of the basis as slot-pair masks (_masks); only exact requests
 build type tables, character sums and class weights.  An entry is a
 product of the factors of the pairing's slot pairs, each 0 or ±1; each
@@ -52,7 +53,7 @@ import collections
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -98,7 +99,7 @@ class MonomialSpec:
         return len(self.factors)
 
     def validate(self, n: int):
-        top = 2 * n if self.group == "Sp" else n
+        top = sampling.dimension(self.group, n)
         for f in self.factors:
             if not (1 <= f.row <= top and 1 <= f.col <= top):
                 raise ValueError(f"index out of range 1..{top}: {f}")
@@ -231,16 +232,11 @@ def _crossing_sign(pairing) -> int:
 
 @dataclass(frozen=True)
 class TypeTable:
-    """Dimension-free structure of one commutant basis.
-
-    ``rows[a][b]`` indexes into ``types`` the partition of q that labels
-    the basis pair (a, b).  ``signs`` holds the ε_a of the symplectic
-    Gram, G(a, b) = ε_a ε_b (-1)^q (-2N)^ℓ(type), and is all +1 otherwise.
-    """
+    """Dimension-free structure of one commutant basis: ``rows[a][b]``
+    indexes into ``types`` the partition of q that labels the pair (a, b)."""
     elements: list  # pairings (tuples of slot pairs), _basis order
     types: tuple
     rows: tuple  # bytes per basis element
-    signs: tuple
 
 
 @functools.lru_cache(maxsize=16)
@@ -261,62 +257,56 @@ def _slot_pair_table(q: int) -> tuple:
 
 
 def _basis(kind: str, q: int) -> list:
-    """The U, O or Sp commutant basis at degree q as pairings of the slots
+    """The U or O commutant basis at degree q as pairings of the slots
     1..2q, odd slot 2i-1 the i-th output and even slot 2j the j-th input:
-    every pairing for O and Sp (all_pairings), and for U the output-input
-    ones, one per slot permutation p (itertools.permutations order) made
-    of the pairs (2p[j]+1, 2j+2), 0-based j, each written low slot first.
-    The loop type of two such pairings σ, τ is the cycle type of σ^-1 τ,
-    so one loop walk (_loop_type) labels every basis."""
+    every pairing for O (all_pairings), which Sp(2N) reads as O(-2N), and
+    for U the output-input ones, one per slot permutation p
+    (itertools.permutations order) made of the pairs (2p[j]+1, 2j+2),
+    0-based j, each written low slot first.  The loop type of two such
+    pairings σ, τ is the cycle type of σ^-1 τ, so one loop walk
+    (_loop_type) labels both bases."""
     if kind == "U":
         pair = [[tuple(sorted((2 * i + 1, 2 * j + 2))) for i in range(q)]
                 for j in range(q)]
         return [tuple(map(list.__getitem__, pair, p))
                 for p in itertools.permutations(range(q))]
-    if kind in ("O", "Sp"):
+    if kind == "O":
         return all_pairings(2 * q)
     raise ValueError(f"unknown group tag {kind!r}")
 
 
 @functools.lru_cache(maxsize=16)
 def type_table(kind: str, q: int) -> TypeTable:
-    """Type table of the U, O or Sp commutant basis at degree q (_basis).
-
-    The symplectic sign of a pairing is its crossing parity,
-    ε_a = (-1)^cr(a) with cr(a) the number of crossing pairs of a
-    (Collins–Matsumoto 2009); the first pairing ((1, 2), (3, 4), …) has
-    none, so ε = 1 there.  Sp shares every other field with the O table,
-    which it reads from this cache.
-    """
+    """Type table of the U or O commutant basis at degree q (_basis); Sp
+    reads O's (_bracket_integral)."""
     if q < 1:
         raise ValueError("need q >= 1")
     if q > DEGREE_CAP:
         raise CostGateError(
             f"commutant span at q={q} has {math.factorial(q)} permutations or "
             f"{_double_factorial(2 * q - 1)} pairings; capped at q={DEGREE_CAP}")
-    if kind == "Sp":
-        table = type_table("O", q)
-        return replace(
-            table, signs=tuple(_crossing_sign(p) for p in table.elements))
     elems = _basis(kind, q)
     partners = [_partners(p) for p in elems]
     index: dict = {}
     # every type occurs in row 0, so the type order is fixed by that row
     rows = tuple(bytes(index.setdefault(_loop_type(pa, pb), len(index)) for pb in partners)
                  for pa in partners)
-    return TypeTable(elems, tuple(index), rows, (1,) * len(elems))
+    return TypeTable(elems, tuple(index), rows)
 
 
-def _gram_per_type(kind: str, q: int, n: int) -> list:
-    """The Gram as a class function: G(a, b) = ε_a ε_b out[rows[a][b]]."""
-    d, sign = (-2 * n, (-1) ** q) if kind == "Sp" else (n, 1)
-    return [sign * d ** len(t) for t in type_table(kind, q).types]
+@functools.lru_cache(maxsize=DEGREE_CAP)
+def _crossing_signs(q: int) -> tuple:
+    """The ε_a = (-1)^cr(a) of the O pairings at degree q (type_table
+    order), cr(a) the number of crossing pairs of a: the symplectic Gram is
+    G(a, b) = ε_a ε_b (-1)^q (-2N)^ℓ(type) (Collins–Matsumoto 2009).  The
+    first pairing ((1, 2), (3, 4), …) has none, so ε = 1 there."""
+    return tuple(_crossing_sign(p) for p in type_table("O", q).elements)
 
 
 def _class_product(table: TypeTable, x, y) -> list:
     """Product of two class functions, given by their values per type:
     at type t, the sum over c of x(first, c) y(c, b), b the first element
-    of row 0 of type t; the signs of a symplectic pair cancel over c."""
+    of row 0 of type t."""
     first = table.rows[0]
     return [sum(x[s] * y[u] for s, u in zip(first, table.rows[first.index(t)]))
             for t in range(len(table.types))]
@@ -325,8 +315,7 @@ def _class_product(table: TypeTable, x, y) -> list:
 @functools.lru_cache(maxsize=16)
 def _character_sums(kind: str, q: int) -> tuple:
     """The N-free part of the U or O class weights at degree q: M, and
-    per λ ⊢ q in type order the a_λ(μ) per type μ; Sp, whose type table
-    differs from O's only in its signs, reads O's.  For U, M = q!^2 and
+    per λ ⊢ q in type order the a_λ(μ) per type μ.  For U, M = q!^2 and
     a_λ(μ) = χ^λ(1)^2 χ^λ(μ), μ the cycle type of σ^-1 τ.  For O, M = (2q)! and
     a_λ(μ) = f^2λ Σ_τ χ^2λ(τ), τ over the 2^q q! slot permutations that
     carry the first pairing ((1, 2), (3, 4), …) onto the first pairing p
@@ -360,7 +349,7 @@ def _character_sums(kind: str, q: int) -> tuple:
 @dataclass(frozen=True)
 class ClassWeights:
     """Weingarten weights as a class function: the k x k matrix is
-    W(a, b) = signs[a] signs[b] weights[rows[a][b]], with G W G = G."""
+    W(a, b) = weights[rows[a][b]], with G W G = G."""
     table: TypeTable
     weights: tuple  # one Fraction per type
     pseudo: bool  # the Gram is singular, W is a generalized inverse
@@ -368,38 +357,34 @@ class ClassWeights:
 
 @functools.lru_cache(maxsize=128)
 def _engine(group: str, q: int, n: int) -> ClassWeights:
-    """Class weights of the U, O or Sp commutant at degree q, dimension n:
+    """Class weights of the U or O commutant at degree q, dimension n, for
+    O any nonzero int, Sp(2N) being O at n = -2N (_bracket_integral):
     w = (1/M) Σ a_λ/z_λ over the λ with z_λ ≠ 0 (_character_sums), where
-    z_λ = s_λ(1^n) for U and Π (d + 2j - i) over the cells (i, j) of λ,
-    0-based, for O (d = n) and Sp (d = -2n, the sum times (-1)^q).  The
-    sum is taken in int over D = M lcm(z_λ), and so is the check
-    G (D w) G = D G; Fraction enters with w."""
+    z_λ = s_λ(1^n) for U and Π (n + 2j - i) over the cells (i, j) of λ,
+    0-based, for O.  The sum is taken in int over D = M lcm(z_λ), and so
+    is the check G (D w) G = D G; Fraction enters with w."""
     table = type_table(group, q)
-    m, sums = _character_sums("O" if group == "Sp" else group, q)
+    m, sums = _character_sums(group, q)
     if group == "U":
         z = [tableaux.gl_dimension(lam, n) for lam in table.types]
     else:
-        d = -2 * n if group == "Sp" else n
-        z = [math.prod(d + 2 * j - i for i, part in enumerate(lam) for j in range(part))
+        z = [math.prod(n + 2 * j - i for i, part in enumerate(lam) for j in range(part))
              for lam in table.types]
     live = [(a, x) for a, x in zip(sums, z) if x]
     common = math.lcm(*(x for _, x in live))
-    sign = (-1) ** q if group == "Sp" else 1
-    dw = [sign * sum(a[t] * (common // x) for a, x in live) for t in range(len(z))]
+    dw = [sum(a[t] * (common // x) for a, x in live) for t in range(len(z))]
     denom = m * common
-    g = _gram_per_type(group, q, n)
+    g = [n ** len(t) for t in table.types]  # the Gram as a class function
     assert _class_product(table, _class_product(table, g, dw), g) == [denom * x for x in g]
     return ClassWeights(table, tuple(Fraction(x, denom) for x in dw), pseudo=len(live) < len(z))
 
 
 def _contract(engine: ClassWeights, r_vec, c_vec) -> Fraction:
     """r^T W c, summed per type of the basis pair before weighting."""
-    table = engine.table
-    cols = [(b, cb * sb) for b, (cb, sb) in enumerate(zip(c_vec, table.signs)) if cb]
+    cols = [(b, cb) for b, cb in enumerate(c_vec) if cb]
     bins = [0] * len(engine.weights)
-    for ra, sa, row in zip(r_vec, table.signs, table.rows):
+    for ra, row in zip(r_vec, engine.table.rows):
         if ra:
-            ra *= sa
             for b, cb in cols:
                 bins[row[b]] += ra * cb
     return sum((w * m for w, m in zip(engine.weights, bins) if m), Fraction(0))
@@ -475,12 +460,10 @@ def _match_vector(masks, split: bool, skew: bool, terms) -> list:
 
 @functools.lru_cache(maxsize=16)
 def _masks(kind: str, q: int) -> tuple:
-    """The U, O or Sp commutant basis at degree q (_basis) as the bits
-    (_slot_pair_table) of each pairing's slot pairs; Sp reads O's entry.
-    A count past LEADING_CAP is refused before any listing, so the cache
-    holds only U at q <= 9 and O at q <= 7 (_reduce asks for Sp as O)."""
-    if kind == "Sp":
-        return _masks("O", q)
+    """The U or O commutant basis at degree q (_basis) as the bits
+    (_slot_pair_table) of each pairing's slot pairs.  A count past
+    LEADING_CAP is refused before any listing, so the cache holds only U
+    at q <= 9 and O at q <= 7."""
     count = math.factorial(q) if kind == "U" else _double_factorial(2 * q - 1)
     if count > LEADING_CAP:
         noun = "permutations" if kind == "U" else "pairings"
@@ -494,8 +477,8 @@ def _masks(kind: str, q: int) -> tuple:
 def _half_degree(kind: str, brackets) -> int | None:
     """q, the operators per side, of a product of brackets, read from each
     bracket's degree (the letters of any of its terms); None where the
-    integral vanishes: U needs as many plain as conjugated slots, O and Sp
-    an even total."""
+    integral vanishes: U needs as many plain as conjugated slots, O an
+    even total."""
     plain = total = 0
     for conj, rows, _ in brackets:
         degree = len(next(iter(rows))[0])
@@ -522,10 +505,10 @@ def _twist(terms, q: int, skew: bool) -> list:
     return out
 
 
-def _reduce(kind: str, split: bool, brackets):
-    """The value where no weights are needed (a Fraction), otherwise the
-    match vectors (kind, q, r_vec, c_vec) of a product of brackets
-    <row|u|col>: its integral is r^T W c over the basis _masks(kind, q).
+def _reduce(kind: str, q: int, split: bool, skew: bool, brackets) -> tuple:
+    """The match vectors (r_vec, c_vec) of a product of brackets
+    <row|u|col> of q >= 1 operators per side (_half_degree): its integral
+    is r^T W c over the basis _masks(kind, q), kind U or O.
     A bracket is (conj, row terms, col terms), a term (letters, coeff) of
     a tensor, whose int coefficients give int match vectors; conj marks
     the entrywise conjugate.  The letters are on the split alphabet
@@ -534,18 +517,12 @@ def _reduce(kind: str, split: bool, brackets):
     modules; the form is skew for Sp.  Before any match vector, the
     match-work gate refuses basis elements x the larger side's term count
     past LEADING_CAP (one term for a monomial).  Plain brackets fill the
-    early slots and conjugated ones the late, as U needs; O and Sp take
-    any split of the slots.  On a split alphabet a conjugated bracket is
+    early slots and conjugated ones the late, as U needs; O takes any
+    split of the slots.  On a split alphabet a conjugated bracket is
     twisted whole, then the product's slots from q on to the inverse;
     otherwise the twist is the identity.  Where every bracket's row terms
     are its column terms the two sides are one computation, so c is r."""
-    q = _half_degree(kind, brackets)
-    if q is None:
-        return Fraction(0)
-    if q == 0:
-        return Fraction(1)
-    skew = kind == "Sp"
-    masks = _masks("O" if skew else kind, q)
+    masks = _masks(kind, q)
     expanded = max(math.prod(len(b[side]) for b in brackets) for side in (1, 2))
     sampling.check_cost(f"match vectors at q={q}", len(masks), expanded,
                         LEADING_CAP, "bracket-term matches")
@@ -561,25 +538,36 @@ def _reduce(kind: str, split: bool, brackets):
         if split:
             terms = _twist(terms, q, skew)
         vectors.append(_match_vector(masks, split, skew, [(x[:q], x[q:], c) for x, c in terms]))
-    return kind, q, vectors[0], vectors[-1]
+    return vectors[0], vectors[-1]
 
 
 def _bracket_integral(kind: str, n: int, split: bool, brackets, exact: bool) -> Fraction:
     """The integral over U(n), O(n) or Sp(2n) of a product of brackets
     (_reduce): the match vectors contracted with the class weights (exact)
-    or with the order-D^-q part of W, the diagonal δ/D^q, D = n, or 2n for
-    Sp (Collins–Śniady 2006, Collins–Matsumoto 2009): r^T c / D^q.  The
-    engine comes first: past DEGREE_CAP its type table refuses the request."""
+    or with the order-n^-q part of W, the diagonal δ/n^q (Collins–Śniady
+    2006, Collins–Matsumoto 2009): r^T c / n^q.  Sp(2n) is O(-2n): its
+    skew entry rule gives the match vectors, then the O engine at -2n
+    contracts them, each times the crossing signs ε (_crossing_signs),
+    and the value is times (-1)^q; the leading value skips ε, as ε^2 = 1,
+    and (-1)^q / (-2n)^q is 1/(2n)^q.  The engine comes first: past
+    DEGREE_CAP its type table refuses the request."""
+    skew = kind == "Sp"
+    if skew:
+        kind, n = "O", -2 * n
     q = _half_degree(kind, brackets)
-    engine = _engine(kind, q, n) if exact and q else None
-    reduced = _reduce(kind, split, brackets)
-    if isinstance(reduced, Fraction):
-        return reduced
-    kind, q, r_vec, c_vec = reduced
-    if exact:
-        return _contract(engine, r_vec, c_vec)
-    d = 2 * n if kind == "Sp" else n
-    return Fraction(sum(ra * ca for ra, ca in zip(r_vec, c_vec)), d ** q)
+    if q is None:
+        return Fraction(0)
+    if q == 0:
+        return Fraction(1)
+    engine = _engine(kind, q, n) if exact else None
+    r_vec, c_vec = _reduce(kind, q, split, skew, brackets)
+    sign = (-1) ** q if skew else 1
+    if not exact:
+        return Fraction(sign * sum(ra * ca for ra, ca in zip(r_vec, c_vec)), n ** q)
+    if skew:
+        eps = _crossing_signs(q)
+        r_vec, c_vec = ([x * e for x, e in zip(v, eps)] for v in (r_vec, c_vec))
+    return sign * _contract(engine, r_vec, c_vec)
 
 
 def _brackets(spec: MonomialSpec) -> tuple:

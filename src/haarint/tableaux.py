@@ -68,13 +68,8 @@ def o_alphabet(n: int) -> list[int]:
 
 
 def sp_alphabet(n: int) -> list[int]:
-    """Alphabet 1bar < 1 < ... < Nbar < N for Sp(2N); dimension is 2n."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    letters = []
-    for i in range(1, n + 1):
-        letters += [-i, i]
-    return letters
+    """Alphabet 1bar < 1 < ... < Nbar < N for Sp(2N): that of O(2N)."""
+    return o_alphabet(2 * n)
 
 
 class Tableau:
@@ -365,20 +360,19 @@ def o_dimension(shape, n: int) -> int:
     s = shape_r + shape_c - r - c - 2 on and below the diagonal (r >= c)
     and s = r + c - shape'_r - shape'_c above it (El Samra and King,
     J. Phys. A 12 (1979) 2317): |shape| factors at any n."""
-    shape = check_group_shape("O", shape, n)
+    return _o_product(check_group_shape("O", shape, n), n)
+
+
+def _o_product(shape: Shape, d: int) -> int:
+    """o_dimension's product at any int d, the shape unchecked."""
     conj, cells = _cells(shape)
-    return _hook_ratio([n + (shape[r] + shape[c] - r - c - 2 if r >= c
+    return _hook_ratio([d + (shape[r] + shape[c] - r - c - 2 if r >= c
                              else r + c - conj[r] - conj[c]) for r, c, _ in cells], cells)
 
 
 def sp_dimension(shape, n: int) -> int:
-    """Dimension of the Sp(2n) module of the shape (at most n rows): the
-    product over the cells (r, c), 0-based, of (2n + t) / hook(r, c), with
-    t = shape_r + shape_c - r - c below the diagonal (r > c) and
-    t = r + c + 2 - shape'_r - shape'_c on and above it (El Samra and
-    King, as o_dimension)."""
+    """Dimension of the Sp(2n) module of the shape (at most n rows) by
+    the duality Sp(2n) = O(-2n) (El Samra and King, as o_dimension):
+    (-1)^|shape| times the O product at -2n on the conjugate shape."""
     shape = check_group_shape("Sp", shape, n)
-    conj, cells = _cells(shape)
-    return _hook_ratio([2 * n + (shape[r] + shape[c] - r - c if r > c
-                                 else r + c + 2 - conj[r] - conj[c]) for r, c, _ in cells],
-                       cells)
+    return (-1) ** weight(shape) * _o_product(conjugate(shape), -2 * n)

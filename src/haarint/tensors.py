@@ -181,7 +181,7 @@ class BilinearForm:
             raise ValueError("need n >= 1")
         self.kind = kind
         self.n = n
-        self.letters = (tableaux.sp_alphabet if kind == "symplectic" else tableaux.o_alphabet)(n)
+        self.letters = tableaux.o_alphabet(2 * n if kind == "symplectic" else n)
         self.dim = len(self.letters)
 
     def bar(self, x: int) -> int:
@@ -189,11 +189,7 @@ class BilinearForm:
 
     def pairing(self, x: int, y: int) -> int:
         """omega(e_x, e_y)."""
-        if y != self.bar(x):
-            return 0
-        if self.kind == "symplectic":
-            return 1 if x < 0 else -1
-        return 1
+        return self.dsign(x) if y == self.bar(x) else 0
 
     def dsign(self, x: int) -> int:
         """Coefficient s_x in sum_p f_p (x) f^p = sum_x s_x e_x (x) e_bar(x)."""

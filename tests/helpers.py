@@ -9,7 +9,10 @@ either from the type table's loop counts (``gram_from_loops``) or from the
 materialized pairing operators (``gram_from_operators``), its exact inverse
 or Moore-Penrose inverse (``weingarten_data``), and the sign-tracking loop
 walk (``loop_structure``) that the crossing-parity signs of the symplectic
-type table are checked against.
+Gram are checked against.  The package serves Sp(2N) as O(-2N); the
+tests read its engine and match vectors through that fold
+(``engine_for``, ``reduce_brackets``), and the symplectic Gram counts its
+crossing signs itself (``crossing_parity``).
 
 It also keeps the per-draw representation matrix (``rho_matrix_loop``):
 dense basis tensors, the sample applied one tensor mode at a time, one
@@ -377,9 +380,13 @@ def class_weights_by_rref(kind: str, q: int, n: int) -> tuple:
     """Class weights of the U, O or Sp commutant by the linear route the
     package replaced with closed forms: one solution of G^2 w = G in the
     algebra of class functions (structure_constants), solved by
-    solve_by_rref, and whether G^2 is singular there (the pseudo flag)."""
-    products = structure_constants(moments.type_table(kind, q))
-    g = [Fraction(x) for x in moments._gram_per_type(kind, q, n)]
+    solve_by_rref, and whether G^2 is singular there (the pseudo flag).
+    The Sp Gram is ε_a ε_b (-1)^q (-2N)^ℓ(type) on the O basis; its signs
+    cancel in the products, so its class function is the signed one."""
+    table = moments.type_table("O" if kind == "Sp" else kind, q)
+    d, sign = (-2 * n, (-1) ** q) if kind == "Sp" else (n, 1)
+    products = structure_constants(table)
+    g = [Fraction(sign * d ** len(t)) for t in table.types]
     h = class_product(products, g, g)
     system = [[sum((hm * counts[v] for hm, counts in zip(h, per_type)), Fraction(0))
                for v in range(len(g))] for per_type in products]
@@ -635,6 +642,28 @@ def match_vector_by_terms(masks, form, terms) -> list:
     return out
 
 
+def engine_for(group: str, n: int) -> tuple:
+    """The engine kind and dimension that serve U(n), O(n) or Sp(2n):
+    Sp(2n) is O(-2n)."""
+    return ("O", -2 * n) if group == "Sp" else (group, n)
+
+
+def reduce_brackets(group: str, split: bool, brackets):
+    """The match vectors (kind, q, r_vec, c_vec) of moments._reduce for a
+    U, O or Sp product of brackets, Sp read on the O basis with the skew
+    entry rule, or the Fraction 0 or 1 where the degree settles the value."""
+    kind = engine_for(group, 1)[0]
+    q = moments._half_degree(kind, brackets)
+    if not q:
+        return Fraction(0 if q is None else 1)
+    return (kind, q) + moments._reduce(kind, q, split, group == "Sp", brackets)
+
+
+def crossing_parity(pairing) -> int:
+    """(-1)^(crossing pairs a < c < b < d) of a pairing of sorted pairs."""
+    return (-1) ** sum(a < c < b < d for a, b in pairing for c, d in pairing)
+
+
 def pad_columns(brackets) -> list:
     """The same brackets (moments._reduce) with each column tensor written
     with one more term of coefficient 0, so that no bracket's column terms
@@ -712,16 +741,18 @@ def _unitary_gram(q: int, n: int) -> list:
 
 def gram_from_loops(kind: str, q: int, n: int) -> list:
     """Exact trace pairings G[a][b] = Tr(B_a B_b^T) of the U, O or Sp
-    commutant basis at degree q: N^cycles for U, the type table's loop
-    counts and signs for O and Sp."""
+    commutant basis at degree q: N^cycles for U, N^loops from the O type
+    table for O, and for Sp (-1)^q ε_a ε_b (-2N)^loops, ε the crossing
+    parity (crossing_parity)."""
     if n < 1:
         raise ValueError("need n >= 1")
     if kind == "U":
         return _unitary_gram(q, n)
-    table = moments.type_table(kind, q)
-    per_type = moments._gram_per_type(kind, q, n)
-    return [[Fraction(sa * sb * per_type[t]) for sb, t in zip(table.signs, row)]
-            for sa, row in zip(table.signs, table.rows)]
+    table = moments.type_table("O", q)
+    d, sign = (-2 * n, (-1) ** q) if kind == "Sp" else (n, 1)
+    eps = [crossing_parity(p) if kind == "Sp" else 1 for p in table.elements]
+    return [[Fraction(sign * sa * sb * d ** len(table.types[t])) for sb, t in zip(eps, row)]
+            for sa, row in zip(eps, table.rows)]
 
 
 def gram_from_operators(kind: str, q: int, n: int) -> list:
@@ -732,7 +763,7 @@ def gram_from_operators(kind: str, q: int, n: int) -> list:
     if kind == "U":
         return _unitary_gram(q, n)
     form = tensors.symplectic_form(n) if kind == "Sp" else StandardForm(n)
-    mats = [materialize_brauer(p, form) for p in moments.type_table(kind, q).elements]
+    mats = [materialize_brauer(p, form) for p in moments.type_table("O", q).elements]
     out = []
     for ma in mats:
         row = []

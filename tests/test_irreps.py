@@ -35,10 +35,12 @@ from haarint.tensors import CostGateError, SparseTensor, orthogonal_form, symple
 
 from helpers import (
     build_irrep_basis_ungraded,
+    engine_for,
     gl_module_dimension_oracle,
     gram_from_loops,
     module_dimension_oracle,
     pad_columns,
+    reduce_brackets,
     rho_matrix_loop,
     total_weight,
     weingarten_data,
@@ -379,15 +381,17 @@ FRACTION_ARITHMETIC = [
 def test_engine_does_no_fraction_arithmetic(group, q, n, monkeypatch):
     # the Gram, the character sums and the G W G = G check run in int,
     # singular Grams included: any Fraction operator raises, and only the
-    # final weights are Fraction
+    # final weights are Fraction; Sp(2n) is served by O at -2n
+    kind, d = engine_for(group, n)
+
     def refuse(*args):
         raise AssertionError("Fraction arithmetic in the engine")
 
     with monkeypatch.context() as m:
         for name in FRACTION_ARITHMETIC:
             m.setattr(Fraction, name, refuse)
-        engine = moments._engine.__wrapped__(group, q, n)  # past the cache
-    assert engine.weights == moments._engine(group, q, n).weights
+        engine = moments._engine.__wrapped__(kind, q, d)  # past the cache
+    assert engine.weights == moments._engine(kind, q, d).weights
     assert all(type(w) is Fraction for w in engine.weights)
     with pytest.raises(AssertionError, match="Fraction arithmetic"):
         with monkeypatch.context() as m:
@@ -414,9 +418,9 @@ def test_reduce_reuses_the_row_vector_on_diagonal_factors(spec, diagonal, monkey
         return match_vector(*args)
 
     monkeypatch.setattr(moments, "_match_vector", counting)
-    reduced = moments._reduce(spec.group, split, brackets)
+    reduced = reduce_brackets(spec.group, split, brackets)
     assert len(calls) == (1 if diagonal else 2)
-    assert moments._reduce(spec.group, split, pad_columns(brackets)) == reduced
+    assert reduce_brackets(spec.group, split, pad_columns(brackets)) == reduced
     assert len(calls) == (3 if diagonal else 4)
 
 
@@ -429,7 +433,7 @@ def test_match_vectors_are_int(spec):
     split, brackets, norms = irreps._brackets(spec)
     assert type(norms) is int
     assert all(type(c) is int for _, rows, cols in brackets for _, c in [*rows, *cols])
-    reduced = moments._reduce(spec.group, split, brackets)
+    reduced = reduce_brackets(spec.group, split, brackets)
     assert not isinstance(reduced, Fraction)  # the vectors are built
     _, _, r_vec, c_vec = reduced
     assert any(r_vec) and any(c_vec)
@@ -583,11 +587,11 @@ def _dense_value(spec):
     """The same match vectors contracted with the dense Weingarten matrix
     of the materialized Gram."""
     split, brackets, norms = irreps._brackets(spec)
-    reduced = moments._reduce(spec.group, split, brackets)
+    reduced = reduce_brackets(spec.group, split, brackets)
     if isinstance(reduced, Fraction):
         return irreps._finish(reduced, norms)
-    group, q, r_vec, c_vec = reduced
-    w = _dense_weights(group, q, spec.n)
+    _, q, r_vec, c_vec = reduced
+    w = _dense_weights(spec.group, q, spec.n)
     core = sum((ra * w[a][b] * cb for a, ra in enumerate(r_vec)
                 for b, cb in enumerate(c_vec) if ra and cb), Fraction(0))
     return irreps._finish(core, norms)

@@ -39,6 +39,8 @@ from helpers import (
     brauer_entry,
     brute_leading,
     class_weights_by_rref,
+    crossing_parity,
+    engine_for,
     gram_from_loops,
     gram_from_operators,
     inverse,
@@ -51,6 +53,7 @@ from helpers import (
     materialize_brauer,
     pad_columns,
     pair_factors_by_slots,
+    reduce_brackets,
     slot_pair_bits,
     transpose,
     weingarten_data,
@@ -84,7 +87,6 @@ def test_basis_sizes_and_order():
     assert type_table("U", 2).elements == [((1, 2), (3, 4)), ((2, 3), (1, 4))]
     assert len(type_table("O", 2).elements) == 3
     assert len(type_table("O", 3).elements) == 15
-    assert len(type_table("Sp", 2).elements) == 3
     assert type_table("O", 1).elements == [((1, 2),)]
 
 
@@ -166,7 +168,7 @@ def test_match_vector_is_the_entry_rule(data):
     make_form, split = MATCH_FORMS[kind]
     form = make_form(n)
     letters = list(range(1, n + 1)) if form is None else form.letters
-    group = kind.split()[0]
+    group = "U" if kind == "U" else "O"  # Sp is read on the O basis
     masks = moments._masks(group, q)
     elements = moments._basis(group, q)
     word = st.lists(st.sampled_from(letters), min_size=q, max_size=q).map(tuple)
@@ -200,7 +202,7 @@ def test_keyed_kernel_is_the_slot_by_slot_read(data):
     make_form, split = KERNEL_FORMS[kind]
     form = make_form(data.draw(st.integers(1, 3)))
     skew = kind == "Sp"
-    masks = moments._masks(kind.split()[0], q)
+    masks = moments._masks("U" if kind == "U" else "O", q)
     bits = moments._slot_pair_table(q)[0]
     assert {pair: bits[pair[0]][pair[1]] for pair in slot_pair_bits(q)} == slot_pair_bits(q)
     letters = form.letters
@@ -242,11 +244,11 @@ def test_reduce_reuses_the_row_vector(group, n, factors, monkeypatch):
         return match_vector(*args)
 
     monkeypatch.setattr(moments, "_match_vector", counting)
-    reduced = moments._reduce(kind, split, brackets)
+    reduced = reduce_brackets(kind, split, brackets)
     diagonal = all(f[0] == f[1] for f in factors)
     assert len(calls) == (1 if diagonal else 2)
     padded = pad_columns(brackets)
-    assert moments._reduce(kind, split, padded) == reduced
+    assert reduce_brackets(kind, split, padded) == reduced
     assert len(calls) == (3 if diagonal else 4)
     value = moments._bracket_integral(kind, n, split, brackets, True)
     assert value == moments._bracket_integral(kind, n, split, padded, True)
@@ -348,11 +350,24 @@ def test_weingarten_rank_deficient_normal_equations():
 # ---------------------------------------------------------------------------
 # class-function weights against the dense route
 
-def _expand(engine):
-    """The k x k Weingarten matrix the class weights stand for."""
+def _class_weights(group, q, n):
+    """The engine that serves U(n), O(n) or Sp(2n), and the class weights
+    of that group: Sp(2n) is O(-2n), its weights times (-1)^q."""
+    kind, d = engine_for(group, n)
+    engine = moments._engine(kind, q, d)
+    sign = (-1) ** q if group == "Sp" else 1
+    return engine, [sign * w for w in engine.weights]
+
+
+def _expand(group, q, n):
+    """The engine and the k x k Weingarten matrix its class weights stand
+    for: for Sp, (-1)^q E W_O(-2N) E, E the crossing parities counted
+    afresh."""
+    engine, weights = _class_weights(group, q, n)
     t = engine.table
-    return [[sa * sb * engine.weights[x] for sb, x in zip(t.signs, row)]
-            for sa, row in zip(t.signs, t.rows)]
+    eps = [crossing_parity(p) if group == "Sp" else 1 for p in t.elements]
+    return engine, [[sa * sb * weights[x] for sb, x in zip(eps, row)]
+                    for sa, row in zip(eps, t.rows)]
 
 
 CLASS_CASES = ([("U", q, n) for q in range(1, 5) for n in range(1, 7)]
@@ -364,27 +379,27 @@ CLASS_CASES = ([("U", q, n) for q in range(1, 5) for n in range(1, 7)]
 def test_class_weights_invert_dense_gram(group, q, n):
     # the pairing Grams come from materialized operators, not the type table
     g = gram_from_operators(group, q, n)
-    engine = moments._engine(group, q, n)
-    w = _expand(engine)
+    engine, w = _expand(group, q, n)
     assert mat_mul(mat_mul(g, w), g) == g
     assert engine.pseudo == weingarten_data(g).pseudo
 
 
 @pytest.mark.parametrize("kind", ["U", "O", "Sp"])
 def test_type_table_matches_loop_walk(kind):
-    # loop counts, and for Sp the factorized signs ε_a ε_b (-1)^(q+ℓ),
-    # agree with the sign-tracking walk on every pair up to the degree
-    # cap; a U label is the cycle type of σ_a^-1 σ_b
+    # loop counts, and for Sp, read on the O table, the factorized signs
+    # ε_a ε_b (-1)^(q+ℓ), agree with the sign-tracking walk on every pair
+    # up to the degree cap; a U label is the cycle type of σ_a^-1 σ_b
     form_kind = "symplectic" if kind == "Sp" else "orthogonal"
     for q in range(1, moments.DEGREE_CAP + 1):
-        t = type_table(kind, q)
+        t = type_table("U" if kind == "U" else "O", q)
         elems = t.elements
+        eps = moments._crossing_signs(q) if kind == "Sp" else None
         for a, pa in enumerate(elems):
             for b, pb in enumerate(elems):
                 sign, loops = loop_structure(pa, pb, form_kind)
                 assert loops == len(t.types[t.rows[a][b]])
                 if kind == "Sp":
-                    assert sign == t.signs[a] * t.signs[b] * (-1) ** (q + loops)
+                    assert sign == eps[a] * eps[b] * (-1) ** (q + loops)
                 else:
                     assert sign == 1
                 if kind == "U":
@@ -397,36 +412,38 @@ def test_type_table_matches_loop_walk(kind):
 
 
 def _fresh_table(kind, q):
-    # each kind's table built on its own, as before Sp shared O's
+    # the table built afresh, past the cache
     elems = moments._basis(kind, q)
     partners = [moments._partners(p) for p in elems]
     index = {}
     rows = tuple(bytes(index.setdefault(moments._loop_type(pa, pb), len(index))
                        for pb in partners) for pa in partners)
-    signs = tuple(moments._crossing_sign(p) if kind == "Sp" else 1 for p in elems)
-    return moments.TypeTable(elems, tuple(index), rows, signs)
+    return moments.TypeTable(elems, tuple(index), rows)
 
 
 @pytest.mark.parametrize("q", range(1, moments.DEGREE_CAP + 1))
-def test_sp_reads_the_o_tables(q):
-    # Sp shares O's elements, types and rows and its character sums;
-    # both kinds equal a fresh build, and the second kind hits the caches
+def test_sp_reads_the_o_tables(q, monkeypatch):
+    # an exact Sp(2N) request builds only the O table and the O engine at
+    # -2N, whose crossing signs are the counted ones; the U/O-only
+    # internals refuse the Sp tag
     o = type_table("O", q)
     if q < moments.DEGREE_CAP:  # the q=4 rows take seconds to rebuild
         assert o == _fresh_table("O", q)
-        assert moments.type_table.__wrapped__("Sp", q) == _fresh_table("Sp", q)
-    tables = moments.type_table.cache_info()
-    sp = moments.type_table.__wrapped__("Sp", q)
-    assert moments.type_table.cache_info().hits == tables.hits + 1
-    assert moments.type_table.cache_info().misses == tables.misses
-    assert all(getattr(sp, f) is getattr(o, f) for f in ("elements", "types", "rows"))
-    assert sp.signs == tuple(moments._crossing_sign(p) for p in all_pairings(2 * q))
-    moments._engine("O", q, 3)
-    sums = moments._character_sums.cache_info()
+    assert moments._crossing_signs(q) == tuple(crossing_parity(p) for p in all_pairings(2 * q))
+    tables, engines = [], []
+    type_table_, engine = moments.type_table, moments._engine.__wrapped__  # past the cache
+    monkeypatch.setattr(moments, "type_table", lambda *a: tables.append(a) or type_table_(*a))
+    monkeypatch.setattr(moments, "_engine", lambda *a: engines.append(a) or engine(*a))
+    power = spec("Sp", *[(1, 1)] * q, *[(1, 1, True)] * q)
     for n in (1, 2):
-        moments._engine.__wrapped__("Sp", q, n)
-    assert moments._character_sums.cache_info().hits == sums.hits + 2
-    assert moments._character_sums.cache_info().misses == sums.misses
+        assert exact_integral(power, n) == Fraction(1, math.comb(2 * n + q - 1, q))
+    assert set(tables) == {("O", q)}
+    assert engines == [("O", q, -2), ("O", q, -4)]
+    monkeypatch.undo()
+    for internal in (moments.type_table, moments._masks, moments._character_sums,
+                     moments._basis, lambda *a: moments._engine(*a, 2)):
+        with pytest.raises(ValueError, match="unknown group tag 'Sp'"):
+            internal("Sp", q)
     assert moments._character_sums("O", q) == moments._character_sums.__wrapped__("O", q)
 
 
@@ -450,10 +467,11 @@ def _dense_weights(group, q, n):
 
 
 def _dense_value(spec, n):
-    reduced = moments._reduce(*moments._brackets(spec))
+    group, split, brackets = moments._brackets(spec)
+    reduced = reduce_brackets(group, split, brackets)
     if isinstance(reduced, Fraction):
         return reduced
-    group, q, r_vec, c_vec = reduced
+    _, q, r_vec, c_vec = reduced
     w = _dense_weights(group, q, n)
     return sum((ra * w[a][b] * cb for a, ra in enumerate(r_vec)
                 for b, cb in enumerate(c_vec) if ra and cb), Fraction(0))
@@ -476,14 +494,15 @@ def test_class_weights_match_dense_route(data):
     assert exact_integral(s, n) == _dense_value(s, n)
 
 
-def _gwg_is_g(g, engine) -> bool:
+def _gwg_is_g(g, group, q, n) -> bool:
     """G W G = G for a dense Gram g and the Weingarten matrix of the
     class weights, in int: G (D W) G = D G, D the weights' common
     denominator."""
     assert all(x.denominator == 1 for row in g for x in row)
-    d = math.lcm(*(w.denominator for w in engine.weights))
+    engine, w = _expand(group, q, n)
+    d = math.lcm(*(x.denominator for x in engine.weights))
     dense = np.array([[int(x) for x in row] for row in g], dtype=object)
-    dw = np.array([[int(x * d) for x in row] for row in _expand(engine)], dtype=object)
+    dw = np.array([[int(x * d) for x in row] for row in w], dtype=object)
     return bool((dense @ dw @ dense == d * dense).all())
 
 
@@ -495,14 +514,14 @@ def test_class_weights_are_the_rref_route(kind, q):
     # the two are different generalized inverses, and the closed forms'
     # one inverts the dense Gram, so every r^T W c is the linear route's
     for n in range(1, 11):
-        engine = moments._engine(kind, q, n)
+        engine, weights = _class_weights(kind, q, n)
         expected, pseudo = class_weights_by_rref(kind, q, n)
         assert engine.pseudo == pseudo
         assert all(type(w) is Fraction for w in engine.weights)
         if pseudo:
-            assert _gwg_is_g(gram_from_loops(kind, q, n), engine)
+            assert _gwg_is_g(gram_from_loops(kind, q, n), kind, q, n)
         else:
-            assert engine.weights == expected
+            assert tuple(weights) == expected
 
 
 def _catalan(m: int) -> int:
@@ -518,9 +537,9 @@ def test_class_weights_have_the_moebius_asymptotics(kind, q):
     # this is the δ/D^q that the leading order contracts; every other type
     # is of higher order in 1/D.
     n = 10 ** 6
-    engine = moments._engine(kind, q, n)
+    engine, weights = _class_weights(kind, q, n)
     d, sign = (-2 * n, (-1) ** q) if kind == "Sp" else (n, 1)
-    for mu, w in zip(engine.table.types, engine.weights):
+    for mu, w in zip(engine.table.types, weights):
         moebius = math.prod((-1) ** (part - 1) * _catalan(part - 1) for part in mu)
         assert abs(sign * d ** (2 * q - len(mu)) * w - moebius) <= Fraction(1, 10 ** 4)
 
@@ -937,15 +956,13 @@ def test_leading_builds_no_type_table(group, n, monkeypatch):
 
 
 @pytest.mark.parametrize("q", range(1, moments.DEGREE_CAP + 1))
-@pytest.mark.parametrize("kind", ["U", "O", "Sp"])
+@pytest.mark.parametrize("kind", ["U", "O"])
 def test_masks_are_the_type_table_elements(kind, q):
     # one listing for both modes: the slot-pair bits of the type table's
-    # elements, in their order; Sp reads O's cached listing
+    # elements, in their order
     bits = slot_pair_bits(q)
     assert moments._masks(kind, q) == tuple(
         sum(bits[pair] for pair in p) for p in type_table(kind, q).elements)
-    if kind == "Sp":
-        assert moments._masks("Sp", q) is moments._masks("O", q)
 
 
 def test_leading_above_the_degree_cap_lists_the_basis_once(monkeypatch):

@@ -122,6 +122,28 @@ def test_public_check_flags_test_only_code():
                                        "tensors.py:apply_permutation"]
 
 
+def _read_library_api(trees: dict) -> list:
+    """The LIBRARY_API entries that something in the package reads: their
+    exemption has gone stale."""
+    unread = {found.split(":")[1] for found in _unread(trees, _public_definitions)}
+    return sorted(LIBRARY_API - unread)
+
+
+def test_library_api_lists_only_unread_names():
+    # an entry is exempt only while nothing in the package reads it; once
+    # something does, it leaves LIBRARY_API
+    assert not _read_library_api(_package_trees())
+
+
+def test_library_api_check_flags_read_entries():
+    # the check above on a package that reads one exempt function and one
+    # exempt method
+    trees = _package_trees()
+    _append(trees["su2.py"], "def _first(state, t):\n"
+                             "    return entropy.bloch_vector(state), t.column(1)\n")
+    assert _read_library_api(trees) == ["Tableau.column", "bloch_vector"]
+
+
 def _int_literal(node) -> bool:
     """An int literal, or a sum, difference, product or power of them."""
     if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub, ast.Mult, ast.Pow)):
