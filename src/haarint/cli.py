@@ -7,9 +7,10 @@ count that produced it, and echoes --threads, which changes no result.
 Exit codes: 0 success, 2 usage error, 3 cost-gate refusal, 4 internal
 assertion failure.  main(argv) answers one request in-process and
 returns that code; a request that names a command is parsed by that
-command's parser alone (command_parser), and the full parser
-(build_parser) answers help, typos, a missing command or arguments left
-over.  The JSON is json.dumps(indent=2)'s text, written in one pass.
+command's parser alone (command_parser, built once per process), and
+the full parser (build_parser) answers help, typos, a missing command or
+arguments left over.  The JSON is json.dumps(indent=2)'s text, written
+in one pass.
 """
 
 from __future__ import annotations
@@ -435,9 +436,13 @@ def _add_command(parser: argparse.ArgumentParser, name: str) -> argparse.Argumen
     return parser
 
 
+@functools.lru_cache(maxsize=5)  # one per COMMANDS key
 def command_parser(name: str) -> argparse.ArgumentParser:
     """Command `name`'s parser alone: the one, with its errors, help and
-    exit codes, that build_parser() runs on the arguments after `name`."""
+    exit codes, that build_parser() runs on the arguments after `name`.
+    Built once per process and reused; it keeps nothing between parses
+    (each gets a fresh Namespace, and SEED_ENV and the help width are
+    read when used), so it prints what a fresh parser would."""
     return _add_command(argparse.ArgumentParser(prog=f"haarint {name}"), name)
 
 

@@ -841,27 +841,51 @@ PARSER_ARGV = [
 
 
 def test_one_shared_parser_answers_as_fresh_ones(capsys, monkeypatch):
-    # the requests answered by one parser per command and one full parser,
-    # each built once, give the exit codes, stdout and stderr of the fresh
-    # parsers each request builds, on a second pass too: cached parsers
-    # would change nothing printed
+    # the cached parsers, one per command and each built once, give the
+    # exit codes, stdout and stderr of fresh ones on two passes in two
+    # orders
     monkeypatch.delenv(cli.SEED_ENV, raising=False)
 
-    def answers():
-        out = []
-        for argv in PARSER_ARGV:
-            code = cli.main(list(argv))
-            out.append((code, *capsys.readouterr()))
-        return out
+    def answers(order):
+        return {i: (cli.main(list(PARSER_ARGV[i])), *capsys.readouterr()) for i in order}
 
-    fresh = answers()
-    assert {code for code, *_ in fresh} == {0, 2, 3}
-    shared = {name: cli.command_parser(name) for name in cli.COMMANDS}
-    full = cli.build_parser()
-    monkeypatch.setattr(cli, "command_parser", shared.__getitem__)
-    monkeypatch.setattr(cli, "build_parser", lambda: full)
-    assert answers() == fresh
-    assert answers() == fresh
+    order = range(len(PARSER_ARGV))
+    with mock.patch.object(cli, "command_parser", cli.command_parser.__wrapped__):
+        fresh = answers(order)
+    assert {code for code, *_ in fresh.values()} == {0, 2, 3}
+    cli.command_parser.cache_clear()
+    assert answers(order) == fresh
+    assert answers(reversed(order)) == fresh
+    info = cli.command_parser.cache_info()
+    assert (info.misses, info.currsize, info.maxsize) == (len(cli.COMMANDS),) * 3
+
+
+def test_a_cached_parser_carries_nothing_between_requests(capsys, monkeypatch):
+    # options, the seed environment and the help width of one request do
+    # not reach the next one through the command's cached parser
+    monkeypatch.delenv(cli.SEED_ENV, raising=False)
+    argv = ["integral", "--group", "U", "--N", "2", "--factors", "1,1,+;1,1,-"]
+    code, out = run(capsys, *argv, "--seed", "4", "--samples", "200",
+                    "--threads", "2", "--format", "csv")
+    assert code == 0 and out.splitlines()[1].endswith(",4,2")
+    rec = run_json(capsys, *argv)
+    assert (rec["seed"], rec["samples"], rec["threads"]) == (None, None, 1)
+
+    mc = [*argv, "--mode", "mc", "--samples", "100"]
+    monkeypatch.setenv(cli.SEED_ENV, "3")
+    assert run_json(capsys, *mc)["seed"] == 3
+    monkeypatch.delenv(cli.SEED_ENV)
+    assert cli.main(list(mc)) == 2
+    assert "needs --seed" in capsys.readouterr().err
+
+    helps = []
+    for columns in ("200", "40"):
+        monkeypatch.setenv("COLUMNS", columns)
+        code, out = run(capsys, "integral", "-h")
+        assert code == 0
+        assert out == cli.command_parser.__wrapped__("integral").format_help()
+        helps.append(out)
+    assert len(helps[1].splitlines()) > len(helps[0].splitlines())
 
 
 def test_csv_header_is_linear_in_the_keys(capsys):
@@ -882,9 +906,9 @@ def test_csv_header_is_linear_in_the_keys(capsys):
 
 
 def test_a_request_builds_only_its_command_parser(capsys, monkeypatch):
-    # a named command, and its help, build its one parser; arguments left
-    # over add the full parser, which builds all 5 subcommands' and the top
-    # level's
+    # a named command, and its help, build its one parser the first time
+    # and none after; arguments left over add the full parser, which
+    # builds all 5 subcommands' and the top level's
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -893,16 +917,23 @@ def test_a_request_builds_only_its_command_parser(capsys, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-    assert cli.main(["integral", "--group", "U", "--N", "2",
-                     "--factors", "1,1,+;1,1,-"]) == 0
+    cli.command_parser.cache_clear()
+    argv = ["integral", "--group", "U", "--N", "2", "--factors", "1,1,+;1,1,-"]
+    assert cli.main(list(argv)) == 0
     assert len(built) == 1
+    built.clear()
+    assert cli.main(list(argv)) == 0
+    assert len(built) == 0
     for name in cli.COMMANDS:
         built.clear()
         assert cli.main([name, "-h"]) == 0
-        assert len(built) == 1
+        assert len(built) == (name != "integral")
+        built.clear()
+        assert cli.main([name, "-h"]) == 0
+        assert len(built) == 0
     built.clear()
     assert cli.main(["integral", "--bogus", "1"]) == 2
-    assert len(built) == 1 + 6
+    assert len(built) == 6
     capsys.readouterr()
     built.clear()
     cli.build_parser()
@@ -941,9 +972,9 @@ def test_one_command_parser_answers_as_the_full_parser(capsys, monkeypatch, name
 
 def test_a_warm_request_leaves_little_cyclic_garbage(capsys):
     # unreachable objects one in-process request leaves for the collector,
-    # counted with the collector off (all of them are young): argparse's
-    # parser holds cycles, and json.dumps(indent=...) built closures on
-    # every call, which hold more
+    # counted with the collector off (all of them are young): a parser
+    # built per request, or json.dumps(indent=...)'s per-call encoder
+    # closures, would leave cycles
     argv = ["integral", "--group", "U", "--N", "3", "--factors", "1,1,+;1,1,-"]
     assert cli.main(list(argv)) == 0
     counts = []
@@ -957,7 +988,7 @@ def test_a_warm_request_leaves_little_cyclic_garbage(capsys):
     finally:
         gc.enable()
     capsys.readouterr()
-    assert statistics.median(counts) <= 80, counts
+    assert statistics.median(counts) == 0, counts
 
 
 JSON_SCALARS = (st.integers() | st.booleans() | st.none() | st.text()
