@@ -124,13 +124,14 @@ def _emit(records: list, fmt: str):
 
 def _resolve_seed(args, needed: bool):
     if args.seed is not None:
-        return args.seed
+        return sampling.check_seed(args.seed, "--seed")
     env = os.environ.get(SEED_ENV)
     if env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise ValueError(f"{SEED_ENV} must be an integer, got {env!r}")
+        return sampling.check_seed(seed, SEED_ENV)
     if needed:
         raise ValueError(
             f"stochastic output needs --seed (or {SEED_ENV} in the "
@@ -327,6 +328,8 @@ def cmd_entropy(args) -> list:
              if m <= n]
     if not pairs:
         raise ValueError("no (m, n) pairs with m <= n in the requested grid")
+    last = len(pairs) - 1  # row i draws from seed + i
+    sampling.check_seed(seed + last, f"the last row's seed, seed + {last},")
     sampling.check_cost("Monte Carlo entropy grid", args.samples,
                         sum(1 + m * n for m, n in pairs), sampling.MC_CAP)
     exact = []  # every exact value is computed and checked before any draw

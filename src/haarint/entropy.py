@@ -16,7 +16,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .sampling import MC_CAP, McEstimate, RngStream, check_cost, mc_expectation
+from .sampling import (
+    MC_CAP, BlockStack, McEstimate, RngStream, check_cost, mc_expectation,
+)
 from .tensors import CostGateError
 
 __all__ = [
@@ -165,29 +167,30 @@ def page_entropy_exact(m: int, n: int) -> float:
     return float(page_entropy_fraction(m, n))
 
 
-def random_pure_state(dim: int, stream: RngStream, size=None) -> np.ndarray:
+def random_pure_state(dim: int, stream: RngStream | BlockStack, size=None) -> np.ndarray:
     """Haar-random unit vector, or a stack (size, dim) of them drawn from the
-    one stream: a normalized complex Gaussian vector, whose law is that of
-    the first column of a Haar unitary."""
-    g = stream.generator()
-    shape = (dim,) if size is None else (size, dim)
-    z = g.standard_normal(shape) + 1j * g.standard_normal(shape)
+    one stream or the blocks of a sampling.BlockStack: a normalized complex
+    Gaussian vector (the real part drawn first), whose law is that of the
+    first column of a Haar unitary."""
+    re, im = stream.gaussians(2, (dim,), size)
+    z = re + 1j * im
     return z / np.linalg.norm(z, axis=-1, keepdims=True)
 
 
 def mc_average_entropy(m: int, n: int, samples: int, seed: int) -> McEstimate:
     """Monte Carlo mean of the m-side entropy over random pure states: each
-    block is one stack of states and one batched singular-value call;
-    refused past MC_CAP sampled numbers."""
+    stack of blocks is one stack of states and one batched singular-value
+    call; refused past MC_CAP sampled numbers."""
     if samples < 100:
         raise ValueError("need at least 100 samples")
-    check_cost("Monte Carlo entropy", samples, 1 + m * n, MC_CAP)
+    per_sample = 1 + m * n
+    check_cost("Monte Carlo entropy", samples, per_sample, MC_CAP)
 
-    def draw(stream, size):
-        v = random_pure_state(m * n, stream, size=size)
+    def draw(stack, size):
+        v = random_pure_state(m * n, stack, size=size)
         sq = np.linalg.svd(v.reshape(size, m, n), compute_uv=False) ** 2
         sq = np.where(sq > _EIG_CLIP, sq, 0.0)
         sq /= sq.sum(axis=-1, keepdims=True)
         return -(sq * np.log(np.where(sq > 0, sq, 1.0))).sum(axis=-1)
 
-    return mc_expectation(draw, samples=samples, seed=seed)
+    return mc_expectation(draw, samples=samples, seed=seed, per_sample=per_sample)

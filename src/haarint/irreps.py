@@ -334,21 +334,19 @@ def _bases_for(spec: RepMatrixElementSpec):
 
 def integrate_irrep_mc(spec: RepMatrixElementSpec, samples: int, seed: int):
     """Monte Carlo estimate over stacked Haar draws: one rho_matrix call per
-    module and block, for the columns its factors read; refused past
-    sampling.MC_CAP or BUILD_CAP before any basis is built."""
+    module and stack of blocks, for the columns its factors read; refused
+    past sampling.MC_CAP or BUILD_CAP before any basis is built."""
     _gate_build(spec)
     d = sampling.dimension(spec.group, spec.n)
-    sampling.check_cost(
-        "Monte Carlo", samples,
-        1 + d * d + sum(d ** tableaux.weight(f.lam) for f in spec.factors),
-        sampling.MC_CAP)
+    per_sample = 1 + d * d + sum(d ** tableaux.weight(f.lam) for f in spec.factors)
+    sampling.check_cost("Monte Carlo", samples, per_sample, sampling.MC_CAP)
     modules = {}  # lam -> (basis, {column: its place among the sampled ones})
     for f, basis in zip(spec.factors, _bases_for(spec)):
         _, cols = modules.setdefault(f.lam, (basis, {}))
         cols.setdefault(f.col, len(cols))
 
-    def draw(stream, size):
-        u = sampling.sample_group(spec.group, spec.n, stream, size)
+    def draw(stack, size):
+        u = sampling.sample_group(spec.group, spec.n, stack, size)
         rho = {lam: rho_matrix(u, basis, list(cols))
                for lam, (basis, cols) in modules.items()}
         val = np.ones(size, dtype=complex)
@@ -357,7 +355,8 @@ def integrate_irrep_mc(spec: RepMatrixElementSpec, samples: int, seed: int):
             val *= entry.conj() if f.conj else entry
         return val
 
-    return sampling.mc_expectation(draw, samples=samples, seed=seed)
+    return sampling.mc_expectation(draw, samples=samples, seed=seed,
+                                   per_sample=per_sample)
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ both modes: SU(1) and SO(1) give 1, other cases defer to U or O, vanish,
 or are refused where determinant invariants enter.
 
 The Monte Carlo cross-check (integrate_monomial_mc) evaluates the monomial
-on stacks of Haar draws, one stack per block of sampling.mc_expectation.
+once per stack of blocks of sampling.mc_expectation, on all its Haar draws.
 """
 
 import collections
@@ -157,11 +157,12 @@ def integrate_monomial_mc(spec: MonomialSpec, n: int, samples: int, seed: int):
     n = tableaux.check_int(n, "N")
     spec.validate(n)  # a negative index would wrap instead of failing
     d = sampling.dimension(spec.group, n)
-    sampling.check_cost("Monte Carlo", samples, 1 + d * d, sampling.MC_CAP)
+    per_sample = 1 + d * d
+    sampling.check_cost("Monte Carlo", samples, per_sample, sampling.MC_CAP)
     return sampling.mc_expectation(
-        lambda stream, size: evaluate_monomial(
-            spec, sampling.sample_group(spec.group, n, stream, size).matrix),
-        samples=samples, seed=seed)
+        lambda stack, size: evaluate_monomial(
+            spec, sampling.sample_group(spec.group, n, stack, size).matrix),
+        samples=samples, seed=seed, per_sample=per_sample)
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,25 @@
 """Haar-distributed random matrices and Monte Carlo estimation.
 
-Every sampler consumes an RngStream — a counter-based substream fully
-determined by (seed, stream index) — and draws either one matrix or a
-stack (size, d, d) of them from that one stream: one Gaussian array,
-one stacked QR, then the phase, sign or determinant fixes applied to
-the whole stack.
+Every sampler draws its Gaussians from a source: an RngStream — a
+counter-based substream fully determined by (seed, stream index) — for
+one matrix or a stack (size, d, d) of them, or a BlockStack of
+consecutive Monte Carlo blocks, each block drawn from its own stream.
+Either source gives one Gaussian array per part, then the sampler runs
+one stacked QR and the phase, sign or determinant fixes on the whole
+stack.
 
 A Monte Carlo estimate is drawn in blocks of BLOCK samples: block b is
-one stack from RngStream(seed, b), the last block holding what is left.
-The values land in one array in sample order and are reduced with
-numpy's pairwise mean, so an estimate depends only on (seed, samples).
-Blocks replaced an earlier one-stream-per-sample loop, so a given seed
-now gives other, equally valid estimates than that loop did.  Nothing
-runs in parallel; the CLI's --threads is echoed in each record and never
-changes a result.
+the Gaussians of RngStream(seed, b), the last block holding what is
+left.  Consecutive blocks are drawn as one stack of blocks that holds at
+most STACK_NUMBERS sampled numbers, and one block at least, so the QR,
+the fixes and the evaluation run once per stack of blocks.  LAPACK
+factors each matrix of a stack on its own, so a stack of blocks gives
+the bits of its blocks drawn one by one.  The values land in one array
+in sample order and are reduced with numpy's pairwise mean, so an
+estimate depends only on (seed, samples).  Blocks replaced an earlier
+one-stream-per-sample loop, so a given seed now gives other, equally
+valid estimates than that loop did.  Nothing runs in parallel; the CLI's
+--threads is echoed in each record and never changes a result.
 """
 
 from __future__ import annotations
@@ -26,9 +32,12 @@ import numpy as np
 from .tableaux import check_int
 from .tensors import CostGateError
 
-# samples per stacked draw: enough to amortize the per-call overhead, few
-# enough that a block's temporaries do not raise the peak memory
+# samples per block: block b of an estimate is drawn from RngStream(seed, b)
 BLOCK = 64
+# sampled numbers (each sample's matrix entries and its value) one stack of
+# blocks may hold: enough to amortize the per-call overhead, few enough
+# that a stack's temporaries do not raise the peak memory
+STACK_NUMBERS = 8192
 # sampled numbers (each sample's matrix entries and its value) that one
 # Monte Carlo estimate may hold: at most 10^7 values, 160 MB
 MC_CAP = 2 * 10 ** 7
@@ -41,10 +50,49 @@ class RngStream:
     seed: int
     stream: int = 0
 
+    def __post_init__(self):
+        check_seed(self.seed)
+        check_seed(self.stream, "stream index")
+
     def generator(self) -> np.random.Generator:
-        key = np.array([self.seed % 2 ** 64, self.stream % 2 ** 64],
-                       dtype=np.uint64)
+        key = np.array([self.seed, self.stream], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
+
+    def gaussians(self, parts: int, shape: tuple, size=None) -> list:
+        """parts arrays of standard normals, each of shape, or of (size,) +
+        shape, drawn one after the other."""
+        g = self.generator()
+        full = shape if size is None else (size,) + shape
+        return [g.standard_normal(full) for _ in range(parts)]
+
+
+@dataclass(frozen=True)
+class BlockStack:
+    """size samples of consecutive Monte Carlo blocks, from block first on:
+    block b holds BLOCK samples, the last one what is left, drawn from
+    RngStream(seed, b)."""
+
+    seed: int
+    first: int
+    size: int
+
+    @property
+    def blocks(self) -> list:
+        """(stream, samples) of each block, in sample order."""
+        return [(RngStream(self.seed, self.first + k // BLOCK), min(BLOCK, self.size - k))
+                for k in range(0, self.size, BLOCK)]
+
+    def gaussians(self, parts: int, shape: tuple, size=None) -> list:
+        """parts arrays (size,) + shape: each block draws its parts from its
+        own stream, as RngStream.gaussians does, into its rows."""
+        if size != self.size:
+            raise ValueError(f"a stack of {self.size} samples drawn as {size}")
+        out = [np.empty((size,) + shape) for _ in range(parts)]
+        for start, (stream, count) in zip(range(0, size, BLOCK), self.blocks):
+            g = stream.generator()
+            for a in out:
+                g.standard_normal(out=a[start:start + count])
+        return out
 
 
 @dataclass
@@ -87,25 +135,26 @@ def check_cost(what: str, count: int, per_item: int, cap: int,
             f"{what}: {count} x {per_item} = {work} {unit}; capped at {cap}")
 
 
-def _shape(n: int, size) -> tuple:
-    return (n, n) if size is None else (size, n, n)
-
-
-def _complex_gaussian(g: np.random.Generator, shape: tuple) -> np.ndarray:
-    return g.standard_normal(shape) + 1j * g.standard_normal(shape)
+def check_seed(seed: int, what: str = "seed") -> int:
+    """seed itself, refused unless it is one 64-bit word of the Philox key:
+    Philox would read any other int modulo 2**64, as another seed's stream."""
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"{what} must be in 0..2**64 - 1, got {seed}")
+    return seed
 
 
 def _adjoint(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
-def sample_unitary(n: int, stream: RngStream, size=None) -> GroupSample:
-    """Haar sample from U(n), or a stack of size of them: complex Gaussian,
-    QR, then divide out the phases of R's diagonal (plain QR alone is not
-    Haar)."""
+def sample_unitary(n: int, stream: RngStream | BlockStack, size=None) -> GroupSample:
+    """Haar sample from U(n), or a stack of size of them: complex Gaussian
+    (the real part drawn first), QR, then divide out the phases of R's
+    diagonal (plain QR alone is not Haar)."""
     if n < 1:
         raise ValueError("need n >= 1")
-    a = _complex_gaussian(stream.generator(), _shape(n, size))
+    re, im = stream.gaussians(2, (n, n), size)
+    a = re + 1j * im
     a /= math.sqrt(2)
     q, r = np.linalg.qr(a)
     d = np.diagonal(r, axis1=-2, axis2=-1)
@@ -113,23 +162,23 @@ def sample_unitary(n: int, stream: RngStream, size=None) -> GroupSample:
     return GroupSample(q, "U")
 
 
-def sample_special_unitary(n: int, stream: RngStream, size=None) -> GroupSample:
+def sample_special_unitary(n: int, stream: RngStream | BlockStack, size=None) -> GroupSample:
     u = sample_unitary(n, stream, size).matrix
     u = u * np.exp(-1j * np.angle(np.linalg.det(u)) / n)[..., None, None]
     return GroupSample(u, "SU")
 
 
-def sample_orthogonal(n: int, stream: RngStream, size=None) -> GroupSample:
+def sample_orthogonal(n: int, stream: RngStream | BlockStack, size=None) -> GroupSample:
     """Haar sample from O(n), or a stack: real Gaussian, QR, sign-fixed
     diagonal."""
     if n < 1:
         raise ValueError("need n >= 1")
-    q, r = np.linalg.qr(stream.generator().standard_normal(_shape(n, size)))
+    q, r = np.linalg.qr(stream.gaussians(1, (n, n), size)[0])
     q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
     return GroupSample(q, "O")
 
 
-def sample_special_orthogonal(n: int, stream: RngStream, size=None) -> GroupSample:
+def sample_special_orthogonal(n: int, stream: RngStream | BlockStack, size=None) -> GroupSample:
     """O(n) samples with the last column negated where the determinant is
     -1."""
     o = sample_orthogonal(n, stream, size).matrix
@@ -149,7 +198,7 @@ def symplectic_j(two_n: int) -> np.ndarray:
     return j
 
 
-def sample_compact_symplectic(n: int, stream: RngStream, size=None) -> GroupSample:
+def sample_compact_symplectic(n: int, stream: RngStream | BlockStack, size=None) -> GroupSample:
     """Haar sample from Sp(2n) ∩ U(2n), or a stack, as 2n x 2n complex
     matrices preserving symplectic_j(2n) (Mezzadri, Notices AMS 2007).
 
@@ -162,9 +211,9 @@ def sample_compact_symplectic(n: int, stream: RngStream, size=None) -> GroupSamp
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    g = stream.generator()
-    a = _complex_gaussian(g, _shape(n, size))
-    b = _complex_gaussian(g, _shape(n, size))
+    a_re, a_im, b_re, b_im = stream.gaussians(4, (n, n), size)
+    a = a_re + 1j * a_im
+    b = b_re + 1j * b_im
     u = np.zeros(a.shape[:-2] + (2 * n, 2 * n), dtype=complex)
     u[..., 0::2, 0::2] = a
     u[..., 0::2, 1::2] = b
@@ -192,9 +241,10 @@ _SAMPLERS = {
 }
 
 
-def sample_group(group: str, n: int, stream: RngStream, size=None) -> GroupSample:
+def sample_group(group: str, n: int, stream: RngStream | BlockStack, size=None) -> GroupSample:
     """Dispatch by group tag; n is the symplectic half-dimension for Sp.
-    With size, one stack (size, d, d) drawn from the one stream."""
+    With size, one stack (size, d, d) drawn from the one stream, or from
+    the blocks of a BlockStack."""
     try:
         sampler = _SAMPLERS[group]
     except KeyError:
@@ -202,23 +252,34 @@ def sample_group(group: str, n: int, stream: RngStream, size=None) -> GroupSampl
     return sampler(n, stream, size)
 
 
-def mc_expectation(draw, samples: int, seed: int) -> McEstimate:
-    """Mean and standard error of samples values of draw(stream, size).
+def mc_expectation(draw, samples: int, seed: int, per_sample: int = 1) -> McEstimate:
+    """Mean and standard error of samples values of draw(stack, size).
 
-    draw returns the values of a stack of size samples drawn from stream.
-    Block b covers samples b*BLOCK up to (b+1)*BLOCK and is drawn from
-    RngStream(seed, b); the last block is shorter when BLOCK does not
-    divide samples.  The values land in one array in sample order and are
-    reduced with numpy's pairwise mean, so the estimate depends only on
-    (seed, samples).
+    draw returns the values of the size samples of a BlockStack, drawn
+    from it as one stack.  Block b covers samples b*BLOCK up to
+    (b+1)*BLOCK and is drawn from RngStream(seed, b); the last block is
+    shorter when BLOCK does not divide samples.  A stack holds as many
+    consecutive blocks as fit in STACK_NUMBERS sampled numbers at
+    per_sample each, one block at least; a last block of one sample is a
+    stack of its own.  The values land in one array in sample order and
+    are reduced with numpy's pairwise mean, so the estimate depends only
+    on (seed, samples).
     """
-    samples, seed = check_int(samples, "samples"), check_int(seed, "seed")
+    samples, seed = check_int(samples, "samples"), check_seed(check_int(seed, "seed"))
     if samples < 2:
         raise ValueError("need at least 2 samples")
+    step = BLOCK * max(1, STACK_NUMBERS // (per_sample * BLOCK))
     vals = np.empty(samples, dtype=complex)
-    for start in range(0, samples, BLOCK):
-        size = min(BLOCK, samples - start)
-        vals[start:start + size] = draw(RngStream(seed, start // BLOCK), size)
+    start = 0
+    while start < samples:
+        size = min(step, samples - start)
+        if size > BLOCK and size % BLOCK == 1:
+            # numpy's in-place complex multiply (as in the irrep draws)
+            # rounds a one-element array without FMA, so a last block of
+            # one sample keeps its bits only when it is drawn alone
+            size -= 1
+        vals[start:start + size] = draw(BlockStack(seed, start // BLOCK, size), size)
+        start += size
     mean = vals.mean()
     var = float((np.abs(vals - mean) ** 2).sum()) / (samples - 1)
     return McEstimate(complex(mean), math.sqrt(var / samples), samples, seed)

@@ -506,6 +506,59 @@ def test_integral_seed_from_environment(capsys, monkeypatch):
     assert rec["mc"]["seed"] == 13
 
 
+TOP_SEED = 2 ** 64 - 1
+MC_ARGV = ["integral", "--group", "U", "--N", "2", "--factors", "1,1,+;1,1,-",
+           "--mode", "mc", "--samples", "100"]
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 64 + 1, -(2 ** 64) + 1])
+def test_a_seed_outside_64_bits_is_refused(capsys, monkeypatch, seed):
+    # Philox reads a seed modulo 2^64, so 2^64 + 1 would repeat the draws
+    # of seed 1 and -1 those of 2^64 - 1: both sources of a seed refuse it
+    monkeypatch.delenv(cli.SEED_ENV, raising=False)
+    for argv in (MC_ARGV, ["integral", "--group", "U", "--N", "2", "--factors",
+                           "1,1,+;1,1,-"],
+                 ["entropy", "--m", "2", "--n", "2", "--samples", "100"],
+                 ["sample", "--group", "O", "--N", "2", "--count", "1"]):
+        assert cli.main([*argv, "--seed", str(seed)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: --seed must be in 0..2**64 - 1, got {seed}\n"
+        monkeypatch.setenv(cli.SEED_ENV, str(seed))
+        assert cli.main(list(argv)) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cli.SEED_ENV} must be in 0..2**64 - 1, got {seed}\n")
+        monkeypatch.delenv(cli.SEED_ENV)
+
+
+def test_the_seed_range_ends_at_2_to_the_64(capsys, monkeypatch):
+    monkeypatch.delenv(cli.SEED_ENV, raising=False)
+    for seed in (0, TOP_SEED):
+        rec = run_json(capsys, *MC_ARGV, "--seed", str(seed))
+        assert rec["seed"] == rec["mc"]["seed"] == seed
+    monkeypatch.setenv(cli.SEED_ENV, str(TOP_SEED))
+    assert run_json(capsys, *MC_ARGV)["mc"]["seed"] == TOP_SEED
+    assert run_json(capsys, *MC_ARGV, "--seed", "1") != run_json(
+        capsys, *MC_ARGV, "--seed", str(2 ** 64 - 2))
+
+
+def test_the_last_entropy_row_seed_is_checked_before_any_draw(capsys, monkeypatch):
+    # row i of the grid draws from seed + i: a grid whose last row would
+    # pass 2^64 - 1 is refused before the first row draws anything
+    monkeypatch.delenv(cli.SEED_ENV, raising=False)
+    grid = ["entropy", "--m", "1,2", "--n", "2,3", "--samples", "100"]  # 4 rows
+    with mock.patch.object(entropy, "mc_average_entropy") as mc:
+        assert cli.main([*grid, "--seed", str(TOP_SEED - 2)]) == 2
+        monkeypatch.setenv(cli.SEED_ENV, str(TOP_SEED - 2))
+        assert cli.main(list(grid)) == 2
+        monkeypatch.delenv(cli.SEED_ENV)
+    assert mc.call_count == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: the last row's seed, seed + 3, must be in 0..2**64 - 1, "
+                   "got 18446744073709551616"] * 2
+    records = run_json(capsys, *grid, "--seed", str(TOP_SEED - 3))
+    assert [r["mc"]["seed"] for r in records] == [TOP_SEED - 3 + i for i in range(4)]
+
+
 # ---------------------------------------------------------------------------
 # su2
 

@@ -8,10 +8,12 @@ import pytest
 
 import haarint
 from haarint import sampling
+from haarint.entropy import random_pure_state
 from haarint.sampling import (
-    BLOCK, McEstimate, RngStream, mc_expectation, sample_compact_symplectic,
-    sample_group, sample_orthogonal, sample_special_orthogonal,
-    sample_special_unitary, sample_unitary, symplectic_j,
+    BLOCK, STACK_NUMBERS, BlockStack, McEstimate, RngStream, mc_expectation,
+    sample_compact_symplectic, sample_group, sample_orthogonal,
+    sample_special_orthogonal, sample_special_unitary, sample_unitary,
+    symplectic_j,
 )
 
 
@@ -91,17 +93,67 @@ def test_stack_of_one_is_the_single_draw(group):
 def test_mc_blocks_in_sample_order():
     calls = []
 
-    def draw(stream, size):
-        calls.append((stream, size))
-        return np.arange(size) + 1000.0 * stream.stream
+    def draw(stack, size):
+        calls.append((stack.blocks, size))
+        return np.concatenate([np.arange(count) + 1000.0 * st.stream
+                               for st, count in stack.blocks])
 
     samples = 2 * BLOCK + 5
     est = mc_expectation(draw, samples, 4)
-    assert calls == [(RngStream(4, 0), BLOCK), (RngStream(4, 1), BLOCK),
-                     (RngStream(4, 2), 5)]
-    vals = np.concatenate([np.arange(size) + 1000.0 * st.stream for st, size in calls])
+    blocks = [block for stack_blocks, _ in calls for block in stack_blocks]
+    assert blocks == [(RngStream(4, 0), BLOCK), (RngStream(4, 1), BLOCK),
+                      (RngStream(4, 2), 5)]
+    assert sum(size for _, size in calls) == samples
+    vals = np.concatenate([np.arange(size) + 1000.0 * st.stream for st, size in blocks])
     assert est.mean == vals.mean()
     assert est.stderr == pytest.approx(math.sqrt(vals.var(ddof=1) / samples), rel=1e-12)
+
+
+@pytest.mark.parametrize("per_sample", [1, 10, 37, 200])
+def test_mc_stacks_stay_within_the_bound(per_sample):
+    # a request spanning at least three stacks: every stack holds whole
+    # blocks, in order, within STACK_NUMBERS sampled numbers (or one block)
+    calls = []
+
+    def draw(stack, size):
+        assert size == stack.size == sum(count for _, count in stack.blocks)
+        calls.append(stack)
+        return np.zeros(size)
+
+    per_stack = max(1, STACK_NUMBERS // (per_sample * BLOCK)) * BLOCK
+    samples = 3 * per_stack + 7
+    mc_expectation(draw, samples, 9, per_sample=per_sample)
+    assert len(calls) == 4
+    for stack in calls:
+        assert stack.size * per_sample <= max(STACK_NUMBERS, BLOCK * per_sample)
+    blocks = [block for stack in calls for block in stack.blocks]
+    assert blocks == [(RngStream(9, b), min(BLOCK, samples - b * BLOCK))
+                      for b in range(-(-samples // BLOCK))]
+
+
+def test_mc_draws_a_last_block_of_one_sample_alone():
+    # a stack never ends in a one-sample block of another stack's blocks
+    calls = []
+    mc_expectation(lambda stack, size: calls.append(stack.blocks) or np.zeros(size),
+                   2 * BLOCK + 1, 2)
+    assert calls == [[(RngStream(2, 0), BLOCK), (RngStream(2, 1), BLOCK)],
+                     [(RngStream(2, 2), 1)]]
+
+
+@pytest.mark.parametrize("group", ["U", "SU", "O", "SO", "Sp"])
+def test_a_stack_of_blocks_draws_the_blocks_bits(group):
+    # the samplers and random_pure_state give each block of a stack the
+    # bits of that block drawn alone from its own stream
+    stack = BlockStack(14, 3, 2 * BLOCK + 9)
+    joined = sample_group(group, 3, stack, stack.size).matrix
+    alone = [sample_group(group, 3, st, count).matrix for st, count in stack.blocks]
+    assert [st.stream for st, _ in stack.blocks] == [3, 4, 5]
+    assert np.array_equal(joined, np.concatenate(alone))
+    states = random_pure_state(6, stack, stack.size)
+    assert np.array_equal(states, np.concatenate(
+        [random_pure_state(6, st, count) for st, count in stack.blocks]))
+    with pytest.raises(ValueError):
+        sample_group(group, 3, stack, stack.size - 1)
 
 
 def test_symplectic_j_convention():
@@ -154,6 +206,19 @@ def test_numpy_random_loads_on_the_first_draw():
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": path}, check=True)
     assert out.stdout.split() == ["False", "True"]
+
+
+@pytest.mark.parametrize("bad", [-1, 2 ** 64, 2 ** 64 + 1])
+def test_streams_and_estimates_refuse_seeds_outside_64_bits(bad):
+    # Philox would read them modulo 2^64, as the streams of other seeds
+    with pytest.raises(ValueError, match="2\\*\\*64"):
+        RngStream(bad)
+    with pytest.raises(ValueError, match="stream index"):
+        RngStream(1, bad)
+    with pytest.raises(ValueError, match="2\\*\\*64"):
+        mc_expectation(lambda st, size: 1.0, 10, bad)
+    top = sample_unitary(2, RngStream(2 ** 64 - 1, 2 ** 64 - 1)).matrix
+    assert residual_unitary(top) < 1e-12
 
 
 def test_mc_constant():
