@@ -317,14 +317,17 @@ def cmd_su2(args) -> list:
     return [record]
 
 
-def _int_list(text: str):
-    return [int(p) for p in text.split(",")]
+def _int_list(text: str, option: str):
+    try:
+        return [int(p) for p in text.split(",")]
+    except ValueError:
+        raise ValueError(f"bad {option} list {text!r}; expected like 2,3")
 
 
 def cmd_entropy(args) -> list:
     seed = _resolve_seed(args, needed=True)
     records = []
-    pairs = [(m, n) for m in _int_list(args.m) for n in _int_list(args.n)
+    pairs = [(m, n) for m in _int_list(args.m, "--m") for n in _int_list(args.n, "--n")
              if m <= n]
     if not pairs:
         raise ValueError("no (m, n) pairs with m <= n in the requested grid")
@@ -359,14 +362,13 @@ def cmd_sample(args) -> list:
     sampling.check_cost("sample", args.count, d * d, SAMPLE_CAP)
     matrices = []
     for i in range(args.count):
-        s = sampling.sample_group(args.group, args.N,
-                                  sampling.RngStream(seed, i))
-        det = complex(np.linalg.det(s.matrix))
+        u = sampling.sample_group(args.group, args.N, sampling.RngStream(seed, i))
+        det = complex(np.linalg.det(u))
         matrices.append({
             "index": i,
             "det_re": det.real, "det_im": det.imag,
-            "matrix_re": s.matrix.real.tolist(),
-            "matrix_im": s.matrix.imag.tolist(),
+            "matrix_re": u.real.tolist(),
+            "matrix_im": u.imag.tolist(),
         })
     record = _common({
         "command": "sample", "group": args.group, "N": args.N,

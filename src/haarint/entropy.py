@@ -167,12 +167,12 @@ def page_entropy_exact(m: int, n: int) -> float:
     return float(page_entropy_fraction(m, n))
 
 
-def random_pure_state(dim: int, stream: RngStream | BlockStack, size=None) -> np.ndarray:
-    """Haar-random unit vector, or a stack (size, dim) of them drawn from the
-    one stream or the blocks of a sampling.BlockStack: a normalized complex
+def random_pure_state(dim: int, stream: RngStream | BlockStack) -> np.ndarray:
+    """Haar-random unit vector from an RngStream, or a stack (size, dim) of
+    them from the blocks of a sampling.BlockStack: a normalized complex
     Gaussian vector (the real part drawn first), whose law is that of the
     first column of a Haar unitary."""
-    re, im = stream.gaussians(2, (dim,), size)
+    re, im = stream.gaussians(2, (dim,))
     z = re + 1j * im
     return z / np.linalg.norm(z, axis=-1, keepdims=True)
 
@@ -181,14 +181,16 @@ def mc_average_entropy(m: int, n: int, samples: int, seed: int) -> McEstimate:
     """Monte Carlo mean of the m-side entropy over random pure states: each
     stack of blocks is one stack of states and one batched singular-value
     call; refused past MC_CAP sampled numbers."""
+    if m < 1 or n < 1:
+        raise ValueError("need m, n >= 1")
     if samples < 100:
         raise ValueError("need at least 100 samples")
     per_sample = 1 + m * n
     check_cost("Monte Carlo entropy", samples, per_sample, MC_CAP)
 
-    def draw(stack, size):
-        v = random_pure_state(m * n, stack, size=size)
-        sq = np.linalg.svd(v.reshape(size, m, n), compute_uv=False) ** 2
+    def draw(stack):
+        v = random_pure_state(m * n, stack)
+        sq = np.linalg.svd(v.reshape(stack.size, m, n), compute_uv=False) ** 2
         sq = np.where(sq > _EIG_CLIP, sq, 0.0)
         sq /= sq.sum(axis=-1, keepdims=True)
         return -(sq * np.log(np.where(sq > 0, sq, 1.0))).sum(axis=-1)

@@ -240,7 +240,7 @@ def _apply_modes(act: np.ndarray, vecs: np.ndarray, m: int) -> np.ndarray:
     return w
 
 
-def rho_matrix(u, basis: IrrepBasis, cols=None) -> np.ndarray:
+def rho_matrix(u: np.ndarray, basis: IrrepBasis, cols=None) -> np.ndarray:
     """Representation matrix of u in the orthonormalized tableau basis, or
     of each matrix of a stack u (size, d, d); with cols, a list of 1-based
     column numbers, each an int in 1..rank, only those columns, in that
@@ -249,7 +249,7 @@ def rho_matrix(u, basis: IrrepBasis, cols=None) -> np.ndarray:
     Column j is u^(x)m applied to b_j along the m tensor modes, then
     contracted with every conj(b_i); no other column is computed.
     """
-    mat = np.asarray(u.matrix if hasattr(u, "matrix") else u)
+    mat = np.asarray(u)
     d = sampling.dimension(basis.group, basis.n)
     if mat.ndim not in (2, 3) or mat.shape[-2:] != (d, d):
         raise ValueError(f"sample is {mat.shape}, module needs {(d, d)}")
@@ -345,11 +345,11 @@ def integrate_irrep_mc(spec: RepMatrixElementSpec, samples: int, seed: int):
         _, cols = modules.setdefault(f.lam, (basis, {}))
         cols.setdefault(f.col, len(cols))
 
-    def draw(stack, size):
-        u = sampling.sample_group(spec.group, spec.n, stack, size)
+    def draw(stack):
+        u = sampling.sample_group(spec.group, spec.n, stack)
         rho = {lam: rho_matrix(u, basis, list(cols))
                for lam, (basis, cols) in modules.items()}
-        val = np.ones(size, dtype=complex)
+        val = np.ones(stack.size, dtype=complex)
         for f in spec.factors:
             entry = rho[f.lam][:, f.row - 1, modules[f.lam][1][f.col]]
             val *= entry.conj() if f.conj else entry

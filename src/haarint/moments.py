@@ -160,8 +160,7 @@ def integrate_monomial_mc(spec: MonomialSpec, n: int, samples: int, seed: int):
     per_sample = 1 + d * d
     sampling.check_cost("Monte Carlo", samples, per_sample, sampling.MC_CAP)
     return sampling.mc_expectation(
-        lambda stack, size: evaluate_monomial(
-            spec, sampling.sample_group(spec.group, n, stack, size).matrix),
+        lambda stack: evaluate_monomial(spec, sampling.sample_group(spec.group, n, stack)),
         samples=samples, seed=seed, per_sample=per_sample)
 
 

@@ -1,12 +1,12 @@
 """Haar-distributed random matrices and Monte Carlo estimation.
 
-Every sampler draws its Gaussians from a source: an RngStream — a
-counter-based substream fully determined by (seed, stream index) — for
-one matrix or a stack (size, d, d) of them, or a BlockStack of
-consecutive Monte Carlo blocks, each block drawn from its own stream.
-Either source gives one Gaussian array per part, then the sampler runs
-one stacked QR and the phase, sign or determinant fixes on the whole
-stack.
+Every sampler draws its Gaussians from a source, and the source fixes
+the draw's shape: an RngStream — a counter-based substream fully
+determined by (seed, stream index) — gives one d x d matrix, and a
+BlockStack of consecutive Monte Carlo blocks, each block drawn from its
+own stream, gives a stack (size, d, d).  Either source gives one
+Gaussian array per part, then the sampler runs one QR and the phase,
+sign or determinant fixes on the whole draw.
 
 A Monte Carlo estimate is drawn in blocks of BLOCK samples: block b is
 the Gaussians of RngStream(seed, b), the last block holding what is
@@ -58,12 +58,11 @@ class RngStream:
         key = np.array([self.seed, self.stream], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
-    def gaussians(self, parts: int, shape: tuple, size=None) -> list:
-        """parts arrays of standard normals, each of shape, or of (size,) +
-        shape, drawn one after the other."""
+    def gaussians(self, parts: int, shape: tuple) -> list:
+        """parts arrays of standard normals, each of shape, drawn one after
+        the other."""
         g = self.generator()
-        full = shape if size is None else (size,) + shape
-        return [g.standard_normal(full) for _ in range(parts)]
+        return [g.standard_normal(shape) for _ in range(parts)]
 
 
 @dataclass(frozen=True)
@@ -82,30 +81,15 @@ class BlockStack:
         return [(RngStream(self.seed, self.first + k // BLOCK), min(BLOCK, self.size - k))
                 for k in range(0, self.size, BLOCK)]
 
-    def gaussians(self, parts: int, shape: tuple, size=None) -> list:
+    def gaussians(self, parts: int, shape: tuple) -> list:
         """parts arrays (size,) + shape: each block draws its parts from its
         own stream, as RngStream.gaussians does, into its rows."""
-        if size != self.size:
-            raise ValueError(f"a stack of {self.size} samples drawn as {size}")
-        out = [np.empty((size,) + shape) for _ in range(parts)]
-        for start, (stream, count) in zip(range(0, size, BLOCK), self.blocks):
+        out = [np.empty((self.size,) + shape) for _ in range(parts)]
+        for start, (stream, count) in zip(range(0, self.size, BLOCK), self.blocks):
             g = stream.generator()
             for a in out:
                 g.standard_normal(out=a[start:start + count])
         return out
-
-
-@dataclass
-class GroupSample:
-    matrix: np.ndarray  # one d x d matrix, or a stack (size, d, d)
-    group: str
-
-    def __getitem__(self, ij):
-        return self.matrix[ij]
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[-1]
 
 
 @dataclass
@@ -147,43 +131,40 @@ def _adjoint(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
-def sample_unitary(n: int, stream: RngStream | BlockStack, size=None) -> GroupSample:
-    """Haar sample from U(n), or a stack of size of them: complex Gaussian
+def sample_unitary(n: int, stream: RngStream | BlockStack) -> np.ndarray:
+    """Haar sample from U(n), or a stack from a BlockStack: complex Gaussian
     (the real part drawn first), QR, then divide out the phases of R's
     diagonal (plain QR alone is not Haar)."""
     if n < 1:
         raise ValueError("need n >= 1")
-    re, im = stream.gaussians(2, (n, n), size)
+    re, im = stream.gaussians(2, (n, n))
     a = re + 1j * im
     a /= math.sqrt(2)
     q, r = np.linalg.qr(a)
     d = np.diagonal(r, axis1=-2, axis2=-1)
-    q = q * (d / np.abs(d))[..., None, :]
-    return GroupSample(q, "U")
+    return q * (d / np.abs(d))[..., None, :]
 
 
-def sample_special_unitary(n: int, stream: RngStream | BlockStack, size=None) -> GroupSample:
-    u = sample_unitary(n, stream, size).matrix
-    u = u * np.exp(-1j * np.angle(np.linalg.det(u)) / n)[..., None, None]
-    return GroupSample(u, "SU")
+def sample_special_unitary(n: int, stream: RngStream | BlockStack) -> np.ndarray:
+    u = sample_unitary(n, stream)
+    return u * np.exp(-1j * np.angle(np.linalg.det(u)) / n)[..., None, None]
 
 
-def sample_orthogonal(n: int, stream: RngStream | BlockStack, size=None) -> GroupSample:
-    """Haar sample from O(n), or a stack: real Gaussian, QR, sign-fixed
-    diagonal."""
+def sample_orthogonal(n: int, stream: RngStream | BlockStack) -> np.ndarray:
+    """Haar sample from O(n), or a stack from a BlockStack: real Gaussian,
+    QR, sign-fixed diagonal."""
     if n < 1:
         raise ValueError("need n >= 1")
-    q, r = np.linalg.qr(stream.gaussians(1, (n, n), size)[0])
-    q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
-    return GroupSample(q, "O")
+    q, r = np.linalg.qr(stream.gaussians(1, (n, n))[0])
+    return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
 
 
-def sample_special_orthogonal(n: int, stream: RngStream | BlockStack, size=None) -> GroupSample:
+def sample_special_orthogonal(n: int, stream: RngStream | BlockStack) -> np.ndarray:
     """O(n) samples with the last column negated where the determinant is
     -1."""
-    o = sample_orthogonal(n, stream, size).matrix
+    o = sample_orthogonal(n, stream)
     o[..., :, -1] *= np.sign(np.linalg.det(o))[..., None]
-    return GroupSample(o, "SO")
+    return o
 
 
 def symplectic_j(two_n: int) -> np.ndarray:
@@ -198,9 +179,10 @@ def symplectic_j(two_n: int) -> np.ndarray:
     return j
 
 
-def sample_compact_symplectic(n: int, stream: RngStream | BlockStack, size=None) -> GroupSample:
-    """Haar sample from Sp(2n) ∩ U(2n), or a stack, as 2n x 2n complex
-    matrices preserving symplectic_j(2n) (Mezzadri, Notices AMS 2007).
+def sample_compact_symplectic(n: int, stream: RngStream | BlockStack) -> np.ndarray:
+    """Haar sample from Sp(2n) ∩ U(2n), or a stack from a BlockStack, as
+    2n x 2n complex matrices preserving symplectic_j(2n) (Mezzadri,
+    Notices AMS 2007).
 
     A quaternionic Gaussian matrix (2x2 blocks [[a, b], [-conj(b),
     conj(a)]]) is orthonormalized by block Gram-Schmidt.  All updates are
@@ -211,7 +193,7 @@ def sample_compact_symplectic(n: int, stream: RngStream | BlockStack, size=None)
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    a_re, a_im, b_re, b_im = stream.gaussians(4, (n, n), size)
+    a_re, a_im, b_re, b_im = stream.gaussians(4, (n, n))
     a = a_re + 1j * a_im
     b = b_re + 1j * b_im
     u = np.zeros(a.shape[:-2] + (2 * n, 2 * n), dtype=complex)
@@ -229,7 +211,7 @@ def sample_compact_symplectic(n: int, stream: RngStream | BlockStack, size=None)
                 u[..., :, cj] -= u[..., :, ci] @ coef
         norm = np.sqrt((_adjoint(u[..., :, cj]) @ u[..., :, cj])[..., 0, 0].real)
         u[..., :, cj] /= norm[..., None, None]
-    return GroupSample(u, "Sp")
+    return u
 
 
 _SAMPLERS = {
@@ -241,22 +223,22 @@ _SAMPLERS = {
 }
 
 
-def sample_group(group: str, n: int, stream: RngStream | BlockStack, size=None) -> GroupSample:
+def sample_group(group: str, n: int, stream: RngStream | BlockStack) -> np.ndarray:
     """Dispatch by group tag; n is the symplectic half-dimension for Sp.
-    With size, one stack (size, d, d) drawn from the one stream, or from
-    the blocks of a BlockStack."""
+    One d x d matrix from an RngStream, a stack (size, d, d) from a
+    BlockStack."""
     try:
         sampler = _SAMPLERS[group]
     except KeyError:
         raise ValueError(f"unknown group tag {group!r}") from None
-    return sampler(n, stream, size)
+    return sampler(n, stream)
 
 
 def mc_expectation(draw, samples: int, seed: int, per_sample: int = 1) -> McEstimate:
-    """Mean and standard error of samples values of draw(stack, size).
+    """Mean and standard error of samples values of draw(stack).
 
-    draw returns the values of the size samples of a BlockStack, drawn
-    from it as one stack.  Block b covers samples b*BLOCK up to
+    draw returns the values of the stack.size samples of a BlockStack,
+    drawn from it as one stack.  Block b covers samples b*BLOCK up to
     (b+1)*BLOCK and is drawn from RngStream(seed, b); the last block is
     shorter when BLOCK does not divide samples.  A stack holds as many
     consecutive blocks as fit in STACK_NUMBERS sampled numbers at
@@ -268,6 +250,8 @@ def mc_expectation(draw, samples: int, seed: int, per_sample: int = 1) -> McEsti
     samples, seed = check_int(samples, "samples"), check_seed(check_int(seed, "seed"))
     if samples < 2:
         raise ValueError("need at least 2 samples")
+    if check_int(per_sample, "per_sample") < 1:
+        raise ValueError(f"per_sample must be at least 1, got {per_sample}")
     step = BLOCK * max(1, STACK_NUMBERS // (per_sample * BLOCK))
     vals = np.empty(samples, dtype=complex)
     start = 0
@@ -278,7 +262,7 @@ def mc_expectation(draw, samples: int, seed: int, per_sample: int = 1) -> McEsti
             # rounds a one-element array without FMA, so a last block of
             # one sample keeps its bits only when it is drawn alone
             size -= 1
-        vals[start:start + size] = draw(BlockStack(seed, start // BLOCK, size), size)
+        vals[start:start + size] = draw(BlockStack(seed, start // BLOCK, size))
         start += size
     mean = vals.mean()
     var = float((np.abs(vals - mean) ** 2).sum()) / (samples - 1)

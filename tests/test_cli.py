@@ -411,6 +411,15 @@ def test_inline_factor_errors(capsys, argv, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("option,text", [("--m", "2,,3"), ("--n", "2,x")])
+def test_entropy_list_errors_name_the_option(capsys, option, text):
+    argv = {"--m": "2", "--n": "3", option: text}
+    code = cli.main(["entropy", "--m", argv["--m"], "--n", argv["--n"], "--seed", "1"])
+    assert code == 2
+    assert capsys.readouterr() == (
+        "", f"error: bad {option} list {text!r}; expected like 2,3\n")
+
+
 @pytest.mark.parametrize("payload", [
     {"group": "U", "N": 2, "factors": [{"i": 3, "j": 1}, {"i": 3, "j": 1, "conj": True}]},
     {"group": "U", "N": 2, "factors": [{"i": 0, "j": 1}, {"i": 1, "j": 1, "conj": True}]},

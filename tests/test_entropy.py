@@ -26,7 +26,7 @@ from haarint.entropy import (
     validate_density,
     von_neumann_entropy,
 )
-from haarint.sampling import BLOCK, RngStream, mc_expectation, sample_unitary
+from haarint.sampling import BLOCK, BlockStack, RngStream, mc_expectation, sample_unitary
 from haarint.tensors import CostGateError
 
 BELL = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
@@ -224,9 +224,9 @@ def test_mc_average_entropy_agrees():
 
 def test_mc_gaussian_model_equivalent():
     # normalized Gaussian vectors follow the same law as unitary columns
-    def draw(stream, size):
+    def draw(stack):
         return [von_neumann_entropy(partial_trace(pure_density(v), (2, 2), "A"))
-                for v in sample_unitary(4, stream, size).matrix[..., :, 0]]
+                for v in sample_unitary(4, stack)[..., :, 0]]
 
     a = mc_expectation(draw, samples=4000, seed=21)
     b = mc_average_entropy(2, 2, samples=4000, seed=22)
@@ -241,13 +241,13 @@ def test_mc_is_the_blockwise_reference():
     est = mc_average_entropy(2, 3, samples=samples, seed=9)
     vals = [von_neumann_entropy(partial_trace(pure_density(v), (2, 3), "A"))
             for b, size in ((0, BLOCK), (1, 40))
-            for v in random_pure_state(6, RngStream(9, b), size=size)]
+            for v in random_pure_state(6, BlockStack(9, b, size))]
     assert est.n == len(vals) == samples
     assert abs(est.mean - np.mean(vals)) < 1e-12
 
 
 def test_stacked_pure_states():
-    states = random_pure_state(6, RngStream(4), size=5)
+    states = random_pure_state(6, BlockStack(4, 0, 5))
     assert states.shape == (5, 6)
     assert np.abs(np.linalg.norm(states, axis=1) - 1).max() < 1e-12
 
@@ -260,6 +260,15 @@ def test_mc_trivial_marginal():
 def test_mc_validation():
     with pytest.raises(ValueError):
         mc_average_entropy(2, 2, samples=50, seed=1)
+
+
+@pytest.mark.parametrize("m,n", [(0, 2), (2, 0), (1, -1), (-3, 4)])
+def test_mc_refuses_empty_factors_before_the_cost_gate(m, n):
+    # samples far past the cap: the dimension check comes first
+    with pytest.raises(ValueError, match=r"need m, n >= 1"):
+        mc_average_entropy(m, n, samples=10 ** 9, seed=1)
+    with pytest.raises(ValueError, match=r"need m, n >= 1"):
+        mc_average_entropy(m, n, samples=100, seed=1)
 
 
 @given(st.integers(2, 4), st.integers(2, 4), st.integers(0, 10 ** 6))

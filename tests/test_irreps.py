@@ -466,8 +466,8 @@ def test_rho_identity(group, lam, n):
 @pytest.mark.parametrize("group,lam,n", RHO_CASES)
 def test_rho_unitary_and_homomorphic(group, lam, n):
     basis = build_irrep_basis(group, lam, n)
-    u = sampling.sample_group(group, n, sampling.RngStream(31)).matrix
-    v = sampling.sample_group(group, n, sampling.RngStream(32)).matrix
+    u = sampling.sample_group(group, n, sampling.RngStream(31))
+    v = sampling.sample_group(group, n, sampling.RngStream(32))
     ru, rv = rho_matrix(u, basis), rho_matrix(v, basis)
     assert np.allclose(ru @ ru.conj().T, np.eye(basis.rank), atol=1e-10)
     assert np.allclose(rho_matrix(u @ v, basis), ru @ rv, atol=1e-10)
@@ -476,11 +476,11 @@ def test_rho_unitary_and_homomorphic(group, lam, n):
 def test_rho_vector_rep_is_the_matrix_itself():
     # GL and Sp use the standard basis in standard order; O uses the
     # split basis, so the matrix appears conjugated by the transition
-    u = sampling.sample_group("U", 3, sampling.RngStream(41)).matrix
+    u = sampling.sample_group("U", 3, sampling.RngStream(41))
     assert np.allclose(rho_matrix(u, build_irrep_basis("U", (1,), 3)), u)
-    w = sampling.sample_group("Sp", 2, sampling.RngStream(42)).matrix
+    w = sampling.sample_group("Sp", 2, sampling.RngStream(42))
     assert np.allclose(rho_matrix(w, build_irrep_basis("Sp", (1,), 2)), w)
-    o = sampling.sample_group("O", 3, sampling.RngStream(43)).matrix
+    o = sampling.sample_group("O", 3, sampling.RngStream(43))
     s = _split_transition(3)
     assert np.allclose(rho_matrix(o, build_irrep_basis("O", (1,), 3)),
                        s.conj().T @ o @ s)
@@ -716,7 +716,7 @@ def test_stacked_entries_match_rho_matrix(group, lam, n):
     # the sampled columns of a stack equal, draw by draw, the full matrix
     # of that draw alone and the per-entry loop reference
     basis = build_irrep_basis(group, lam, n)
-    stack = sampling.sample_group(group, n, sampling.RngStream(77), size=3).matrix
+    stack = sampling.sample_group(group, n, sampling.BlockStack(77, 0, 3))
     cols = [basis.rank, 1]  # out of order, and repeated when the rank is 1
     picked = rho_matrix(stack, basis, cols)
     assert picked.shape == (3, basis.rank, 2)
@@ -742,7 +742,7 @@ def test_mc_is_the_blockwise_reference(group, n, factors):
     est = integrate_irrep_mc(s, samples=sampling.BLOCK + 3, seed=6)
     vals = []
     for b, size in ((0, sampling.BLOCK), (1, 3)):
-        for u in sampling.sample_group(group, n, sampling.RngStream(6, b), size).matrix:
+        for u in sampling.sample_group(group, n, sampling.BlockStack(6, b, size)):
             val = 1
             for f in s.factors:
                 e = rho_matrix_loop(u, build_irrep_basis(group, f.lam, n))[f.row - 1, f.col - 1]

@@ -279,7 +279,7 @@ def test_pairing_operators_commute_with_tensor_action(group, n):
     # with interleaved letters in the symplectic case, must commute with
     # every pairing operator
     form = symplectic_form(n) if group == "Sp" else StandardForm(n)
-    u = sampling.sample_group(group, n, sampling.RngStream(911)).matrix
+    u = sampling.sample_group(group, n, sampling.RngStream(911))
     uu = np.kron(u, u)
     for p in all_pairings(4):
         b = _dense(p, form)
@@ -1084,7 +1084,7 @@ def test_monte_carlo_is_the_blockwise_reference(group, n):
     est = moments.integrate_monomial_mc(s, n, samples=sampling.BLOCK + 3, seed=8)
     vals = [evaluate_monomial(s, u)
             for b, size in ((0, sampling.BLOCK), (1, 3))
-            for u in sampling.sample_group(group, n, sampling.RngStream(8, b), size).matrix]
+            for u in sampling.sample_group(group, n, sampling.BlockStack(8, b, size))]
     assert est.n == len(vals)
     assert abs(est.mean - np.mean(vals)) < 1e-12
 
