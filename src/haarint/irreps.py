@@ -13,15 +13,16 @@ and norms fill IrrepBasis as they are.  The brackets hand those integers
 to moments, so match vectors are int too; Fraction enters with the class
 weights, the leading division and the final division by the root of the
 norm product (_finish).
-Fillings are orthogonalized in one place, one weight space at a time
-(_weight_space): entry p is the vector kept from filling p.  That is
-exact because the Gram–Schmidt is graded, so a weight's vectors do not
-depend on the others, and because the module index (_module_index)
-asserts that the admissible fillings are as many as the module's
-dimension, so, spanning the module, none is dropped.  Exact and leading
-requests build only the weight spaces they read; Monte Carlo reads the
-whole basis (_build_irrep_basis), the merge of every weight space by
-filling position.
+Each module is one read-only IrrepBasis, built once (_module, behind
+build_irrep_basis) and read by every mode: its fillings, their weights
+and slots.  Fillings are orthogonalized in one place, one weight space at
+a time (_weight_space): entry p is the vector kept from filling p.  That
+is exact because the Gram–Schmidt is graded, so a weight's vectors do not
+depend on the others, and because _module asserts that the admissible
+fillings are as many as the module's dimension, so, spanning the module,
+none is dropped.  Exact and leading requests build only the weight spaces
+they read; Monte Carlo reads the whole basis (IrrepBasis.float_vectors),
+the merge of every weight space by filling position, built on first read.
 Sampled entries come from one kernel (rho_matrix) that takes a matrix or
 a stack of them and builds only the columns asked for; Monte Carlo asks
 it once per module and block of draws.
@@ -35,6 +36,7 @@ match vector.
 
 import functools
 import math
+import types
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -61,29 +63,69 @@ from .tensors import (
 BUILD_CAP = 10 ** 5
 
 
-@dataclass
+@dataclass(frozen=True, eq=False, repr=False)
+class _KeptVector(SparseTensor):
+    """A basis vector as its weight space keeps it: read-only data, and no
+    attribute can be set."""
+    order: int
+    data: types.MappingProxyType
+
+
+@dataclass(frozen=True)
 class IrrepBasis:
+    """One module, built once (_module): its admissible fillings as
+    row-major entry tuples in tableau order, each with its torus weight and
+    its slot among the fillings of that weight, and per weight the
+    positions of its fillings.  The filling count is the module's
+    dimension, so entry p of the basis is built from filling p, in the one
+    weight space that holds it (_entry); the merged basis is built on first
+    read.  Nothing it hands out can be edited."""
     group: str
     lam: tuple
     n: int
-    vectors: list       # orthogonal primitive int tensors, tableau order
-    norms2: list        # int norm-squares, parallel to vectors
-    tableaux: list      # the fillings, for labeling
+    words: tuple
+    weights: tuple
+    slots: tuple
+    by_weight: types.MappingProxyType  # weight -> filling positions, ascending
     form: BilinearForm | None
 
     @property
     def rank(self) -> int:
-        return len(self.vectors)
+        return len(self.words)
 
     @property
     def weight(self) -> int:
         return tableaux.weight(self.lam)
 
+    @property
+    def tableaux(self) -> tuple:
+        """The fillings, for labeling; fresh on every read, since a Tableau
+        can be edited."""
+        return tuple(tableaux._as_tableaux(self.lam, self.words))
+
+    def _entry(self, p: int) -> tuple:
+        """(vector, norm²) of entry p (1-based), from the one weight space
+        that holds it."""
+        space = _weight_space(self.group, self.lam, self.n, self.weights[p - 1])
+        return space[self.slots[p - 1]][2:]
+
+    @functools.cached_property
+    def vectors(self) -> tuple:
+        """Orthogonal primitive int tensors in tableau order: the weight
+        spaces merged by filling position."""
+        return tuple(self._entry(p)[0] for p in range(1, self.rank + 1))
+
+    @functools.cached_property
+    def norms2(self) -> tuple:
+        """int norm-squares, parallel to vectors."""
+        return tuple(self._entry(p)[1] for p in range(1, self.rank + 1))
+
     @functools.cached_property
     def float_vectors(self) -> np.ndarray:
         """The basis as unit complex rows (rank, d^m), each a flattened
-        tensor, for sampled entries."""
-        pos = _letter_positions(self)
+        tensor, for sampled entries; read-only."""
+        letters = range(1, self.n + 1) if self.form is None else self.form.letters
+        pos = {x: k for k, x in enumerate(letters)}
         out = np.zeros((self.rank, len(pos) ** self.weight), dtype=complex)
         for row, vec, n2 in zip(out, self.vectors, self.norms2):
             for idx, c in vec.data.items():
@@ -92,33 +134,16 @@ class IrrepBasis:
                     flat = flat * len(pos) + pos[x]
                 row[flat] = float(c)
             row /= np.sqrt(float(n2))
+        out.flags.writeable = False
         return out
 
 
 def build_irrep_basis(group: str, lam, n: int) -> IrrepBasis:
-    return _build_irrep_basis(group, tableaux.check_shape(lam), n)
-
-
-@dataclass(frozen=True)
-class ModuleIndex:
-    """The admissible fillings of one module as row-major entry tuples in
-    tableau order, each with its torus weight and its slot among the
-    fillings of that weight, and per weight the positions of its fillings;
-    the filling count is the module's dimension (_module_index), so entry
-    p of the basis is built from filling p."""
-    words: tuple
-    weights: tuple
-    slots: tuple
-    by_weight: dict  # weight -> filling positions, ascending
-    form: BilinearForm | None
-
-    @property
-    def rank(self) -> int:
-        return len(self.words)
+    return _module(group, tableaux.check_shape(lam), n)
 
 
 @functools.lru_cache(maxsize=128)
-def _module_index(group: str, lam: tuple, n: int) -> ModuleIndex:
+def _module(group: str, lam: tuple, n: int) -> IrrepBasis:
     if group == "U":
         if len(lam) > n:
             raise ValueError(f"shape {lam} has more rows than GL({n}) letters")
@@ -138,23 +163,24 @@ def _module_index(group: str, lam: tuple, n: int) -> ModuleIndex:
         positions = by_weight.setdefault(w, [])
         slots.append(len(positions))
         positions.append(p)
-    return ModuleIndex(tuple(words), weights, tuple(slots), by_weight, form)
+    by_weight = types.MappingProxyType({w: tuple(ps) for w, ps in by_weight.items()})
+    return IrrepBasis(group, lam, n, tuple(words), weights, tuple(slots), by_weight, form)
 
 
 # a module the build gate admits has at most BUILD_CAP fillings (its work
 # counts them), so at most that many weights: no build evicts its own
 # weight spaces, and the spaces of one request's modules all stay cached
 @functools.lru_cache(maxsize=BUILD_CAP)
-def _weight_space(group: str, lam: tuple, n: int, weight: tuple) -> list:
+def _weight_space(group: str, lam: tuple, n: int, weight: tuple) -> tuple:
     """The kept (word, weight, vector, norm²) of gram_schmidt over the
-    fillings of one weight, in order: each filling's symmetrized tensor,
-    for O/Sp a positive integer multiple of its traceless part,
-    D t0 = D t - D t1, in one pass over t and one over D t1.  None is
-    dropped: the fillings of all weights are as many as the dimension and
-    span the module."""
-    index = _module_index(group, lam, n)
+    fillings of one weight, in order, each vector read-only: each
+    filling's symmetrized tensor, for O/Sp a positive integer multiple of
+    its traceless part, D t0 = D t - D t1, in one pass over t and one over
+    D t1.  None is dropped: the fillings of all weights are as many as the
+    dimension and span the module."""
+    module = _module(group, lam, n)
     sym = young_symmetrizer(lam)
-    form = index.form
+    form = module.form
 
     def candidate(word):
         s = permute(sym, SparseTensor.elementary(word))
@@ -167,39 +193,17 @@ def _weight_space(group: str, lam: tuple, n: int, weight: tuple) -> list:
             out.add_term(idx, -c)
         return out
 
-    words = [index.words[p] for p in index.by_weight[weight]]
+    words = [module.words[p] for p in module.by_weight[weight]]
     kept = gram_schmidt((w, candidate(w)) for w in words)
     assert len(kept) == len(words), (
         f"{group}({n}) module {lam}: {len(words) - len(kept)} dependent fillings "
         f"of weight {weight}")
-    return kept
-
-
-@functools.lru_cache(maxsize=128)
-def _build_irrep_basis(group: str, lam: tuple, n: int) -> IrrepBasis:
-    """The merge of the module's weight spaces, by filling position."""
-    index = _module_index(group, lam, n)
-    spaces = {w: _weight_space(group, lam, n, w) for w in index.by_weight}
-    kept = [spaces[w][slot] for w, slot in zip(index.weights, index.slots)]
-    return IrrepBasis(group, lam, n, [v for _, _, v, _ in kept], [n2 for *_, n2 in kept],
-                      tableaux._as_tableaux(lam, index.words), index.form)
-
-
-def _basis_entry(group: str, lam: tuple, n: int, p: int) -> tuple:
-    """(vector, norm²) of entry p (1-based) of the module basis, from the
-    one weight space that holds it."""
-    index = _module_index(group, lam, n)
-    _, _, vector, n2 = _weight_space(group, lam, n, index.weights[p - 1])[index.slots[p - 1]]
-    return vector, n2
+    return tuple((word, w, _KeptVector(v.order, types.MappingProxyType(v.data)), n2)
+                 for word, w, v, n2 in kept)
 
 
 # ---------------------------------------------------------------------------
 # sampled representation matrices
-
-def _letter_positions(basis: IrrepBasis) -> dict:
-    if basis.form is None:
-        return {x: x - 1 for x in range(1, basis.n + 1)}
-    return {x: k for k, x in enumerate(basis.form.letters)}
 
 def _split_transition(n: int) -> np.ndarray:
     """Columns express the paired complex letters through the real basis:
@@ -256,7 +260,8 @@ def rho_matrix(u: np.ndarray, basis: IrrepBasis, cols=None) -> np.ndarray:
     act = _action_matrix(basis, mat.reshape(-1, d, d))
     vecs = basis.float_vectors
     cols = range(1, basis.rank + 1) if cols is None else list(cols)
-    if not all(isinstance(j, (int, np.integer)) and 1 <= j <= basis.rank for j in cols):
+    if not all(isinstance(j, (int, np.integer)) and not isinstance(j, bool)
+               and 1 <= j <= basis.rank for j in cols):
         raise ValueError(f"columns {cols} are not all ints in 1..{basis.rank}")
     w = _apply_modes(act, vecs[[j - 1 for j in cols]], basis.weight)
     out = (w @ vecs.conj().T).swapaxes(-1, -2)
@@ -314,22 +319,17 @@ class RepMatrixElementSpec:
                    tableaux.check_int(moments._spec_key(d, "N"), "N"), factors)
 
 
-def _check_entries(spec: RepMatrixElementSpec):
-    """The module index of each factor, once its entry is checked to lie in
-    the module; no basis is built."""
+def _check_entries(spec: RepMatrixElementSpec) -> list:
+    """The module of each factor (its shape checked by RepFactor), once its
+    entry is checked to lie in it; no weight space is built."""
     out = []
     for f in spec.factors:
-        index = _module_index(spec.group, f.lam, spec.n)
-        if not (1 <= f.row <= index.rank and 1 <= f.col <= index.rank):
+        basis = _module(spec.group, f.lam, spec.n)
+        if not (1 <= f.row <= basis.rank and 1 <= f.col <= basis.rank):
             raise ValueError(
-                f"entry ({f.row},{f.col}) outside rank-{index.rank} module {f.lam}")
-        out.append(index)
+                f"entry ({f.row},{f.col}) outside rank-{basis.rank} module {f.lam}")
+        out.append(basis)
     return out
-
-
-def _bases_for(spec: RepMatrixElementSpec):
-    _check_entries(spec)
-    return [build_irrep_basis(spec.group, f.lam, spec.n) for f in spec.factors]
 
 
 def integrate_irrep_mc(spec: RepMatrixElementSpec, samples: int, seed: int):
@@ -341,7 +341,7 @@ def integrate_irrep_mc(spec: RepMatrixElementSpec, samples: int, seed: int):
     per_sample = 1 + d * d + sum(d ** tableaux.weight(f.lam) for f in spec.factors)
     sampling.check_cost("Monte Carlo", samples, per_sample, sampling.MC_CAP)
     modules = {}  # lam -> (basis, {column: its place among the sampled ones})
-    for f, basis in zip(spec.factors, _bases_for(spec)):
+    for f, basis in zip(spec.factors, _check_entries(spec)):
         _, cols = modules.setdefault(f.lam, (basis, {}))
         cols.setdefault(f.col, len(cols))
 
@@ -367,13 +367,12 @@ def _brackets(spec: RepMatrixElementSpec) -> tuple:
     <b_i|u|b_j> of its basis vectors' terms, and the integral is that of
     the brackets (moments._bracket_integral) over sqrt(norm product).  The
     O and Sp modules live on the split alphabets, the U modules on 1..N.
-    Only the weight spaces of the entries read are built (_basis_entry)."""
-    _check_entries(spec)
+    Only the weight spaces of the entries read are built
+    (IrrepBasis._entry)."""
     norms = 1
     brackets = []
-    for f in spec.factors:
-        (row, n_row), (col, n_col) = (_basis_entry(spec.group, f.lam, spec.n, p)
-                                      for p in (f.row, f.col))
+    for f, basis in zip(spec.factors, _check_entries(spec)):
+        (row, n_row), (col, n_col) = basis._entry(f.row), basis._entry(f.col)
         norms *= n_row * n_col
         brackets.append((f.conj, row.data.items(), col.data.items()))
     return spec.group != "U", brackets, norms

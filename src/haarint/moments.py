@@ -234,7 +234,7 @@ def _crossing_sign(pairing) -> int:
 class TypeTable:
     """Dimension-free structure of one commutant basis: ``rows[a][b]``
     indexes into ``types`` the partition of q that labels the pair (a, b)."""
-    elements: list  # pairings (tuples of slot pairs), _basis order
+    elements: tuple  # pairings (tuples of slot pairs), _basis order
     types: tuple
     rows: tuple  # bytes per basis element
 
@@ -291,7 +291,7 @@ def type_table(kind: str, q: int) -> TypeTable:
     # every type occurs in row 0, so the type order is fixed by that row
     rows = tuple(bytes(index.setdefault(_loop_type(pa, pb), len(index)) for pb in partners)
                  for pa in partners)
-    return TypeTable(elems, tuple(index), rows)
+    return TypeTable(tuple(elems), tuple(index), rows)
 
 
 @functools.lru_cache(maxsize=DEGREE_CAP)

@@ -5,8 +5,9 @@ to int or Fraction coefficients.  The module provides one slot-permutation
 kernel (permute), which applies a single permutation or a whole row-column
 symmetrizer (young_symmetrizer, a read-only {permutation: sign} map), the
 invariant bilinear pairings of the orthogonal and symplectic groups on
-their split alphabets (tableaux), index contraction and expansion, and the
-split of a tensor into traceless and trace parts.
+their split alphabets (tableaux), frozen values that key the trace-span
+cache themselves, index contraction and expansion, and the split of a
+tensor into traceless and trace parts.
 
 One exact Gram–Schmidt (gram_schmidt), graded by torus weight (_weight),
 builds the expansion span basis behind the trace part and the module
@@ -25,6 +26,7 @@ import functools
 import itertools
 import math
 import types
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import perms, tableaux
@@ -166,23 +168,28 @@ def _young_symmetrizer(shape: tuple) -> types.MappingProxyType:
     return types.MappingProxyType(out)
 
 
+@dataclass(frozen=True)
 class BilinearForm:
     """Invariant pairing on V, with the dual-basis data used for expansion,
     on the split alphabet, where the bar of letter x is -x: kind
     "orthogonal" is the symmetric form with omega(i, ibar) = 1, the middle
     letter 0 of odd n paired with itself, and kind "symplectic" the skew
-    form with omega(ibar, i) = 1 = -omega(i, ibar).
+    form with omega(ibar, i) = 1 = -omega(i, ibar).  A frozen value: forms
+    of one kind and n are equal and hash alike.
     """
+    kind: str
+    n: int
+    letters: tuple = field(init=False, repr=False, compare=False)
+    dim: int = field(init=False, repr=False, compare=False)
 
-    def __init__(self, kind: str, n: int):
-        if kind not in ("orthogonal", "symplectic"):
-            raise ValueError(f"unknown form kind {kind!r}")
-        if n < 1:
+    def __post_init__(self):
+        if self.kind not in ("orthogonal", "symplectic"):
+            raise ValueError(f"unknown form kind {self.kind!r}")
+        if self.n < 1:
             raise ValueError("need n >= 1")
-        self.kind = kind
-        self.n = n
-        self.letters = tableaux.o_alphabet(2 * n if kind == "symplectic" else n)
-        self.dim = len(self.letters)
+        letters = tableaux.o_alphabet(2 * self.n if self.kind == "symplectic" else self.n)
+        object.__setattr__(self, "letters", tuple(letters))
+        object.__setattr__(self, "dim", len(letters))
 
     def bar(self, x: int) -> int:
         return -x
@@ -199,12 +206,6 @@ class BilinearForm:
 
     def dual_pairs(self):
         return [(x, self.bar(x), self.dsign(x)) for x in self.letters]
-
-    def cache_key(self):
-        return (self.kind, self.n)
-
-    def __repr__(self):
-        return f"BilinearForm({self.kind}, n={self.n})"
 
 
 def orthogonal_form(n: int) -> BilinearForm:
@@ -301,16 +302,15 @@ def gram_schmidt(candidates):
 
 
 @functools.lru_cache(maxsize=1024)
-def _trace_span_basis(order: int, key: tuple, weight: tuple) -> list:
+def _trace_span_basis(order: int, form: BilinearForm, weight: tuple) -> list:
     """The kept (label, weight, vector, norm²) of gram_schmidt over the
-    expanded lower tensors of one weight, of the form with the given cache
-    key: an expansion keeps the weight of its lower tensor, and the
-    Gram–Schmidt is graded, so these are the whole span's vectors of that
-    weight, in its order.  A label is the generator's place in the whole
-    sequence, slot pairs (i, j) outer, lower inner."""
+    expanded lower tensors of one weight, of the form: an expansion keeps
+    the weight of its lower tensor, and the Gram–Schmidt is graded, so
+    these are the whole span's vectors of that weight, in its order.  A
+    label is the generator's place in the whole sequence, slot pairs
+    (i, j) outer, lower inner."""
     if order < 2:
         return []
-    form = BilinearForm(*key)
     lowers = enumerate(itertools.product(form.letters, repeat=order - 2))
     lowers = [(k, lower) for k, lower in lowers if _weight(lower) == weight]
     size = len(form.letters) ** (order - 2)
@@ -329,9 +329,8 @@ def _trace_part(t: SparseTensor, form: BilinearForm, weight: tuple | None = None
     in the whole span's order, so a tensor of mixed weight gets the same
     parts as from the whole span.  weight, where given, is the one weight
     of every index of t."""
-    key = form.cache_key()
     weights = {_weight(idx) for idx in t.data} if weight is None else {weight}
-    span = [x for w in weights for x in _trace_span_basis(t.order, key, w)]
+    span = [x for w in weights for x in _trace_span_basis(t.order, form, w)]
     if len(weights) > 1:
         span.sort(key=lambda x: x[0])
     hits = [(ip, u, n2) for _, _, u, n2 in span if (ip := u.inner(t))]

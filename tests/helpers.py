@@ -821,10 +821,9 @@ def rho_matrix_loop(u, basis) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def trace_span_basis_ungraded(order: int, key: tuple) -> list:
+def trace_span_basis_ungraded(order: int, form) -> list:
     """Orthogonal rational basis of the span of all expanded lower tensors,
     each generator orthogonalized against the whole basis so far."""
-    form = tensors.BilinearForm(*key)
     basis = []
     if order >= 2:
         for i, j in itertools.combinations(range(order), 2):
@@ -839,20 +838,19 @@ def trace_span_basis_ungraded(order: int, key: tuple) -> list:
     return basis
 
 
-def trace_span_by_weights(order: int, key: tuple) -> list:
+def trace_span_by_weights(order: int, form) -> list:
     """The package's trace-span vectors of every weight of the expanded
     lower tensors, in label order: the whole span."""
-    form = tensors.BilinearForm(*key)
     weights = {tensors._weight(lower)
                for lower in itertools.product(form.letters, repeat=order - 2)}
-    return sorted((x for w in weights for x in tensors._trace_span_basis(order, key, w)),
+    return sorted((x for w in weights for x in tensors._trace_span_basis(order, form, w)),
                   key=lambda x: x[0])
 
 
 def traceless_project_ungraded(t, form):
     """(t0, t1): t1 is the projection of t onto every trace-span vector."""
     t1 = tensors.SparseTensor(t.order)
-    for u in trace_span_basis_ungraded(t.order, form.cache_key()):
+    for u in trace_span_basis_ungraded(t.order, form):
         coef = Fraction(u.inner(t), u.norm_squared())
         if coef:
             t1 = t1 + coef * u
@@ -907,7 +905,16 @@ def gram_schmidt_ungraded(candidates):
 
 
 @dataclass
-class UngradedBasis(irreps.IrrepBasis):
+class UngradedBasis:
+    """The fields of the module basis that the package's IrrepBasis merges
+    from its weight spaces, as the ungraded loops build them."""
+    group: str
+    lam: tuple
+    n: int
+    vectors: list
+    norms2: list
+    tableaux: list
+    form: tensors.BilinearForm | None
     dropped: int  # fillings whose projection fell into earlier spans
 
 
@@ -1028,7 +1035,7 @@ class TensorOperator:
             [Fraction(0)] * n for _ in range(n)]
 
     def matmul(self, other: "TensorOperator") -> "TensorOperator":
-        if self.k != other.k or self.form.cache_key() != other.form.cache_key():
+        if self.k != other.k or self.form != other.form:
             raise ValueError("operator shape mismatch")
         return TensorOperator(self.form, self.k, mat_mul(self.mat, other.mat))
 

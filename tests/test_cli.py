@@ -193,11 +193,14 @@ def test_irrep_requests_read_weight_spaces(capsys, tmp_path, monkeypatch, group,
     # prints the dropped count, 0, and the rank check of the full basis
     basis = irreps.build_irrep_basis(group, lam, n)
     rank = basis.rank
-    if mode != "all":
+    if mode == "all":
+        basis.float_vectors  # Monte Carlo's merge, read before the count starts
+    else:
         def refuse(*args):
-            raise AssertionError("full basis built for an exact or leading request")
+            raise AssertionError("full basis read for an exact or leading request")
 
-        monkeypatch.setattr(irreps, "_build_irrep_basis", refuse)
+        for merged in ("vectors", "norms2", "float_vectors"):
+            monkeypatch.setattr(irreps.IrrepBasis, merged, property(refuse))
     extra = ["--samples", "50", "--seed", "3"] if mode == "all" else []
 
     def request(i, j):
@@ -213,9 +216,8 @@ def test_irrep_requests_read_weight_spaces(capsys, tmp_path, monkeypatch, group,
     assert '"dropped_basis_vectors": 0,' in out
     if mode != "leading":
         assert json.loads(out)["exact"] == f"1/{rank}"
-    index = irreps._module_index(group, lam, n)
     assert irreps._weight_space.cache_info().currsize == len(
-        {index.weights[rank - 1], index.weights[0]})
+        {basis.weights[rank - 1], basis.weights[0]})
     assert request(rank + 1, 1) == (
         2, "", f"error: entry ({rank + 1},1) outside rank-{rank} module {lam}\n")
 

@@ -8,9 +8,11 @@ from the vector representation, where the matrix elements are plain
 matrix entries and the monomial engine is an independent route.
 """
 
+import dataclasses
 import functools
 import itertools
 import math
+import operator
 import os
 import sys
 import time
@@ -165,7 +167,7 @@ WEIGHT_45_GRID = [
 
 def _fields(basis):
     return (repr([list(v.data.items()) for v in basis.vectors]),
-            repr(basis.norms2), [t.rows for t in basis.tableaux])
+            repr(list(basis.norms2)), [t.rows for t in basis.tableaux])
 
 
 @pytest.mark.parametrize("group,lam,n", BENCH_MODULES + WEIGHT_45_GRID)
@@ -214,29 +216,28 @@ ENUMERATORS = {"U": tableaux.enumerate_gl_tableaux, "O": tableaux.enumerate_o_ta
 
 @pytest.mark.parametrize("group,lam,n", DIMENSION_GRID)
 def test_dimension_is_the_filling_count_and_the_rank(group, lam, n):
-    # the Weyl dimension, the admissible-filling count the module index
+    # the Weyl dimension, the admissible-filling count the module
     # asserts, and the rank of the Gram–Schmidt agree: the weight spaces
     # keep every filling
     basis = build_irrep_basis(group, lam, n)
-    index = irreps._module_index(group, lam, n)
     assert DIMENSIONS[group](lam, n) == len(ENUMERATORS[group](lam, n)) == basis.rank
-    assert index.rank == basis.rank == sum(
-        len(irreps._weight_space(group, lam, n, w)) for w in index.by_weight)
+    assert basis.rank == len(basis.vectors) == sum(
+        len(irreps._weight_space(group, lam, n, w)) for w in basis.by_weight)
 
 
 @pytest.mark.parametrize("group,lam,n", BENCH_MODULES + WEIGHT_45_GRID)
 def test_weight_spaces_merge_to_the_full_basis(group, lam, n):
     # every entry read through its weight space is the full basis's entry
-    # at the same position, dict item order included
+    # at the same position, dict item order included; the fillings are the
+    # enumerator's tableaux, in order
     basis = build_irrep_basis(group, lam, n)
-    index = irreps._module_index(group, lam, n)
-    assert index.words == tuple(tuple(t.row_major()) for t in basis.tableaux)
+    assert basis.words == tuple(tuple(t.row_major()) for t in ENUMERATORS[group](lam, n))
     for p, (vector, n2) in enumerate(zip(basis.vectors, basis.norms2), start=1):
-        got, got_n2 = irreps._basis_entry(group, lam, n, p)
+        got, got_n2 = basis._entry(p)
         assert list(got.data.items()) == list(vector.data.items()) and got_n2 == n2
-    merged = sorted((index.words.index(word), v) for w in index.by_weight
+    merged = sorted((basis.words.index(word), v) for w in basis.by_weight
                     for word, _, v, _ in irreps._weight_space(group, lam, n, w))
-    assert [v for _, v in merged] == basis.vectors
+    assert tuple(v for _, v in merged) == basis.vectors
 
 
 def _full_basis_value(spec, bases, exact):
@@ -255,13 +256,11 @@ def test_exact_and_leading_build_only_the_weight_spaces_read(group, lam, n, monk
     # few of the module's many, and never the full basis, and gives the
     # full-basis route's Fraction
     basis = build_irrep_basis(group, lam, n)
-    index = irreps._module_index(group, lam, n)
-    assert len(index.by_weight) > 20
+    assert len(basis.by_weight) > 20
 
     def refuse(*args):
-        raise AssertionError("full basis built for an exact or leading request")
+        raise AssertionError("full basis read for an exact or leading request")
 
-    monkeypatch.setattr(irreps, "_build_irrep_basis", refuse)
     rank = basis.rank
     entries = [(1, 1), (1, rank), (rank, 1), (rank, rank)] + [
         (1 + (7 * k) % rank, 1 + (11 * k + 3) % rank) for k in range(12)]
@@ -269,9 +268,12 @@ def test_exact_and_leading_build_only_the_weight_spaces_read(group, lam, n, monk
         for (i, j), (k, l) in zip(entries, entries[:1] + entries[:-1]):
             spec = schur_spec(group, n, lam, i, j, k, l)
             irreps._weight_space.cache_clear()
-            got = route(spec)
+            with monkeypatch.context() as m:
+                for merged in ("vectors", "norms2", "float_vectors"):
+                    m.setattr(irreps.IrrepBasis, merged, property(refuse))
+                got = route(spec)
             info = irreps._weight_space.cache_info()
-            read = {index.weights[p - 1] for p in (i, j, k, l)}
+            read = {basis.weights[p - 1] for p in (i, j, k, l)}
             assert info.misses == info.currsize == len(read)
             assert got == _full_basis_value(spec, [basis, basis], exact)
 
@@ -297,8 +299,9 @@ def _cold_build(group, lam, n, patch):
     patch.setattr(tensors, "gram_schmidt", recording)
     irreps._weight_space.cache_clear()
     tensors._trace_span_basis.cache_clear()
-    basis = irreps._build_irrep_basis.__wrapped__(group, lam, n)
-    spaces = len(irreps._module_index(group, lam, n).by_weight)
+    basis = dataclasses.replace(build_irrep_basis(group, lam, n))  # nothing merged yet
+    basis.vectors  # the merge builds every weight space
+    spaces = len(basis.by_weight)
     assert len(seen) == (spaces if group == "U" else 2 * spaces)
     return basis, seen
 
@@ -336,11 +339,12 @@ def test_a_second_module_leaves_the_first_cached():
     sp = irreps.RepMatrixElementSpec("Sp", 2, [((2,), 1, 1), ((2,), 1, 1, True)])
     irreps._weight_space.cache_clear()
     value = irreps.integrate_irrep_exact(sp)
-    assert len(irreps._module_index("U", (2, 1), 42).by_weight) == 13202
-    irreps._build_irrep_basis.__wrapped__("U", (2, 1), 42)
+    big = build_irrep_basis("U", (2, 1), 42)
+    assert len(big.by_weight) == 13202
+    dataclasses.replace(big).vectors  # a fresh merge of every weight space
     misses = irreps._weight_space.cache_info().misses
     assert irreps.integrate_irrep_exact(sp) == value
-    irreps._build_irrep_basis.__wrapped__("U", (2, 1), 42)
+    dataclasses.replace(big).vectors
     assert irreps._weight_space.cache_info().misses == misses
 
 
@@ -349,20 +353,61 @@ def test_monte_carlo_and_exact_share_weight_spaces(group, lam, n):
     # a Monte Carlo request builds the full basis as the merge of every
     # weight space, each once, and an exact request on the same module
     # after it builds none
-    index = irreps._module_index(group, lam, n)
-    spec = schur_spec(group, n, lam, 1, index.rank)
-    irreps._build_irrep_basis.cache_clear()
+    basis = build_irrep_basis(group, lam, n)
+    spec = schur_spec(group, n, lam, 1, basis.rank)
+    irreps._module.cache_clear()
     irreps._weight_space.cache_clear()
     integrate_irrep_mc(spec, samples=4, seed=1)
-    assert integrate_irrep_exact(spec) == Fraction(1, index.rank)
+    assert integrate_irrep_exact(spec) == Fraction(1, basis.rank)
     info = irreps._weight_space.cache_info()
-    assert info.misses == info.currsize == len(index.by_weight)
+    assert info.misses == info.currsize == len(basis.by_weight)
 
 
-@pytest.mark.parametrize("cols", [[0], [-1], [7], [1.0], [6, 0]])
+def _edits(basis):
+    """Every way to edit what build_irrep_basis hands out: its tuples, a
+    vector's data, the sampled rows, the form's letters and attributes."""
+    vec = basis.vectors[0]
+    key = next(iter(vec.data))
+    rows = basis.float_vectors
+    edits = [lambda: basis.vectors.append(vec), lambda: basis.norms2.append(1),
+             lambda: operator.setitem(basis.vectors, 0, basis.vectors[-1]),
+             lambda: operator.setitem(basis.norms2, 0, 3),
+             lambda: operator.setitem(vec.data, key, 3 * vec.data[key]),
+             lambda: vec.data.clear(),
+             lambda: operator.setitem(rows, (0, 0), 3),
+             lambda: operator.imul(rows[0], 2),
+             lambda: operator.setitem(basis.words, 0, basis.words[-1]),
+             lambda: operator.setitem(basis.by_weight, (), ()),
+             lambda: setattr(basis, "n", basis.n + 1),
+             lambda: setattr(basis, "vectors", basis.vectors[::-1]),
+             lambda: setattr(basis, "float_vectors", 2 * rows),
+             lambda: delattr(basis, "norms2"),
+             lambda: setattr(vec, "data", {key: 1})]
+    if basis.form is not None:
+        edits += [lambda: operator.setitem(basis.form.letters, 0, basis.form.letters[-1]),
+                  lambda: setattr(basis.form, "n", basis.form.n + 1)]
+    return edits
+
+
+@pytest.mark.parametrize("group,lam,n", [("U", (2, 1), 3), ("O", (2, 1), 3)])
+def test_a_cached_basis_cannot_be_edited(group, lam, n):
+    # build_irrep_basis hands out the one cached module: every edit of it
+    # raises, and no later exact or Monte Carlo value moves
+    spec = schur_spec(group, n, lam)
+    exact, mc = integrate_irrep_exact(spec), integrate_irrep_mc(spec, samples=2000, seed=1)
+    for edit in _edits(build_irrep_basis(group, lam, n)):
+        with pytest.raises((AttributeError, TypeError, ValueError)):
+            edit()
+    assert integrate_irrep_exact(spec) == exact
+    assert integrate_irrep_mc(spec, samples=2000, seed=1) == mc
+    if group == "U":
+        assert exact == Fraction(1, 8) and mc.mean.real == pytest.approx(0.12284837885)
+
+
+@pytest.mark.parametrize("cols", [[0], [-1], [7], [1.0], [6, 0], [True]])
 def test_rho_matrix_refuses_columns_outside_the_module(cols):
     # U(3) lambda=(2) has rank 6: 0 and -1 would wrap round to column 6,
-    # 7 would be a numpy IndexError, and 1.0 is no column number
+    # 7 would be a numpy IndexError, and 1.0 and True are no column numbers
     basis = build_irrep_basis("U", (2,), 3)
     assert rho_matrix(np.eye(3), basis, [1, np.int64(6)]).shape == (6, 2)
     with pytest.raises(ValueError, match=r"columns .* are not all ints in 1\.\.6"):
@@ -876,7 +921,7 @@ def test_build_gate_refuses_before_any_build(monkeypatch):
         raise AssertionError("basis built before the build gate")
 
     monkeypatch.setattr(irreps, "build_irrep_basis", refuse)
-    monkeypatch.setattr(irreps, "_module_index", refuse)
+    monkeypatch.setattr(irreps, "_module", refuse)
     big = schur_spec("U", 43, (2, 1))  # 26488 fillings x 4 symmetrizer terms
     with pytest.raises(CostGateError, match="work estimate 105952 exceeds"):
         asymptotic_irrep(big)

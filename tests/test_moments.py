@@ -11,6 +11,7 @@ import functools
 import importlib
 import itertools
 import math
+import operator
 import pkgutil
 import time
 import tracemalloc
@@ -85,10 +86,25 @@ def test_pairing_order_lexicographic():
 
 def test_basis_sizes_and_order():
     # U: one output-input pairing per permutation, identity first
-    assert type_table("U", 2).elements == [((1, 2), (3, 4)), ((2, 3), (1, 4))]
+    assert type_table("U", 2).elements == (((1, 2), (3, 4)), ((2, 3), (1, 4)))
     assert len(type_table("O", 2).elements) == 3
     assert len(type_table("O", 3).elements) == 15
-    assert type_table("O", 1).elements == [((1, 2),)]
+    assert type_table("O", 1).elements == (((1, 2),),)
+
+
+def test_a_cached_type_table_cannot_be_edited():
+    # type_table hands out its cached table: no edit of it may reach the
+    # Gram solve (G W G = G) of a later request, here Sp(2) |u11|^4
+    quartic = spec("Sp", (1, 1), (1, 1), (1, 1, True), (1, 1, True))
+    value = exact_integral(quartic, 2)
+    table = type_table("O", 2)
+    for edit in (lambda: table.elements.reverse(),
+                 lambda: table.elements.append(table.elements[0]),
+                 lambda: operator.setitem(table.elements, 0, table.elements[1]),
+                 lambda: setattr(table, "elements", table.elements[::-1])):
+        with pytest.raises((AttributeError, TypeError)):
+            edit()
+    assert exact_integral(quartic, 2) == value
 
 
 def test_degree_cap():
@@ -419,7 +435,7 @@ def _fresh_table(kind, q):
     index = {}
     rows = tuple(bytes(index.setdefault(moments._loop_type(pa, pb), len(index))
                        for pb in partners) for pa in partners)
-    return moments.TypeTable(elems, tuple(index), rows)
+    return moments.TypeTable(tuple(elems), tuple(index), rows)
 
 
 @pytest.mark.parametrize("q", range(1, moments.DEGREE_CAP + 1))
@@ -581,8 +597,7 @@ def test_engine_caches_are_bounded():
     caches = _package_lru_caches()
     assert {"haarint.moments._engine", "haarint.moments._character_sums",
             "haarint.moments.type_table",
-            "haarint.irreps._build_irrep_basis", "haarint.irreps._module_index",
-            "haarint.irreps._weight_space", "haarint.su2._gauss_rule",
+            "haarint.irreps._module", "haarint.irreps._weight_space", "haarint.su2._gauss_rule",
             "haarint.tensors._trace_span_basis"} <= set(caches)
     for name, cached in caches.items():
         assert cached.cache_parameters()["maxsize"] is not None, name

@@ -10,8 +10,8 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 # public functions and classes kept for library users although nothing in
 # the package reads them; a name re-exported in haarint.__all__ needs no entry
-LIBRARY_API = {"Tableau.column", "Tableau.entry", "Tableau.row_major", "bloch_vector",
-               "contract", "purify", "symplectic_j", "traceless_project"}
+LIBRARY_API = {"IrrepBasis.tableaux", "Tableau.column", "Tableau.entry", "Tableau.row_major",
+               "bloch_vector", "contract", "purify", "symplectic_j", "traceless_project"}
 
 
 def _private_definitions(node) -> list:

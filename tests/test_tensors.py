@@ -155,7 +155,7 @@ def test_symmetrizer_adjoint(shape, t):
 
 def test_pairing_tables():
     f = orthogonal_form(4)
-    assert f.letters == [-1, 1, -2, 2]
+    assert f.letters == (-1, 1, -2, 2)
     assert f.pairing(1, -1) == 1
     assert f.pairing(-1, 1) == 1
     assert f.pairing(1, 1) == 0
@@ -312,8 +312,9 @@ def test_fraction_free_gram_schmidt_is_the_rational_one(candidates):
     (4, ("symplectic", 1)),
 ])
 def test_trace_span_basis_spans_the_ungraded_one(order, key):
-    graded = trace_span_by_weights(order, key)
-    assert len(graded) == len(trace_span_basis_ungraded(order, key))
+    form = tensors.BilinearForm(*key)
+    graded = trace_span_by_weights(order, form)
+    assert len(graded) == len(trace_span_basis_ungraded(order, form))
     for i, (_, w, u, _) in enumerate(graded):
         assert all(tensors._weight(idx) == w for idx in u.data)
         assert all(u.inner(v) == 0 for _, _, v, _ in graded[i + 1:])
